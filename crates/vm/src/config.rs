@@ -154,8 +154,8 @@ pub struct MachineConfig {
     /// [`Machine::arm_native`]: crate::Machine::arm_native
     /// [`NativeLicense`]: crate::NativeLicense
     pub native: bool,
-    /// Invocation count at which a procedure becomes hot enough to
-    /// compile to the native tier.
+    /// Invocation count at which a procedure, or back-edge count at
+    /// which a loop, becomes hot enough to compile to the native tier.
     pub native_threshold: u32,
     /// Simulated data-memory size in words. The default
     /// ([`crate::image::DEFAULT_MEMORY_WORDS`]) is the full 16-bit
@@ -306,8 +306,8 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the invocation count that promotes a procedure to the
-    /// native tier.
+    /// Sets the invocation count that promotes a procedure, and the
+    /// back-edge count that promotes a loop, to the native tier.
     pub fn with_native_threshold(mut self, calls: u32) -> Self {
         self.native_threshold = calls;
         self

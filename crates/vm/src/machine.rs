@@ -18,6 +18,7 @@
 //! references to allocate", "four levels of indirection" and "as fast
 //! as an unconditional jump" are measurements here, not claims.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fpc_core::{layout, Context, ContextWord, FrameHandle, GftEntry, ProcDesc};
@@ -595,19 +596,29 @@ impl Machine {
     /// predecode cache, so steady-state dispatch never falls back to
     /// the lazy byte decoder. Called after load and after every code
     /// mutation; a no-op when predecoding is off or already coherent.
+    /// Runs that stop decoding early are left to the lazy path.
+    fn refresh_predecode(&mut self) {
+        if self.predecode.is_none() {
+            return;
+        }
+        let bodies = self.proc_bodies();
+        let cache = self.predecode.as_mut().expect("checked above");
+        cache.sync(&self.code);
+        for body in bodies {
+            cache.translate_range(&self.code, body.start, body.end);
+        }
+    }
+
+    /// Every loaded procedure body as a byte range, sorted by start
+    /// and free of duplicates.
     ///
     /// Bodies are found by walking each module's entry vector —
     /// exactly the data structure `replace_proc` redirects, so a
     /// replaced procedure's fresh body is picked up and its old one is
-    /// dropped. Everything between a header's end and the next header
-    /// (or segment boundary) is treated as one straight-line run; runs
-    /// that stop decoding early are left to the lazy path.
-    fn refresh_predecode(&mut self) {
-        let Some(cache) = self.predecode.as_mut() else {
-            return;
-        };
-        // Stops: segment bases (entry vectors are data), every header,
-        // and the end of the store.
+    /// dropped. Everything between a header's end and the next stop (a
+    /// header, a segment base — entry vectors are data — or the end of
+    /// the store) is treated as one straight-line run.
+    fn proc_bodies(&self) -> Vec<Range<u32>> {
         let mut headers: Vec<u32> = Vec::new();
         for m in &self.modules {
             for p in 0..m.nprocs {
@@ -615,21 +626,20 @@ impl Machine {
                 headers.push(m.code_base.0 + rel as u32);
             }
         }
+        headers.sort_unstable();
+        headers.dedup();
         let mut stops: Vec<u32> = self.modules.iter().map(|m| m.code_base.0).collect();
         stops.extend_from_slice(&headers);
         stops.push(self.code.len());
         stops.sort_unstable();
-        stops.dedup();
-        cache.sync(&self.code);
-        for &h in &headers {
-            let body = h + layout::PROC_HEADER_BYTES;
-            let end = stops
-                .iter()
-                .copied()
-                .find(|&s| s >= body)
-                .unwrap_or_else(|| self.code.len());
-            cache.translate_range(&self.code, body, end);
-        }
+        headers
+            .iter()
+            .map(|&h| {
+                let body = h + layout::PROC_HEADER_BYTES;
+                let i = stops.partition_point(|&s| s < body);
+                body..stops.get(i).copied().unwrap_or_else(|| self.code.len())
+            })
+            .collect()
     }
 
     /// Predecode-cache statistics, when predecoding is enabled.
@@ -924,9 +934,20 @@ impl Machine {
                     NativeExit::Budget | NativeExit::Left => {}
                 }
             }
+            let start = self.pc.0;
+            let jumps0 = self.stats.jumps_taken;
             left -= 1;
             if let StepOutcome::Halted = self.step()? {
                 return Ok(());
+            }
+            // Loop hotness: every interpreted jump path, single or
+            // fused, bumps `jumps_taken`, so a taken jump that landed
+            // at or before the step's start is a back-edge. Its target
+            // is the loop head, where the next burst enters.
+            if self.stats.jumps_taken != jumps0 && self.pc.0 <= start {
+                if let Some(nt) = self.native.as_mut() {
+                    nt.note_backedge(self.pc.0);
+                }
             }
         }
         if self.halted {
@@ -970,14 +991,8 @@ impl Machine {
     /// `Histogram::top_k` hotness ranking.
     pub fn native_hotness(&self) -> Option<fpc_stats::Histogram> {
         let nt = self.native.as_ref()?;
-        let mut headers = Vec::new();
-        for m in &self.modules {
-            for p in 0..m.nprocs {
-                let rel = self.code.peek_u16(layout::ev_slot(m.code_base, p));
-                headers.push(m.code_base.0 + rel as u32);
-            }
-        }
-        Some(nt.hotness(headers))
+        let bodies = self.proc_bodies();
+        Some(nt.hotness(bodies.iter().map(|b| b.start - layout::PROC_HEADER_BYTES)))
     }
 
     /// Permanent native deopt: a certificate premise lapsed. Invoked
@@ -1018,39 +1033,20 @@ impl Machine {
         if pending.is_empty() {
             return;
         }
-        // Body map, exactly as `refresh_predecode` builds it.
-        let mut headers: Vec<u32> = Vec::new();
-        for m in &self.modules {
-            for p in 0..m.nprocs {
-                let rel = self.code.peek_u16(layout::ev_slot(m.code_base, p));
-                headers.push(m.code_base.0 + rel as u32);
-            }
-        }
-        let mut stops: Vec<u32> = self.modules.iter().map(|m| m.code_base.0).collect();
-        stops.extend_from_slice(&headers);
-        stops.push(self.code.len());
-        stops.sort_unstable();
-        stops.dedup();
-        headers.sort_unstable();
-        headers.dedup();
+        let bodies = self.proc_bodies();
         let fast_mem = self.banks.is_none();
-        let code_len = self.code.len();
         let nt = self.native.as_mut().expect("checked above");
         for probe in pending {
             if !nt.candidate(probe) {
                 continue;
             }
-            // Enclosing body: the greatest header whose body starts at
-            // or before the probe, provided the probe is inside it.
-            let i = headers.partition_point(|&h| h + layout::PROC_HEADER_BYTES <= probe);
+            // Enclosing body: the last one starting at or before the
+            // probe, provided the probe is inside it.
+            let i = bodies.partition_point(|b| b.start <= probe);
             let compiled = i > 0 && {
-                let body = headers[i - 1] + layout::PROC_HEADER_BYTES;
-                let end = stops
-                    .iter()
-                    .copied()
-                    .find(|&s| s >= body)
-                    .unwrap_or(code_len);
-                probe < end && nt.compile(self.code.bytes(), body, end, fast_mem)
+                let body = &bodies[i - 1];
+                body.contains(&probe)
+                    && nt.compile(self.code.bytes(), body.start, body.end, fast_mem)
             };
             if !compiled {
                 nt.refuse(probe);
@@ -3168,9 +3164,7 @@ impl Machine {
         } = t;
         let (nargs, addr_taken) = layout::unpack_flags(flags);
         if let Some(nt) = self.native.as_mut() {
-            // Hotness: count the callee, and the caller body via the
-            // return pc (already advanced past the call instruction).
-            nt.note_call(header.0, self.pc.0);
+            nt.note_call(header.0);
         }
         // Faultable work first, commits second: an unbound destination
         // or an empty AV list must surface while the caller's state is

@@ -271,9 +271,9 @@ pub(crate) struct NativeTier {
     /// Code byte → compiled proc index + 1; 0 = uncovered, [`REFUSED`]
     /// = offered and declined (stops the pending queue from cycling).
     pc_map: Vec<u16>,
-    /// Invocation counts per header byte address, and call-site counts
-    /// per return-pc byte address (so loop-resident caller bodies get
-    /// hot even when invoked once). Disjoint index spaces, one vector.
+    /// Invocation counts per header byte address, and back-edge counts
+    /// per loop-head byte address (so a loop gets hot even when its
+    /// procedure is entered once). Disjoint index spaces, one vector.
     counts: Vec<u32>,
     /// Byte addresses whose enclosing body wants compilation.
     pending: Vec<u32>,
@@ -352,7 +352,7 @@ impl NativeTier {
         // Counts survive the flush, but `bump` queues a probe only at
         // the exact threshold crossing — re-queue every already-hot
         // site so its body recompiles. Each count may be a header or a
-        // return pc; probe both interpretations (`candidate` and
+        // loop head; probe both interpretations (`candidate` and
         // `compile` discard the one that is not a body).
         if self.armed {
             for (idx, &c) in self.counts.iter().enumerate() {
@@ -365,22 +365,27 @@ impl NativeTier {
         }
     }
 
-    /// Hotness hook, called on every resolved procedure call. `header`
-    /// is the callee's header address; `ret_pc` is the return address,
-    /// which lies inside the *caller's* body and stands in for the call
-    /// site.
+    /// Hotness hook, called on every resolved procedure call with the
+    /// callee's header address.
     #[inline]
-    pub fn note_call(&mut self, header: u32, ret_pc: u32) {
-        if !self.armed {
-            return;
-        }
-        let body = header + fpc_core::layout::PROC_HEADER_BYTES;
-        self.bump(header, body);
-        self.bump(ret_pc, ret_pc);
+    pub fn note_call(&mut self, header: u32) {
+        self.bump(header, header + fpc_core::layout::PROC_HEADER_BYTES);
+    }
+
+    /// Hotness hook, called on every interpreted backward jump with its
+    /// target. The target is the loop head, and the probe: the body
+    /// enclosing it compiles, and the next burst enters there, so a
+    /// loop goes native even inside a procedure entered only once.
+    #[inline]
+    pub fn note_backedge(&mut self, target: u32) {
+        self.bump(target, target);
     }
 
     #[inline]
     fn bump(&mut self, idx: u32, probe: u32) {
+        if !self.armed {
+            return;
+        }
         let Some(c) = self.counts.get_mut(idx as usize) else {
             return;
         };
@@ -428,12 +433,6 @@ impl NativeTier {
         if proc.ops.len() <= 1 {
             return false;
         }
-        if std::env::var_os("FPC_NATIVE_DUMP").is_some() {
-            eprintln!("native compile [{body:#06x}..{end:#06x}):");
-            for (i, op) in proc.ops.iter().enumerate() {
-                eprintln!("  {i:4} @{:#06x}  {op:?}", proc.offs[i]);
-            }
-        }
         let idx = self.procs.len() as u16 + 1;
         for a in body..end {
             if let Some(p) = self.pc_map.get_mut(a as usize) {
@@ -467,7 +466,8 @@ impl NativeTier {
         Arc::clone(&self.procs[idx])
     }
 
-    /// Invocation count for a header address.
+    /// Invocation count for a header address, or back-edge count for a
+    /// loop head.
     pub fn count_of(&self, addr: u32) -> u32 {
         self.counts.get(addr as usize).copied().unwrap_or(0)
     }
@@ -824,34 +824,37 @@ mod tests {
 
     #[test]
     fn tier_counts_compiles_and_locates() {
-        // LoadImm(0x1234) takes the 3-byte LIW form, giving the body
-        // interior (mid-instruction) bytes.
-        let bytes = body_bytes(&[Instr::LoadImm(0x1234), Instr::Out, Instr::Ret]);
+        // A loop whose head is not the body start: LoadImm(0x1234)
+        // takes the 3-byte LIW form, giving the body interior
+        // (mid-instruction) bytes; the head is the `Out` at byte 3.
+        let bytes = body_bytes(&[Instr::LoadImm(0x1234), Instr::Out, Instr::Jump(-1)]);
         let end = bytes.len() as u32;
         let mut t = NativeTier::new(2);
-        t.arm();
+        // A disarmed tier counts nothing.
         t.sync(1, 0, end);
-        // Pretend a header at "end" would precede the body; count the
-        // body via its return-pc side.
-        t.note_call(0, 1); // header idx 0 counts, probe = PROC_HEADER_BYTES (off-map ok)
+        t.note_backedge(3);
+        assert_eq!(t.count_of(3), 0);
+        t.arm();
+        t.note_backedge(3);
         assert!(!t.has_pending());
-        t.note_call(0, 1);
-        // ret_pc probe 1 is mid-LoadImm but still queues its body.
-        assert!(t.has_pending());
-        let pending = t.take_pending();
-        for probe in pending {
-            if t.candidate(probe) && !t.compile(&bytes, 0, end, true) {
-                t.refuse(probe);
-            }
-        }
+        t.note_backedge(3);
+        // The exact crossing queues the loop head itself.
+        assert_eq!(t.take_pending(), vec![3]);
+        t.note_backedge(3);
+        assert!(!t.has_pending(), "only the crossing queues a probe");
+        assert!(t.candidate(3) && t.compile(&bytes, 0, end, true));
         assert_eq!(t.stats().compiled_procs, 1);
+        assert!(!t.candidate(3), "a covered head is no longer a candidate");
         assert!(t.locate(0).is_some());
+        assert_eq!(t.locate(3), Some((0, 1)), "the loop head enters mid-body");
         assert!(t.locate(1).is_none(), "mid-instruction bytes don't enter");
-        // A key change flushes bodies but keeps counts.
+        // A key change flushes bodies but keeps counts, and re-queues
+        // the hot head so its body recompiles.
         t.sync(2, 0, end);
         assert_eq!(t.stats().compiled_procs, 0);
-        assert_eq!(t.count_of(0), 2);
+        assert_eq!(t.count_of(3), 3);
         assert_eq!(t.stats().flushes, 1);
+        assert!(t.take_pending().contains(&3));
         // Disarm is permanent.
         t.disarm();
         assert!(!t.armed() && !t.cert_ok());
@@ -899,12 +902,15 @@ mod tests {
         let mut t = NativeTier::new(1);
         t.arm();
         t.sync(1, 0, 8);
-        t.note_call(100, 4); // header out of counts range is ignored; site 4 counts
+        t.note_backedge(100); // out of the counts range: ignored
+        assert!(!t.has_pending());
+        t.note_backedge(4);
         assert!(t.has_pending());
         for probe in t.take_pending() {
             t.refuse(probe);
         }
-        t.note_call(100, 4);
+        assert!(!t.candidate(4));
+        t.note_backedge(4);
         assert!(!t.has_pending(), "refused bytes never re-queue");
     }
 }

@@ -10,6 +10,9 @@
 //! all-accelerators-off reference given the same hook at the same
 //! simulated point. The license gate is tested from both directions:
 //! no license → the tier never runs; lapsed premises → arming refuses.
+//! Tier-up itself is held to the same oracle: a loop in a procedure
+//! entered once must go native by its back-edge count alone, with the
+//! same counters however a fuel slice falls around the crossing jump.
 
 use fpc_isa::Instr;
 use fpc_vm::{
@@ -329,4 +332,101 @@ fn terminal_faults_match_the_interpreter() {
         fingerprint(&reference),
         "state at the terminal fault must agree"
     );
+}
+
+/// sum(n) = n + (n-1) + … + 1 by a call-free loop, called once from
+/// main: the procedure never gets hot by invocation count, only by its
+/// back-edge.
+fn loop_image() -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("sum", 1, 2), |a| {
+        a.instr(Instr::StoreLocal(0));
+        let head = a.label();
+        let done = a.label();
+        a.bind(head);
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(done);
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Add);
+        a.instr(Instr::StoreLocal(1));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::StoreLocal(0));
+        a.jump(head);
+        a.bind(done);
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 0), |a| {
+        a.instr(Instr::LoadImm(200));
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::Out);
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 1,
+    })
+    .unwrap()
+}
+
+#[test]
+fn loop_in_a_once_entered_procedure_tiers_up_by_back_edge() {
+    let image = loop_image();
+    let mut reference = Machine::load(&image, reference_config()).unwrap();
+    reference.run(200_000).unwrap();
+    assert_eq!(reference.output(), &[20100]);
+
+    let mut native = Machine::load(&image, native_config()).unwrap();
+    assert!(native.arm_native(license()));
+    native.run(200_000).unwrap();
+    let stats = native.native_stats().unwrap();
+    assert!(
+        stats.native_instrs > 0,
+        "the loop must run native: {stats:?}"
+    );
+    assert_eq!(stats.compiles, 1, "only sum's body compiles: {stats:?}");
+    let hot = native.native_hotness().unwrap();
+    assert_eq!(hot.count(), 1, "sum is entered exactly once");
+    assert_eq!(
+        fingerprint(&native),
+        fingerprint(&reference),
+        "loop tier-up diverged from the byte rung"
+    );
+
+    // Find the fuel unit that retires the threshold-crossing back-edge:
+    // the probe it queues compiles at the start of the following run.
+    // Every step before the crossing is interpreted, one fuel unit
+    // each, so a slice of that many units ends exactly on the jump.
+    let mut probe = Machine::load(&image, native_config()).unwrap();
+    assert!(probe.arm_native(license()));
+    let mut spent = 0u64;
+    while probe.native_stats().unwrap().compiles == 0 {
+        pace(&mut probe);
+        spent += 1;
+    }
+    let crossing = spent - 1;
+    for split in [crossing - 1, crossing, crossing + 1] {
+        let mut m = Machine::load(&image, native_config()).unwrap();
+        assert!(m.arm_native(license()));
+        assert!(matches!(m.run(split), Err(VmError::OutOfFuel)));
+        if split == crossing {
+            assert_eq!(
+                m.native_stats().unwrap().compiles,
+                0,
+                "the slice ends before the queued probe compiles"
+            );
+        }
+        m.run(200_000).unwrap();
+        let stats = m.native_stats().unwrap();
+        assert!(stats.native_instrs > 0, "split {split}: {stats:?}");
+        assert_eq!(
+            fingerprint(&m),
+            fingerprint(&reference),
+            "a slice ending at fuel {split} diverged from the byte rung"
+        );
+    }
 }

@@ -8,8 +8,7 @@
 //! with zero host allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use fpc_isa::Instr;
 use fpc_mem::CodeStore;
@@ -22,22 +21,34 @@ use fpc_vm::{
 /// (alloc, alloc_zeroed, realloc — dealloc cannot allocate).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread, so the test
+    /// harness's other threads — concurrent tests, the output capture —
+    /// never bleed into a measurement window. `const`-initialised with
+    /// no destructor, so touching it from inside the allocator never
+    /// allocates or registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with` only fails while the thread is being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         System.dealloc(p, l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(p, l, n)
     }
 }
@@ -45,18 +56,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// Serialises the tests in this binary: the counter is process-global,
-/// so a concurrently-running test would bleed its allocations into
-/// another test's measurement window.
-static SERIAL: Mutex<()> = Mutex::new(());
-
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
 fn warm_predecode_lookup_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A representative little run: locals, immediates, a compare, a
     // branch — enough shapes to populate both the flat map and the
     // fusion overlay.
@@ -138,7 +144,6 @@ fn call_loop_image() -> Image {
 
 #[test]
 fn warm_machine_steps_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let image = call_loop_image();
     let mut m = Machine::load(&image, MachineConfig::i2()).unwrap();
     // Warm-up: fills the predecode map, the fusion overlay, the inline
@@ -172,7 +177,6 @@ fn warm_machine_steps_do_not_allocate() {
 
 #[test]
 fn warm_native_bursts_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let image = call_loop_image();
     let cfg = MachineConfig::i2()
         .with_native_tier(true)
@@ -206,6 +210,65 @@ fn warm_native_bursts_do_not_allocate() {
     );
 
     // Prove the window ran native, and that nothing recompiled.
+    let n = m.native_stats().unwrap();
+    assert!(
+        n.native_instrs > n0.native_instrs,
+        "the window must retire native instructions: {n:?}"
+    );
+    assert_eq!(n.compiles, n0.compiles, "steady state recompiles nothing");
+    assert_eq!(n.flushes, n0.flushes, "steady state never flushes");
+}
+
+/// A call-free loop in a procedure entered exactly once: only its
+/// back-edge can make it hot.
+fn counting_loop_image() -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("main", 0, 1), |a| {
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::AddImm(1));
+        a.instr(Instr::StoreLocal(0));
+        a.jump(top);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 0,
+    })
+    .unwrap()
+}
+
+#[test]
+fn warm_backedge_compiled_loop_does_not_allocate() {
+    let image = counting_loop_image();
+    let cfg = MachineConfig::i2()
+        .with_native_tier(true)
+        .with_native_threshold(4);
+    let mut m = Machine::load(&image, cfg).unwrap();
+    assert!(
+        m.arm_native(NativeLicense::new(8, 1)),
+        "fresh machine must arm"
+    );
+    assert!(
+        matches!(m.run(20_000), Err(VmError::OutOfFuel)),
+        "the loop must still be running"
+    );
+    let n0 = m.native_stats().expect("tier is configured");
+    assert_eq!(n0.compiles, 1, "the loop body compiles once: {n0:?}");
+    assert!(
+        m.native_hotness().unwrap().count() == 0,
+        "main is never called, so only its back-edge can have compiled it"
+    );
+    assert!(n0.native_instrs > 0, "warm-up must reach native: {n0:?}");
+
+    let before = allocs();
+    assert!(matches!(m.run(100_000), Err(VmError::OutOfFuel)));
+    assert_eq!(
+        allocs() - before,
+        0,
+        "a warm back-edge-compiled loop must be allocation-free"
+    );
     let n = m.native_stats().unwrap();
     assert!(
         n.native_instrs > n0.native_instrs,
