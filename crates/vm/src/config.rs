@@ -83,7 +83,7 @@ impl BankConfig {
 /// | [`MachineConfig::i1`] | none | none | general heap |
 /// | [`MachineConfig::i2`] | none | none | AV frame heap |
 /// | [`MachineConfig::i3`] | 8 entries | none | AV frame heap |
-/// | [`MachineConfig::i4`] | 8 entries | 4×16, renaming | AV + free-frame cache |
+/// | [`MachineConfig::i4`] | 8 entries | 8×16, renaming | AV + free-frame cache |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// IFU return-prediction stack depth; 0 disables it (§6).

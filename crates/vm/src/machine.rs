@@ -389,6 +389,32 @@ enum NativeExit {
     Left,
 }
 
+/// On a renaming machine every argument must land in the callee's
+/// bank: a call renames `nargs` stack words into it, and a bank shadows
+/// only `min(frame locals, bank words)` words, so a procedure with more
+/// arguments would silently drop the rest. Images (and replacement
+/// bodies) declaring such a procedure are refused up front.
+fn renaming_fits(
+    config: &MachineConfig,
+    classes: &fpc_frames::SizeClasses,
+    fsi: u8,
+    nargs: u8,
+) -> Result<(), VmError> {
+    let Some(b) = config.banks.filter(|b| b.renaming) else {
+        return Ok(());
+    };
+    let locals = classes.iter().nth(fsi as usize).map_or(0, |(_, words)| {
+        words.saturating_sub(layout::FRAME_HEADER_WORDS)
+    });
+    let shadow = locals.min(b.words);
+    if nargs as u32 > shadow {
+        return Err(VmError::BadImage(format!(
+            "a procedure takes {nargs} arguments but a renaming bank shadows only {shadow}"
+        )));
+    }
+    Ok(())
+}
+
 impl Machine {
     /// Loads an image under a configuration and prepares the entry
     /// call (the entry procedure's frame is created; execution will
@@ -467,6 +493,21 @@ impl Machine {
             )));
         }
         let (mem, code, placement) = image::load_with_buffer(image, config.memory_words, buf)?;
+        if config.renaming() {
+            // The loader has bounds-checked every owner's headers.
+            let owners = image.modules.iter().enumerate();
+            for (mi, m) in owners.filter(|(_, m)| m.code_of.is_none()) {
+                for p in 0..m.nprocs {
+                    let header = image.proc_header_addr(ProcRef {
+                        module: mi,
+                        ev_index: p,
+                    });
+                    let fsi = code.peek(header.offset(layout::HDR_FSI));
+                    let flags = code.peek(header.offset(layout::HDR_FLAGS));
+                    renaming_fits(&config, &image.classes, fsi, layout::unpack_flags(flags).0)?;
+                }
+            }
+        }
         let mut mem = mem;
         // Watch the transfer-table words — the GFT region and each
         // global frame's code-base word — so any store to them bumps
@@ -921,7 +962,14 @@ impl Machine {
             }
             if let Some((proc, idx, ip)) = self.native_begin() {
                 let before = left;
-                match self.native_run(proc, idx, ip, &mut left)? {
+                // One bank decision per burst: I1–I3 bursts carry no
+                // per-access bank check at all.
+                let exit = if self.banks.is_some() {
+                    self.native_run::<true>(proc, idx, ip, &mut left)?
+                } else {
+                    self.native_run::<false>(proc, idx, ip, &mut left)?
+                };
+                match exit {
                     NativeExit::Halted => return Ok(()),
                     // Budget exhausted or the burst left compiled
                     // code; `pc` is materialized either way. A burst
@@ -1034,7 +1082,7 @@ impl Machine {
             return;
         }
         let bodies = self.proc_bodies();
-        let fast_mem = self.banks.is_none();
+        let banks = self.banks.is_some();
         let nt = self.native.as_mut().expect("checked above");
         for probe in pending {
             if !nt.candidate(probe) {
@@ -1045,8 +1093,7 @@ impl Machine {
             let i = bodies.partition_point(|b| b.start <= probe);
             let compiled = i > 0 && {
                 let body = &bodies[i - 1];
-                body.contains(&probe)
-                    && nt.compile(self.code.bytes(), body.start, body.end, fast_mem)
+                body.contains(&probe) && nt.compile(self.code.bytes(), body.start, body.end, banks)
             };
             if !compiled {
                 nt.refuse(probe);
@@ -1058,7 +1105,10 @@ impl Machine {
     /// fuel unit per retired instruction. Fast handlers accumulate
     /// cycle/jump charges locally and flush once on exit; anything
     /// with richer accounting retires through [`Machine::step_one`].
-    fn native_run(
+    /// `BANKS` is whether the machine has register banks; every local
+    /// and indirect access goes through the `native_*` helpers, which
+    /// drop the bank paths entirely when it is false.
+    fn native_run<const BANKS: bool>(
         &mut self,
         mut proc: Arc<NativeProc>,
         mut cur: usize,
@@ -1144,17 +1194,14 @@ impl Machine {
                     cycles += CYCLE_BASE;
                 }
                 NOp::LocalRd(n) => {
-                    let v = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let v = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += CYCLE_BASE;
                 }
                 NOp::LocalWr(n) => {
                     let v = self.stack.pop().unwrap_or(0);
-                    self.mem
-                        .write(fast_wrap(layout::local_slot(self.lf, n as u32).0), v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
+                    self.native_local_wr::<BANKS>(n, v, fast_wrap, &mut cycles);
+                    cycles += CYCLE_BASE;
                 }
                 NOp::LocalAddr(n) => {
                     let addr = layout::local_slot(self.lf, n as u32);
@@ -1188,16 +1235,16 @@ impl Machine {
                 NOp::Read => {
                     self.obs(|o| o.reads_memory = true);
                     let addr = WordAddr(self.stack.pop().unwrap_or(0) as u32);
-                    let v = self.mem.read(addr);
+                    let v = self.native_indirect_rd::<BANKS>(addr, &mut cycles);
                     self.stack.push(v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += CYCLE_BASE;
                 }
                 NOp::Write => {
                     self.obs(|o| o.writes_memory = true);
                     let addr = WordAddr(self.stack.pop().unwrap_or(0) as u32);
                     let v = self.stack.pop().unwrap_or(0);
-                    self.mem.write(addr, v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
+                    self.native_indirect_wr::<BANKS>(addr, v, &mut cycles);
+                    cycles += CYCLE_BASE;
                     if self.mem.table_gen() != gen0 {
                         self.pc = ByteAddr(proc.offs[ip as usize]);
                         break Ok(NativeExit::Left);
@@ -1207,17 +1254,19 @@ impl Machine {
                     self.obs(|o| o.reads_memory = true);
                     let idx = self.stack.pop().unwrap_or(0);
                     let base = self.stack.pop().unwrap_or(0);
-                    let v = self.mem.read(WordAddr(base.wrapping_add(idx) as u32));
+                    let addr = WordAddr(base.wrapping_add(idx) as u32);
+                    let v = self.native_indirect_rd::<BANKS>(addr, &mut cycles);
                     self.stack.push(v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += CYCLE_BASE;
                 }
                 NOp::StoreIndex => {
                     self.obs(|o| o.writes_memory = true);
                     let idx = self.stack.pop().unwrap_or(0);
                     let base = self.stack.pop().unwrap_or(0);
                     let v = self.stack.pop().unwrap_or(0);
-                    self.mem.write(WordAddr(base.wrapping_add(idx) as u32), v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
+                    let addr = WordAddr(base.wrapping_add(idx) as u32);
+                    self.native_indirect_wr::<BANKS>(addr, v, &mut cycles);
+                    cycles += CYCLE_BASE;
                     if self.mem.table_gen() != gen0 {
                         self.pc = ByteAddr(proc.offs[ip as usize]);
                         break Ok(NativeExit::Left);
@@ -1389,24 +1438,18 @@ impl Machine {
                 // constituent op's cycles in one commit.
                 NOp::Ld2(n, v) => {
                     need!(1);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a);
                     self.stack.push(v);
-                    cycles += 2 * CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += 2 * CYCLE_BASE;
                 }
                 NOp::LdLd(n, m) => {
                     need!(1);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a);
-                    let b = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, m as u32).0));
+                    let b = self.native_local_rd::<BANKS>(m, fast_wrap, &mut cycles);
                     self.stack.push(b);
-                    cycles += 2 * (CYCLE_BASE + CYCLE_MEMREF);
+                    cycles += 2 * CYCLE_BASE;
                 }
                 NOp::AddIW(v) => {
                     need!(1);
@@ -1434,55 +1477,43 @@ impl Machine {
                 }
                 NOp::LdSubI(n, v) => {
                     need!(2);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a.wrapping_sub(v));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += 3 * CYCLE_BASE;
                 }
                 NOp::LdAddI(n, v) => {
                     need!(2);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a.wrapping_add(v));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += 3 * CYCLE_BASE;
                 }
                 NOp::LdXAdd(n) => {
                     need!(2);
                     let t = self.stack.pop().unwrap_or(0);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a.wrapping_add(t));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += 3 * CYCLE_BASE;
                 }
                 NOp::LdICmpJz(n, v, c, t) => {
                     need!(3);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     if c.eval(a as i16, v as i16) {
-                        cycles += 4 * CYCLE_BASE + CYCLE_MEMREF;
+                        cycles += 4 * CYCLE_BASE;
                     } else {
                         ip = t;
-                        cycles += 4 * CYCLE_BASE + CYCLE_MEMREF + CYCLE_REFILL;
+                        cycles += 4 * CYCLE_BASE + CYCLE_REFILL;
                         jumps += 1;
                     }
                 }
                 NOp::LdLdCmpJz(n, m, c, t) => {
                     need!(3);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    let b = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, m as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let b = self.native_local_rd::<BANKS>(m, fast_wrap, &mut cycles);
                     if c.eval(a as i16, b as i16) {
-                        cycles += 4 * CYCLE_BASE + 2 * CYCLE_MEMREF;
+                        cycles += 4 * CYCLE_BASE;
                     } else {
                         ip = t;
-                        cycles += 4 * CYCLE_BASE + 2 * CYCLE_MEMREF + CYCLE_REFILL;
+                        cycles += 4 * CYCLE_BASE + CYCLE_REFILL;
                         jumps += 1;
                     }
                 }
@@ -1494,65 +1525,52 @@ impl Machine {
                 NOp::LdCall(n, d, instr, len) => {
                     need!(1);
                     interp_ops += 1;
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += CYCLE_BASE;
                     xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
                 }
                 NOp::LdSubICall(n, v, d, instr, len) => {
                     need!(3);
                     interp_ops += 1;
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a.wrapping_sub(v));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += 3 * CYCLE_BASE;
                     xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
                 }
                 NOp::LdAddICall(n, v, d, instr, len) => {
                     need!(3);
                     interp_ops += 1;
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a.wrapping_add(v));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += 3 * CYCLE_BASE;
                     xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
                 }
                 NOp::LdXAddCall(n, d, instr, len) => {
                     need!(3);
                     interp_ops += 1;
                     let t = self.stack.pop().unwrap_or(0);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a.wrapping_add(t));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    cycles += 3 * CYCLE_BASE;
                     xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
                 }
                 NOp::WrJmp(n, t) => {
                     need!(1);
                     let v = self.stack.pop().unwrap_or(0);
-                    self.mem
-                        .write(fast_wrap(layout::local_slot(self.lf, n as u32).0), v);
+                    self.native_local_wr::<BANKS>(n, v, fast_wrap, &mut cycles);
                     ip = t;
-                    cycles += 2 * CYCLE_BASE + CYCLE_MEMREF + CYCLE_REFILL;
+                    cycles += 2 * CYCLE_BASE + CYCLE_REFILL;
                     jumps += 1;
                 }
                 NOp::LdLdCall(n, m, d, instr, len) => {
                     need!(2);
                     interp_ops += 1;
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
+                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
                     self.stack.push(a);
-                    let b = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, m as u32).0));
+                    let b = self.native_local_rd::<BANKS>(m, fast_wrap, &mut cycles);
                     self.stack.push(b);
-                    cycles += 2 * (CYCLE_BASE + CYCLE_MEMREF);
+                    cycles += 2 * CYCLE_BASE;
                     xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
                 }
             }
@@ -1624,6 +1642,86 @@ impl Machine {
             self.stats.transfers.record(k, cycles, refs);
         }
         Ok(())
+    }
+
+    /// [`Machine::read_local`] inside a burst, charging into the
+    /// burst's cycle accumulator: a bank shadow hit is a register
+    /// access (no counted reference, same LRU clock bump), anything
+    /// else one counted reference. `wrap` is the burst's address wrap.
+    #[inline(always)]
+    fn native_local_rd<const BANKS: bool>(
+        &mut self,
+        n: u8,
+        wrap: impl Fn(u32) -> WordAddr,
+        cycles: &mut u64,
+    ) -> u16 {
+        if BANKS {
+            let lf = self.lf;
+            if let Some(v) = self.banks.as_mut().and_then(|b| b.read_local(lf, n as u32)) {
+                return v;
+            }
+        }
+        *cycles += CYCLE_MEMREF;
+        self.mem.read(wrap(layout::local_slot(self.lf, n as u32).0))
+    }
+
+    /// [`Machine::write_local`] inside a burst; charges as
+    /// [`Machine::native_local_rd`].
+    #[inline(always)]
+    fn native_local_wr<const BANKS: bool>(
+        &mut self,
+        n: u8,
+        v: u16,
+        wrap: impl Fn(u32) -> WordAddr,
+        cycles: &mut u64,
+    ) {
+        if BANKS {
+            let lf = self.lf;
+            if self
+                .banks
+                .as_mut()
+                .is_some_and(|b| b.write_local(lf, n as u32, v))
+            {
+                return;
+            }
+        }
+        *cycles += CYCLE_MEMREF;
+        self.mem
+            .write(wrap(layout::local_slot(self.lf, n as u32).0), v);
+    }
+
+    /// [`Machine::read_indirect`] inside a burst: a diverted reference
+    /// charges its divert cycles, any other one counted reference.
+    #[inline(always)]
+    fn native_indirect_rd<const BANKS: bool>(&mut self, addr: WordAddr, cycles: &mut u64) -> u16 {
+        if !BANKS {
+            *cycles += CYCLE_MEMREF;
+            return self.mem.read(addr);
+        }
+        let divert0 = self.stats.divert_cycles;
+        let v = self.read_indirect(addr);
+        *cycles += match self.stats.divert_cycles - divert0 {
+            0 => CYCLE_MEMREF,
+            divert => divert,
+        };
+        v
+    }
+
+    /// [`Machine::write_indirect`] inside a burst; charges as
+    /// [`Machine::native_indirect_rd`].
+    #[inline(always)]
+    fn native_indirect_wr<const BANKS: bool>(&mut self, addr: WordAddr, v: u16, cycles: &mut u64) {
+        if !BANKS {
+            *cycles += CYCLE_MEMREF;
+            self.mem.write(addr, v);
+            return;
+        }
+        let divert0 = self.stats.divert_cycles;
+        self.write_indirect(addr, v);
+        *cycles += match self.stats.divert_cycles - divert0 {
+            0 => CYCLE_MEMREF,
+            divert => divert,
+        };
     }
 
     #[inline]
@@ -1843,6 +1941,7 @@ impl Machine {
             .classes
             .fsi_for(frame_words)
             .ok_or_else(|| VmError::BadImage("replacement frame too large".into()))?;
+        renaming_fits(&self.config, &self.classes, fsi, nargs)?;
         if !self.code.len().is_multiple_of(2) {
             self.code.append(&[0]);
         }
@@ -3978,6 +4077,56 @@ mod tests {
         let image = fib_local_calls();
         assert!(matches!(
             Machine::load(&image, MachineConfig::i4()),
+            Err(VmError::BadImage(_))
+        ));
+    }
+
+    /// A renaming call moves every argument into the callee's bank, so
+    /// a procedure with more arguments than a bank shadows would lose
+    /// the excess (local 16 read back as 0, not 17). Load refuses it.
+    #[test]
+    fn renaming_rejects_more_arguments_than_a_bank_shadows() {
+        let build = |nargs: u8| {
+            let mut b = ImageBuilder::new();
+            b.bank_args();
+            let m = b.module("main");
+            b.proc_with(m, ProcSpec::new("wide", nargs, nargs as u32), |a| {
+                a.instr(Instr::LoadLocal(nargs - 1));
+                a.instr(Instr::Out);
+                a.instr(Instr::LoadLocal(0));
+                a.instr(Instr::Out);
+                a.instr(Instr::Ret);
+            });
+            b.proc_with(m, ProcSpec::new("main", 0, 0), |a| {
+                for v in 1..=nargs as u16 {
+                    a.instr(Instr::LoadImm(v));
+                }
+                a.instr(Instr::LocalCall(0));
+                a.instr(Instr::Halt);
+            });
+            b.build(ProcRef {
+                module: 0,
+                ev_index: 1,
+            })
+            .unwrap()
+        };
+        let cfg = MachineConfig {
+            stack_depth: 32,
+            ..MachineConfig::i4()
+        };
+        assert!(matches!(
+            Machine::load(&build(17), cfg),
+            Err(VmError::BadImage(_))
+        ));
+        // Exactly a bank's worth still renames in full.
+        let m = run_image(&build(16), cfg);
+        assert_eq!(m.output(), &[16, 1]);
+        // A replacement body is held to the same bound.
+        let mut m = Machine::load(&build(16), cfg).unwrap();
+        assert!(matches!(
+            m.replace_proc(0, 0, 17, 17, |a| {
+                a.instr(Instr::Ret);
+            }),
             Err(VmError::BadImage(_))
         ));
     }

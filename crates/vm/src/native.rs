@@ -24,10 +24,16 @@
 //! Native handlers keep every simulated counter bit-identical to byte
 //! dispatch: fast handlers charge exactly the cycles, memory references
 //! and jump-refills the interpreter would, and perform the same counted
-//! [`fpc_mem::Memory`] traffic. Anything with non-trivial accounting
-//! (calls, returns, XFER, traps, heap ops, diverted bank references)
-//! falls back to the interpreter's own `step_one`, instruction by
-//! instruction, inside the native burst.
+//! [`fpc_mem::Memory`] traffic. On the register-bank machine the local
+//! and indirect handlers go through the same bank paths as the
+//! interpreter: a shadow hit is a register access with no counted
+//! reference, a diverted indirect reference charges the divert cycle,
+//! and everything else is one counted reference. Calls and returns run
+//! a streamlined copy of the interpreter's transfer step; anything else
+//! with non-trivial accounting (XFER, traps, heap ops, `LoadLocalAddr`
+//! under banks, which the `Outlaw` policy traps) falls back to the
+//! interpreter's own `step_one`, instruction by instruction, inside the
+//! native burst.
 //!
 //! # Deoptimization
 //!
@@ -105,16 +111,15 @@ pub struct NativeStats {
 /// One direct-threaded host handler with operands inlined.
 ///
 /// Fast variants replicate the interpreter's execute arm *and* its
-/// accounting exactly; everything else lowers to [`NOp::Interp`].
-/// Memory-touching fast ops only exist when register banks are off
-/// (`fast_mem`), since bank shadow hits divert accounting.
+/// accounting exactly, register banks included; everything else lowers
+/// to [`NOp::Interp`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum NOp {
     /// `LoadImm`: push a literal.
     Imm(u16),
-    /// `LoadLocal` (banks off): one counted read of the local slot.
+    /// `LoadLocal`: a bank register, else one counted read of the slot.
     LocalRd(u8),
-    /// `StoreLocal` (banks off): one counted write of the local slot.
+    /// `StoreLocal`: a bank register, else one counted write of the slot.
     LocalWr(u8),
     /// `LoadLocalAddr` (banks off): pure address push.
     LocalAddr(u8),
@@ -124,13 +129,13 @@ pub(crate) enum NOp {
     GlobalWr(u8),
     /// `LoadGlobalAddr`: pure address push.
     GlobalAddr(u8),
-    /// `Read` (banks off): counted read at a popped address.
+    /// `Read`: counted (or bank-diverted) read at a popped address.
     Read,
-    /// `Write` (banks off): counted write; may bump the generation.
+    /// `Write`: counted (or diverted) write; may bump the generation.
     Write,
-    /// `LoadIndex` (banks off): counted read at base + index.
+    /// `LoadIndex`: counted (or diverted) read at base + index.
     LoadIndex,
-    /// `StoreIndex` (banks off): counted write; may bump the generation.
+    /// `StoreIndex`: counted (or diverted) write; may bump the generation.
     StoreIndex,
     Add,
     Sub,
@@ -425,11 +430,11 @@ impl NativeTier {
 
     /// Compiles `[body, end)` and maps its bytes. Returns false when
     /// the body is unusable (nothing decodes) or the table is full.
-    pub fn compile(&mut self, code: &[u8], body: u32, end: u32, fast_mem: bool) -> bool {
+    pub fn compile(&mut self, code: &[u8], body: u32, end: u32, banks: bool) -> bool {
         if end <= body || self.procs.len() >= (REFUSED - 1) as usize {
             return false;
         }
-        let proc = compile_body(code, body, end, fast_mem);
+        let proc = compile_body(code, body, end, banks);
         if proc.ops.len() <= 1 {
             return false;
         }
@@ -501,8 +506,9 @@ impl NativeTier {
 }
 
 /// Lowers one decoded body into a direct-threaded chain. Stops at the
-/// first undecodable byte (that suffix stays interpreter-only).
-fn compile_body(code: &[u8], body: u32, end: u32, fast_mem: bool) -> NativeProc {
+/// first undecodable byte (that suffix stays interpreter-only). `banks`
+/// says whether the machine has register banks.
+fn compile_body(code: &[u8], body: u32, end: u32, banks: bool) -> NativeProc {
     let mut decoded: Vec<(u32, Instr, u8)> = Vec::new();
     for step in fpc_isa::walk(code, body as usize, end as usize) {
         match step {
@@ -518,7 +524,7 @@ fn compile_body(code: &[u8], body: u32, end: u32, fast_mem: bool) -> NativeProc 
     let mut offs = Vec::with_capacity(decoded.len() + 1);
     for &(at, instr, len) in &decoded {
         offs.push(at);
-        ops.push(lower(instr, len, at, body, end, &off_to_ip, fast_mem));
+        ops.push(lower(instr, len, at, body, end, &off_to_ip, banks));
     }
     offs.push(decoded.last().map_or(body, |&(at, _, len)| at + len as u32));
     ops.push(NOp::Exit);
@@ -716,7 +722,7 @@ fn lower(
     body: u32,
     end: u32,
     off_to_ip: &[u32],
-    fast_mem: bool,
+    banks: bool,
 ) -> NOp {
     // Displacements are from instruction start; a target outside the
     // body (or mid-instruction) goes through the interpreter, which
@@ -731,16 +737,17 @@ fn lower(
     };
     match instr {
         Instr::LoadImm(v) => NOp::Imm(v),
-        Instr::LoadLocal(n) if fast_mem => NOp::LocalRd(n),
-        Instr::StoreLocal(n) if fast_mem => NOp::LocalWr(n),
-        Instr::LoadLocalAddr(n) if fast_mem => NOp::LocalAddr(n),
+        Instr::LoadLocal(n) => NOp::LocalRd(n),
+        Instr::StoreLocal(n) => NOp::LocalWr(n),
+        // Under banks the `Outlaw` pointer policy traps here.
+        Instr::LoadLocalAddr(n) if !banks => NOp::LocalAddr(n),
         Instr::LoadGlobal(n) => NOp::GlobalRd(n),
         Instr::StoreGlobal(n) => NOp::GlobalWr(n),
         Instr::LoadGlobalAddr(n) => NOp::GlobalAddr(n),
-        Instr::Read if fast_mem => NOp::Read,
-        Instr::Write if fast_mem => NOp::Write,
-        Instr::LoadIndex if fast_mem => NOp::LoadIndex,
-        Instr::StoreIndex if fast_mem => NOp::StoreIndex,
+        Instr::Read => NOp::Read,
+        Instr::Write => NOp::Write,
+        Instr::LoadIndex => NOp::LoadIndex,
+        Instr::StoreIndex => NOp::StoreIndex,
         Instr::Add => NOp::Add,
         Instr::Sub => NOp::Sub,
         Instr::Mul => NOp::Mul,
@@ -794,7 +801,7 @@ mod tests {
     fn compile_body_lowers_and_maps_offsets() {
         let bytes = body_bytes(&[Instr::LoadImm(7), Instr::AddImm(1), Instr::Out, Instr::Ret]);
         let end = bytes.len() as u32;
-        let p = compile_body(&bytes, 0, end, true);
+        let p = compile_body(&bytes, 0, end, false);
         assert!(matches!(p.ops[0], NOp::Imm(7)));
         assert!(matches!(p.ops[1], NOp::AddImm(1)));
         assert!(matches!(p.ops[2], NOp::Out));
@@ -807,18 +814,36 @@ mod tests {
     }
 
     #[test]
-    fn in_body_jumps_resolve_mem_ops_gate_on_banks() {
+    fn in_body_jumps_resolve_and_bank_mem_ops_lower_natively() {
         // 0: LoadLocal 0 (1 byte, LL0) ; 1: JumpZero back to it.
         let bytes = body_bytes(&[Instr::LoadLocal(0), Instr::JumpZero(-1)]);
         let end = bytes.len() as u32;
-        let fast = compile_body(&bytes, 0, end, true);
-        assert!(matches!(fast.ops[0], NOp::LocalRd(0)));
-        assert!(matches!(fast.ops[1], NOp::Jz(0)));
-        let banked = compile_body(&bytes, 0, end, false);
-        assert!(matches!(banked.ops[0], NOp::Interp(Instr::LoadLocal(0), _)));
+        let flat = compile_body(&bytes, 0, end, false);
+        assert!(matches!(flat.ops[0], NOp::LocalRd(0)));
+        assert!(matches!(flat.ops[1], NOp::Jz(0)));
+        // Under banks locals and indirect accesses still lower to fast
+        // ops; only the address-of, which `Outlaw` traps, interprets.
+        let bytes = body_bytes(&[
+            Instr::LoadLocal(0),
+            Instr::StoreLocal(1),
+            Instr::LoadLocalAddr(2),
+            Instr::LoadIndex,
+            Instr::Ret,
+        ]);
+        let end = bytes.len() as u32;
+        let banked = compile_body(&bytes, 0, end, true);
+        assert!(matches!(banked.ops[0], NOp::LocalRd(0)));
+        assert!(matches!(banked.ops[1], NOp::LocalWr(1)));
+        assert!(matches!(
+            banked.ops[2],
+            NOp::Interp(Instr::LoadLocalAddr(2), _)
+        ));
+        assert!(matches!(banked.ops[3], NOp::LoadIndex));
+        let flat = compile_body(&bytes, 0, end, false);
+        assert!(matches!(flat.ops[2], NOp::LocalAddr(2)));
         // Out-of-body jump falls back to the interpreter.
         let bytes = body_bytes(&[Instr::Jump(100)]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, true);
+        let p = compile_body(&bytes, 0, bytes.len() as u32, false);
         assert!(matches!(p.ops[0], NOp::Interp(Instr::Jump(100), _)));
     }
 
@@ -842,7 +867,7 @@ mod tests {
         assert_eq!(t.take_pending(), vec![3]);
         t.note_backedge(3);
         assert!(!t.has_pending(), "only the crossing queues a probe");
-        assert!(t.candidate(3) && t.compile(&bytes, 0, end, true));
+        assert!(t.candidate(3) && t.compile(&bytes, 0, end, false));
         assert_eq!(t.stats().compiled_procs, 1);
         assert!(!t.candidate(3), "a covered head is no longer a candidate");
         assert!(t.locate(0).is_some());
@@ -873,7 +898,7 @@ mod tests {
             Instr::Out,
             Instr::Ret,
         ]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, true);
+        let p = compile_body(&bytes, 0, bytes.len() as u32, false);
         // The whole guard collapses into one dispatch.
         assert!(matches!(p.ops[0], NOp::LdICmpJz(0, 2, Cmp::Lt, 2)));
         assert!(matches!(p.ops[1], NOp::Out));
@@ -888,7 +913,7 @@ mod tests {
 
         // A jump landing on the would-be second blocks the pair.
         let bytes = body_bytes(&[Instr::LoadLocal(0), Instr::LoadImm(7), Instr::Jump(-2)]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, true);
+        let p = compile_body(&bytes, 0, bytes.len() as u32, false);
         assert!(
             matches!(p.ops[0], NOp::LocalRd(0)),
             "jump-target second must not fuse"

@@ -430,3 +430,126 @@ fn loop_in_a_once_entered_procedure_tiers_up_by_back_edge() {
         );
     }
 }
+
+/// The bank machine's native rung: I4 (8×16 renaming banks, divert
+/// policy) with the full ladder and a low threshold.
+fn bank_native_config() -> MachineConfig {
+    MachineConfig::i4()
+        .with_predecode(true)
+        .with_inline_xfer(true)
+        .with_fusion(true)
+        .with_native_tier(true)
+        .with_native_threshold(4)
+}
+
+/// A renaming image: `tri` recurses 40 deep — five times the bank
+/// count, so every descent overflows banks and every unwind underflows
+/// them — and `poke` round-trips its argument through a pointer to its
+/// own shadowed local (a diverted `Write` and `Read`, plus a diverted
+/// `LoadIndex`), called from a loop until it is hot.
+fn bank_image() -> Image {
+    let mut b = ImageBuilder::new();
+    b.bank_args();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("tri", 1, 1), |a| {
+        let base = a.label();
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(base);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Add);
+        a.instr(Instr::Ret);
+        a.bind(base);
+        a.instr(Instr::LoadImm(0));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("poke", 1, 2).with_addr_taken(), |a| {
+        // local1 := x through a pointer, then x + 1 + local1 read back
+        // through the pointer twice (once as a[1] off local 0's address).
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadLocalAddr(1));
+        a.instr(Instr::Write);
+        a.instr(Instr::LoadLocalAddr(1));
+        a.instr(Instr::Read);
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Add);
+        a.instr(Instr::LoadLocalAddr(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::LoadIndex);
+        a.instr(Instr::Add);
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 1), |a| {
+        for _ in 0..3 {
+            a.instr(Instr::LoadImm(40));
+            a.instr(Instr::LocalCall(0));
+            a.instr(Instr::Out);
+        }
+        a.instr(Instr::LoadImm(20));
+        a.instr(Instr::StoreLocal(0));
+        let top = a.label();
+        let done = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(done);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LocalCall(1));
+        a.instr(Instr::Out);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::StoreLocal(0));
+        a.jump(top);
+        a.bind(done);
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 2,
+    })
+    .unwrap()
+}
+
+#[test]
+fn bank_machine_bursts_overflow_underflow_and_divert_like_the_byte_rung() {
+    let image = bank_image();
+    let expected: Vec<u16> = [820, 820, 820]
+        .into_iter()
+        .chain((1..=20).rev().map(|x| 2 * x + 1))
+        .collect();
+    let byte = MachineConfig::i4()
+        .with_predecode(false)
+        .with_inline_xfer(false)
+        .with_fusion(false);
+    let mut reference = Machine::load(&image, byte).unwrap();
+    reference.run(200_000).unwrap();
+    assert_eq!(reference.output(), expected.as_slice());
+    let banks = reference.bank_stats().expect("i4 has banks");
+    assert!(banks.overflows > 0 && banks.underflows > 0, "{banks:?}");
+    assert!(banks.diversions > 0, "{banks:?}");
+
+    // One run straight through, and one paced in 7-unit slices so
+    // burst exits land all over the bank traffic.
+    for slice in [200_000u64, 7] {
+        let mut m = Machine::load(&image, bank_native_config()).unwrap();
+        assert!(m.arm_native(license()));
+        loop {
+            match m.run(slice) {
+                Ok(()) => break,
+                Err(VmError::OutOfFuel) => {}
+                Err(e) => panic!("slice {slice}: {e:?}"),
+            }
+        }
+        let stats = m.native_stats().unwrap();
+        assert!(stats.native_instrs > 0, "slice {slice}: {stats:?}");
+        assert!(m.bank_stats().unwrap().diversions > 0);
+        assert_eq!(
+            fingerprint(&m),
+            fingerprint(&reference),
+            "slice {slice}: bank-machine bursts diverged from the byte rung"
+        );
+    }
+}

@@ -277,3 +277,82 @@ fn warm_backedge_compiled_loop_does_not_allocate() {
     assert_eq!(n.compiles, n0.compiles, "steady state recompiles nothing");
     assert_eq!(n.flushes, n0.flushes, "steady state never flushes");
 }
+
+/// A renaming image whose main loop calls a 20-deep recursion forever:
+/// every descent overflows the I4 machine's eight banks and every
+/// unwind underflows them.
+fn bank_recursion_image() -> Image {
+    let mut b = ImageBuilder::new();
+    b.bank_args();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("down", 1, 1), |a| {
+        let base = a.label();
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(base);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Add);
+        a.instr(Instr::Ret);
+        a.bind(base);
+        a.instr(Instr::LoadImm(0));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 1), |a| {
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadImm(20));
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::StoreLocal(0));
+        a.jump(top);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 1,
+    })
+    .unwrap()
+}
+
+#[test]
+fn warm_bank_machine_native_bursts_do_not_allocate() {
+    let image = bank_recursion_image();
+    let cfg = MachineConfig::i4()
+        .with_native_tier(true)
+        .with_native_threshold(4);
+    let mut m = Machine::load(&image, cfg).unwrap();
+    assert!(
+        m.arm_native(NativeLicense::new(8, 2)),
+        "fresh machine must arm"
+    );
+    assert!(
+        matches!(m.run(20_000), Err(VmError::OutOfFuel)),
+        "the loop must still be running"
+    );
+    let n0 = m.native_stats().expect("tier is configured");
+    assert!(n0.native_instrs > 0, "warm-up must reach native: {n0:?}");
+    let b0 = m.bank_stats().expect("i4 has banks");
+
+    let before = allocs();
+    assert!(matches!(m.run(100_000), Err(VmError::OutOfFuel)));
+    assert_eq!(
+        allocs() - before,
+        0,
+        "warm bank-machine native bursts must be allocation-free"
+    );
+
+    // Prove the window ran native and moved bank traffic.
+    let n = m.native_stats().unwrap();
+    assert!(
+        n.native_instrs > n0.native_instrs,
+        "the window must retire native instructions: {n:?}"
+    );
+    assert_eq!(n.compiles, n0.compiles, "steady state recompiles nothing");
+    assert_eq!(n.flushes, n0.flushes, "steady state never flushes");
+    let b = m.bank_stats().unwrap();
+    assert!(
+        b.overflows > b0.overflows && b.underflows > b0.underflows,
+        "the window must overflow and underflow banks: {b:?}"
+    );
+}

@@ -4,9 +4,11 @@
 //! `fpc-sched` preempts machines at arbitrary fuel boundaries and
 //! resumes them on arbitrary workers. That is sound only if a run
 //! split into slices `a + b + …` is *bit-identical* to the unsliced
-//! run — stats, output, references, cache statistics — on every rung
-//! of the five-level dispatch ladder, including a zero-length first
-//! slice and splits that land inside a fused pair or a native burst.
+//! run — stats, output, references, cache and bank statistics — on
+//! every rung of the five-level dispatch ladder, including a
+//! zero-length first slice and splits that land inside a fused pair or
+//! a native burst. The split tests run on I3 and on the renaming bank
+//! machine I4, where splits also land inside fused bank-local ops.
 //!
 //! The second half pins the same property for fault-injection plans:
 //! a [`PlanCursor`] advanced across preemptions must fire every event
@@ -93,27 +95,43 @@ fn fingerprint(m: &Machine, include_tier: bool) -> String {
         String::new()
     };
     format!(
-        "instr={} cycles={} jumps={} refs={} out={:?} xfer={:?}{}",
+        "instr={} cycles={} jumps={} refs={} out={:?} xfer={:?} banks={:?}{}",
         m.stats().instructions,
         m.stats().cycles,
         m.stats().jumps_taken,
         m.total_refs(),
         m.output(),
         m.xfer_cache_stats(),
+        m.bank_stats(),
         tier,
     )
 }
 
-fn fib_image() -> Image {
+/// fib(14), compiled for argument renaming when `bank_args` is set.
+fn fib_image_with(bank_args: bool) -> Image {
     compile_workload(
         &programs::fib(14),
         Options {
             linkage: Linkage::Direct,
-            ..Default::default()
+            bank_args,
         },
     )
     .expect("fib compiles")
     .image
+}
+
+fn fib_image() -> Image {
+    fib_image_with(false)
+}
+
+/// The machines the split tests cover: I3, and the I4 bank machine
+/// running a renaming fib (recursion deeper than its banks, so slices
+/// also split bank overflow and underflow traffic).
+fn split_targets() -> [(&'static str, MachineConfig, Image); 2] {
+    [
+        ("i3", MachineConfig::i3(), fib_image()),
+        ("i4", MachineConfig::i4(), fib_image_with(true)),
+    ]
 }
 
 /// Any two-slice split `a + b` of an exact-fuel run, including `a = 0`
@@ -122,9 +140,15 @@ fn fib_image() -> Image {
 /// on every rung.
 #[test]
 fn any_two_slice_split_is_bit_identical_on_every_rung() {
-    let image = fib_image();
-    for (rname, cfg) in ladder(MachineConfig::i3()) {
-        let mut whole = load(&image, cfg);
+    for (name, base, image) in split_targets() {
+        two_slice_splits_match(name, base, &image);
+    }
+}
+
+fn two_slice_splits_match(name: &str, base: MachineConfig, image: &Image) {
+    for (rung, cfg) in ladder(base) {
+        let rname = format!("{name}/{rung}");
+        let mut whole = load(image, cfg);
         whole.run(FUEL).unwrap();
         let total = whole.stats().instructions;
         let tier = !cfg.native;
@@ -132,7 +156,7 @@ fn any_two_slice_split_is_bit_identical_on_every_rung() {
 
         // An exact-fuel one-shot run must also halt cleanly: fuel
         // accounting has no off-by-one to hide behind.
-        let mut exact = load(&image, cfg);
+        let mut exact = load(image, cfg);
         exact.run(total).unwrap_or_else(|e| panic!("{rname}: {e}"));
         assert_eq!(fingerprint(&exact, tier), want, "{rname}: exact fuel");
 
@@ -141,7 +165,7 @@ fn any_two_slice_split_is_bit_identical_on_every_rung() {
         splits.extend((0..8).map(|_| rng.next_u64() % total));
         for a in splits {
             let b = total - a;
-            let mut m = load(&image, cfg);
+            let mut m = load(image, cfg);
             if a == 0 {
                 // A zero-fuel slice is OutOfFuel by definition…
                 assert!(matches!(m.run(0), Err(VmError::OutOfFuel)), "{rname}");
@@ -174,15 +198,21 @@ fn any_two_slice_split_is_bit_identical_on_every_rung() {
 /// pattern) are bit-identical to the one-shot run on every rung.
 #[test]
 fn random_slice_schedules_are_bit_identical_on_every_rung() {
-    let image = fib_image();
-    for (rname, cfg) in ladder(MachineConfig::i3()) {
-        let mut whole = load(&image, cfg);
+    for (name, base, image) in split_targets() {
+        random_schedules_match(name, base, &image);
+    }
+}
+
+fn random_schedules_match(name: &str, base: MachineConfig, image: &Image) {
+    for (rung, cfg) in ladder(base) {
+        let rname = format!("{name}/{rung}");
+        let mut whole = load(image, cfg);
         whole.run(FUEL).unwrap();
         let tier = !cfg.native;
         let want = fingerprint(&whole, tier);
         for seed in [1u64, 2, 3] {
             let mut rng = Rng::seed_from_u64(seed);
-            let mut m = load(&image, cfg);
+            let mut m = load(image, cfg);
             let mut slices = 0u32;
             loop {
                 // 1-instruction slices through multi-thousand quanta.
