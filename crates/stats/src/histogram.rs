@@ -61,13 +61,29 @@ impl Histogram {
     /// because the simulator calls it on every transfer.
     #[inline]
     pub fn record_n(&mut self, value: u64, n: u64) {
+        // The hit path: a value the dense array already covers. The
+        // array never grows past `DENSE_LIMIT`, so this also keeps
+        // spill values out.
+        if value < self.dense.len() as u64 {
+            self.dense[value as usize] += n;
+        } else {
+            self.record_cold(value, n);
+        }
+    }
+
+    /// [`Histogram::record_n`] for a value the dense array does not
+    /// cover yet: grow it, or spill. A zero weight changes nothing.
+    #[cold]
+    #[inline(never)]
+    fn record_cold(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         if value < DENSE_LIMIT {
             let i = value as usize;
-            if i >= self.dense.len() {
-                self.dense.resize(i + 1, 0);
-            }
+            self.dense.resize(i + 1, 0);
             self.dense[i] += n;
-        } else if n > 0 {
+        } else {
             *self.spill.entry(value).or_insert(0) += n;
         }
     }
@@ -328,6 +344,44 @@ mod tests {
         let mut h = Histogram::new();
         h.record_n(5, 0);
         assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn record_n_grows_spills_and_batches_like_single_records() {
+        let mut h = Histogram::new();
+        // The first value grows the dense array to cover it.
+        h.record_n(6, 2);
+        assert_eq!(h.dense.len(), 7);
+        assert!(h.spill.is_empty());
+        // A covered value is a plain increment.
+        h.record_n(3, 1);
+        assert_eq!(h.dense.len(), 7);
+        // A value at or past the dense limit spills.
+        h.record_n(DENSE_LIMIT, 4);
+        assert_eq!(h.spill.get(&DENSE_LIMIT), Some(&4));
+        assert_eq!(h.dense.len(), 7);
+        // A zero weight changes nothing, dense or spill.
+        let before = h.clone();
+        h.record_n(500, 0);
+        h.record_n(DENSE_LIMIT + 9, 0);
+        assert_eq!(h.dense.len(), 7);
+        assert_eq!(h.spill.len(), 1);
+        assert_eq!(h, before);
+        assert_eq!(format!("{h:?}"), format!("{before:?}"));
+
+        // Batched records equal the same events one by one, recorded
+        // in another order.
+        let events = [2u64, 9, 2, 5_000, 2, 9, 1, 70_000, 5_000, 1_023];
+        let mut single = Histogram::new();
+        for &v in events.iter().rev() {
+            single.record(v);
+        }
+        let mut batched = Histogram::new();
+        for (v, n) in [(9, 2), (5_000, 2), (1, 1), (2, 3), (70_000, 1), (1_023, 1)] {
+            batched.record_n(v, n);
+        }
+        assert_eq!(batched, single);
+        assert_eq!(format!("{batched:?}"), format!("{single:?}"));
     }
 
     #[test]

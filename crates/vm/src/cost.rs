@@ -141,7 +141,7 @@ impl TransferStats {
         }
     }
 
-    fn kind_mut(&mut self, kind: TransferKind) -> &mut KindStats {
+    pub(crate) fn kind_mut(&mut self, kind: TransferKind) -> &mut KindStats {
         match kind {
             TransferKind::Call => &mut self.calls,
             TransferKind::Return => &mut self.returns,
@@ -182,6 +182,81 @@ impl TransferStats {
     }
 }
 
+/// Cycle values a [`TransferBatch`] counts in its own buckets; a
+/// costlier event goes straight into the run's histogram.
+const BATCH_CYCLES: usize = 16;
+
+/// One kind's share of a [`TransferBatch`].
+#[derive(Debug, Clone, Copy, Default)]
+struct KindBatch {
+    count: u64,
+    fast: u64,
+    cycles: u64,
+    refs: u64,
+    hist: [u64; BATCH_CYCLES],
+}
+
+impl KindBatch {
+    fn flush_into(&mut self, k: &mut KindStats) {
+        k.count += self.count;
+        k.fast += self.fast;
+        k.cycles += self.cycles;
+        k.refs += self.refs;
+        for (v, &n) in self.hist.iter().enumerate() {
+            if n > 0 {
+                k.cycle_hist.record_n(v as u64, n);
+            }
+        }
+        *self = KindBatch::default();
+    }
+}
+
+/// Calls and returns accumulated over one native burst and added to
+/// the run's [`TransferStats`] once, at burst exit. Lives on the
+/// stack: recording is a few adds, with no histogram growth check.
+/// Since the statistics are sums and a multiset, the flushed result is
+/// identical to recording each event as it happens.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TransferBatch {
+    calls: KindBatch,
+    returns: KindBatch,
+}
+
+impl TransferBatch {
+    /// Records one event: calls and returns into the batch, other
+    /// kinds, and histogram buckets past the batch's range, directly
+    /// into `stats`.
+    #[inline]
+    pub fn record(
+        &mut self,
+        stats: &mut TransferStats,
+        kind: TransferKind,
+        cycles: u64,
+        refs: u64,
+    ) {
+        let b = match kind {
+            TransferKind::Call => &mut self.calls,
+            TransferKind::Return => &mut self.returns,
+            _ => return stats.record(kind, cycles, refs),
+        };
+        b.count += 1;
+        b.cycles += cycles;
+        b.refs += refs;
+        b.fast += (cycles <= jump_cycles()) as u64;
+        if cycles < BATCH_CYCLES as u64 {
+            b.hist[cycles as usize] += 1;
+        } else {
+            stats.kind_mut(kind).cycle_hist.record(cycles);
+        }
+    }
+
+    /// Adds the batch into `stats` and empties it.
+    pub fn flush_into(&mut self, stats: &mut TransferStats) {
+        self.calls.flush_into(&mut stats.calls);
+        self.returns.flush_into(&mut stats.returns);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +288,33 @@ mod tests {
         assert_eq!(k.mean_cycles(), 15.0);
         assert_eq!(k.mean_refs(), 12.0);
         assert_eq!(k.fast_fraction(), 0.0);
+    }
+
+    #[test]
+    fn batched_events_equal_direct_records() {
+        let events = [
+            (TransferKind::Call, 2, 0),
+            (TransferKind::Return, 2, 0),
+            (TransferKind::Call, 9, 7),
+            (TransferKind::Call, 40, 38), // past the batch's buckets
+            (TransferKind::Coroutine, 12, 10),
+            (TransferKind::Return, 5, 3),
+            (TransferKind::Call, 2, 0),
+        ];
+        let mut direct = TransferStats::default();
+        for &(k, c, r) in &events {
+            direct.record(k, c, r);
+        }
+        let mut batched = TransferStats::default();
+        let mut batch = TransferBatch::default();
+        for &(k, c, r) in &events {
+            batch.record(&mut batched, k, c, r);
+        }
+        batch.flush_into(&mut batched);
+        assert_eq!(format!("{batched:?}"), format!("{direct:?}"));
+        // The flush empties the batch: a second one adds nothing.
+        batch.flush_into(&mut batched);
+        assert_eq!(format!("{batched:?}"), format!("{direct:?}"));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! as an unconditional jump" are measurements here, not claims.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use fpc_core::{layout, Context, ContextWord, FrameHandle, GftEntry, ProcDesc};
 use fpc_frames::{FrameError, FrameHeap, GeneralHeap, HeapStats};
@@ -29,11 +28,13 @@ use fpc_mem::{ByteAddr, CodeStore, Memory, WordAddr};
 use crate::banks::{BankMachine, BankStats};
 use crate::cache::{CacheStats, FrameCache};
 use crate::config::{AllocStrategy, MachineConfig, PtrLocalPolicy};
-use crate::cost::{TransferKind, TransferStats, CYCLE_BASE, CYCLE_MEMREF, CYCLE_REFILL};
+use crate::cost::{
+    TransferBatch, TransferKind, TransferStats, CYCLE_BASE, CYCLE_MEMREF, CYCLE_REFILL,
+};
 use crate::error::{FaultKind, RemoteFaultClass, TrapCode, VmError};
 use crate::ifu::{ReturnEntry, ReturnStack, ReturnStackStats};
 use crate::image::{self, Image, ProcRef, AV_BASE, GFT_BASE, GFT_ENTRIES};
-use crate::native::{NOp, NativeLicense, NativeProc, NativeTier};
+use crate::native::{Compiled, NOp, NativeLicense, NativeTier, ReturnPredictor, Site};
 use crate::observe::ObservedEffects;
 use crate::predecode::{Fetched, FusedOp, PredecodeCache, PredecodeStats};
 use crate::xfer::{CachedTarget, XferCache, XferCacheStats};
@@ -295,6 +296,9 @@ pub struct Machine {
     pc: ByteAddr,
     return_ctx: ContextWord,
     stack: Vec<u16>,
+    /// `memory size − 1` when the size is a power of two, else 0: the
+    /// mask [`Machine::wrap`] uses in place of a modulo.
+    wrap_mask: u32,
 
     frame_info: FrameTable,
     modules: Vec<LoadedModule>,
@@ -319,6 +323,9 @@ pub struct Machine {
     /// Per-module swapped-out flag; transfers into an unbound module
     /// fault with [`FaultKind::UnboundProcedure`].
     unbound: Vec<bool>,
+    /// Whether any `unbound` flag is set: while none is, the boundness
+    /// checks on every transfer cannot fail and return at once.
+    any_unbound: bool,
     /// Frames grabbed by [`Machine::seize_free_frames`].
     seized: Vec<(WordAddr, u32)>,
     fstats: FaultStats,
@@ -362,8 +369,8 @@ impl std::fmt::Debug for Machine {
 /// this assertion: every field is owned (memory, code store, frame
 /// allocator, caches travel with the machine — no shared mutable host
 /// state), the one interior-mutability cell (the bank lookup memo) is
-/// `Cell`, which is `Send`, and the compiled native bodies are
-/// `Arc<NativeProc>` over plain data (`Send + Sync`). The accelerator
+/// `Cell`, which is `Send`, and the compiled native bodies are plain
+/// owned data. The accelerator
 /// caches stay valid across a steal because their coherence keys
 /// (code-store version, watched-table generation) are derived from the
 /// machine's own state, which moves with it.
@@ -576,6 +583,11 @@ impl Machine {
                 code_seg: m.code_of.unwrap_or(i),
             })
             .collect();
+        let wrap_mask = if mem.size().is_power_of_two() {
+            mem.size() - 1
+        } else {
+            0
+        };
         let mut machine = Machine {
             mem,
             code,
@@ -601,6 +613,7 @@ impl Machine {
             pc: ByteAddr(0),
             return_ctx: ContextWord::NIL,
             stack: Vec::new(),
+            wrap_mask,
             frame_info: FrameTable::default(),
             modules,
             processes: vec![Process {
@@ -616,6 +629,7 @@ impl Machine {
             stack_relaxed: false,
             handler_frames: Vec::new(),
             unbound: vec![false; image.modules.len()],
+            any_unbound: false,
             seized: Vec::new(),
             fstats: FaultStats::default(),
             remote_links: Vec::new(),
@@ -700,6 +714,8 @@ impl Machine {
     }
 
     /// Inline-transfer-cache statistics, when the caches are enabled.
+    /// Only interpreted calls consult the caches: native bursts resolve
+    /// their call targets at compile time.
     pub fn xfer_cache_stats(&self) -> Option<XferCacheStats> {
         self.xfer_ic.as_ref().map(|c| c.stats())
     }
@@ -843,6 +859,7 @@ impl Machine {
         }
         self.fallback_flush();
         self.unbound[module] = true;
+        self.any_unbound = true;
         // Caches over the code must revalidate across the transition.
         self.code.bump_version();
         // The certificate covered the loaded image; unbinding changes
@@ -862,6 +879,7 @@ impl Machine {
             return Err(VmError::BadImage(format!("no module {module}")));
         }
         self.unbound[module] = false;
+        self.any_unbound = self.unbound.contains(&true);
         self.code.bump_version();
         self.refresh_predecode();
         Ok(())
@@ -960,14 +978,14 @@ impl Machine {
             if self.halted {
                 return Ok(());
             }
-            if let Some((proc, idx, ip)) = self.native_begin() {
+            if let Some((proc, ip)) = self.native_begin() {
                 let before = left;
                 // One bank decision per burst: I1–I3 bursts carry no
                 // per-access bank check at all.
                 let exit = if self.banks.is_some() {
-                    self.native_run::<true>(proc, idx, ip, &mut left)?
+                    self.native_run::<true>(proc, ip, &mut left)?
                 } else {
-                    self.native_run::<false>(proc, idx, ip, &mut left)?
+                    self.native_run::<false>(proc, ip, &mut left)?
                 };
                 match exit {
                     NativeExit::Halted => return Ok(()),
@@ -1053,7 +1071,7 @@ impl Machine {
 
     /// Burst-entry gate: coherence-sync the tier, drain pending
     /// compilations, and look up `pc` in the compiled-body map.
-    fn native_begin(&mut self) -> Option<(Arc<NativeProc>, usize, u32)> {
+    fn native_begin(&mut self) -> Option<(usize, u32)> {
         let code_version = self.code.version();
         let table_gen = self.mem.table_gen();
         let code_len = self.code.len();
@@ -1065,26 +1083,20 @@ impl Machine {
         if nt.has_pending() {
             self.native_compile_pending();
         }
-        let nt = self.native.as_ref()?;
-        let (idx, ip) = nt.locate(self.pc.0)?;
-        Some((nt.proc(idx), idx, ip))
+        self.native.as_ref()?.compiled().locate(self.pc.0)
     }
 
-    /// Compiles every body queued by the hotness counters. Probes that
-    /// fall outside any procedure body, or whose body refuses to lower,
-    /// are marked refused so they never re-queue.
+    /// Compiles every body queued by the hotness counters (called when
+    /// some are). Probes that fall outside any procedure body, or whose
+    /// body refuses to lower, are marked refused so they never re-queue.
     fn native_compile_pending(&mut self) {
-        let Some(nt) = self.native.as_mut() else {
+        // The tier is out of `self` while the resolver reads the code.
+        let Some(mut nt) = self.native.take() else {
             return;
         };
-        let pending = nt.take_pending();
-        if pending.is_empty() {
-            return;
-        }
         let bodies = self.proc_bodies();
         let banks = self.banks.is_some();
-        let nt = self.native.as_mut().expect("checked above");
-        for probe in pending {
+        for probe in nt.take_pending() {
             if !nt.candidate(probe) {
                 continue;
             }
@@ -1093,24 +1105,98 @@ impl Machine {
             let i = bodies.partition_point(|b| b.start <= probe);
             let compiled = i > 0 && {
                 let body = &bodies[i - 1];
-                body.contains(&probe) && nt.compile(self.code.bytes(), body.start, body.end, banks)
+                let cb = self.code_base_of(body.start);
+                let resolve = |instr: Instr, at: u32| self.known_target(instr, ByteAddr(at), cb);
+                body.contains(&probe)
+                    && nt.compile(self.code.bytes(), body.start, body.end, banks, &resolve)
             };
             if !compiled {
                 nt.refuse(probe);
             }
         }
+        self.native = Some(nt);
     }
 
-    /// Executes a native burst starting at `proc[ip]`, consuming one
-    /// fuel unit per retired instruction. Fast handlers accumulate
-    /// cycle/jump charges locally and flush once on exit; anything
-    /// with richer accounting retires through [`Machine::step_one`].
-    /// `BANKS` is whether the machine has register banks; every local
-    /// and indirect access goes through the `native_*` helpers, which
-    /// drop the bank paths entirely when it is false.
+    /// Code base of the module whose segment holds `addr`.
+    fn code_base_of(&self, addr: u32) -> Option<ByteAddr> {
+        self.modules
+            .iter()
+            .find(|m| (m.code_base.0..m.code_base.0 + m.code_len).contains(&addr))
+            .map(|m| m.code_base)
+    }
+
+    /// The target of the call at `at` when it is fixed under the native
+    /// tier's key — every byte it is read from is code, which changes
+    /// only with the code version — or `None` when it is not (an
+    /// external call reads the link vector) or does not resolve. `cb`
+    /// is the code base of the body holding the call, whose entry
+    /// vector a local call indexes. Uncounted: this is compile-time
+    /// work; the native handler charges what the run-time walk would.
+    fn known_target(
+        &self,
+        instr: Instr,
+        at: ByteAddr,
+        cb: Option<ByteAddr>,
+    ) -> Option<CachedTarget> {
+        let direct = |header: ByteAddr| {
+            self.check_header(header).ok()?;
+            let (gf, cb) = self.read_header_gf_cb(header);
+            Some((header, gf, cb))
+        };
+        let (header, gf, cb) = match instr {
+            Instr::DirectCall(a) => direct(ByteAddr(a))?,
+            Instr::ShortDirectCall(d) => direct(at.displace(d))?,
+            Instr::LocalCall(k) => {
+                let cb = cb?;
+                let slot = layout::ev_slot(cb, k as u16);
+                self.check_ev_slot(slot).ok()?;
+                let header = cb.offset(self.code.peek_u16(slot) as u32);
+                self.check_header(header).ok()?;
+                // The destination global frame is the caller's, read
+                // at run time.
+                (header, WordAddr::NIL, cb)
+            }
+            _ => return None,
+        };
+        let (fsi, flags) = self.read_header(header);
+        Some(CachedTarget {
+            header,
+            gf,
+            cb,
+            fsi,
+            flags,
+        })
+    }
+
+    /// Executes a native burst starting at op `ip` of compiled body
+    /// `proc`. The burst holds the compiled-body table by value for its
+    /// whole length and hands it back to the tier on every exit path.
     fn native_run<const BANKS: bool>(
         &mut self,
-        mut proc: Arc<NativeProc>,
+        proc: usize,
+        ip: u32,
+        budget: &mut u64,
+    ) -> Result<NativeExit, VmError> {
+        let compiled = self.native.as_mut().expect("armed burst").take_compiled();
+        let result = self.native_burst::<BANKS>(&compiled, proc, ip, budget);
+        self.native
+            .as_mut()
+            .expect("armed burst")
+            .restore_compiled(compiled);
+        result
+    }
+
+    /// The burst loop, consuming one fuel unit per retired instruction.
+    /// Fast handlers — calls and returns included — accumulate cycle,
+    /// jump and transfer charges locally and flush them once on exit;
+    /// anything with richer accounting retires through
+    /// [`Machine::step_one`]. `BANKS` is whether the machine has
+    /// register banks; every local and indirect access goes through the
+    /// `native_*` helpers, which drop the bank paths entirely when it
+    /// is false.
+    fn native_burst<const BANKS: bool>(
+        &mut self,
+        code: &Compiled,
         mut cur: usize,
         mut ip: u32,
         budget: &mut u64,
@@ -1121,21 +1207,13 @@ impl Machine {
         debug_assert_eq!(self.fault_depth, 0);
         let gen0 = self.mem.table_gen();
         let ver0 = self.code.version();
-        // `wrap` is a modulo by the memory size; for the (universal)
-        // power-of-two case a mask computes the identical address
-        // without a host divide on every local/global access.
-        let msize = self.mem.size();
-        let wmask = if msize.is_power_of_two() {
-            msize - 1
-        } else {
-            0
-        };
-        let fast_wrap =
-            move |a: u32| -> WordAddr { WordAddr(if wmask != 0 { a & wmask } else { a % msize }) };
+        let mut body = code.proc(cur);
         let budget0 = *budget;
         let mut cycles = 0u64;
         let mut jumps = 0u64;
         let mut interp_ops = 0u64;
+        let mut batch = TransferBatch::default();
+        let mut predictor = ReturnPredictor::new();
         // A fused arm retiring `1 + extra` instructions takes the extra
         // fuel up front; on shortfall it refunds the loop-top unit —
         // nothing has executed, so `pc` still names the run start.
@@ -1143,50 +1221,70 @@ impl Machine {
             ($extra:expr) => {
                 if *budget < $extra {
                     *budget += 1;
-                    self.pc = ByteAddr(proc.offs[(ip - 1) as usize]);
+                    self.pc = ByteAddr(body.offs[(ip - 1) as usize]);
                     break Ok(NativeExit::Budget);
                 }
                 *budget -= $extra;
             };
         }
-        // A transfer retires through `native_transfer`, then chases the
-        // new pc back into compiled code (recursive transfers stay in
-        // the current body without touching the shared handle). Exits
-        // the burst on halt, on a version/generation move, or when the
-        // target is not compiled.
-        macro_rules! xfer {
-            ($start:expr, $instr:expr, $len:expr) => {
-                let start: u32 = $start;
-                if let Err(e) = self.native_transfer($instr, $len, ByteAddr(start)) {
-                    break Err(e);
+        // Follows a transfer that moved `pc`: to the predicted entry
+        // when it holds, else to whatever compiled op covers `pc`; the
+        // burst exits when nothing does.
+        macro_rules! follow {
+            ($predicted:expr) => {
+                match code.chase(self.pc.0, $predicted) {
+                    Some((p, i)) => {
+                        cur = p;
+                        body = code.proc(p);
+                        ip = i;
+                    }
+                    None => break Ok(NativeExit::Left),
                 }
+            };
+        }
+        // A call or return retires through `native_xfer`, then the
+        // burst follows it: a call pushes its return point on the
+        // predictor, a return pops it. Exits the burst on halt or on a
+        // version/generation move.
+        macro_rules! xfer {
+            ($site:expr) => {
+                let kind = match self.native_xfer(
+                    &body.sites[$site as usize],
+                    &mut batch,
+                    &mut cycles,
+                    &mut jumps,
+                ) {
+                    Ok(kind) => kind,
+                    Err(e) => {
+                        // The faulting transfer retired nothing.
+                        *budget += 1;
+                        break Err(e);
+                    }
+                };
                 if self.halted {
                     break Ok(NativeExit::Halted);
                 }
                 if self.code.version() != ver0 || self.mem.table_gen() != gen0 {
                     break Ok(NativeExit::Left);
                 }
-                if self.pc.0 != start + $len as u32 {
-                    let nt = self.native.as_ref().expect("armed burst");
-                    match nt.locate(self.pc.0) {
-                        Some((p, i)) if p == cur => ip = i,
-                        Some((p, i)) => {
-                            proc = nt.proc(p);
-                            cur = p;
-                            ip = i;
-                        }
-                        None => break Ok(NativeExit::Left),
+                let predicted = match kind {
+                    Some(TransferKind::Call) => {
+                        predictor.push(cur, ip);
+                        None
                     }
-                }
+                    Some(TransferKind::Return) => predictor.pop(),
+                    _ => None,
+                };
+                follow!(predicted);
             };
         }
         let result = loop {
             if *budget == 0 {
-                self.pc = ByteAddr(proc.offs[ip as usize]);
+                self.pc = ByteAddr(body.offs[ip as usize]);
                 break Ok(NativeExit::Budget);
             }
             *budget -= 1;
-            let op = proc.ops[ip as usize];
+            let op = body.ops[ip as usize];
             ip += 1;
             match op {
                 NOp::Imm(v) => {
@@ -1194,13 +1292,13 @@ impl Machine {
                     cycles += CYCLE_BASE;
                 }
                 NOp::LocalRd(n) => {
-                    let v = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let v = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(v);
                     cycles += CYCLE_BASE;
                 }
                 NOp::LocalWr(n) => {
                     let v = self.stack.pop().unwrap_or(0);
-                    self.native_local_wr::<BANKS>(n, v, fast_wrap, &mut cycles);
+                    self.native_local_wr::<BANKS>(n, v, &mut cycles);
                     cycles += CYCLE_BASE;
                 }
                 NOp::LocalAddr(n) => {
@@ -1212,23 +1310,23 @@ impl Machine {
                     self.obs_global(n as u32, false);
                     let v = self
                         .mem
-                        .read(fast_wrap(self.gf.0 + layout::GF_GLOBALS + n as u32));
+                        .read(self.wrap(self.gf.offset(layout::GF_GLOBALS + n as u32)));
                     self.stack.push(v);
                     cycles += CYCLE_BASE + CYCLE_MEMREF;
                 }
                 NOp::GlobalWr(n) => {
                     self.obs_global(n as u32, true);
                     let v = self.stack.pop().unwrap_or(0);
-                    self.mem
-                        .write(fast_wrap(self.gf.0 + layout::GF_GLOBALS + n as u32), v);
+                    let addr = self.wrap(self.gf.offset(layout::GF_GLOBALS + n as u32));
+                    self.mem.write(addr, v);
                     cycles += CYCLE_BASE + CYCLE_MEMREF;
                     if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(proc.offs[ip as usize]);
+                        self.pc = ByteAddr(body.offs[ip as usize]);
                         break Ok(NativeExit::Left);
                     }
                 }
                 NOp::GlobalAddr(n) => {
-                    let addr = fast_wrap(self.gf.0 + layout::GF_GLOBALS + n as u32);
+                    let addr = self.wrap(self.gf.offset(layout::GF_GLOBALS + n as u32));
                     self.stack.push(addr.0 as u16);
                     cycles += CYCLE_BASE;
                 }
@@ -1246,7 +1344,7 @@ impl Machine {
                     self.native_indirect_wr::<BANKS>(addr, v, &mut cycles);
                     cycles += CYCLE_BASE;
                     if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(proc.offs[ip as usize]);
+                        self.pc = ByteAddr(body.offs[ip as usize]);
                         break Ok(NativeExit::Left);
                     }
                 }
@@ -1268,7 +1366,7 @@ impl Machine {
                     self.native_indirect_wr::<BANKS>(addr, v, &mut cycles);
                     cycles += CYCLE_BASE;
                     if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(proc.offs[ip as usize]);
+                        self.pc = ByteAddr(body.offs[ip as usize]);
                         break Ok(NativeExit::Left);
                     }
                 }
@@ -1390,13 +1488,12 @@ impl Machine {
                         cycles += CYCLE_BASE;
                     }
                 }
-                NOp::Call(instr, len) => {
-                    interp_ops += 1;
-                    xfer!(proc.offs[(ip - 1) as usize], instr, len);
+                NOp::Xfer(s) => {
+                    xfer!(s);
                 }
                 NOp::Interp(instr, len) => {
                     interp_ops += 1;
-                    let start = proc.offs[(ip - 1) as usize];
+                    let start = body.offs[(ip - 1) as usize];
                     if let Err(e) = self.step_one(instr, len, ByteAddr(start)) {
                         break Err(e);
                     }
@@ -1409,28 +1506,16 @@ impl Machine {
                         break Ok(NativeExit::Left);
                     }
                     if self.pc.0 != start + len as u32 {
-                        // A transfer: chase it natively if the target
-                        // is compiled, else hand back to the
-                        // interpreter loop. Recursive transfers stay
-                        // in the current body without touching the
-                        // shared handle.
-                        let nt = self.native.as_ref().expect("armed burst");
-                        match nt.locate(self.pc.0) {
-                            Some((p, i)) if p == cur => ip = i,
-                            Some((p, i)) => {
-                                proc = nt.proc(p);
-                                cur = p;
-                                ip = i;
-                            }
-                            None => break Ok(NativeExit::Left),
-                        }
+                        // A transfer (XFER, a trap, a process switch):
+                        // chase it natively if the target is compiled.
+                        follow!(None);
                     }
                 }
                 NOp::Exit => {
                     // Fell off the compiled body: no instruction
                     // retired, so refund the fuel unit.
                     *budget += 1;
-                    self.pc = ByteAddr(proc.offs[(ip - 1) as usize]);
+                    self.pc = ByteAddr(body.offs[(ip - 1) as usize]);
                     break Ok(NativeExit::Left);
                 }
                 // Fused runs retire several instructions per dispatch:
@@ -1438,16 +1523,16 @@ impl Machine {
                 // constituent op's cycles in one commit.
                 NOp::Ld2(n, v) => {
                     need!(1);
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a);
                     self.stack.push(v);
                     cycles += 2 * CYCLE_BASE;
                 }
                 NOp::LdLd(n, m) => {
                     need!(1);
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a);
-                    let b = self.native_local_rd::<BANKS>(m, fast_wrap, &mut cycles);
+                    let b = self.native_local_rd::<BANKS>(m, &mut cycles);
                     self.stack.push(b);
                     cycles += 2 * CYCLE_BASE;
                 }
@@ -1477,26 +1562,26 @@ impl Machine {
                 }
                 NOp::LdSubI(n, v) => {
                     need!(2);
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_sub(v));
                     cycles += 3 * CYCLE_BASE;
                 }
                 NOp::LdAddI(n, v) => {
                     need!(2);
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_add(v));
                     cycles += 3 * CYCLE_BASE;
                 }
                 NOp::LdXAdd(n) => {
                     need!(2);
                     let t = self.stack.pop().unwrap_or(0);
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_add(t));
                     cycles += 3 * CYCLE_BASE;
                 }
                 NOp::LdICmpJz(n, v, c, t) => {
                     need!(3);
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     if c.eval(a as i16, v as i16) {
                         cycles += 4 * CYCLE_BASE;
                     } else {
@@ -1507,8 +1592,8 @@ impl Machine {
                 }
                 NOp::LdLdCmpJz(n, m, c, t) => {
                     need!(3);
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
-                    let b = self.native_local_rd::<BANKS>(m, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let b = self.native_local_rd::<BANKS>(m, &mut cycles);
                     if c.eval(a as i16, b as i16) {
                         cycles += 4 * CYCLE_BASE;
                     } else {
@@ -1519,59 +1604,52 @@ impl Machine {
                 }
                 // Fused argument setup + transfer: the prefix charges
                 // like its standalone fused form, then the call retires
-                // through `native_transfer` with its architectural
-                // instruction start reconstructed from the recorded
-                // prefix length.
-                NOp::LdCall(n, d, instr, len) => {
+                // through its site.
+                NOp::LdCall(n, s) => {
                     need!(1);
-                    interp_ops += 1;
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a);
                     cycles += CYCLE_BASE;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                    xfer!(s);
                 }
-                NOp::LdSubICall(n, v, d, instr, len) => {
+                NOp::LdSubICall(n, v, s) => {
                     need!(3);
-                    interp_ops += 1;
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_sub(v));
                     cycles += 3 * CYCLE_BASE;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                    xfer!(s);
                 }
-                NOp::LdAddICall(n, v, d, instr, len) => {
+                NOp::LdAddICall(n, v, s) => {
                     need!(3);
-                    interp_ops += 1;
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_add(v));
                     cycles += 3 * CYCLE_BASE;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                    xfer!(s);
                 }
-                NOp::LdXAddCall(n, d, instr, len) => {
+                NOp::LdXAddCall(n, s) => {
                     need!(3);
-                    interp_ops += 1;
                     let t = self.stack.pop().unwrap_or(0);
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_add(t));
                     cycles += 3 * CYCLE_BASE;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                    xfer!(s);
                 }
                 NOp::WrJmp(n, t) => {
                     need!(1);
                     let v = self.stack.pop().unwrap_or(0);
-                    self.native_local_wr::<BANKS>(n, v, fast_wrap, &mut cycles);
+                    self.native_local_wr::<BANKS>(n, v, &mut cycles);
                     ip = t;
                     cycles += 2 * CYCLE_BASE + CYCLE_REFILL;
                     jumps += 1;
                 }
-                NOp::LdLdCall(n, m, d, instr, len) => {
+                NOp::LdLdCall(n, m, s) => {
                     need!(2);
-                    interp_ops += 1;
-                    let a = self.native_local_rd::<BANKS>(n, fast_wrap, &mut cycles);
+                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a);
-                    let b = self.native_local_rd::<BANKS>(m, fast_wrap, &mut cycles);
+                    let b = self.native_local_rd::<BANKS>(m, &mut cycles);
                     self.stack.push(b);
                     cycles += 2 * CYCLE_BASE;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                    xfer!(s);
                 }
             }
         };
@@ -1580,6 +1658,7 @@ impl Machine {
         self.stats.instructions += fast;
         self.stats.cycles += cycles;
         self.stats.jumps_taken += jumps;
+        batch.flush_into(&mut self.stats.transfers);
         if let Some(nt) = self.native.as_mut() {
             nt.entries += 1;
             nt.native_instrs += fast;
@@ -1588,73 +1667,68 @@ impl Machine {
         result
     }
 
-    /// `step_one` specialized for calls and returns inside an armed
-    /// native burst. Arming requires that no trap or fault handler is
-    /// installed, so the handler-attribution block and the
-    /// `dispatch_fault` recovery path are provably dead: a fault here
-    /// is terminal exactly as `dispatch_fault` would conclude with no
-    /// handler present (it returns the error before touching any
-    /// state). Everything the interpreter counts is counted the same.
+    /// Retires a call or return site inside an armed burst, charging
+    /// into the burst's accumulators, and returns its transfer kind. A
+    /// known target goes straight to the frame allocation and link,
+    /// charging what the table walk would: one entry-vector read for a
+    /// local call (the inline cache's hit charge), nothing for a direct
+    /// one. Anything else walks the tables as the interpreter does;
+    /// the inline cache is never consulted. Arming requires that no
+    /// trap or fault handler is installed, so the handler-attribution
+    /// block and the `dispatch_fault` recovery path are provably dead:
+    /// a fault here is terminal exactly as `dispatch_fault` would
+    /// conclude with no handler present (it returns the error before
+    /// touching any state). Everything the interpreter counts is
+    /// counted the same.
     #[inline]
-    fn native_transfer(
+    fn native_xfer(
         &mut self,
-        instr: Instr,
-        len: u8,
-        instr_start: ByteAddr,
-    ) -> Result<(), VmError> {
+        site: &Site,
+        batch: &mut TransferBatch,
+        cycles: &mut u64,
+        jumps: &mut u64,
+    ) -> Result<Option<TransferKind>, VmError> {
         let refs0 = self.refs_total();
         let divert0 = self.stats.divert_cycles;
-        self.pc = instr_start.offset(len as u32);
-        let flow = match instr {
-            Instr::LocalCall(k) if self.xfer_ic.is_some() => {
-                self.local_call_cached(k, instr_start)?
+        let at = ByteAddr(site.at);
+        self.pc = at.offset(site.len as u32);
+        let flow = match (site.instr, site.target) {
+            (Instr::Ret, _) => self.perform_return()?,
+            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => {
+                self.code.charge_table_reads(1);
+                let t = CachedTarget { gf: self.gf, ..t };
+                self.perform_call_resolved(t, TransferKind::Call, true)?
             }
-            Instr::ExternalCall(k) if self.xfer_ic.is_some() => {
-                self.external_call_cached(k, instr_start)?
+            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => {
+                self.perform_call_resolved(t, TransferKind::Call, true)?
             }
-            Instr::DirectCall(a) if self.xfer_ic.is_some() => {
-                self.direct_call_cached(ByteAddr(a), instr_start.0)?
-            }
-            Instr::ShortDirectCall(d) if self.xfer_ic.is_some() => {
-                self.direct_call_cached(instr_start.displace(d), instr_start.0)?
-            }
-            Instr::Ret => self.perform_return()?,
-            _ => self.execute(instr, instr_start)?,
+            (instr, _) => self.call_uncached(instr, at)?,
         };
         let refs = self.refs_total() - refs0;
-        let divert = self.stats.divert_cycles - divert0;
-        let mut cycles = CYCLE_BASE + refs * CYCLE_MEMREF + divert;
+        let mut c = CYCLE_BASE + refs * CYCLE_MEMREF + (self.stats.divert_cycles - divert0);
         let mut kind = None;
         match flow {
             Flow::Next => {}
             Flow::Taken(k) => {
-                cycles += CYCLE_REFILL;
+                c += CYCLE_REFILL;
                 kind = k;
-                if k.is_none() {
-                    self.stats.jumps_taken += 1;
+                match k {
+                    Some(k) => batch.record(&mut self.stats.transfers, k, c, refs),
+                    None => *jumps += 1,
                 }
             }
             Flow::Halt => self.halted = true,
         }
-        self.stats.cycles += cycles;
-        self.stats.instructions += 1;
-        if let Some(k) = kind {
-            self.stats.transfers.record(k, cycles, refs);
-        }
-        Ok(())
+        *cycles += c;
+        Ok(kind)
     }
 
     /// [`Machine::read_local`] inside a burst, charging into the
     /// burst's cycle accumulator: a bank shadow hit is a register
     /// access (no counted reference, same LRU clock bump), anything
-    /// else one counted reference. `wrap` is the burst's address wrap.
+    /// else one counted reference.
     #[inline(always)]
-    fn native_local_rd<const BANKS: bool>(
-        &mut self,
-        n: u8,
-        wrap: impl Fn(u32) -> WordAddr,
-        cycles: &mut u64,
-    ) -> u16 {
+    fn native_local_rd<const BANKS: bool>(&mut self, n: u8, cycles: &mut u64) -> u16 {
         if BANKS {
             let lf = self.lf;
             if let Some(v) = self.banks.as_mut().and_then(|b| b.read_local(lf, n as u32)) {
@@ -1662,19 +1736,14 @@ impl Machine {
             }
         }
         *cycles += CYCLE_MEMREF;
-        self.mem.read(wrap(layout::local_slot(self.lf, n as u32).0))
+        self.mem
+            .read(self.wrap(layout::local_slot(self.lf, n as u32)))
     }
 
     /// [`Machine::write_local`] inside a burst; charges as
     /// [`Machine::native_local_rd`].
     #[inline(always)]
-    fn native_local_wr<const BANKS: bool>(
-        &mut self,
-        n: u8,
-        v: u16,
-        wrap: impl Fn(u32) -> WordAddr,
-        cycles: &mut u64,
-    ) {
+    fn native_local_wr<const BANKS: bool>(&mut self, n: u8, v: u16, cycles: &mut u64) {
         if BANKS {
             let lf = self.lf;
             if self
@@ -1686,8 +1755,8 @@ impl Machine {
             }
         }
         *cycles += CYCLE_MEMREF;
-        self.mem
-            .write(wrap(layout::local_slot(self.lf, n as u32).0), v);
+        let addr = self.wrap(layout::local_slot(self.lf, n as u32));
+        self.mem.write(addr, v);
     }
 
     /// [`Machine::read_indirect`] inside a burst: a diverted reference
@@ -3040,6 +3109,53 @@ impl Machine {
         self.perform_call_resolved(t, TransferKind::Call, true)
     }
 
+    /// The four call linkages resolved through the tables, without the
+    /// inline cache: `execute` takes this path when the cache is off,
+    /// native bursts always (remote link-vector entries disarm the
+    /// native tier, so bursts need no remote intercept).
+    fn call_uncached(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
+        let header = match instr {
+            Instr::ExternalCall(k) => {
+                // One reference into the link vector…
+                let w = ContextWord::from_raw(
+                    self.mem.read(self.wrap(layout::lv_slot(self.gf, k as u32))),
+                );
+                return match Context::from(w) {
+                    Context::Proc(p) => {
+                        // …then GFT, global frame, entry vector.
+                        let (header, dest_gf, dest_cb) = self.resolve_proc_desc(p)?;
+                        self.perform_call(header, dest_gf, dest_cb, TransferKind::Call, true)
+                    }
+                    // A frame bound into the link vector: the
+                    // destination decides the discipline (F3).
+                    Context::Frame(_) => self.perform_xfer(w),
+                    Context::Nil => Err(VmError::XferToNil),
+                };
+            }
+            Instr::LocalCall(k) => {
+                // Same module: same environment and code base, one
+                // level of indirection (the entry vector).
+                let slot = layout::ev_slot(self.code_base, k as u16);
+                self.check_ev_slot(slot)?;
+                let rel = self.code.read_table(slot);
+                let header = self.code_base.offset(rel as u32);
+                return self.perform_call(
+                    header,
+                    self.gf,
+                    self.code_base,
+                    TransferKind::Call,
+                    true,
+                );
+            }
+            Instr::DirectCall(addr) => ByteAddr(addr),
+            Instr::ShortDirectCall(d) => instr_start.displace(d),
+            _ => return self.execute(instr, instr_start),
+        };
+        self.check_header(header)?;
+        let (gf, cb) = self.read_header_gf_cb(header);
+        self.perform_call(header, gf, cb, TransferKind::Call, true)
+    }
+
     fn alloc_frame(&mut self, fsi: u8, addr_taken: bool) -> Result<WordAddr, VmError> {
         let (frame, actual_fsi) = match &mut self.allocator {
             Allocator::General(g) => {
@@ -3107,8 +3223,13 @@ impl Machine {
         Ok(())
     }
 
-    /// Whether `base` is the code base of an unbound module.
+    /// Whether `base` is the code base of an unbound module. Returns at
+    /// once while every module is bound.
+    #[inline]
     fn check_bound(&self, base: ByteAddr) -> Result<(), VmError> {
+        if !self.any_unbound {
+            return Ok(());
+        }
         if let Some(i) = self.modules.iter().position(|m| m.code_base == base) {
             if self.unbound[i] {
                 return Err(VmError::UnboundCode { module: i });
@@ -3122,7 +3243,11 @@ impl Machine {
     /// can fault while they are still restartable. Garbage frame words
     /// are masked into the address space; they then fail later on the
     /// ordinary typed-error paths.
+    #[inline]
     fn check_frame_bound(&self, frame: WordAddr) -> Result<(), VmError> {
+        if !self.any_unbound {
+            return Ok(());
+        }
         let gf = self.mem.peek(self.wrap(frame.offset(layout::FRAME_GLOBAL))) as u32;
         let cb_word = self
             .mem
@@ -3134,9 +3259,15 @@ impl Machine {
     /// scribbled frame words and table entries yield wrong-but-typed
     /// behaviour (and eventually a typed error) instead of a host
     /// panic. Identity for every address a well-formed image produces.
+    /// On a power-of-two memory a mask gives the same address as the
+    /// modulo without a host divide.
     #[inline]
     fn wrap(&self, a: WordAddr) -> WordAddr {
-        WordAddr(a.0 % self.mem.size())
+        WordAddr(if self.wrap_mask != 0 {
+            a.0 & self.wrap_mask
+        } else {
+            a.0 % self.mem.size()
+        })
     }
 
     /// Bounds-checks a procedure header derived from guest-reachable
@@ -3716,71 +3847,33 @@ impl Machine {
             }
             Instr::ExternalCall(k) => {
                 // The remote intercept runs before any counted memory
-                // reference (the LV read below), so a parked attempt
-                // charges exactly zero.
+                // reference (the LV read), so a parked attempt charges
+                // exactly zero.
                 if let Some(link) = self.remote_link_at(k) {
                     return self.remote_xfer(link, instr_start);
                 }
                 if self.xfer_ic.is_some() {
                     return self.external_call_cached(k, instr_start);
                 }
-                // One reference into the link vector…
-                let w = ContextWord::from_raw(
-                    self.mem.read(self.wrap(layout::lv_slot(self.gf, k as u32))),
-                );
-                match Context::from(w) {
-                    Context::Proc(p) => {
-                        // …then GFT, global frame, entry vector.
-                        let (header, dest_gf, dest_cb) = self.resolve_proc_desc(p)?;
-                        return self.perform_call(
-                            header,
-                            dest_gf,
-                            dest_cb,
-                            TransferKind::Call,
-                            true,
-                        );
-                    }
-                    // A frame bound into the link vector: the
-                    // destination decides the discipline (F3).
-                    Context::Frame(_) => return self.perform_xfer(w),
-                    Context::Nil => return Err(VmError::XferToNil),
-                }
+                return self.call_uncached(instr, instr_start);
             }
             Instr::LocalCall(k) => {
                 if self.xfer_ic.is_some() {
                     return self.local_call_cached(k, instr_start);
                 }
-                // Same module: same environment and code base, one
-                // level of indirection (the entry vector).
-                let slot = layout::ev_slot(self.code_base, k as u16);
-                self.check_ev_slot(slot)?;
-                let rel = self.code.read_table(slot);
-                let header = self.code_base.offset(rel as u32);
-                return self.perform_call(
-                    header,
-                    self.gf,
-                    self.code_base,
-                    TransferKind::Call,
-                    true,
-                );
+                return self.call_uncached(instr, instr_start);
             }
             Instr::DirectCall(addr) => {
-                let header = ByteAddr(addr);
                 if self.xfer_ic.is_some() {
-                    return self.direct_call_cached(header, instr_start.0);
+                    return self.direct_call_cached(ByteAddr(addr), instr_start.0);
                 }
-                self.check_header(header)?;
-                let (gf, cb) = self.read_header_gf_cb(header);
-                return self.perform_call(header, gf, cb, TransferKind::Call, true);
+                return self.call_uncached(instr, instr_start);
             }
             Instr::ShortDirectCall(d) => {
-                let header = instr_start.displace(d);
                 if self.xfer_ic.is_some() {
-                    return self.direct_call_cached(header, instr_start.0);
+                    return self.direct_call_cached(instr_start.displace(d), instr_start.0);
                 }
-                self.check_header(header)?;
-                let (gf, cb) = self.read_header_gf_cb(header);
-                return self.perform_call(header, gf, cb, TransferKind::Call, true);
+                return self.call_uncached(instr, instr_start);
             }
             Instr::Ret => return self.perform_return(),
             Instr::Xfer => {
@@ -3910,6 +4003,7 @@ impl Machine {
                 let rebound = m < self.unbound.len() && self.unbound[m];
                 if rebound {
                     self.unbound[m] = false;
+                    self.any_unbound = self.unbound.contains(&true);
                     self.code.bump_version();
                 }
                 self.push(rebound as u16)?;
@@ -4642,5 +4736,78 @@ mod tests {
         let m = run_image(&image, MachineConfig::i2());
         let ipt = m.stats().instructions_per_transfer();
         assert!(ipt > 2.0 && ipt < 30.0, "instructions per transfer {ipt}");
+    }
+
+    /// Two library modules returning 1 and 2, and a main module that
+    /// first (when `guest_bind`) asks the loader to bind module 0 back
+    /// in and outputs the answer, then calls both libraries,
+    /// outputting each result.
+    fn two_library_image(guest_bind: bool) -> Image {
+        let mut b = ImageBuilder::new();
+        for (name, v) in [("one", 1), ("two", 2)] {
+            let lib = b.module(name);
+            b.proc_with(lib, ProcSpec::new(name, 0, 0), move |a| {
+                a.instr(Instr::LoadImm(v));
+                a.instr(Instr::Ret);
+            });
+        }
+        let main = b.module("main");
+        let lvs: Vec<u8> = (0..2)
+            .map(|module| {
+                b.import(
+                    main,
+                    ProcRef {
+                        module,
+                        ev_index: 0,
+                    },
+                )
+            })
+            .collect();
+        b.proc_with(main, ProcSpec::new("main", 0, 0), move |a| {
+            if guest_bind {
+                a.instr(Instr::LoadImm(0));
+                a.instr(Instr::BindModule);
+                a.instr(Instr::Out);
+            }
+            for &lv in &lvs {
+                a.instr(Instr::ExternalCall(lv));
+                a.instr(Instr::Out);
+            }
+            a.instr(Instr::Halt);
+        });
+        b.build(ProcRef {
+            module: 2,
+            ev_index: 0,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn rebinding_one_module_keeps_the_other_unbound() {
+        for (name, cfg) in all_configs() {
+            // Host rebind.
+            let image = two_library_image(false);
+            let mut m = Machine::load(&image, cfg).unwrap();
+            m.unbind_module(0).unwrap();
+            m.unbind_module(1).unwrap();
+            m.bind_module(0).unwrap();
+            let err = m.run(1_000).unwrap_err();
+            assert_eq!(err, VmError::UnboundCode { module: 1 }, "{name}: host");
+            assert_eq!(m.output(), &[1], "{name}: host");
+            // Guest rebind (`BINDMOD 0` answers 1: a state change).
+            let image = two_library_image(true);
+            let mut m = Machine::load(&image, cfg).unwrap();
+            m.unbind_module(0).unwrap();
+            m.unbind_module(1).unwrap();
+            let err = m.run(1_000).unwrap_err();
+            assert_eq!(err, VmError::UnboundCode { module: 1 }, "{name}: guest");
+            assert_eq!(m.output(), &[1, 1], "{name}: guest");
+            // With both bound again, the same image runs to the end.
+            let mut m = Machine::load(&image, cfg).unwrap();
+            m.unbind_module(1).unwrap();
+            m.bind_module(1).unwrap();
+            m.run(1_000).unwrap();
+            assert_eq!(m.output(), &[0, 1, 2], "{name}: all bound");
+        }
     }
 }

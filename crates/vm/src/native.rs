@@ -28,12 +28,33 @@
 //! and indirect handlers go through the same bank paths as the
 //! interpreter: a shadow hit is a register access with no counted
 //! reference, a diverted indirect reference charges the divert cycle,
-//! and everything else is one counted reference. Calls and returns run
-//! a streamlined copy of the interpreter's transfer step; anything else
-//! with non-trivial accounting (XFER, traps, heap ops, `LoadLocalAddr`
-//! under banks, which the `Outlaw` policy traps) falls back to the
-//! interpreter's own `step_one`, instruction by instruction, inside the
-//! native burst.
+//! and everything else is one counted reference. Calls and returns are
+//! native instructions too (see *Calls at jump cost* below); anything
+//! else with non-trivial accounting (XFER, traps, heap ops,
+//! `LoadLocalAddr` under banks, which the `Outlaw` policy traps) falls
+//! back to the interpreter's own `step_one`, instruction by
+//! instruction, inside the native burst.
+//!
+//! # Calls at jump cost
+//!
+//! The paper makes a call cost what a jump costs by binding the target
+//! early (`DIRECTCALL`) and predicting the return (the IFU return
+//! stack). The tier does the same for its host cost:
+//!
+//! * **Known targets.** A `DirectCall`, `ShortDirectCall` or
+//!   `LocalCall` whose target is fixed under the [`TableKey`] is
+//!   resolved at compile time into a per-body [`Site`]: header, frame
+//!   size index and flags, plus the destination global frame and code
+//!   base for direct calls. The handler charges what the table walk
+//!   would (one entry-vector read for a local call, nothing for a
+//!   direct one) and goes straight to the frame allocation and link.
+//!   External calls, and any site whose target did not resolve, walk
+//!   the tables as the interpreter does.
+//! * **Predicted returns.** A burst-local [`ReturnPredictor`] holds the
+//!   `(body, op)` each native call will return to. A return checks the
+//!   prediction against the architectural `pc`, as the IFU checks its
+//!   stack against the link; a mismatch, an empty predictor, or any
+//!   other transfer looks `pc` up in the compiled-body map instead.
 //!
 //! # Deoptimization
 //!
@@ -43,11 +64,11 @@
 //! bumps the generation *inside* a burst exits the burst at the next
 //! instruction boundary, which is also a restartable-fault boundary.
 
-use std::sync::Arc;
-
 use fpc_core::TableKey;
 use fpc_isa::Instr;
 use fpc_stats::Histogram;
+
+use crate::xfer::CachedTarget;
 
 /// License to run the native tier, normally obtained from
 /// `fpc_verify::Certificate::native_license()`.
@@ -98,9 +119,11 @@ pub struct NativeStats {
     pub compiles: u64,
     /// Native burst entries from the run loop.
     pub entries: u64,
-    /// Instructions retired by fast native handlers.
+    /// Instructions retired by native handlers, calls and returns
+    /// included.
     pub native_instrs: u64,
-    /// Instructions retired via the interpreter fallback inside bursts.
+    /// Instructions retired via the interpreter fallback (`step_one`)
+    /// inside bursts.
     pub interp_ops: u64,
     /// Transient deopts: whole-tier flushes on a [`TableKey`] mismatch.
     pub flushes: u64,
@@ -166,11 +189,12 @@ pub(crate) enum NOp {
     Jnz(u32),
     /// Interpreter fallback: run this instruction through `step_one`.
     Interp(Instr, u8),
-    /// Call/return fast path: full interpreter semantics and
-    /// accounting, minus the handler-attribution bookkeeping that is
-    /// provably dead while the tier is armed (arming requires no
-    /// installed trap or fault handlers).
-    Call(Instr, u8),
+    /// A call or return: index of its [`Site`] in the body's side
+    /// table. Retired natively with the interpreter's accounting, minus
+    /// the handler-attribution bookkeeping that is provably dead while
+    /// the tier is armed (arming requires no installed trap or fault
+    /// handlers).
+    Xfer(u16),
     /// Fell off the end of the compiled body; resume interpretation.
     Exit,
     /// Fused `LoadLocal n; LoadImm v` — two instructions, one dispatch.
@@ -197,23 +221,26 @@ pub(crate) enum NOp {
     /// Fused `LoadLocal n; Exch; Add` — pop `t`, push `local + t` (the
     /// accumulate-result idiom in recursive epilogues).
     LdXAdd(u8),
-    /// Fused argument push + transfer: `LoadLocal n; <call>`. The bare
-    /// `u8` is the byte offset of the call within the run (the encoded
-    /// length of the swallowed prefix), needed to reconstruct the
-    /// call's architectural instruction start.
-    LdCall(u8, u8, Instr, u8),
+    /// Fused argument push + transfer: `LoadLocal n; <call>`. The last
+    /// field is the transfer's [`Site`], which records its
+    /// architectural instruction start.
+    LdCall(u8, u16),
     /// Fused `LoadLocal n; LoadImm v; Sub; <call>` — the dominant
     /// argument-setup shape of recursive call sites.
-    LdSubICall(u8, u16, u8, Instr, u8),
+    LdSubICall(u8, u16, u16),
     /// Fused `LoadLocal n; LoadImm v; Add; <call>`.
-    LdAddICall(u8, u16, u8, Instr, u8),
+    LdAddICall(u8, u16, u16),
     /// Fused `LoadLocal n; LoadLocal m; <call>` — two-argument setup.
-    LdLdCall(u8, u8, u8, Instr, u8),
+    LdLdCall(u8, u8, u16),
     /// Fused `LoadLocal n; Exch; Add; <call>` — accumulate then return.
-    LdXAddCall(u8, u8, Instr, u8),
+    LdXAddCall(u8, u16),
     /// Fused `StoreLocal n; Jump` — the store-result-and-loop tail.
     WrJmp(u8, u32),
 }
+
+// Call operands live in a [`Site`], so no op carries a whole `Instr`
+// and the handler chain stays dense.
+const _: () = assert!(std::mem::size_of::<NOp>() <= 12);
 
 /// Comparison selector for the fused [`NOp::CmpJz`] handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,9 +267,25 @@ impl Cmp {
     }
 }
 
-/// A compiled procedure body. Immutable once built; shared with the
-/// run loop via [`Arc`] so a burst can hold it across `&mut Machine`
-/// calls without re-indexing the tier each op.
+/// A call or return site, kept beside the handler chain so [`NOp`]
+/// stays small.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Site {
+    /// The transfer instruction.
+    pub instr: Instr,
+    /// Its encoded length: a call returns to `at + len`.
+    pub len: u8,
+    /// Its absolute byte address.
+    pub at: u32,
+    /// The call target, when it is fixed under the tier's key. For a
+    /// direct call it is the whole target. For a local call, `cb` is
+    /// the code base whose entry vector was read: the target holds only
+    /// while the caller runs under that code base, and the destination
+    /// global frame is the caller's (`gf` is unused).
+    pub target: Option<CachedTarget>,
+}
+
+/// A compiled procedure body. Immutable once built.
 #[derive(Debug, Default)]
 pub(crate) struct NativeProc {
     /// First body byte (absolute code address).
@@ -255,10 +298,111 @@ pub(crate) struct NativeProc {
     /// Absolute byte address of each op (the [`NOp::Exit`] entry holds
     /// the fall-off address), used to materialize `pc` on burst exit.
     pub offs: Vec<u32>,
+    /// Call and return sites, indexed by [`NOp::Xfer`] and the fused
+    /// call ops.
+    pub sites: Vec<Site>,
 }
 
 /// `pc_map` sentinel: byte has been offered for compilation and refused.
 const REFUSED: u16 = u16::MAX;
+
+/// The compiled-body table and the map from code bytes into it. A
+/// burst takes it out of the tier by value for its whole length, so
+/// following a transfer into another body is an index, not a handle
+/// clone.
+#[derive(Debug, Default)]
+pub(crate) struct Compiled {
+    procs: Vec<NativeProc>,
+    /// Code byte → compiled proc index + 1; 0 = uncovered, [`REFUSED`]
+    /// = offered and declined (stops the pending queue from cycling).
+    pc_map: Vec<u16>,
+}
+
+impl Compiled {
+    /// A compiled body by index.
+    #[inline]
+    pub fn proc(&self, idx: usize) -> &NativeProc {
+        &self.procs[idx]
+    }
+
+    /// Resolves a code address to a compiled (proc, op index) entry
+    /// point. `None` off-coverage or mid-instruction. A body's first
+    /// byte enters op 0 without the offset map.
+    #[inline]
+    pub fn locate(&self, pc: u32) -> Option<(usize, u32)> {
+        let p = *self.pc_map.get(pc as usize)?;
+        if p == 0 || p == REFUSED {
+            return None;
+        }
+        let idx = (p - 1) as usize;
+        let proc = &self.procs[idx];
+        if pc == proc.start {
+            return Some((idx, 0));
+        }
+        let ip = *proc.off_to_ip.get(pc.wrapping_sub(proc.start) as usize)?;
+        if ip == u32::MAX {
+            return None;
+        }
+        Some((idx, ip))
+    }
+
+    /// Where a burst continues after a transfer left `pc` at a new
+    /// address: the predicted entry when it names `pc`, else the body
+    /// covering `pc`. A prediction is only a shortcut — it is taken
+    /// exactly when [`Compiled::locate`] would return it.
+    #[inline]
+    pub fn chase(&self, pc: u32, predicted: Option<(u32, u32)>) -> Option<(usize, u32)> {
+        if let Some((p, ip)) = predicted {
+            if self.procs[p as usize].offs[ip as usize] == pc {
+                return Some((p as usize, ip));
+            }
+        }
+        self.locate(pc)
+    }
+}
+
+/// Entries in the [`ReturnPredictor`]; a power of two.
+pub(crate) const PREDICTOR_DEPTH: usize = 32;
+
+/// A burst-local return-address stack: `(body, op index)` pairs pushed
+/// by native calls and popped by native returns. Like the IFU's stack
+/// it is only a prediction, checked against the architectural `pc`
+/// before use; when it overflows the oldest entry is overwritten, and
+/// a return past its bottom finds it empty.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReturnPredictor {
+    slots: [(u32, u32); PREDICTOR_DEPTH],
+    top: usize,
+    len: usize,
+}
+
+impl ReturnPredictor {
+    pub fn new() -> Self {
+        ReturnPredictor {
+            slots: [(0, 0); PREDICTOR_DEPTH],
+            top: 0,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    pub fn push(&mut self, proc: usize, ip: u32) {
+        self.top = (self.top + 1) % PREDICTOR_DEPTH;
+        self.slots[self.top] = (proc as u32, ip);
+        self.len = (self.len + 1).min(PREDICTOR_DEPTH);
+    }
+
+    #[inline]
+    pub fn pop(&mut self) -> Option<(u32, u32)> {
+        if self.len == 0 {
+            return None;
+        }
+        let e = self.slots[self.top];
+        self.top = (self.top + PREDICTOR_DEPTH - 1) % PREDICTOR_DEPTH;
+        self.len -= 1;
+        Some(e)
+    }
+}
 
 /// The per-machine native tier: hotness counters, the compiled-body
 /// table, and the coherence key that deoptimizes it.
@@ -272,10 +416,7 @@ pub(crate) struct NativeTier {
     cert_ok: bool,
     /// Coherence snapshot guarding every compiled body.
     key: TableKey,
-    procs: Vec<Arc<NativeProc>>,
-    /// Code byte → compiled proc index + 1; 0 = uncovered, [`REFUSED`]
-    /// = offered and declined (stops the pending queue from cycling).
-    pc_map: Vec<u16>,
+    compiled: Compiled,
     /// Invocation counts per header byte address, and back-edge counts
     /// per loop-head byte address (so a loop gets hot even when its
     /// procedure is entered once). Disjoint index spaces, one vector.
@@ -300,8 +441,7 @@ impl NativeTier {
             // Sentinel key: the first sync always flushes, sizing the
             // maps to the live code store.
             key: TableKey::new(u64::MAX, u64::MAX),
-            procs: Vec::new(),
-            pc_map: Vec::new(),
+            compiled: Compiled::default(),
             counts: Vec::new(),
             pending: Vec::new(),
             compiles: 0,
@@ -332,9 +472,19 @@ impl NativeTier {
         }
         self.armed = false;
         self.cert_ok = false;
-        self.procs.clear();
-        self.pc_map.clear();
+        self.compiled = Compiled::default();
         self.pending.clear();
+    }
+
+    /// Hands the compiled-body table to a burst.
+    pub fn take_compiled(&mut self) -> Compiled {
+        std::mem::take(&mut self.compiled)
+    }
+
+    /// Takes the table back at burst exit. Nothing inside a burst can
+    /// flush or disarm the tier: only burst entry and host calls do.
+    pub fn restore_compiled(&mut self, compiled: Compiled) {
+        self.compiled = compiled;
     }
 
     /// Transient deopt check at burst entry: on a key mismatch, flush
@@ -343,13 +493,14 @@ impl NativeTier {
         if self.key.matches(code_version, table_gen) {
             return;
         }
-        if !self.procs.is_empty() || !self.pc_map.is_empty() {
+        let c = &mut self.compiled;
+        if !c.procs.is_empty() || !c.pc_map.is_empty() {
             self.flushes += 1;
         }
         self.key = TableKey::new(code_version, table_gen);
-        self.procs.clear();
-        self.pc_map.clear();
-        self.pc_map.resize(code_len as usize, 0);
+        c.procs.clear();
+        c.pc_map.clear();
+        c.pc_map.resize(code_len as usize, 0);
         self.pending.clear();
         if self.counts.len() < code_len as usize {
             self.counts.resize(code_len as usize, 0);
@@ -415,60 +566,57 @@ impl NativeTier {
     /// True when `probe` is still a compilation candidate (not covered
     /// by a compiled body, not previously refused).
     pub fn candidate(&self, probe: u32) -> bool {
-        self.pc_map.get(probe as usize).is_some_and(|&p| p == 0)
+        self.compiled
+            .pc_map
+            .get(probe as usize)
+            .is_some_and(|&p| p == 0)
     }
 
     /// Marks `probe` refused so it is never re-queued (until the next
     /// flush re-zeroes the map).
     pub fn refuse(&mut self, probe: u32) {
-        if let Some(p) = self.pc_map.get_mut(probe as usize) {
+        if let Some(p) = self.compiled.pc_map.get_mut(probe as usize) {
             if *p == 0 {
                 *p = REFUSED;
             }
         }
     }
 
-    /// Compiles `[body, end)` and maps its bytes. Returns false when
-    /// the body is unusable (nothing decodes) or the table is full.
-    pub fn compile(&mut self, code: &[u8], body: u32, end: u32, banks: bool) -> bool {
-        if end <= body || self.procs.len() >= (REFUSED - 1) as usize {
+    /// Compiles `[body, end)` and maps its bytes. `resolve` names the
+    /// target of a call at a given address when it is fixed under the
+    /// tier's key (see [`Site::target`]). Returns false when the body
+    /// is unusable (nothing decodes) or the table is full.
+    pub fn compile(
+        &mut self,
+        code: &[u8],
+        body: u32,
+        end: u32,
+        banks: bool,
+        resolve: &dyn Fn(Instr, u32) -> Option<CachedTarget>,
+    ) -> bool {
+        let c = &mut self.compiled;
+        if end <= body || c.procs.len() >= (REFUSED - 1) as usize {
             return false;
         }
-        let proc = compile_body(code, body, end, banks);
+        let proc = compile_body(code, body, end, banks, resolve);
         if proc.ops.len() <= 1 {
             return false;
         }
-        let idx = self.procs.len() as u16 + 1;
+        let idx = c.procs.len() as u16 + 1;
         for a in body..end {
-            if let Some(p) = self.pc_map.get_mut(a as usize) {
+            if let Some(p) = c.pc_map.get_mut(a as usize) {
                 *p = idx;
             }
         }
-        self.procs.push(Arc::new(proc));
+        c.procs.push(proc);
         self.compiles += 1;
         true
     }
 
-    /// Resolves a code address to a compiled (proc, op index) entry
-    /// point. `None` off-coverage or mid-instruction.
+    /// The compiled-body table (outside bursts).
     #[inline]
-    pub fn locate(&self, pc: u32) -> Option<(usize, u32)> {
-        let p = *self.pc_map.get(pc as usize)?;
-        if p == 0 || p == REFUSED {
-            return None;
-        }
-        let proc = &self.procs[(p - 1) as usize];
-        let ip = *proc.off_to_ip.get(pc.wrapping_sub(proc.start) as usize)?;
-        if ip == u32::MAX {
-            return None;
-        }
-        Some(((p - 1) as usize, ip))
-    }
-
-    /// Clones the shared handle for a located proc.
-    #[inline]
-    pub fn proc(&self, idx: usize) -> Arc<NativeProc> {
-        Arc::clone(&self.procs[idx])
+    pub fn compiled(&self) -> &Compiled {
+        &self.compiled
     }
 
     /// Invocation count for a header address, or back-edge count for a
@@ -480,7 +628,7 @@ impl NativeTier {
     pub fn stats(&self) -> NativeStats {
         NativeStats {
             armed: self.armed,
-            compiled_procs: self.procs.len(),
+            compiled_procs: self.compiled.procs.len(),
             compiles: self.compiles,
             entries: self.entries,
             native_instrs: self.native_instrs,
@@ -507,8 +655,15 @@ impl NativeTier {
 
 /// Lowers one decoded body into a direct-threaded chain. Stops at the
 /// first undecodable byte (that suffix stays interpreter-only). `banks`
-/// says whether the machine has register banks.
-fn compile_body(code: &[u8], body: u32, end: u32, banks: bool) -> NativeProc {
+/// says whether the machine has register banks; `resolve` is as for
+/// [`NativeTier::compile`].
+fn compile_body(
+    code: &[u8],
+    body: u32,
+    end: u32,
+    banks: bool,
+    resolve: &dyn Fn(Instr, u32) -> Option<CachedTarget>,
+) -> NativeProc {
     let mut decoded: Vec<(u32, Instr, u8)> = Vec::new();
     for step in fpc_isa::walk(code, body as usize, end as usize) {
         match step {
@@ -522,9 +677,25 @@ fn compile_body(code: &[u8], body: u32, end: u32, banks: bool) -> NativeProc {
     }
     let mut ops = Vec::with_capacity(decoded.len() + 1);
     let mut offs = Vec::with_capacity(decoded.len() + 1);
+    let mut sites = Vec::new();
     for &(at, instr, len) in &decoded {
         offs.push(at);
-        ops.push(lower(instr, len, at, body, end, &off_to_ip, banks));
+        let op = match lower(instr, len, at, body, end, &off_to_ip, banks) {
+            // A body with more sites than an index holds interprets
+            // the rest.
+            NOp::Xfer(_) if sites.len() > u16::MAX as usize => NOp::Interp(instr, len),
+            NOp::Xfer(_) => {
+                sites.push(Site {
+                    instr,
+                    len,
+                    at,
+                    target: resolve(instr, at),
+                });
+                NOp::Xfer((sites.len() - 1) as u16)
+            }
+            op => op,
+        };
+        ops.push(op);
     }
     offs.push(decoded.last().map_or(body, |&(at, _, len)| at + len as u32));
     ops.push(NOp::Exit);
@@ -533,6 +704,7 @@ fn compile_body(code: &[u8], body: u32, end: u32, banks: bool) -> NativeProc {
         off_to_ip,
         ops,
         offs,
+        sites,
     })
 }
 
@@ -543,7 +715,7 @@ fn compile_body(code: &[u8], body: u32, end: u32, banks: bool) -> NativeProc {
 /// argument setup and `local cmp operand; branch` guards). A run only
 /// forms when none of its non-first ops is a jump target or an
 /// interpreter re-entry point (the op after an [`NOp::Interp`] or
-/// [`NOp::Call`]), so every architecturally reachable boundary stays
+/// [`NOp::Xfer`]), so every architecturally reachable boundary stays
 /// mapped; swallowed ops' byte offsets are unmapped, which at worst
 /// costs one interpreted step before the next mapped boundary
 /// re-enters.
@@ -555,7 +727,7 @@ fn fuse(p: NativeProc) -> NativeProc {
             NOp::Jmp(t) | NOp::Jz(t) | NOp::Jnz(t) => blocked[t as usize] = true,
             // Returns land on the op after a call, and the interpreter
             // resumes after a fallback op: both must stay mapped.
-            NOp::Interp(..) | NOp::Call(..) if i + 1 < n => blocked[i + 1] = true,
+            NOp::Interp(..) | NOp::Xfer(_) if i + 1 < n => blocked[i + 1] = true,
             _ => {}
         }
     }
@@ -587,8 +759,7 @@ fn fuse(p: NativeProc) -> NativeProc {
     let mut i = 0;
     while i < n {
         offs.push(p.offs[i]);
-        let run = i..i + span[i] as usize;
-        ops.push(combine(&p.ops[run.clone()], &p.offs[run], &remap));
+        ops.push(combine(&p.ops[i..i + span[i] as usize], &remap));
         i += span[i] as usize;
     }
     NativeProc {
@@ -596,6 +767,7 @@ fn fuse(p: NativeProc) -> NativeProc {
         off_to_ip,
         ops,
         offs,
+        sites: p.sites,
     }
 }
 
@@ -627,9 +799,9 @@ fn match_len(ops: &[NOp], blocked: &[bool], i: usize) -> u8 {
                 NOp::LocalRd(_),
                 NOp::Imm(_),
                 NOp::Sub | NOp::Add,
-                NOp::Call(..),
+                NOp::Xfer(_),
                 ..
-            ] | [NOp::LocalRd(_), NOp::Exch, NOp::Add, NOp::Call(..), ..]
+            ] | [NOp::LocalRd(_), NOp::Exch, NOp::Add, NOp::Xfer(_), ..]
         ) {
             return 4;
         }
@@ -639,7 +811,7 @@ fn match_len(ops: &[NOp], blocked: &[bool], i: usize) -> u8 {
         && matches!(
             *w,
             [NOp::LocalRd(_), NOp::Imm(_), NOp::Sub | NOp::Add, ..]
-                | [NOp::LocalRd(_), NOp::LocalRd(_), NOp::Call(..), ..]
+                | [NOp::LocalRd(_), NOp::LocalRd(_), NOp::Xfer(_), ..]
                 | [NOp::LocalRd(_), NOp::Exch, NOp::Add, ..]
         )
     {
@@ -656,7 +828,7 @@ fn pairable(a: NOp, b: NOp) -> bool {
         (a, b),
         (NOp::LocalRd(_), NOp::Imm(_))
             | (NOp::LocalRd(_), NOp::LocalRd(_))
-            | (NOp::LocalRd(_), NOp::Call(..))
+            | (NOp::LocalRd(_), NOp::Xfer(_))
             | (NOp::LocalWr(_), NOp::Jmp(_))
             | (NOp::Imm(_), NOp::Add)
             | (NOp::Imm(_), NOp::Sub)
@@ -667,11 +839,7 @@ fn pairable(a: NOp, b: NOp) -> bool {
     )
 }
 
-/// `offs` is the byte-offset slice matching `run`; call-terminated
-/// fusions record the call's distance from the run start so the burst
-/// can reconstruct the call's architectural instruction address.
-fn combine(run: &[NOp], offs: &[u32], remap: &[u32]) -> NOp {
-    let delta = || (offs[run.len() - 1] - offs[0]) as u8;
+fn combine(run: &[NOp], remap: &[u32]) -> NOp {
     match *run {
         [op] => retarget(op, remap),
         [NOp::LocalRd(n), NOp::Imm(v), c, NOp::Jz(t)] => {
@@ -680,24 +848,16 @@ fn combine(run: &[NOp], offs: &[u32], remap: &[u32]) -> NOp {
         [NOp::LocalRd(n), NOp::LocalRd(m), c, NOp::Jz(t)] => {
             NOp::LdLdCmpJz(n, m, cmp_of(c).expect("matched"), remap[t as usize])
         }
-        [NOp::LocalRd(n), NOp::Imm(v), NOp::Sub, NOp::Call(instr, len)] => {
-            NOp::LdSubICall(n, v, delta(), instr, len)
-        }
-        [NOp::LocalRd(n), NOp::Imm(v), NOp::Add, NOp::Call(instr, len)] => {
-            NOp::LdAddICall(n, v, delta(), instr, len)
-        }
-        [NOp::LocalRd(n), NOp::Exch, NOp::Add, NOp::Call(instr, len)] => {
-            NOp::LdXAddCall(n, delta(), instr, len)
-        }
+        [NOp::LocalRd(n), NOp::Imm(v), NOp::Sub, NOp::Xfer(s)] => NOp::LdSubICall(n, v, s),
+        [NOp::LocalRd(n), NOp::Imm(v), NOp::Add, NOp::Xfer(s)] => NOp::LdAddICall(n, v, s),
+        [NOp::LocalRd(n), NOp::Exch, NOp::Add, NOp::Xfer(s)] => NOp::LdXAddCall(n, s),
         [NOp::LocalRd(n), NOp::Imm(v), NOp::Sub] => NOp::LdSubI(n, v),
         [NOp::LocalRd(n), NOp::Imm(v), NOp::Add] => NOp::LdAddI(n, v),
-        [NOp::LocalRd(n), NOp::LocalRd(m), NOp::Call(instr, len)] => {
-            NOp::LdLdCall(n, m, delta(), instr, len)
-        }
+        [NOp::LocalRd(n), NOp::LocalRd(m), NOp::Xfer(s)] => NOp::LdLdCall(n, m, s),
         [NOp::LocalRd(n), NOp::Exch, NOp::Add] => NOp::LdXAdd(n),
         [NOp::LocalRd(n), NOp::Imm(v)] => NOp::Ld2(n, v),
         [NOp::LocalRd(n), NOp::LocalRd(m)] => NOp::LdLd(n, m),
-        [NOp::LocalRd(n), NOp::Call(instr, len)] => NOp::LdCall(n, delta(), instr, len),
+        [NOp::LocalRd(n), NOp::Xfer(s)] => NOp::LdCall(n, s),
         [NOp::LocalWr(n), NOp::Jmp(t)] => NOp::WrJmp(n, remap[t as usize]),
         [NOp::Imm(v), NOp::Add] => NOp::AddIW(v),
         [NOp::Imm(v), NOp::Sub] => NOp::SubIW(v),
@@ -772,13 +932,13 @@ fn lower(
         Instr::Jump(d) => target(d).map_or(NOp::Interp(instr, len), NOp::Jmp),
         Instr::JumpZero(d) => target(d).map_or(NOp::Interp(instr, len), NOp::Jz),
         Instr::JumpNotZero(d) => target(d).map_or(NOp::Interp(instr, len), NOp::Jnz),
-        // Calls and returns dominate the interpreter-fallback share on
-        // call-dense code; they get the streamlined transfer handler.
+        // Calls and returns are native transfers through a side-table
+        // site (`compile_body` fills it in).
         Instr::LocalCall(_)
         | Instr::ExternalCall(_)
         | Instr::DirectCall(_)
         | Instr::ShortDirectCall(_)
-        | Instr::Ret => NOp::Call(instr, len),
+        | Instr::Ret => NOp::Xfer(0),
         // Division traps, XFER, contexts, processes, heap and module
         // ops all carry their own accounting; interpret them.
         _ => NOp::Interp(instr, len),
@@ -797,15 +957,23 @@ mod tests {
         out
     }
 
+    /// A resolver that knows no call target.
+    fn unknown(_: Instr, _: u32) -> Option<CachedTarget> {
+        None
+    }
+
     #[test]
     fn compile_body_lowers_and_maps_offsets() {
         let bytes = body_bytes(&[Instr::LoadImm(7), Instr::AddImm(1), Instr::Out, Instr::Ret]);
         let end = bytes.len() as u32;
-        let p = compile_body(&bytes, 0, end, false);
+        let p = compile_body(&bytes, 0, end, false, &unknown);
         assert!(matches!(p.ops[0], NOp::Imm(7)));
         assert!(matches!(p.ops[1], NOp::AddImm(1)));
         assert!(matches!(p.ops[2], NOp::Out));
-        assert!(matches!(p.ops[3], NOp::Call(Instr::Ret, 1)));
+        assert!(matches!(p.ops[3], NOp::Xfer(0)));
+        assert!(matches!(p.sites[0].instr, Instr::Ret));
+        assert_eq!((p.sites[0].at, p.sites[0].len), (5, 1));
+        assert!(p.sites[0].target.is_none());
         assert!(matches!(p.ops[4], NOp::Exit));
         assert_eq!(p.off_to_ip[0], 0);
         // LoadImm is 3 bytes; its interior bytes must be unmapped.
@@ -818,7 +986,7 @@ mod tests {
         // 0: LoadLocal 0 (1 byte, LL0) ; 1: JumpZero back to it.
         let bytes = body_bytes(&[Instr::LoadLocal(0), Instr::JumpZero(-1)]);
         let end = bytes.len() as u32;
-        let flat = compile_body(&bytes, 0, end, false);
+        let flat = compile_body(&bytes, 0, end, false, &unknown);
         assert!(matches!(flat.ops[0], NOp::LocalRd(0)));
         assert!(matches!(flat.ops[1], NOp::Jz(0)));
         // Under banks locals and indirect accesses still lower to fast
@@ -831,7 +999,7 @@ mod tests {
             Instr::Ret,
         ]);
         let end = bytes.len() as u32;
-        let banked = compile_body(&bytes, 0, end, true);
+        let banked = compile_body(&bytes, 0, end, true, &unknown);
         assert!(matches!(banked.ops[0], NOp::LocalRd(0)));
         assert!(matches!(banked.ops[1], NOp::LocalWr(1)));
         assert!(matches!(
@@ -839,11 +1007,11 @@ mod tests {
             NOp::Interp(Instr::LoadLocalAddr(2), _)
         ));
         assert!(matches!(banked.ops[3], NOp::LoadIndex));
-        let flat = compile_body(&bytes, 0, end, false);
+        let flat = compile_body(&bytes, 0, end, false, &unknown);
         assert!(matches!(flat.ops[2], NOp::LocalAddr(2)));
         // Out-of-body jump falls back to the interpreter.
         let bytes = body_bytes(&[Instr::Jump(100)]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, false);
+        let p = compile_body(&bytes, 0, bytes.len() as u32, false, &unknown);
         assert!(matches!(p.ops[0], NOp::Interp(Instr::Jump(100), _)));
     }
 
@@ -867,12 +1035,24 @@ mod tests {
         assert_eq!(t.take_pending(), vec![3]);
         t.note_backedge(3);
         assert!(!t.has_pending(), "only the crossing queues a probe");
-        assert!(t.candidate(3) && t.compile(&bytes, 0, end, false));
+        assert!(t.candidate(3) && t.compile(&bytes, 0, end, false, &unknown));
         assert_eq!(t.stats().compiled_procs, 1);
         assert!(!t.candidate(3), "a covered head is no longer a candidate");
-        assert!(t.locate(0).is_some());
-        assert_eq!(t.locate(3), Some((0, 1)), "the loop head enters mid-body");
-        assert!(t.locate(1).is_none(), "mid-instruction bytes don't enter");
+        let c = t.compiled();
+        assert_eq!(c.locate(0), Some((0, 0)), "the body start enters op 0");
+        assert_eq!(c.locate(3), Some((0, 1)), "the loop head enters mid-body");
+        assert!(c.locate(1).is_none(), "mid-instruction bytes don't enter");
+        // A prediction is taken only when it names the pc; otherwise
+        // the chase falls back to the map.
+        assert_eq!(c.chase(3, Some((0, 1))), Some((0, 1)));
+        assert_eq!(c.chase(3, Some((0, 0))), Some((0, 1)));
+        assert_eq!(c.chase(1, Some((0, 0))), None);
+        // Taking the table out for a burst and handing it back keeps
+        // the bodies.
+        let c = t.take_compiled();
+        assert_eq!(t.stats().compiled_procs, 0);
+        t.restore_compiled(c);
+        assert_eq!(t.stats().compiled_procs, 1);
         // A key change flushes bodies but keeps counts, and re-queues
         // the hot head so its body recompiles.
         t.sync(2, 0, end);
@@ -898,11 +1078,11 @@ mod tests {
             Instr::Out,
             Instr::Ret,
         ]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, false);
+        let p = compile_body(&bytes, 0, bytes.len() as u32, false, &unknown);
         // The whole guard collapses into one dispatch.
         assert!(matches!(p.ops[0], NOp::LdICmpJz(0, 2, Cmp::Lt, 2)));
         assert!(matches!(p.ops[1], NOp::Out));
-        assert!(matches!(p.ops[2], NOp::Call(Instr::Ret, 1)));
+        assert!(matches!(p.ops[2], NOp::Xfer(0)));
         // The run start stays mapped; swallowed ops do not.
         assert_eq!(p.off_to_ip[0], 0);
         assert_eq!(p.off_to_ip[1], u32::MAX, "swallowed op is unmapped");
@@ -913,13 +1093,81 @@ mod tests {
 
         // A jump landing on the would-be second blocks the pair.
         let bytes = body_bytes(&[Instr::LoadLocal(0), Instr::LoadImm(7), Instr::Jump(-2)]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, false);
+        let p = compile_body(&bytes, 0, bytes.len() as u32, false, &unknown);
         assert!(
             matches!(p.ops[0], NOp::LocalRd(0)),
             "jump-target second must not fuse"
         );
         assert!(matches!(p.ops[1], NOp::Imm(7)));
         assert!(matches!(p.ops[2], NOp::Jmp(1)));
+    }
+
+    #[test]
+    fn call_sites_carry_their_resolved_targets() {
+        use fpc_mem::{ByteAddr, WordAddr};
+        let bytes = body_bytes(&[
+            Instr::LoadLocal(0),
+            Instr::DirectCall(0x40),
+            Instr::LocalCall(2),
+            Instr::ExternalCall(1),
+            Instr::Ret,
+        ]);
+        let target = CachedTarget {
+            header: ByteAddr(0x40),
+            gf: WordAddr(0x100),
+            cb: ByteAddr(0),
+            fsi: 1,
+            flags: 0,
+        };
+        // The resolver knows direct and local calls, never external
+        // ones (their link-vector word is data).
+        let resolve = |instr: Instr, _at: u32| match instr {
+            Instr::DirectCall(_) | Instr::LocalCall(_) => Some(target),
+            _ => None,
+        };
+        let p = compile_body(&bytes, 0, bytes.len() as u32, false, &resolve);
+        // `LoadLocal; DirectCall` fuses; the site keeps the call's own
+        // address, one byte into the run.
+        assert!(matches!(p.ops[0], NOp::LdCall(0, 0)));
+        assert!(matches!(p.ops[1], NOp::Xfer(1)));
+        assert!(matches!(p.ops[2], NOp::Xfer(2)));
+        assert!(matches!(p.ops[3], NOp::Xfer(3)));
+        let s = &p.sites;
+        assert_eq!(s.len(), 4);
+        assert_eq!((s[0].at, s[0].target), (1, Some(target)));
+        assert_eq!(s[1].at, s[0].at + s[0].len as u32);
+        assert_eq!(s[1].target, Some(target));
+        assert!(matches!(s[2].instr, Instr::ExternalCall(1)));
+        assert_eq!(s[2].target, None);
+        assert!(matches!(s[3].instr, Instr::Ret));
+        // Each return lands on a mapped op: the one after its call.
+        for (i, site) in s.iter().enumerate().take(3) {
+            let back = site.at + site.len as u32;
+            assert_eq!(p.offs[i + 1], back);
+            assert_eq!(p.off_to_ip[back as usize], i as u32 + 1);
+        }
+    }
+
+    #[test]
+    fn return_predictor_is_a_bounded_lifo() {
+        let mut r = ReturnPredictor::new();
+        assert_eq!(r.pop(), None);
+        r.push(1, 10);
+        r.push(2, 20);
+        assert_eq!(r.pop(), Some((2, 20)));
+        assert_eq!(r.pop(), Some((1, 10)));
+        assert_eq!(r.pop(), None);
+        // Past its depth the oldest entries are overwritten: the
+        // newest `PREDICTOR_DEPTH` come back, newest first, and then
+        // the predictor is empty.
+        let n = PREDICTOR_DEPTH as u32 + 8;
+        for i in 0..n {
+            r.push(0, i);
+        }
+        for i in (8..n).rev() {
+            assert_eq!(r.pop(), Some((0, i)));
+        }
+        assert_eq!(r.pop(), None);
     }
 
     #[test]

@@ -553,3 +553,335 @@ fn bank_machine_bursts_overflow_underflow_and_divert_like_the_byte_rung() {
         );
     }
 }
+
+/// Runs `image` on `cfg` (arming the tier when it has one) to halt in
+/// `slice`-unit fuel slices.
+fn run_sliced(image: &Image, cfg: MachineConfig, slice: u64) -> Machine {
+    let mut m = Machine::load(image, cfg).unwrap();
+    if cfg.native {
+        assert!(m.arm_native(license()), "fresh machine must arm");
+    }
+    let mut slices = 0u64;
+    loop {
+        match m.run(slice) {
+            Ok(()) => return m,
+            Err(VmError::OutOfFuel) => {}
+            Err(e) => panic!("slice {slice}: {e:?}"),
+        }
+        slices += 1;
+        assert!(slices < 10_000_000, "slice {slice}: runaway");
+    }
+}
+
+/// Holds `image`'s native run bit-identical to the byte rung, run
+/// whole and in 1-, 3- and 7-unit fuel slices, and returns the whole
+/// native run.
+fn native_matches_byte_rung(image: &Image, expected: &[u16], label: &str) -> Machine {
+    let reference = run_sliced(image, reference_config(), u64::MAX);
+    assert_eq!(reference.output(), expected, "{label}: reference output");
+    let want = fingerprint(&reference);
+    let whole = run_sliced(image, native_config(), u64::MAX);
+    for slice in [1u64, 3, 7] {
+        let m = run_sliced(image, native_config(), slice);
+        assert_eq!(fingerprint(&m), want, "{label}: {slice}-unit slices");
+    }
+    let stats = whole.native_stats().unwrap();
+    assert!(stats.native_instrs > 0, "{label}: {stats:?}");
+    assert_eq!(fingerprint(&whole), want, "{label}: whole run");
+    whole
+}
+
+/// `tri` recursing `depth` deep, called three times from a
+/// straight-line main (which is entered once, so never compiled).
+fn deep_tri_image(depth: u16) -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("tri", 1, 1), |a| {
+        a.instr(Instr::StoreLocal(0));
+        let base = a.label();
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(base);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Add);
+        a.instr(Instr::Ret);
+        a.bind(base);
+        a.instr(Instr::LoadImm(0));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 0), |a| {
+        for _ in 0..3 {
+            a.instr(Instr::LoadImm(depth));
+            a.instr(Instr::LocalCall(0));
+            a.instr(Instr::Out);
+        }
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 1,
+    })
+    .unwrap()
+}
+
+#[test]
+fn recursion_deeper_than_the_return_predictor_matches_the_byte_rung() {
+    // 100 frames deep: the predictor (32 entries) overflows on the way
+    // down, so the last returns on the way up find it empty and look
+    // their targets up instead.
+    let tri = 100 * 101 / 2;
+    let m = native_matches_byte_rung(&deep_tri_image(100), &[tri, tri, tri], "deep recursion");
+    assert_eq!(m.stats().transfers.returns.count, 3 * 101);
+}
+
+#[test]
+fn returns_into_an_uncompiled_caller_leave_the_burst() {
+    // main runs once and has no loop, so it never compiles: every
+    // outermost return of the compiled `tri` lands in interpreted code.
+    let m = native_matches_byte_rung(&deep_tri_image(10), &[55, 55, 55], "uncompiled caller");
+    let stats = m.native_stats().unwrap();
+    assert_eq!(stats.compiled_procs, 1, "only tri compiles: {stats:?}");
+}
+
+/// A generator coroutine, a second process and a hot leaf procedure,
+/// all compiled by their loops or call counts, so coroutine `XFER`s,
+/// process switches, calls and returns all happen inside bursts:
+///
+/// * `gen` yields 1, 2, 3, … to whoever resumes it;
+/// * `leaf(x)` switches process, then returns 2x — so each process's
+///   call returns after the *other* process's call, and every return
+///   finds the other process's return point on the predictor;
+/// * `worker` (a process) outputs `leaf(7)`, forever;
+/// * `main` resumes `gen` 30 times and outputs `leaf` of each value,
+///   then halts.
+fn coroutine_process_image() -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("gen", 0, 2), |a| {
+        // The first resume carries a dummy value, like every other.
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::Drop);
+        a.instr(Instr::ReturnContext);
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::AddImm(1));
+        a.instr(Instr::StoreLocal(1));
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Xfer);
+        a.jump(top);
+    });
+    b.proc_with(m, ProcSpec::new("leaf", 1, 1), |a| {
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::ProcessSwitch);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(2));
+        a.instr(Instr::Mul);
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("worker", 0, 0), |a| {
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadImm(7));
+        a.instr(Instr::LocalCall(1));
+        a.instr(Instr::Out);
+        a.jump(top);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 2), |a| {
+        a.instr(Instr::LoadImm(0x8000)); // gen: gft 0, ev 0
+        a.instr(Instr::NewContext);
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadImm(0x8002)); // worker: gft 0, ev 2
+        a.instr(Instr::Spawn);
+        a.instr(Instr::Drop);
+        a.instr(Instr::LoadImm(30));
+        a.instr(Instr::StoreLocal(1));
+        let top = a.label();
+        let done = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(1));
+        a.jump_zero(done);
+        a.instr(Instr::LoadImm(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Xfer);
+        a.instr(Instr::ReturnContext);
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LocalCall(1));
+        a.instr(Instr::Out);
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::StoreLocal(1));
+        a.jump(top);
+        a.bind(done);
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 3,
+    })
+    .unwrap()
+}
+
+#[test]
+fn coroutine_and_process_switches_inside_bursts_match_the_byte_rung() {
+    // main's 30 results interleave with the worker's; main halts right
+    // after its last.
+    let mut expected: Vec<u16> = (1..=30).flat_map(|i| [2 * i, 14]).collect();
+    expected.pop();
+    let m = native_matches_byte_rung(&coroutine_process_image(), &expected, "xfer/switch");
+    let t = &m.stats().transfers;
+    assert!(t.coroutines.count >= 60, "{t:?}");
+    assert!(t.switches.count >= 60, "{t:?}");
+    let stats = m.native_stats().unwrap();
+    assert!(stats.compiled_procs >= 3, "{stats:?}");
+    assert!(
+        stats.interp_ops > 0,
+        "XFER and switches interpret: {stats:?}"
+    );
+}
+
+/// `probe()` rewrites GFT entry 0 with its own value (a relink to the
+/// same target) and returns 1; `main` calls it from a hot loop, so the
+/// store lands between a compiled call and its return.
+fn relink_image() -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("probe", 0, 0), |a| {
+        a.instr(Instr::LoadImm(fpc_vm::GFT_BASE.0 as u16));
+        a.instr(Instr::Read);
+        a.instr(Instr::LoadImm(fpc_vm::GFT_BASE.0 as u16));
+        a.instr(Instr::Write);
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 2), |a| {
+        a.instr(Instr::LoadImm(40));
+        a.instr(Instr::StoreLocal(0));
+        let top = a.label();
+        let done = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(done);
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::Add);
+        a.instr(Instr::StoreLocal(1));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::StoreLocal(0));
+        a.jump(top);
+        a.bind(done);
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::Out);
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 1,
+    })
+    .unwrap()
+}
+
+#[test]
+fn relink_under_a_compiled_call_site_exits_and_flushes() {
+    let m = native_matches_byte_rung(&relink_image(), &[40], "relink");
+    let stats = m.native_stats().unwrap();
+    assert!(
+        stats.flushes > 0,
+        "every relink bumps the table generation: {stats:?}"
+    );
+    assert!(stats.compiles > 2, "flushed bodies recompile: {stats:?}");
+}
+
+/// Module `a` (0): `one` outputs 1; `scrib(x)`, when `x` is non-zero,
+/// rewrites its caller's saved PC to `rel`; `main` calls `b.entry` five
+/// times, `scrib(0)` five times, then `scrib(1)`. Module `b` (1): `two`
+/// outputs 2; `entry` is `LocalCall 0; Ret`.
+fn foreign_return_image(rel: u16) -> Image {
+    let mut b = ImageBuilder::new();
+    let ma = b.module("a");
+    let mb = b.module("b");
+    b.proc_with(ma, ProcSpec::new("one", 0, 0), |a| {
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Out);
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(ma, ProcSpec::new("scrib", 1, 1), move |a| {
+        let done = a.label();
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(done);
+        // The caller's frame address is its context word doubled; its
+        // saved PC is frame word 0.
+        a.instr(Instr::LoadImm(rel));
+        a.instr(Instr::ReturnContext);
+        a.instr(Instr::Dup);
+        a.instr(Instr::Add);
+        a.instr(Instr::Write);
+        a.bind(done);
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(mb, ProcSpec::new("two", 0, 0), |a| {
+        a.instr(Instr::LoadImm(2));
+        a.instr(Instr::Out);
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(mb, ProcSpec::new("entry", 0, 0), |a| {
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::Ret);
+    });
+    let lv = b.import(
+        ma,
+        ProcRef {
+            module: 1,
+            ev_index: 1,
+        },
+    );
+    b.proc_with(ma, ProcSpec::new("main", 0, 0), move |a| {
+        for _ in 0..5 {
+            a.instr(Instr::ExternalCall(lv));
+        }
+        for x in [0, 0, 0, 0, 0, 1] {
+            a.instr(Instr::LoadImm(x));
+            a.instr(Instr::LocalCall(1));
+        }
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 2,
+    })
+    .unwrap()
+}
+
+#[test]
+fn local_call_under_a_foreign_code_base_resolves_through_the_callers_entry_vector() {
+    // `scrib(1)` returns into `b.entry`'s body while the frame's global
+    // frame — and so the code base — is still `a`'s. `LocalCall 0`
+    // indexes the *current* code base's entry vector, so it calls
+    // `a.one`, although `b.entry`'s compiled site was resolved against
+    // `b`'s entry vector (`b.two`). The relative PC is solved by
+    // rebuilding until the layout stops moving.
+    let mut rel = 0u16;
+    let image = loop {
+        let image = foreign_return_image(rel);
+        let (ma, mb) = (&image.modules[0], &image.modules[1]);
+        let ev = mb.code_base.0 as usize + 2;
+        let entry = mb.code_base.0 as usize
+            + u16::from_le_bytes([image.code[ev], image.code[ev + 1]]) as usize
+            + fpc_core::layout::PROC_HEADER_BYTES as usize;
+        let want = (entry - ma.code_base.0 as usize) as u16;
+        if want == rel {
+            break image;
+        }
+        rel = want;
+    };
+    let m = native_matches_byte_rung(&image, &[2, 2, 2, 2, 2, 1], "foreign code base");
+    assert!(m.native_stats().unwrap().compiled_procs >= 2);
+}

@@ -356,3 +356,86 @@ fn warm_bank_machine_native_bursts_do_not_allocate() {
         "the window must overflow and underflow banks: {b:?}"
     );
 }
+
+/// The `leafcalls` shape plus deep recursion: main's loop calls a leaf
+/// in another compiled body, then a recursion 40 deep — deeper than
+/// the native tier's 32-entry return predictor — forever.
+fn calls_and_deep_recursion_image() -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("leaf", 1, 1), |a| {
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::AddImm(1));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("down", 1, 1), |a| {
+        a.instr(Instr::StoreLocal(0));
+        let base = a.label();
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(base);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::LocalCall(1));
+        a.instr(Instr::Ret);
+        a.bind(base);
+        a.instr(Instr::LoadImm(0));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 1), |a| {
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadImm(40));
+        a.instr(Instr::LocalCall(1));
+        a.instr(Instr::Drop);
+        a.jump(top);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 2,
+    })
+    .unwrap()
+}
+
+#[test]
+fn warm_native_calls_and_deep_recursion_do_not_allocate() {
+    let image = calls_and_deep_recursion_image();
+    let cfg = MachineConfig::i2()
+        .with_native_tier(true)
+        .with_native_threshold(4);
+    let mut m = Machine::load(&image, cfg).unwrap();
+    assert!(
+        m.arm_native(NativeLicense::new(8, 3)),
+        "fresh machine must arm"
+    );
+    assert!(
+        matches!(m.run(20_000), Err(VmError::OutOfFuel)),
+        "the loop must still be running"
+    );
+    let n0 = m.native_stats().expect("tier is configured");
+    assert_eq!(n0.compiled_procs, 3, "every body compiles: {n0:?}");
+    let calls0 = m.stats().transfers.calls.count;
+
+    let before = allocs();
+    assert!(matches!(m.run(100_000), Err(VmError::OutOfFuel)));
+    assert_eq!(
+        allocs() - before,
+        0,
+        "warm native calls, returns and predictor overflow must be allocation-free"
+    );
+
+    // Prove the window ran native calls, not interpreted ones.
+    let n = m.native_stats().unwrap();
+    assert!(
+        n.native_instrs - n0.native_instrs > 99_000,
+        "the window must run native: {n:?}"
+    );
+    assert_eq!(n.interp_ops, n0.interp_ops, "no fallback in the window");
+    assert!(m.stats().transfers.calls.count - calls0 > 10_000);
+    assert_eq!(n.compiles, n0.compiles, "steady state recompiles nothing");
+    assert_eq!(n.flushes, n0.flushes, "steady state never flushes");
+}

@@ -80,28 +80,32 @@ fn load(image: &Image, cfg: MachineConfig) -> Machine {
     m
 }
 
-/// Everything slicing must preserve: architectural state and the
-/// inline-cache statistics. On interpreted rungs the fusion counters
-/// are included too. The native rung's *tier occupancy* counters
-/// (burst entries, native vs interpreted instruction shares) are
-/// deliberately excluded: a pause exits a burst, so where preemption
-/// lands changes which tier retires an instruction — but never what
-/// it computes or charges, which is exactly the charge-not-perform
-/// contract.
+/// Everything slicing must preserve: architectural state, plus, on
+/// interpreted rungs, the inline-cache and fusion counters. The native
+/// rung's *tier occupancy* counters are deliberately excluded: a pause
+/// exits a burst, so where preemption lands changes which tier retires
+/// an instruction — but never what it computes or charges, which is
+/// exactly the charge-not-perform contract. Those counters are the
+/// burst entries, the native vs interpreted instruction shares, and the
+/// inline-cache statistics, since native calls resolve their targets
+/// without the cache and only interpreted calls consult it.
 fn fingerprint(m: &Machine, include_tier: bool) -> String {
     let tier = if include_tier {
-        format!(" fusion={:?}", m.fusion_stats())
+        format!(
+            " xfer={:?} fusion={:?}",
+            m.xfer_cache_stats(),
+            m.fusion_stats()
+        )
     } else {
         String::new()
     };
     format!(
-        "instr={} cycles={} jumps={} refs={} out={:?} xfer={:?} banks={:?}{}",
+        "instr={} cycles={} jumps={} refs={} out={:?} banks={:?}{}",
         m.stats().instructions,
         m.stats().cycles,
         m.stats().jumps_taken,
         m.total_refs(),
         m.output(),
-        m.xfer_cache_stats(),
         m.bank_stats(),
         tier,
     )
