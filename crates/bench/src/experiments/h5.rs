@@ -27,11 +27,18 @@
 //! each image and panics if the corpus ever stops verifying clean,
 //! because an unarmed native rung would silently time the fused
 //! ladder twice.
+//!
+//! The per-layer call cost comes from a leaf-call loop
+//! (`while i < n do i := leaf(i)`, `leaf(x) = x + 1`) timed on the
+//! native rung against the same loop with the call replaced by
+//! `j := i; i := j + 1`: the difference per iteration is the host cost
+//! of one native call+return pair, set beside the host cost of one
+//! instruction of the call-free loop.
 
 use fpc_compiler::{Linkage, Options};
 use fpc_verify::{verify_image, VerifyOptions};
 use fpc_vm::{Image, Machine, MachineConfig, NativeLicense};
-use fpc_workloads::{compile_workload, corpus, Workload};
+use fpc_workloads::{compile_workload, corpus, programs, Kind, Workload};
 
 use super::h1::Params;
 use crate::driver::{default_workers, parallel_map};
@@ -282,6 +289,99 @@ pub fn measure_all(p: Params) -> Vec<Row> {
         .collect()
 }
 
+/// Iterations of the call-cost loops.
+const LEAF_CALLS: i16 = 32_000;
+
+/// The call-cost loop with its call replaced by straight-line code.
+fn no_call_loop(n: i16) -> Workload {
+    let src = format!(
+        "module NoLeaf;
+         proc main()
+         var i: int;
+         var j: int;
+         begin
+           i := 0;
+           while i < {n} do j := i; i := j + 1; end;
+           out i;
+         end;
+         end."
+    );
+    Workload {
+        name: "noleaf",
+        sources: vec![src],
+        expected: vec![n as u16],
+        fuel: 10_000_000,
+        kind: Kind::Iterative,
+    }
+}
+
+/// The host cost of a native call+return pair on one configuration.
+#[derive(Debug, Clone)]
+pub struct CallCost {
+    /// Machine configuration name (i1–i4).
+    pub config: &'static str,
+    /// Host ns per call+return pair: `(t_call − t_nocall) / calls`.
+    pub pair_ns: f64,
+    /// Host ns per instruction of the call-free loop.
+    pub instr_ns: f64,
+}
+
+impl CallCost {
+    /// How many loop instructions one call+return pair costs.
+    pub fn pair_over_instr(&self) -> f64 {
+        self.pair_ns / self.instr_ns
+    }
+}
+
+/// Times the leaf-call loop against the call-free loop on the native
+/// rung of every configuration: the best of `runs × reps` single runs
+/// of each, alternating, so that a slow spell of the host or a run's
+/// cold start does not land in the difference.
+pub fn measure_call_costs(p: Params) -> Vec<CallCost> {
+    configs()
+        .into_iter()
+        .map(|(cname, config, linkage)| {
+            let cell = |workload: Workload| Cell {
+                workload,
+                cname,
+                config,
+                linkage,
+            };
+            let call = prepare(&cell(programs::leafcalls(LEAF_CALLS)));
+            let plain = prepare(&cell(no_call_loop(LEAF_CALLS)));
+            let cfg = dispatch_config(config, "native");
+            let mut best = [f64::INFINITY; 2];
+            for _ in 0..p.runs * p.reps {
+                for (b, prep) in best.iter_mut().zip([&call, &plain]) {
+                    let (_, secs) = sample(&prep.image, cfg, Some(prep.license), 10_000_000, 1);
+                    *b = b.min(secs);
+                }
+            }
+            CallCost {
+                config: cname,
+                pair_ns: (best[0] - best[1]) * 1e9 / LEAF_CALLS as f64,
+                instr_ns: best[1] * 1e9 / plain.instructions as f64,
+            }
+        })
+        .collect()
+}
+
+/// Native ns per instruction on the bank machine over the same on I3,
+/// across the whole call-dense set.
+fn i4_over_i3(rows: &[Row]) -> f64 {
+    let ns_per_instr = |config: &str| {
+        let (ns, instrs) =
+            rows.iter()
+                .filter(|r| r.config == config)
+                .fold((0.0, 0.0), |(ns, n), r| {
+                    let i = r.instructions as f64;
+                    (ns + i * 1e9 / r.ips[4], n + i)
+                });
+        ns / instrs
+    };
+    ns_per_instr("i4") / ns_per_instr("i3")
+}
+
 fn fmt_mips(ips: f64) -> String {
     format!("{:.1}", ips / 1e6)
 }
@@ -297,6 +397,7 @@ fn worst(rows: &[Row], keep: impl Fn(&Row) -> bool) -> f64 {
 /// The report and the `BENCH_host_native.json` contents.
 pub fn report_and_json(p: Params) -> (String, String) {
     let rows = measure_all(p);
+    let costs = measure_call_costs(p);
     let mut out = String::new();
     out.push_str("H5: tier-5 native execution (simulated Minstr/s) on call-dense workloads\n");
     out.push_str(&format!(
@@ -336,6 +437,20 @@ pub fn report_and_json(p: Params) -> (String, String) {
     out.push_str(&format!(
         "worst-case native over predecode_ic_fuse: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
     ));
+    out.push_str("native call+return pair vs loop instruction (host ns)\n");
+    for c in &costs {
+        out.push_str(&format!(
+            "{:>4}  pair {:>6.1} ns  instr {:>5.2} ns  pair/instr {:>5.1}\n",
+            c.config,
+            c.pair_ns,
+            c.instr_ns,
+            c.pair_over_instr()
+        ));
+    }
+    let i4_i3 = i4_over_i3(&rows);
+    out.push_str(&format!(
+        "i4 over i3 native ns/instr on the call-dense set: {i4_i3:.2}x\n"
+    ));
 
     let mut json = String::from(
         "{\n  \"experiment\": \"h5_native_speed\",\n  \"unit\": \"simulated instructions per host second\",\n",
@@ -369,8 +484,19 @@ pub fn report_and_json(p: Params) -> (String, String) {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
+    json.push_str("  ],\n  \"call_cost\": {\n");
+    for (i, c) in costs.iter().enumerate() {
+        json.push_str(&format!(
+            "    \"{}\": {{\"pair_ns\": {:.2}, \"instr_ns\": {:.3}, \"pair_over_instr\": {:.2}}}{}\n",
+            c.config,
+            c.pair_ns,
+            c.instr_ns,
+            c.pair_over_instr(),
+            if i + 1 == costs.len() { "" } else { "," }
+        ));
+    }
     json.push_str(&format!(
-        "  ],\n  \"worst_native_over_icfuse_i1_i3\": {worst_i1_i3:.3},\n  \"worst_native_over_icfuse_all\": {worst_all:.3}\n}}\n"
+        "  }},\n  \"i4_over_i3_native_ns_per_instr\": {i4_i3:.3},\n  \"worst_native_over_icfuse_i1_i3\": {worst_i1_i3:.3},\n  \"worst_native_over_icfuse_all\": {worst_all:.3}\n}}\n"
     ));
     (out, json)
 }

@@ -106,6 +106,52 @@ impl HeapStats {
     }
 }
 
+/// One allocated frame's record in a [`FrameTable`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameRecord {
+    /// Size class the frame was requested at.
+    pub fsi: u8,
+    /// The §7.4 header flag: the frame's locals may be addressed.
+    pub addr_taken: bool,
+    /// Held by its owner: not unclaimed, nor in a frame cache's stock.
+    pub in_use: bool,
+}
+
+/// The one record of each allocated frame, indexed directly by frame
+/// address: a flat vector, because it sits on the call/return path.
+#[derive(Debug, Clone, Default)]
+pub struct FrameTable(Vec<Option<FrameRecord>>);
+
+impl FrameTable {
+    /// The record of an allocated frame.
+    #[inline]
+    pub fn get(&self, frame: WordAddr) -> Option<&FrameRecord> {
+        self.0.get(frame.0 as usize)?.as_ref()
+    }
+
+    /// The record of an allocated frame, for update.
+    #[inline]
+    pub fn get_mut(&mut self, frame: WordAddr) -> Option<&mut FrameRecord> {
+        self.0.get_mut(frame.0 as usize)?.as_mut()
+    }
+
+    /// Records `frame` as allocated.
+    #[inline]
+    pub fn insert(&mut self, frame: WordAddr, record: FrameRecord) {
+        let i = frame.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(record);
+    }
+
+    /// Forgets `frame`, returning its record.
+    #[inline]
+    pub fn remove(&mut self, frame: WordAddr) -> Option<FrameRecord> {
+        self.0.get_mut(frame.0 as usize)?.take()
+    }
+}
+
 /// How many frames the software allocator carves per trap.
 const REPLENISH_COUNT: u32 = 4;
 
@@ -134,10 +180,8 @@ pub struct FrameHeap {
     /// `region_end` — used by the machine to guarantee the fault
     /// handler's own frame can be allocated.
     emergency: bool,
-    /// Liveness per frame address, indexed directly (frames live in
-    /// the bounded simulated memory, and alloc/free sit on the call
-    /// path, so this is a flat vector rather than a hash set).
-    live_set: Vec<bool>,
+    /// Every allocated frame's record, shared with the owner.
+    frames: FrameTable,
     stats: HeapStats,
 }
 
@@ -209,7 +253,7 @@ impl FrameHeap {
             soft_end,
             region_end: region.end,
             emergency: false,
-            live_set: Vec::new(),
+            frames: FrameTable::default(),
             stats: HeapStats::default(),
         })
     }
@@ -244,6 +288,12 @@ impl FrameHeap {
     /// Allocation counters.
     pub fn stats(&self) -> &HeapStats {
         &self.stats
+    }
+
+    /// The frame records, where the owner keeps its per-frame data.
+    #[inline]
+    pub fn frames_mut(&mut self) -> &mut FrameTable {
+        &mut self.frames
     }
 
     /// The size-class index for a frame of `words` words, as the
@@ -287,6 +337,7 @@ impl FrameHeap {
     /// [`FrameError::CorruptHeap`] if a free-list head read back from
     /// simulated memory points outside memory or at a live frame (the
     /// guest scribbled over the AV or a link word).
+    #[inline]
     pub fn alloc_fsi(&mut self, mem: &mut Memory, fsi: u8) -> Result<WordAddr, FrameError> {
         if fsi as usize >= self.classes.len() {
             return Err(FrameError::OversizeRequest {
@@ -313,11 +364,11 @@ impl FrameHeap {
         self.stats.granted_words += self.classes.size_of(fsi) as u64;
         self.stats.live += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.stats.live);
-        let i = frame.0 as usize;
-        if i >= self.live_set.len() {
-            self.live_set.resize(i + 1, false);
-        }
-        self.live_set[i] = true;
+        let unclaimed = FrameRecord {
+            fsi,
+            ..Default::default()
+        };
+        self.frames.insert(frame, unclaimed);
         Ok(frame)
     }
 
@@ -330,6 +381,7 @@ impl FrameHeap {
     /// [`FrameError::InvalidFrame`] if `frame` is not a live frame of
     /// this heap, [`FrameError::CorruptHeap`] if its hidden size word
     /// was overwritten with a value outside the ladder.
+    #[inline]
     pub fn free(&mut self, mem: &mut Memory, frame: WordAddr) -> Result<(), FrameError> {
         if !self.is_live(frame) {
             return Err(FrameError::InvalidFrame(frame));
@@ -338,7 +390,7 @@ impl FrameHeap {
         if fsi as usize >= self.classes.len() {
             return Err(FrameError::CorruptHeap(WordAddr(frame.0 - 1)));
         }
-        self.live_set[frame.0 as usize] = false;
+        self.frames.remove(frame);
         let head_slot = self.av_base.offset(fsi as u32);
         let head = mem.read(head_slot); // ref 2
         mem.write(frame, head); // ref 3
@@ -350,16 +402,15 @@ impl FrameHeap {
     }
 
     /// Whether `frame` is currently live.
+    #[inline]
     pub fn is_live(&self, frame: WordAddr) -> bool {
-        self.live_set
-            .get(frame.0 as usize)
-            .copied()
-            .unwrap_or(false)
+        self.frames.get(frame).is_some()
     }
 
     /// The software allocator: carve fresh blocks of class `fsi` from
     /// the region and push them on the free list. This is the trap path
     /// whose cost the fast path avoids.
+    #[cold]
     fn replenish(&mut self, mem: &mut Memory, fsi: u8) -> Result<(), FrameError> {
         self.stats.traps += 1;
         let size = self.classes.size_of(fsi);

@@ -43,4 +43,4 @@ mod heap;
 
 pub use baseline::{GeneralHeap, StackAllocator};
 pub use classes::SizeClasses;
-pub use heap::{FrameError, FrameHeap, HeapStats};
+pub use heap::{FrameError, FrameHeap, FrameRecord, FrameTable, HeapStats};

@@ -66,8 +66,6 @@ pub const MAX_BANK_WORDS: u32 = 64;
 
 #[derive(Debug, Clone)]
 struct Bank {
-    /// Frame whose locals this bank shadows; `None` = free.
-    frame: Option<WordAddr>,
     /// Words actually shadowed (min of bank size and the frame's
     /// locals capacity).
     shadow_words: u32,
@@ -76,12 +74,18 @@ struct Bank {
     dirty: u64,
     /// LRU clock value of the last assignment/activation.
     last_use: u64,
+    /// The caller's bank at assignment, or [`NO_FRAME`]: where a
+    /// return from this bank's frame most likely lands.
+    caller: u32,
 }
 
 /// The register-bank machine.
 #[derive(Debug, Clone)]
 pub struct BankMachine {
     banks: Vec<Bank>,
+    /// Frame whose locals each bank shadows; `None` = free. Apart from
+    /// the data, so a scan for a frame or a free bank reads one line.
+    frames: Vec<Option<WordAddr>>,
     words: u32,
     clock: u64,
     /// Memo of the last `(frame, bank)` resolution. Local reads and
@@ -115,13 +119,14 @@ impl BankMachine {
         BankMachine {
             banks: (0..banks)
                 .map(|_| Bank {
-                    frame: None,
                     shadow_words: 0,
                     data: [0; MAX_BANK_WORDS as usize],
                     dirty: 0,
                     last_use: 0,
+                    caller: NO_FRAME,
                 })
                 .collect(),
+            frames: vec![None; banks],
             words,
             clock: 0,
             memo: Cell::new((NO_FRAME, 0)),
@@ -151,7 +156,7 @@ impl BankMachine {
         if f == frame.0 && f != NO_FRAME {
             return Some(b as usize);
         }
-        let idx = self.banks.iter().position(|b| b.frame == Some(frame))?;
+        let idx = self.frames.iter().position(|&f| f == Some(frame))?;
         self.memo.set((frame.0, idx as u32));
         Some(idx)
     }
@@ -194,6 +199,7 @@ impl BankMachine {
     ///
     /// `protect` is the current frame, whose bank must not be stolen.
     /// Returns the memory references spent flushing a victim.
+    #[inline(always)]
     pub fn assign(
         &mut self,
         mem: &mut Memory,
@@ -203,11 +209,13 @@ impl BankMachine {
         protect: Option<WordAddr>,
     ) -> u64 {
         let shadow = locals_words.min(self.words);
+        let caller = protect.and_then(|p| self.bank_of(p));
         let (b, refs) = self.take_bank(mem, protect);
         self.floor = self.floor.min(layout::local_slot(frame, 0).0);
         self.memo.set((frame.0, b as u32));
+        self.frames[b] = Some(frame);
         let bank = &mut self.banks[b];
-        bank.frame = Some(frame);
+        bank.caller = caller.map_or(NO_FRAME, |c| c as u32);
         bank.shadow_words = shadow;
         bank.data[..shadow as usize].fill(0);
         bank.dirty = 0;
@@ -224,6 +232,17 @@ impl BankMachine {
         refs
     }
 
+    /// Marks `frame`'s bank used; false if it has none.
+    #[inline]
+    pub fn touch(&mut self, frame: WordAddr) -> bool {
+        let Some(b) = self.bank_of(frame) else {
+            return false;
+        };
+        self.clock += 1;
+        self.banks[b].last_use = self.clock;
+        true
+    }
+
     /// Ensures `frame` (an existing context being re-entered) has a
     /// bank; loads it from storage on underflow. Returns the memory
     /// references spent (victim flush + load).
@@ -234,9 +253,7 @@ impl BankMachine {
         locals_words: u32,
         protect: Option<WordAddr>,
     ) -> u64 {
-        if let Some(b) = self.bank_of(frame) {
-            self.clock += 1;
-            self.banks[b].last_use = self.clock;
+        if self.touch(frame) {
             return 0;
         }
         // Underflow: "a free bank is assigned and loaded from the
@@ -246,8 +263,9 @@ impl BankMachine {
         let (b, mut refs) = self.take_bank(mem, protect);
         self.floor = self.floor.min(layout::local_slot(frame, 0).0);
         self.memo.set((frame.0, b as u32));
+        self.frames[b] = Some(frame);
         let bank = &mut self.banks[b];
-        bank.frame = Some(frame);
+        bank.caller = NO_FRAME;
         bank.shadow_words = shadow;
         bank.dirty = 0;
         for i in 0..shadow {
@@ -262,11 +280,15 @@ impl BankMachine {
 
     /// Releases the bank shadowing a freed frame: "its contents are
     /// unimportant, and never need to be saved in storage."
+    #[inline]
     pub fn release(&mut self, frame: WordAddr) {
         if let Some(b) = self.bank_of(frame) {
-            self.banks[b].frame = None;
+            self.frames[b] = None;
             self.banks[b].shadow_words = 0;
-            self.memo.set((NO_FRAME, 0));
+            // The return that freed this frame lands in its caller's bank.
+            let c = self.banks[b].caller;
+            let f = self.frames.get(c as usize).copied().flatten();
+            self.memo.set(f.map_or((NO_FRAME, 0), |f| (f.0, c)));
         }
     }
 
@@ -284,7 +306,7 @@ impl BankMachine {
     /// and other unusual transfers ("all the banks are flushed into
     /// storage", §7.1). Returns references spent.
     pub fn flush_all(&mut self, mem: &mut Memory) -> u64 {
-        if self.banks.iter().all(|b| b.frame.is_none()) {
+        if self.frames.iter().all(Option::is_none) {
             return 0;
         }
         self.stats.full_flushes += 1;
@@ -303,8 +325,8 @@ impl BankMachine {
         if addr.0 < self.floor {
             return None;
         }
-        for bank in &self.banks {
-            let Some(frame) = bank.frame else { continue };
+        for (bank, &frame) in self.banks.iter().zip(&self.frames) {
+            let Some(frame) = frame else { continue };
             let lo = layout::local_slot(frame, 0).0;
             let hi = lo + bank.shadow_words;
             if (lo..hi).contains(&addr.0) {
@@ -351,26 +373,32 @@ impl BankMachine {
     /// Picks a free bank, or steals the least recently used one that is
     /// not `protect` (overflow: "the contents of the oldest bank is
     /// written out into the frame").
+    #[inline]
     fn take_bank(&mut self, mem: &mut Memory, protect: Option<WordAddr>) -> (usize, u64) {
-        if let Some(b) = self.banks.iter().position(|b| b.frame.is_none()) {
-            return (b, 0);
+        match self.frames.iter().position(Option::is_none) {
+            Some(b) => (b, 0),
+            None => self.spill(mem, protect),
         }
+    }
+
+    /// Overflow: steals and flushes the least recently used bank that
+    /// is not `protect`.
+    #[cold]
+    fn spill(&mut self, mem: &mut Memory, protect: Option<WordAddr>) -> (usize, u64) {
         self.stats.overflows += 1;
-        let victim = self
-            .banks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.frame != protect)
-            .min_by_key(|(_, b)| b.last_use)
-            .map(|(i, _)| i)
+        let victim = (0..self.banks.len())
+            .filter(|&i| self.frames[i] != protect)
+            .min_by_key(|&i| self.banks[i].last_use)
             .expect("at least two banks, so a victim exists");
         let refs = self.flush_bank(mem, victim);
         (victim, refs)
     }
 
     fn flush_bank(&mut self, mem: &mut Memory, b: usize) -> u64 {
+        let Some(frame) = self.frames[b].take() else {
+            return 0;
+        };
         let bank = &mut self.banks[b];
-        let Some(frame) = bank.frame else { return 0 };
         let mut refs = 0;
         // Walk set bits only: "avoid the cost of dumping registers
         // which have never been written."
@@ -385,7 +413,6 @@ impl BankMachine {
         if self.memo.get().1 == b as u32 {
             self.memo.set((NO_FRAME, 0));
         }
-        bank.frame = None;
         bank.shadow_words = 0;
         bank.dirty = 0;
         refs

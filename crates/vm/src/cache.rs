@@ -104,6 +104,7 @@ impl FrameCache {
     /// # Errors
     ///
     /// Propagates AV-heap errors on the fallback path.
+    #[inline]
     pub fn alloc(
         &mut self,
         heap: &mut FrameHeap,
@@ -125,8 +126,8 @@ impl FrameCache {
         }
     }
 
-    /// Frees a frame of class `actual_fsi` (as returned by
-    /// [`FrameCache::alloc`]).
+    /// Frees a frame allocated for class `fsi` (the class asked of
+    /// [`FrameCache::alloc`], or the one it returned).
     ///
     /// Standard frames go back on the register stack for free while
     /// there is room; everything else takes the AV heap's 4 references.
@@ -134,14 +135,15 @@ impl FrameCache {
     /// # Errors
     ///
     /// Propagates AV-heap errors.
+    #[inline]
     pub fn free(
         &mut self,
         heap: &mut FrameHeap,
         mem: &mut Memory,
         frame: WordAddr,
-        actual_fsi: u8,
+        fsi: u8,
     ) -> Result<(), FrameError> {
-        if actual_fsi == self.standard_fsi && self.frames.len() < self.capacity {
+        if fsi <= self.standard_fsi && self.frames.len() < self.capacity {
             self.stats.fast_frees += 1;
             self.frames.push(frame);
             Ok(())

@@ -20,7 +20,10 @@
 
 use std::fmt;
 
+use fpc_frames::SizeClasses;
 use fpc_stats::Histogram;
+
+use crate::MachineStats;
 
 /// Cycles to decode and execute any instruction.
 pub const CYCLE_BASE: u64 = 1;
@@ -211,22 +214,25 @@ impl KindBatch {
     }
 }
 
-/// Calls and returns accumulated over one native burst and added to
-/// the run's [`TransferStats`] once, at burst exit. Lives on the
-/// stack: recording is a few adds, with no histogram growth check.
-/// Since the statistics are sums and a multiset, the flushed result is
-/// identical to recording each event as it happens.
+/// Calls and returns, and the size classes of the frames the calls
+/// allocated, accumulated over one native burst and added to the run's
+/// statistics once, at burst exit. Lives on the stack: recording is a
+/// few adds, with no histogram growth check. Since the statistics are
+/// sums and multisets, the flushed result is identical to recording
+/// each event as it happens.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct TransferBatch {
     calls: KindBatch,
     returns: KindBatch,
+    /// Frames allocated per size class, for the classes it covers.
+    frames: [u64; 16],
 }
 
 impl TransferBatch {
     /// Records one event: calls and returns into the batch, other
     /// kinds, and histogram buckets past the batch's range, directly
     /// into `stats`.
-    #[inline]
+    #[inline(always)]
     pub fn record(
         &mut self,
         stats: &mut TransferStats,
@@ -250,10 +256,23 @@ impl TransferBatch {
         }
     }
 
+    /// Counts a frame allocated at class `fsi`; false past the batch's
+    /// classes, when the caller must record it.
+    #[inline]
+    pub fn record_frame(&mut self, fsi: u8) -> bool {
+        self.frames.get_mut(fsi as usize).map(|n| *n += 1).is_some()
+    }
+
     /// Adds the batch into `stats` and empties it.
-    pub fn flush_into(&mut self, stats: &mut TransferStats) {
-        self.calls.flush_into(&mut stats.calls);
-        self.returns.flush_into(&mut stats.returns);
+    pub fn flush_into(&mut self, stats: &mut MachineStats, classes: &SizeClasses) {
+        self.calls.flush_into(&mut stats.transfers.calls);
+        self.returns.flush_into(&mut stats.transfers.returns);
+        for (fsi, n) in self.frames.iter_mut().enumerate() {
+            if *n > 0 {
+                let bytes = classes.size_of(fsi as u8) as u64 * 2;
+                stats.frame_bytes.record_n(bytes, std::mem::take(n));
+            }
+        }
     }
 }
 
@@ -305,16 +324,30 @@ mod tests {
         for &(k, c, r) in &events {
             direct.record(k, c, r);
         }
-        let mut batched = TransferStats::default();
+        let classes = SizeClasses::mesa();
+        let frames = [0u8, 3, 0, 20, 1];
+        let mut direct_bytes = Histogram::new();
+        for &fsi in &frames {
+            direct_bytes.record(classes.size_of(fsi) as u64 * 2);
+        }
+        let mut batched = MachineStats::default();
         let mut batch = TransferBatch::default();
         for &(k, c, r) in &events {
-            batch.record(&mut batched, k, c, r);
+            batch.record(&mut batched.transfers, k, c, r);
         }
-        batch.flush_into(&mut batched);
-        assert_eq!(format!("{batched:?}"), format!("{direct:?}"));
+        for &fsi in &frames {
+            if !batch.record_frame(fsi) {
+                // Past the batch's classes.
+                batched.frame_bytes.record(classes.size_of(fsi) as u64 * 2);
+            }
+        }
+        batch.flush_into(&mut batched, &classes);
+        let want = format!("{direct:?} {direct_bytes:?}");
+        let got = |b: &MachineStats| format!("{:?} {:?}", b.transfers, b.frame_bytes);
+        assert_eq!(got(&batched), want);
         // The flush empties the batch: a second one adds nothing.
-        batch.flush_into(&mut batched);
-        assert_eq!(format!("{batched:?}"), format!("{direct:?}"));
+        batch.flush_into(&mut batched, &classes);
+        assert_eq!(got(&batched), want);
     }
 
     #[test]

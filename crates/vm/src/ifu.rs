@@ -30,10 +30,6 @@ pub struct ReturnEntry {
     pub code_base: ByteAddr,
     /// Absolute resume address.
     pub pc: ByteAddr,
-    /// The register bank shadowing the caller's frame, if any (§7.1:
-    /// "the return stack … keeps track of the bank associated with
-    /// each local frame").
-    pub bank: Option<usize>,
 }
 
 /// Counters kept by the return stack (experiment E5).
@@ -106,6 +102,7 @@ impl ReturnStack {
     /// bottom entry's frame (the stack is never empty after a push).
     ///
     /// Returns `None` (and records nothing) when disabled.
+    #[inline]
     pub fn push(&mut self, entry: ReturnEntry) -> Option<ReturnEntry> {
         if !self.enabled() {
             return None;
@@ -129,6 +126,7 @@ impl ReturnStack {
 
     /// Pops the top entry for a return; `None` means the general path
     /// must run. Recorded as a hit or miss only when enabled.
+    #[inline]
     pub fn pop(&mut self) -> Option<ReturnEntry> {
         if !self.enabled() {
             return None;
@@ -147,14 +145,13 @@ impl ReturnStack {
 
     /// Flushes all entries, newest first — the order in which the
     /// machine must chain return links (current frame's link points at
-    /// the newest entry's frame, and so on down).
-    pub fn flush(&mut self) -> Vec<ReturnEntry> {
+    /// the newest entry's frame, and so on down). The entries drain in
+    /// place; dropping the iterator early discards the rest.
+    pub fn flush(&mut self) -> impl Iterator<Item = ReturnEntry> + '_ {
         if self.enabled() && !self.entries.is_empty() {
             self.stats.flushes += 1;
         }
-        let mut out: Vec<ReturnEntry> = self.entries.drain(..).collect();
-        out.reverse();
-        out
+        self.entries.drain(..).rev()
     }
 }
 
@@ -168,7 +165,6 @@ mod tests {
             gf: WordAddr(0x500),
             code_base: ByteAddr(0),
             pc: ByteAddr(n),
-            bank: None,
         }
     }
 
@@ -216,13 +212,12 @@ mod tests {
         rs.push(entry(1));
         rs.push(entry(2));
         rs.push(entry(3));
-        let flushed = rs.flush();
-        let pcs: Vec<u32> = flushed.iter().map(|e| e.pc.0).collect();
+        let pcs: Vec<u32> = rs.flush().map(|e| e.pc.0).collect();
         assert_eq!(pcs, vec![3, 2, 1]);
         assert_eq!(rs.depth(), 0);
         assert_eq!(rs.stats().flushes, 1);
         // Flushing an empty stack is free and uncounted.
-        assert!(rs.flush().is_empty());
+        assert!(rs.flush().next().is_none());
         assert_eq!(rs.stats().flushes, 1);
     }
 }

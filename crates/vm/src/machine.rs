@@ -21,7 +21,7 @@
 use std::ops::Range;
 
 use fpc_core::{layout, Context, ContextWord, FrameHandle, GftEntry, ProcDesc};
-use fpc_frames::{FrameError, FrameHeap, GeneralHeap, HeapStats};
+use fpc_frames::{FrameError, FrameHeap, FrameRecord, FrameTable, GeneralHeap, HeapStats};
 use fpc_isa::{decode, Instr};
 use fpc_mem::{ByteAddr, CodeStore, Memory, WordAddr};
 
@@ -72,50 +72,9 @@ impl MachineStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FrameInfo {
-    /// Size class the frame actually occupies.
-    actual_fsi: u8,
-    /// Words in the locals region (class size minus the header).
-    locals_words: u32,
-    /// §7.4 flag from the procedure header.
-    addr_taken: bool,
-}
-
-/// Bookkeeping for live frames, indexed directly by frame word address.
-///
-/// Frames live in the (bounded) simulated memory, so the table is a
-/// flat vector rather than a hash map: insert/remove sit on the
-/// call/return path, where hashing the key would cost more than the
-/// whole frame-allocation bookkeeping it guards. The vector grows
-/// lazily to the highest frame address actually used.
-#[derive(Debug, Default)]
-struct FrameTable {
-    slots: Vec<Option<FrameInfo>>,
-}
-
-impl FrameTable {
-    fn insert(&mut self, addr: u32, info: FrameInfo) {
-        let i = addr as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
-        }
-        self.slots[i] = Some(info);
-    }
-
-    fn remove(&mut self, addr: u32) -> Option<FrameInfo> {
-        self.slots.get_mut(addr as usize).and_then(Option::take)
-    }
-
-    #[inline]
-    fn get(&self, addr: u32) -> Option<&FrameInfo> {
-        self.slots.get(addr as usize).and_then(Option::as_ref)
-    }
-}
-
 #[derive(Debug)]
 enum Allocator {
-    General(GeneralHeap),
+    General(GeneralHeap, FrameTable),
     Av(FrameHeap),
     Cached { heap: FrameHeap, cache: FrameCache },
 }
@@ -300,7 +259,6 @@ pub struct Machine {
     /// mask [`Machine::wrap`] uses in place of a modulo.
     wrap_mask: u32,
 
-    frame_info: FrameTable,
     modules: Vec<LoadedModule>,
     processes: Vec<Process>,
     current_proc: usize,
@@ -533,11 +491,10 @@ impl Machine {
             )));
         }
         let allocator = match config.alloc {
-            AllocStrategy::General => Allocator::General(GeneralHeap::with_reserve(
-                region.start,
-                region.end - region.start,
-                reserve,
-            )),
+            AllocStrategy::General => Allocator::General(
+                GeneralHeap::with_reserve(region.start, region.end - region.start, reserve),
+                FrameTable::default(),
+            ),
             AllocStrategy::Av => Allocator::Av(FrameHeap::with_reserve(
                 &mut mem,
                 AV_BASE,
@@ -614,7 +571,6 @@ impl Machine {
             return_ctx: ContextWord::NIL,
             stack: Vec::new(),
             wrap_mask,
-            frame_info: FrameTable::default(),
             modules,
             processes: vec![Process {
                 ctx: ContextWord::NIL,
@@ -759,15 +715,12 @@ impl Machine {
             )));
         }
         let frame = self.alloc_frame(fsi, addr_taken)?;
+        self.record_frame_bytes(fsi);
         if !self.defer_headers {
             self.mem
                 .write(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
         }
-        let locals = self
-            .frame_info
-            .get(frame.0)
-            .expect("just allocated")
-            .locals_words;
+        let locals = self.locals_of(frame);
         let rename: Option<&[u16]> = if self.config.renaming() {
             Some(&[])
         } else {
@@ -903,7 +856,7 @@ impl Machine {
             let words = self.classes.size_of(fsi);
             loop {
                 let got = match &mut self.allocator {
-                    Allocator::General(g) => g.alloc(words),
+                    Allocator::General(g, _) => g.alloc(words),
                     Allocator::Av(h) | Allocator::Cached { heap: h, .. } => {
                         h.alloc_fsi(&mut self.mem, fsi)
                     }
@@ -924,7 +877,7 @@ impl Machine {
         let refs0 = self.refs_total();
         while let Some((frame, words)) = self.seized.pop() {
             let r = match &mut self.allocator {
-                Allocator::General(g) => g.free(frame, words),
+                Allocator::General(g, _) => g.free(frame, words),
                 Allocator::Av(h) | Allocator::Cached { heap: h, .. } => {
                     h.free(&mut self.mem, frame)
                 }
@@ -1244,16 +1197,23 @@ impl Machine {
         }
         // A call or return retires through `native_xfer`, then the
         // burst follows it: a call pushes its return point on the
-        // predictor, a return pops it. Exits the burst on halt or on a
-        // version/generation move.
+        // predictor and follows to its target's compiled entry, a
+        // return pops the predictor. Calls and returns take separate
+        // paths, so neither branches on the transfer kind. Exits the
+        // burst on halt or on a version/generation move.
         macro_rules! xfer {
             ($site:expr) => {
-                let kind = match self.native_xfer(
-                    &body.sites[$site as usize],
-                    &mut batch,
-                    &mut cycles,
-                    &mut jumps,
-                ) {
+                let site = &body.sites[$site as usize];
+                let ret = matches!(site.instr, Instr::Ret);
+                let kind = match if ret {
+                    self.native_xfer(site, &mut batch, &mut cycles, &mut jumps, |m, _, _| {
+                        m.perform_return()
+                    })
+                } else {
+                    self.native_xfer(site, &mut batch, &mut cycles, &mut jumps, |m, s, b| {
+                        m.native_call(s, b)
+                    })
+                } {
                     Ok(kind) => kind,
                     Err(e) => {
                         // The faulting transfer retired nothing.
@@ -1268,11 +1228,11 @@ impl Machine {
                     break Ok(NativeExit::Left);
                 }
                 let predicted = match kind {
-                    Some(TransferKind::Call) => {
-                        predictor.push(cur, ip);
-                        None
+                    Some(TransferKind::Call) if !ret => {
+                        predictor.push(cur, ip, site.at + site.len as u32);
+                        site.entry
                     }
-                    Some(TransferKind::Return) => predictor.pop(),
+                    Some(TransferKind::Return) if ret => predictor.pop(),
                     _ => None,
                 };
                 follow!(predicted);
@@ -1658,7 +1618,7 @@ impl Machine {
         self.stats.instructions += fast;
         self.stats.cycles += cycles;
         self.stats.jumps_taken += jumps;
-        batch.flush_into(&mut self.stats.transfers);
+        batch.flush_into(&mut self.stats, &self.classes);
         if let Some(nt) = self.native.as_mut() {
             nt.entries += 1;
             nt.native_instrs += fast;
@@ -1667,43 +1627,28 @@ impl Machine {
         result
     }
 
-    /// Retires a call or return site inside an armed burst, charging
-    /// into the burst's accumulators, and returns its transfer kind. A
-    /// known target goes straight to the frame allocation and link,
-    /// charging what the table walk would: one entry-vector read for a
-    /// local call (the inline cache's hit charge), nothing for a direct
-    /// one. Anything else walks the tables as the interpreter does;
-    /// the inline cache is never consulted. Arming requires that no
-    /// trap or fault handler is installed, so the handler-attribution
-    /// block and the `dispatch_fault` recovery path are provably dead:
-    /// a fault here is terminal exactly as `dispatch_fault` would
-    /// conclude with no handler present (it returns the error before
-    /// touching any state). Everything the interpreter counts is
-    /// counted the same.
-    #[inline]
+    /// Retires a call or return site inside an armed burst through
+    /// `retire`, charging into the burst's accumulators what
+    /// [`Machine::step_one`] would charge, and returns its transfer
+    /// kind. Arming requires that no trap or fault handler is
+    /// installed, so the handler-attribution block and the
+    /// `dispatch_fault` recovery path are provably dead: a fault here
+    /// is terminal exactly as `dispatch_fault` would conclude with no
+    /// handler present (it returns the error before touching any
+    /// state).
+    #[inline(always)]
     fn native_xfer(
         &mut self,
         site: &Site,
         batch: &mut TransferBatch,
         cycles: &mut u64,
         jumps: &mut u64,
+        retire: impl FnOnce(&mut Self, &Site, &mut TransferBatch) -> Result<Flow, VmError>,
     ) -> Result<Option<TransferKind>, VmError> {
         let refs0 = self.refs_total();
         let divert0 = self.stats.divert_cycles;
-        let at = ByteAddr(site.at);
-        self.pc = at.offset(site.len as u32);
-        let flow = match (site.instr, site.target) {
-            (Instr::Ret, _) => self.perform_return()?,
-            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => {
-                self.code.charge_table_reads(1);
-                let t = CachedTarget { gf: self.gf, ..t };
-                self.perform_call_resolved(t, TransferKind::Call, true)?
-            }
-            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => {
-                self.perform_call_resolved(t, TransferKind::Call, true)?
-            }
-            (instr, _) => self.call_uncached(instr, at)?,
-        };
+        self.pc = ByteAddr(site.at + site.len as u32);
+        let flow = retire(self, site, batch)?;
         let refs = self.refs_total() - refs0;
         let mut c = CYCLE_BASE + refs * CYCLE_MEMREF + (self.stats.divert_cycles - divert0);
         let mut kind = None;
@@ -1721,6 +1666,29 @@ impl Machine {
         }
         *cycles += c;
         Ok(kind)
+    }
+
+    /// A call site inside a burst. A known target goes straight to the
+    /// frame allocation and link, charging what the table walk would:
+    /// one entry-vector read for a local call (the inline cache's hit
+    /// charge), nothing for a direct one; its frame size goes into the
+    /// batch. Anything else walks the tables as the interpreter does;
+    /// the inline cache is never consulted.
+    #[inline(always)]
+    fn native_call(&mut self, site: &Site, batch: &mut TransferBatch) -> Result<Flow, VmError> {
+        let t = match (site.instr, site.target) {
+            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => {
+                self.code.charge_table_reads(1);
+                CachedTarget { gf: self.gf, ..t }
+            }
+            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => t,
+            (instr, _) => return self.call_uncached(instr, ByteAddr(site.at)),
+        };
+        let flow = self.enter_call(t, TransferKind::Call, true)?;
+        if !batch.record_frame(t.fsi) {
+            self.record_frame_bytes(t.fsi);
+        }
+        Ok(flow)
     }
 
     /// [`Machine::read_local`] inside a burst, charging into the
@@ -1862,7 +1830,7 @@ impl Machine {
     pub fn heap_stats(&self) -> Option<&HeapStats> {
         match &self.allocator {
             Allocator::Av(h) | Allocator::Cached { heap: h, .. } => Some(h.stats()),
-            Allocator::General(_) => None,
+            Allocator::General(..) => None,
         }
     }
 
@@ -1896,7 +1864,7 @@ impl Machine {
     #[inline]
     fn refs_total(&self) -> u64 {
         let general = match &self.allocator {
-            Allocator::General(g) => g.charged_refs(),
+            Allocator::General(g, _) => g.charged_refs(),
             _ => 0,
         };
         self.mem.stats().total() + self.code.stats().table_reads + general
@@ -2205,7 +2173,7 @@ impl Machine {
     /// Switches the allocator's emergency mode (reserve borrowing).
     fn set_emergency(&mut self, on: bool) {
         match &mut self.allocator {
-            Allocator::General(g) => g.set_emergency(on),
+            Allocator::General(g, _) => g.set_emergency(on),
             Allocator::Av(h) | Allocator::Cached { heap: h, .. } => h.set_emergency(on),
         }
     }
@@ -2243,7 +2211,7 @@ impl Machine {
         let b_start = instr_start.offset(f.len_a as u32);
         let end = b_start.offset(f.len_b as u32);
         if f.xfer {
-            return self.step_pair_xfer(a, f, instr_start, b_start, end);
+            return self.step_pair_xfer(a, f, instr_start, b_start);
         }
         if f.pure {
             // Neither half can make a counted or diverted reference,
@@ -2505,133 +2473,45 @@ impl Machine {
         Ok(StepOutcome::Ran)
     }
 
-    /// A fused pair whose second half is a call or return: executes
-    /// both halves with a counter snapshot in between, so the
-    /// transfer's per-event cycle/reference record is exactly what an
-    /// unfused run would have recorded.
+    /// A fused pair whose second half is a transfer: the first half
+    /// retires in place as a step of its own, the transfer through
+    /// [`Machine::step_one`] — the one place a call or return is
+    /// charged, since `TransferStats::record` needs its exact refs and
+    /// cycles.
     fn step_pair_xfer(
         &mut self,
         a: Instr,
         f: FusedOp,
         instr_start: ByteAddr,
         b_start: ByteAddr,
-        end: ByteAddr,
     ) -> Result<StepOutcome, VmError> {
-        let in_handler = self.fault_depth > 0;
+        let refs0 = self.refs_total();
+        let divert0 = self.stats.divert_cycles;
         self.pc = b_start;
-        let (cycles_a, refs_a, refs_mid, divert_mid) = if f.pure_a {
-            // A pure first half makes no counted or diverted reference:
-            // its cost is exactly one base cycle and the leading
-            // counter snapshot can be skipped (the mid-pair one doubles
-            // as the transfer's baseline). Dispatch the common
-            // argument-push shape in place.
-            match a {
-                Instr::LoadImm(v) => self.stack.push(v),
-                _ => {
-                    // An error here commits nothing — same as an
-                    // unfused step A (pure ops cannot actually error
-                    // under the depth guards, but stay conservative).
-                    let flow_a = self.execute(a, instr_start)?;
-                    debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-                }
+        // An error here commits nothing — same as an unfused step A
+        // (first halves cannot actually error under the depth guards).
+        match a {
+            Instr::LoadImm(v) => self.stack.push(v),
+            Instr::LoadLocal(n) => {
+                let v = self.read_local(n as u32);
+                self.stack.push(v);
             }
-            (CYCLE_BASE, 0, self.refs_total(), self.stats.divert_cycles)
-        } else {
-            let refs0 = self.refs_total();
-            let divert0 = self.stats.divert_cycles;
-            // An error here commits nothing — same as an unfused step A.
-            match a {
-                Instr::LoadLocal(n) => {
-                    let v = self.read_local(n as u32);
-                    self.stack.push(v);
-                }
-                _ => {
-                    let flow_a = self.execute(a, instr_start)?;
-                    debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-                }
-            }
-            let refs_mid = self.refs_total();
-            let divert_mid = self.stats.divert_cycles;
-            (
-                CYCLE_BASE + (refs_mid - refs0) * CYCLE_MEMREF + (divert_mid - divert0),
-                refs_mid - refs0,
-                refs_mid,
-                divert_mid,
-            )
-        };
-        self.pc = end;
-        match self.execute(f.b, b_start) {
-            Ok(flow_b) => {
-                let refs_b = self.refs_total() - refs_mid;
-                let divert_b = self.stats.divert_cycles - divert_mid;
-                let mut cycles_b = CYCLE_BASE + refs_b * CYCLE_MEMREF + divert_b;
-                let mut kind = None;
-                let mut jumped = false;
-                match flow_b {
-                    Flow::Next => {}
-                    Flow::Taken(k) => {
-                        cycles_b += CYCLE_REFILL;
-                        kind = k;
-                        if k.is_none() {
-                            self.stats.jumps_taken += 1;
-                            jumped = true;
-                        }
-                    }
-                    Flow::Halt => self.halted = true,
-                }
-                self.stats.cycles += cycles_a + cycles_b;
-                self.stats.instructions += 2;
-                if let Some(k) = kind {
-                    self.stats.transfers.record(k, cycles_b, refs_b);
-                }
-                self.fused_execs += 1;
-                if in_handler {
-                    self.fstats.handler_cycles += cycles_a + cycles_b;
-                    self.fstats.handler_refs += refs_a + refs_b;
-                    self.fstats.handler_instructions += 2;
-                    self.fstats.handler_jumps += jumped as u64;
-                }
-                Ok(StepOutcome::Ran)
-            }
-            Err(e) => {
-                // The first half ran to completion: commit it as a
-                // finished step, exactly as the unfused machine would
-                // have before failing on B.
-                self.stats.cycles += cycles_a;
-                self.stats.instructions += 1;
-                if in_handler {
-                    self.fstats.handler_cycles += cycles_a;
-                    self.fstats.handler_refs += refs_a;
-                    self.fstats.handler_instructions += 1;
-                }
-                // Half B faulted with nothing committed: recover with
-                // the restart point at B itself, exactly as the unfused
-                // machine would for a standalone step of `f.b`.
-                let flow_b = self.dispatch_fault(e, b_start)?;
-                let refs_b = self.refs_total() - refs_mid;
-                let divert_b = self.stats.divert_cycles - divert_mid;
-                let mut cycles_b = CYCLE_BASE + refs_b * CYCLE_MEMREF + divert_b;
-                let mut kind = None;
-                match flow_b {
-                    Flow::Next => {}
-                    Flow::Taken(k) => {
-                        cycles_b += CYCLE_REFILL;
-                        kind = k;
-                        debug_assert!(k.is_some(), "fault dispatch is a transfer");
-                    }
-                    Flow::Halt => self.halted = true,
-                }
-                self.stats.cycles += cycles_b;
-                self.stats.instructions += 1;
-                if let Some(k) = kind {
-                    self.stats.transfers.record(k, cycles_b, refs_b);
-                }
-                self.fstats.handler_cycles += cycles_b;
-                self.fstats.handler_refs += refs_b;
-                self.fstats.handler_instructions += 1;
-                Ok(StepOutcome::Ran)
+            _ => {
+                let flow_a = self.execute(a, instr_start)?;
+                debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
             }
         }
+        let refs = self.refs_total() - refs0;
+        let cycles = CYCLE_BASE + refs * CYCLE_MEMREF + (self.stats.divert_cycles - divert0);
+        self.stats.cycles += cycles;
+        self.stats.instructions += 1;
+        if self.fault_depth > 0 {
+            self.fstats.handler_cycles += cycles;
+            self.fstats.handler_refs += refs;
+            self.fstats.handler_instructions += 1;
+        }
+        self.fused_execs += 1;
+        self.step_one(f.b, f.len_b, b_start)
     }
 
     /// Applies `f` to the evaluation-stack top in place (fused
@@ -3156,53 +3036,81 @@ impl Machine {
         self.perform_call(header, gf, cb, TransferKind::Call, true)
     }
 
+    /// The per-frame records: the AV heap's own table, or the one kept
+    /// beside the general heap.
+    #[inline(always)]
+    fn frames(&mut self) -> &mut FrameTable {
+        match &mut self.allocator {
+            Allocator::General(_, t) => t,
+            Allocator::Av(h) | Allocator::Cached { heap: h, .. } => h.frames_mut(),
+        }
+    }
+
+    /// Words in `frame`'s locals region, sized by the class its
+    /// procedure asked for: the extra words of a larger cached frame
+    /// are never referenced, so bank shadowing ignores them.
+    fn locals_of(&mut self, frame: WordAddr) -> u32 {
+        let fsi = self.frames().get(frame).map(|r| r.fsi);
+        fsi.map_or(0, |f| self.classes.size_of(f) - layout::FRAME_HEADER_WORDS)
+    }
+
+    /// Allocates a frame of class `fsi` and records it in use. Callers
+    /// record its size in `frame_bytes` once the whole transfer has
+    /// succeeded, so a frame-faulted attempt leaves every observable
+    /// untouched and the handler-driven retry is indistinguishable from
+    /// a first try.
+    #[inline(always)]
     fn alloc_frame(&mut self, fsi: u8, addr_taken: bool) -> Result<WordAddr, VmError> {
-        let (frame, actual_fsi) = match &mut self.allocator {
-            Allocator::General(g) => {
-                let words = self.classes.size_of(fsi);
-                (g.alloc(words)?, fsi)
+        let (frame, table) = match &mut self.allocator {
+            Allocator::General(g, t) => (g.alloc(self.classes.size_of(fsi))?, t),
+            Allocator::Av(h) => (h.alloc_fsi(&mut self.mem, fsi)?, h.frames_mut()),
+            Allocator::Cached { heap, cache } => {
+                (cache.alloc(heap, &mut self.mem, fsi)?.0, heap.frames_mut())
             }
-            Allocator::Av(h) => (h.alloc_fsi(&mut self.mem, fsi)?, fsi),
-            Allocator::Cached { heap, cache } => cache.alloc(heap, &mut self.mem, fsi)?,
         };
-        // Recorded only on success: a frame-faulted attempt must leave
-        // every observable — histograms included — untouched, so the
-        // handler-driven retry is indistinguishable from a first try.
-        self.stats
-            .frame_bytes
-            .record(self.classes.size_of(fsi) as u64 * 2);
-        // Bank shadowing is sized by the class the procedure asked
-        // for, not the (possibly larger) standard frame the cache
-        // handed out: the extra words are never referenced, so loading
-        // or flushing them would be pure waste.
-        let locals_words = self.classes.size_of(fsi) - layout::FRAME_HEADER_WORDS;
-        self.frame_info.insert(
-            frame.0,
-            FrameInfo {
-                actual_fsi,
-                locals_words,
-                addr_taken,
-            },
-        );
+        let record = FrameRecord {
+            fsi,
+            addr_taken,
+            in_use: true,
+        };
+        table.insert(frame, record);
         Ok(frame)
     }
 
+    /// Records one allocation of class `fsi` in the `frame_bytes`
+    /// histogram.
+    #[inline]
+    fn record_frame_bytes(&mut self, fsi: u8) {
+        let bytes = self.classes.size_of(fsi) as u64 * 2;
+        self.stats.frame_bytes.record(bytes);
+    }
+
+    /// Frees a frame in use. A frame that is not (never allocated,
+    /// already freed, or held in the frame cache) is an invalid free.
+    #[inline(always)]
     fn free_frame(&mut self, frame: WordAddr) -> Result<(), VmError> {
-        let info = self
-            .frame_info
-            .remove(frame.0)
-            .ok_or(VmError::Frame(FrameError::InvalidFrame(frame)))?;
+        let record = match &mut self.allocator {
+            Allocator::General(_, t) => t.remove(frame),
+            Allocator::Av(h) | Allocator::Cached { heap: h, .. } => {
+                match h.frames_mut().get_mut(frame) {
+                    Some(r) if r.in_use => {
+                        r.in_use = false;
+                        Some(*r)
+                    }
+                    _ => None,
+                }
+            }
+        };
+        let Some(FrameRecord { fsi, .. }) = record else {
+            return Err(VmError::Frame(FrameError::InvalidFrame(frame)));
+        };
         if let Some(b) = self.banks.as_mut() {
             b.release(frame);
         }
         match &mut self.allocator {
-            Allocator::General(g) => {
-                g.free(frame, self.classes.size_of(info.actual_fsi))?;
-            }
+            Allocator::General(g, _) => g.free(frame, self.classes.size_of(fsi))?,
             Allocator::Av(h) => h.free(&mut self.mem, frame)?,
-            Allocator::Cached { heap, cache } => {
-                cache.free(heap, &mut self.mem, frame, info.actual_fsi)?;
-            }
+            Allocator::Cached { heap, cache } => cache.free(heap, &mut self.mem, frame, fsi)?,
         }
         // A fault handler's frame going away is its completion: the
         // nesting depth drops and the recovery is counted.
@@ -3225,11 +3133,16 @@ impl Machine {
 
     /// Whether `base` is the code base of an unbound module. Returns at
     /// once while every module is bound.
-    #[inline]
+    #[inline(always)]
     fn check_bound(&self, base: ByteAddr) -> Result<(), VmError> {
-        if !self.any_unbound {
-            return Ok(());
+        if self.any_unbound {
+            return self.check_unbound(base);
         }
+        Ok(())
+    }
+
+    #[cold]
+    fn check_unbound(&self, base: ByteAddr) -> Result<(), VmError> {
         if let Some(i) = self.modules.iter().position(|m| m.code_base == base) {
             if self.unbound[i] {
                 return Err(VmError::UnboundCode { module: i });
@@ -3243,7 +3156,7 @@ impl Machine {
     /// can fault while they are still restartable. Garbage frame words
     /// are masked into the address space; they then fail later on the
     /// ordinary typed-error paths.
-    #[inline]
+    #[inline(always)]
     fn check_frame_bound(&self, frame: WordAddr) -> Result<(), VmError> {
         if !self.any_unbound {
             return Ok(());
@@ -3252,7 +3165,7 @@ impl Machine {
         let cb_word = self
             .mem
             .peek(self.wrap(WordAddr(gf).offset(layout::GF_CODE_BASE)));
-        self.check_bound(layout::code_base_bytes(cb_word))
+        self.check_unbound(layout::code_base_bytes(cb_word))
     }
 
     /// Masks a guest-derived word address into the address space:
@@ -3261,7 +3174,7 @@ impl Machine {
     /// panic. Identity for every address a well-formed image produces.
     /// On a power-of-two memory a mask gives the same address as the
     /// modulo without a host divide.
-    #[inline]
+    #[inline(always)]
     fn wrap(&self, a: WordAddr) -> WordAddr {
         WordAddr(if self.wrap_mask != 0 {
             a.0 & self.wrap_mask
@@ -3295,27 +3208,15 @@ impl Machine {
 
     /// The orderly fallback: flush banks and the return stack so every
     /// suspended frame's PC, return link and (when deferred) global
-    /// frame are valid in storage.
+    /// frame are valid in storage. The links are written as the entries
+    /// drain, newest first, without a host allocation.
     fn fallback_flush(&mut self) {
         if let Some(b) = self.banks.as_mut() {
             b.flush_all(&mut self.mem);
         }
-        let entries = self.rs.flush();
         let mut cur = self.lf;
-        for e in entries {
-            let link = ContextWord::from(Context::Frame(
-                FrameHandle::from_addr(e.frame).expect("stacked frames are valid"),
-            ));
-            self.mem
-                .write(cur.offset(layout::FRAME_RETURN_LINK), link.raw());
-            self.mem.write(
-                e.frame.offset(layout::FRAME_PC),
-                (e.pc.0 - e.code_base.0) as u16,
-            );
-            if self.defer_headers {
-                self.mem
-                    .write(e.frame.offset(layout::FRAME_GLOBAL), e.gf.0 as u16);
-            }
+        for e in self.rs.flush() {
+            Self::spill_entry(&mut self.mem, self.defer_headers, cur, e);
             cur = e.frame;
         }
         if self.defer_headers {
@@ -3326,8 +3227,34 @@ impl Machine {
         }
     }
 
+    /// Writes a return-stack entry back to storage: the caller's PC
+    /// (and, when deferred, global frame) into its frame, and the
+    /// caller as its callee's return link.
+    fn spill_entry(mem: &mut Memory, defer_headers: bool, callee: WordAddr, e: ReturnEntry) {
+        let link = ContextWord::from(Context::Frame(
+            FrameHandle::from_addr(e.frame).expect("stacked frames are valid"),
+        ));
+        mem.write(callee.offset(layout::FRAME_RETURN_LINK), link.raw());
+        mem.write(
+            e.frame.offset(layout::FRAME_PC),
+            (e.pc.0 - e.code_base.0) as u16,
+        );
+        if defer_headers {
+            mem.write(e.frame.offset(layout::FRAME_GLOBAL), e.gf.0 as u16);
+        }
+    }
+
+    /// A call evicted the return stack's oldest entry: its callee is the
+    /// new bottom entry's frame.
+    #[cold]
+    fn spill_evicted(&mut self, ev: ReturnEntry) {
+        let callee = self.rs.bottom_frame().expect("stack non-empty after push");
+        Self::spill_entry(&mut self.mem, self.defer_headers, callee, ev);
+    }
+
     /// Enters an existing suspended frame: the general scheme's three
     /// reads (PC, GF, code base), plus a bank activation.
+    #[inline(always)]
     fn enter_frame(&mut self, frame: WordAddr) -> Result<(), VmError> {
         // Backstop: callers precheck boundness before committing state,
         // so this only fires on paths that have committed nothing yet.
@@ -3340,15 +3267,25 @@ impl Machine {
         self.gf = gf;
         self.code_base = base;
         self.pc = base.offset(pc_rel as u32);
+        self.activate_bank(frame);
+        Ok(())
+    }
+
+    /// Makes `frame`'s bank current, filling one from storage when the
+    /// frame has none.
+    #[inline(always)]
+    fn activate_bank(&mut self, frame: WordAddr) {
+        if self.banks.as_mut().is_some_and(|b| !b.touch(frame)) {
+            self.fill_bank(frame);
+        }
+    }
+
+    #[cold]
+    fn fill_bank(&mut self, frame: WordAddr) {
+        let locals = self.locals_of(frame);
         if let Some(b) = self.banks.as_mut() {
-            let locals = self
-                .frame_info
-                .get(frame.0)
-                .map(|i| i.locals_words)
-                .unwrap_or(0);
             b.activate(&mut self.mem, frame, locals, None);
         }
-        Ok(())
     }
 
     /// The common call path, shared by all four call linkages, traps
@@ -3379,7 +3316,25 @@ impl Machine {
     /// [`Machine::perform_call`] with the header bytes already in hand
     /// — the entry point for inline-cache hits, which memoise the
     /// parsed header alongside the resolved addresses.
+    #[inline(always)]
     fn perform_call_resolved(
+        &mut self,
+        t: CachedTarget,
+        kind: TransferKind,
+        strict: bool,
+    ) -> Result<Flow, VmError> {
+        let flow = self.enter_call(t, kind, strict)?;
+        self.record_frame_bytes(t.fsi);
+        Ok(flow)
+    }
+
+    /// The call itself: allocate and link the callee's frame, suspend
+    /// the caller and jump to the callee's first instruction. Every
+    /// rare case (an empty AV list, a return-stack eviction, a bank
+    /// spill, an unbound module, a fault) is a cold helper. The caller
+    /// records the frame in `frame_bytes`.
+    #[inline(always)]
+    fn enter_call(
         &mut self,
         t: CachedTarget,
         kind: TransferKind,
@@ -3413,13 +3368,11 @@ impl Machine {
         let frame = self.alloc_frame(fsi, addr_taken)?;
         // §7.4 flush-on-exit: leaving a flagged context writes its bank
         // back so storage references from elsewhere see current data.
-        if let (Some(b), Some(info)) = (self.banks.as_mut(), self.frame_info.get(self.lf.0)) {
-            if info.addr_taken
-                && matches!(
-                    self.config.banks.map(|c| c.ptr_policy),
-                    Some(PtrLocalPolicy::FlushOnExit)
-                )
-            {
+        let (policy, lf) = (self.config.banks.map(|c| c.ptr_policy), self.lf);
+        if matches!(policy, Some(PtrLocalPolicy::FlushOnExit))
+            && self.frames().get(lf).is_some_and(|r| r.addr_taken)
+        {
+            if let Some(b) = self.banks.as_mut() {
                 b.flush_frame(&mut self.mem, self.lf);
             }
         }
@@ -3431,25 +3384,11 @@ impl Machine {
                 gf: self.gf,
                 code_base: self.code_base,
                 pc: self.pc,
-                bank: self.banks.as_ref().and_then(|b| b.bank_of(self.lf)),
             };
             if let Some(ev) = self.rs.push(entry) {
                 // Evicted caller: its PC goes to its frame; its callee's
                 // return link now lives in storage.
-                let callee = self.rs.bottom_frame().expect("stack non-empty after push");
-                let link = ContextWord::from(Context::Frame(
-                    FrameHandle::from_addr(ev.frame).expect("valid frame"),
-                ));
-                self.mem
-                    .write(callee.offset(layout::FRAME_RETURN_LINK), link.raw());
-                self.mem.write(
-                    ev.frame.offset(layout::FRAME_PC),
-                    (ev.pc.0 - ev.code_base.0) as u16,
-                );
-                if self.defer_headers {
-                    self.mem
-                        .write(ev.frame.offset(layout::FRAME_GLOBAL), ev.gf.0 as u16);
-                }
+                self.spill_evicted(ev);
             }
             if !self.defer_headers {
                 self.mem
@@ -3466,11 +3405,7 @@ impl Machine {
         }
 
         if let Some(b) = self.banks.as_mut() {
-            let locals = self
-                .frame_info
-                .get(frame.0)
-                .expect("just allocated")
-                .locals_words;
+            let locals = self.classes.size_of(fsi) - layout::FRAME_HEADER_WORDS;
             if self.config.renaming() {
                 // §7.2: the stack bank becomes the callee's local bank;
                 // arguments appear in place.
@@ -3498,53 +3433,53 @@ impl Machine {
 
     /// RETURN (§4/§5.1): free the frame, set `returnContext` to NIL,
     /// `XFER` to the return link — served by the IFU stack when it can.
+    #[inline(always)]
     fn perform_return(&mut self) -> Result<Flow, VmError> {
         let returning = self.lf;
-        if let Some(entry) = self.rs.pop() {
-            self.free_frame(returning)?;
-            self.lf = entry.frame;
-            self.gf = entry.gf;
-            self.code_base = entry.code_base;
-            self.pc = entry.pc;
-            self.return_ctx = ContextWord::NIL;
-            if let Some(b) = self.banks.as_mut() {
-                let locals = self
-                    .frame_info
-                    .get(entry.frame.0)
-                    .map(|i| i.locals_words)
-                    .unwrap_or(0);
-                b.activate(&mut self.mem, entry.frame, locals, None);
-            }
-            return Ok(Flow::Taken(Some(TransferKind::Return)));
-        }
-        // General scheme. The destination's boundness is checked before
-        // the returning frame is freed: a fault after the free could not
-        // restart (the frame — and the link in it — would be gone).
+        let Some(entry) = self.rs.pop() else {
+            return self.return_via_link(returning);
+        };
+        self.free_frame(returning)?;
+        self.lf = entry.frame;
+        self.gf = entry.gf;
+        self.code_base = entry.code_base;
+        self.pc = entry.pc;
+        self.return_ctx = ContextWord::NIL;
+        self.activate_bank(entry.frame);
+        Ok(Flow::Taken(Some(TransferKind::Return)))
+    }
+
+    /// The general scheme's return, through the link in the returning
+    /// frame: every return without a return stack, and a return-stack
+    /// miss.
+    #[inline(always)]
+    fn return_via_link(&mut self, returning: WordAddr) -> Result<Flow, VmError> {
+        // The destination's boundness is checked before the returning
+        // frame is freed: a fault after the free could not restart (the
+        // frame — and the link in it — would be gone).
         let link = ContextWord::from_raw(
             self.mem
                 .read(self.wrap(returning.offset(layout::FRAME_RETURN_LINK))),
         );
         match Context::from(link) {
-            Context::Nil => self.precheck_next_process()?,
             Context::Frame(h) => self.check_frame_bound(h.addr())?,
+            Context::Nil => self.precheck_next_process()?,
             Context::Proc(_) => return Err(VmError::InvalidContext(link.raw())),
         }
         self.free_frame(returning)?;
         self.return_ctx = ContextWord::NIL;
-        match Context::from(link) {
-            Context::Nil => self.process_exit(),
-            Context::Frame(h) => {
-                self.enter_frame(h.addr())?;
-                Ok(Flow::Taken(Some(TransferKind::Return)))
-            }
-            Context::Proc(_) => Err(VmError::InvalidContext(link.raw())),
-        }
+        let Context::Frame(h) = Context::from(link) else {
+            return self.process_exit();
+        };
+        self.enter_frame(h.addr())?;
+        Ok(Flow::Taken(Some(TransferKind::Return)))
     }
 
     /// Restartability precheck for a process exit: the process that
     /// [`Machine::process_exit`] will resume must be bound *before* the
     /// exiting frame is freed. Mirrors `process_exit`'s scan with the
     /// current process treated as already dead.
+    #[cold]
     fn precheck_next_process(&self) -> Result<(), VmError> {
         let n = self.processes.len();
         for off in 1..n {
@@ -3561,6 +3496,7 @@ impl Machine {
 
     /// The current process's root returned: mark it dead and resume the
     /// next live process, or halt.
+    #[cold]
     fn process_exit(&mut self) -> Result<Flow, VmError> {
         self.processes[self.current_proc].alive = false;
         let n = self.processes.len();
@@ -3642,6 +3578,7 @@ impl Machine {
         let (fsi, flags) = self.read_header(header);
         let (_, addr_taken) = layout::unpack_flags(flags);
         let frame = self.alloc_frame(fsi, addr_taken)?;
+        self.record_frame_bytes(fsi);
         let entry_rel = (header.0 + layout::PROC_HEADER_BYTES - dest_cb.0) as u16;
         self.mem.write(frame.offset(layout::FRAME_PC), entry_rel);
         self.mem
@@ -3928,6 +3865,7 @@ impl Machine {
                     return Err(VmError::UnhandledTrap(TrapCode::StackOverflow));
                 }
                 let rec = self.alloc_frame(fsi, false)?;
+                self.record_frame_bytes(fsi);
                 self.push(rec.0 as u16)?;
             }
             Instr::FreeRecord => {
@@ -3988,7 +3926,7 @@ impl Machine {
                 self.obs(|o| o.donates = true);
                 let req = self.pop()? as u32;
                 let granted = match &mut self.allocator {
-                    Allocator::General(g) => g.donate(req),
+                    Allocator::General(g, _) => g.donate(req),
                     Allocator::Av(h) => h.donate(req),
                     Allocator::Cached { heap, .. } => heap.donate(req),
                 };

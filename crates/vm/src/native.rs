@@ -64,6 +64,7 @@
 //! bumps the generation *inside* a burst exits the burst at the next
 //! instruction boundary, which is also a restartable-fault boundary.
 
+use fpc_core::layout::PROC_HEADER_BYTES;
 use fpc_core::TableKey;
 use fpc_isa::Instr;
 use fpc_stats::Histogram;
@@ -283,6 +284,9 @@ pub(crate) struct Site {
     /// while the caller runs under that code base, and the destination
     /// global frame is the caller's (`gf` is unused).
     pub target: Option<CachedTarget>,
+    /// The compiled entry of a known target's body, if compiled: where
+    /// the call continues without [`Compiled::locate`].
+    pub entry: Option<Entry>,
 }
 
 /// A compiled procedure body. Immutable once built.
@@ -348,18 +352,21 @@ impl Compiled {
 
     /// Where a burst continues after a transfer left `pc` at a new
     /// address: the predicted entry when it names `pc`, else the body
-    /// covering `pc`. A prediction is only a shortcut — it is taken
-    /// exactly when [`Compiled::locate`] would return it.
+    /// covering `pc`. A prediction `(body, op, address)` is only a
+    /// shortcut: its makers guarantee that `address` is the op's, so it
+    /// is taken exactly when [`Compiled::locate`] would return it.
     #[inline]
-    pub fn chase(&self, pc: u32, predicted: Option<(u32, u32)>) -> Option<(usize, u32)> {
-        if let Some((p, ip)) = predicted {
-            if self.procs[p as usize].offs[ip as usize] == pc {
-                return Some((p as usize, ip));
-            }
+    pub fn chase(&self, pc: u32, predicted: Option<Entry>) -> Option<(usize, u32)> {
+        match predicted {
+            Some((p, ip, at)) if at == pc => Some((p as usize, ip)),
+            _ => self.locate(pc),
         }
-        self.locate(pc)
     }
 }
+
+/// A compiled entry point: body index, op index, and the op's byte
+/// address.
+pub(crate) type Entry = (u32, u32, u32);
 
 /// Entries in the [`ReturnPredictor`]; a power of two.
 pub(crate) const PREDICTOR_DEPTH: usize = 32;
@@ -371,7 +378,7 @@ pub(crate) const PREDICTOR_DEPTH: usize = 32;
 /// a return past its bottom finds it empty.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReturnPredictor {
-    slots: [(u32, u32); PREDICTOR_DEPTH],
+    slots: [Entry; PREDICTOR_DEPTH],
     top: usize,
     len: usize,
 }
@@ -379,21 +386,21 @@ pub(crate) struct ReturnPredictor {
 impl ReturnPredictor {
     pub fn new() -> Self {
         ReturnPredictor {
-            slots: [(0, 0); PREDICTOR_DEPTH],
+            slots: [(0, 0, 0); PREDICTOR_DEPTH],
             top: 0,
             len: 0,
         }
     }
 
     #[inline]
-    pub fn push(&mut self, proc: usize, ip: u32) {
+    pub fn push(&mut self, proc: usize, ip: u32, at: u32) {
         self.top = (self.top + 1) % PREDICTOR_DEPTH;
-        self.slots[self.top] = (proc as u32, ip);
+        self.slots[self.top] = (proc as u32, ip, at);
         self.len = (self.len + 1).min(PREDICTOR_DEPTH);
     }
 
     #[inline]
-    pub fn pop(&mut self) -> Option<(u32, u32)> {
+    pub fn pop(&mut self) -> Option<Entry> {
         if self.len == 0 {
             return None;
         }
@@ -515,7 +522,7 @@ impl NativeTier {
                 if c >= self.threshold {
                     let idx = idx as u32;
                     self.pending.push(idx);
-                    self.pending.push(idx + fpc_core::layout::PROC_HEADER_BYTES);
+                    self.pending.push(idx + PROC_HEADER_BYTES);
                 }
             }
         }
@@ -525,7 +532,7 @@ impl NativeTier {
     /// callee's header address.
     #[inline]
     pub fn note_call(&mut self, header: u32) {
-        self.bump(header, header + fpc_core::layout::PROC_HEADER_BYTES);
+        self.bump(header, header + PROC_HEADER_BYTES);
     }
 
     /// Hotness hook, called on every interpreted backward jump with its
@@ -609,6 +616,16 @@ impl NativeTier {
             }
         }
         c.procs.push(proc);
+        // Point every known call site at its target's compiled entry.
+        for i in 0..c.procs.len() {
+            for j in 0..c.procs[i].sites.len() {
+                let at = c.procs[i].sites[j]
+                    .target
+                    .map(|t| t.header.0 + PROC_HEADER_BYTES);
+                let entry = at.and_then(|at| c.locate(at).map(|(q, ip)| (q as u32, ip, at)));
+                c.procs[i].sites[j].entry = entry;
+            }
+        }
         self.compiles += 1;
         true
     }
@@ -690,6 +707,7 @@ fn compile_body(
                     len,
                     at,
                     target: resolve(instr, at),
+                    entry: None,
                 });
                 NOp::Xfer((sites.len() - 1) as u16)
             }
@@ -1044,9 +1062,9 @@ mod tests {
         assert!(c.locate(1).is_none(), "mid-instruction bytes don't enter");
         // A prediction is taken only when it names the pc; otherwise
         // the chase falls back to the map.
-        assert_eq!(c.chase(3, Some((0, 1))), Some((0, 1)));
-        assert_eq!(c.chase(3, Some((0, 0))), Some((0, 1)));
-        assert_eq!(c.chase(1, Some((0, 0))), None);
+        assert_eq!(c.chase(3, Some((0, 1, 3))), Some((0, 1)));
+        assert_eq!(c.chase(3, Some((0, 0, 0))), Some((0, 1)));
+        assert_eq!(c.chase(1, Some((0, 0, 0))), None);
         // Taking the table out for a burst and handing it back keeps
         // the bodies.
         let c = t.take_compiled();
@@ -1149,23 +1167,63 @@ mod tests {
     }
 
     #[test]
+    fn known_call_sites_learn_their_targets_compiled_entry() {
+        use fpc_mem::{ByteAddr, WordAddr};
+        // Body A calls the procedure whose header sits at `hdr`; its
+        // body B follows the header.
+        let mut bytes = body_bytes(&[Instr::DirectCall(0), Instr::Ret]);
+        let a_end = bytes.len() as u32;
+        let hdr = a_end;
+        bytes.extend_from_slice(&[0; PROC_HEADER_BYTES as usize]);
+        let b_start = hdr + PROC_HEADER_BYTES;
+        bytes.extend(body_bytes(&[Instr::LoadImm(1), Instr::Ret]));
+        let target = CachedTarget {
+            header: ByteAddr(hdr),
+            gf: WordAddr(0x100),
+            cb: ByteAddr(0),
+            fsi: 0,
+            flags: 0,
+        };
+        let resolve =
+            |instr: Instr, _at: u32| matches!(instr, Instr::DirectCall(_)).then_some(target);
+        let mut t = NativeTier::new(1);
+        t.arm();
+        t.sync(1, 0, bytes.len() as u32);
+        assert!(t.compile(&bytes, 0, a_end, false, &resolve));
+        assert_eq!(
+            t.compiled().proc(0).sites[0].entry,
+            None,
+            "B is not compiled yet"
+        );
+        assert!(t.compile(&bytes, b_start, bytes.len() as u32, false, &resolve));
+        let entry = t.compiled().proc(0).sites[0].entry;
+        assert_eq!(entry, Some((1, 0, b_start)), "A's call now enters B's op 0");
+        assert_eq!(t.compiled().chase(b_start, entry), Some((1, 0)));
+        assert_eq!(
+            t.compiled().proc(0).sites[1].entry,
+            None,
+            "a return has no target"
+        );
+    }
+
+    #[test]
     fn return_predictor_is_a_bounded_lifo() {
         let mut r = ReturnPredictor::new();
         assert_eq!(r.pop(), None);
-        r.push(1, 10);
-        r.push(2, 20);
-        assert_eq!(r.pop(), Some((2, 20)));
-        assert_eq!(r.pop(), Some((1, 10)));
+        r.push(1, 10, 100);
+        r.push(2, 20, 200);
+        assert_eq!(r.pop(), Some((2, 20, 200)));
+        assert_eq!(r.pop(), Some((1, 10, 100)));
         assert_eq!(r.pop(), None);
         // Past its depth the oldest entries are overwritten: the
         // newest `PREDICTOR_DEPTH` come back, newest first, and then
         // the predictor is empty.
         let n = PREDICTOR_DEPTH as u32 + 8;
         for i in 0..n {
-            r.push(0, i);
+            r.push(0, i, i);
         }
         for i in (8..n).rev() {
-            assert_eq!(r.pop(), Some((0, i)));
+            assert_eq!(r.pop(), Some((0, i, i)));
         }
         assert_eq!(r.pop(), None);
     }

@@ -69,10 +69,6 @@ pub struct FusedOp {
     /// counted reference and no diverted reference — the step arm can
     /// then skip reading the reference counters entirely.
     pub pure: bool,
-    /// Whether the *first* half alone is pure: a transfer pair can then
-    /// skip the leading counter snapshot (the mid-pair one serves as
-    /// both).
-    pub pure_a: bool,
 }
 
 /// What the fused lookup found at an offset.
@@ -93,7 +89,6 @@ const NO_FUSE: FusedOp = FusedOp {
     grow: 0,
     xfer: false,
     pure: false,
-    pure_a: false,
 };
 
 /// Ops that touch only the evaluation stack, the PC or the host output
@@ -188,7 +183,6 @@ pub fn fuse_pair(a: Instr, b: Instr, len_a: u8, len_b: u8) -> Option<FusedOp> {
         grow,
         xfer,
         pure: is_pure_stack(a) && is_pure_stack(b),
-        pure_a: is_pure_stack(a),
     })
 }
 

@@ -39,8 +39,12 @@ fn fingerprint(m: &Machine) -> String {
 /// The native rung under test: full accelerator ladder plus the tier-5
 /// compiler with a low threshold so short runs go native quickly.
 fn native_config() -> MachineConfig {
-    MachineConfig::i2()
-        .with_predecode(true)
+    native_on(MachineConfig::i2())
+}
+
+/// `base` (one of I1–I4) on the native rung.
+fn native_on(base: MachineConfig) -> MachineConfig {
+    base.with_predecode(true)
         .with_inline_xfer(true)
         .with_fusion(true)
         .with_native_tier(true)
@@ -49,8 +53,12 @@ fn native_config() -> MachineConfig {
 
 /// The reference rung: every host accelerator off.
 fn reference_config() -> MachineConfig {
-    MachineConfig::i2()
-        .with_predecode(false)
+    byte_on(MachineConfig::i2())
+}
+
+/// `base` on the byte rung.
+fn byte_on(base: MachineConfig) -> MachineConfig {
+    base.with_predecode(false)
         .with_inline_xfer(false)
         .with_fusion(false)
 }
@@ -557,6 +565,18 @@ fn bank_machine_bursts_overflow_underflow_and_divert_like_the_byte_rung() {
 /// Runs `image` on `cfg` (arming the tier when it has one) to halt in
 /// `slice`-unit fuel slices.
 fn run_sliced(image: &Image, cfg: MachineConfig, slice: u64) -> Machine {
+    let (m, end) = run_sliced_to_end(image, cfg, slice);
+    end.unwrap_or_else(|e| panic!("slice {slice}: {e:?}"));
+    m
+}
+
+/// Runs `image` on `cfg` in `slice`-unit fuel slices until it halts or
+/// fails with anything but running out of fuel.
+fn run_sliced_to_end(
+    image: &Image,
+    cfg: MachineConfig,
+    slice: u64,
+) -> (Machine, Result<(), VmError>) {
     let mut m = Machine::load(image, cfg).unwrap();
     if cfg.native {
         assert!(m.arm_native(license()), "fresh machine must arm");
@@ -564,9 +584,8 @@ fn run_sliced(image: &Image, cfg: MachineConfig, slice: u64) -> Machine {
     let mut slices = 0u64;
     loop {
         match m.run(slice) {
-            Ok(()) => return m,
             Err(VmError::OutOfFuel) => {}
-            Err(e) => panic!("slice {slice}: {e:?}"),
+            end => return (m, end),
         }
         slices += 1;
         assert!(slices < 10_000_000, "slice {slice}: runaway");
@@ -577,12 +596,22 @@ fn run_sliced(image: &Image, cfg: MachineConfig, slice: u64) -> Machine {
 /// whole and in 1-, 3- and 7-unit fuel slices, and returns the whole
 /// native run.
 fn native_matches_byte_rung(image: &Image, expected: &[u16], label: &str) -> Machine {
-    let reference = run_sliced(image, reference_config(), u64::MAX);
+    native_matches_byte_rung_on(MachineConfig::i2(), image, expected, label)
+}
+
+/// [`native_matches_byte_rung`] on implementation `base`.
+fn native_matches_byte_rung_on(
+    base: MachineConfig,
+    image: &Image,
+    expected: &[u16],
+    label: &str,
+) -> Machine {
+    let reference = run_sliced(image, byte_on(base), u64::MAX);
     assert_eq!(reference.output(), expected, "{label}: reference output");
     let want = fingerprint(&reference);
-    let whole = run_sliced(image, native_config(), u64::MAX);
+    let whole = run_sliced(image, native_on(base), u64::MAX);
     for slice in [1u64, 3, 7] {
-        let m = run_sliced(image, native_config(), slice);
+        let m = run_sliced(image, native_on(base), slice);
         assert_eq!(fingerprint(&m), want, "{label}: {slice}-unit slices");
     }
     let stats = whole.native_stats().unwrap();
@@ -594,10 +623,21 @@ fn native_matches_byte_rung(image: &Image, expected: &[u16], label: &str) -> Mac
 /// `tri` recursing `depth` deep, called three times from a
 /// straight-line main (which is entered once, so never compiled).
 fn deep_tri_image(depth: u16) -> Image {
+    deep_tri_image_with(depth, false)
+}
+
+/// [`deep_tri_image`], passing the argument by bank renaming when
+/// `bank_args` is set.
+fn deep_tri_image_with(depth: u16, bank_args: bool) -> Image {
     let mut b = ImageBuilder::new();
+    if bank_args {
+        b.bank_args();
+    }
     let m = b.module("m");
     b.proc_with(m, ProcSpec::new("tri", 1, 1), |a| {
-        a.instr(Instr::StoreLocal(0));
+        if !bank_args {
+            a.instr(Instr::StoreLocal(0));
+        }
         let base = a.label();
         a.instr(Instr::LoadLocal(0));
         a.jump_zero(base);
@@ -635,6 +675,94 @@ fn recursion_deeper_than_the_return_predictor_matches_the_byte_rung() {
     let tri = 100 * 101 / 2;
     let m = native_matches_byte_rung(&deep_tri_image(100), &[tri, tri, tri], "deep recursion");
     assert_eq!(m.stats().transfers.returns.count, 3 * 101);
+}
+
+#[test]
+fn first_calls_on_an_empty_av_list_replenish_inside_bursts() {
+    // Every AV list starts empty, and each replenishing trap carves
+    // four frames: tri compiles on its fourth call, so most of a
+    // 60-deep first descent traps to the software allocator from
+    // inside a burst.
+    let tri = 60 * 61 / 2;
+    let m = native_matches_byte_rung(&deep_tri_image(60), &[tri, tri, tri], "replenish");
+    let heap = m.heap_stats().expect("i2 has an AV heap");
+    assert!(heap.traps >= 15, "the descent must trap: {heap:?}");
+}
+
+#[test]
+fn i3_recursion_deeper_than_the_return_stack_evicts_then_misses() {
+    let tri = 40 * 41 / 2;
+    let m = native_matches_byte_rung_on(
+        MachineConfig::i3(),
+        &deep_tri_image(40),
+        &[tri, tri, tri],
+        "i3 return stack",
+    );
+    let rs = m.return_stack_stats();
+    assert!(rs.evictions > 0 && rs.misses > 0, "{rs:?}");
+}
+
+#[test]
+fn i4_recursion_deeper_than_the_banks_spills_and_fills() {
+    let tri = 40 * 41 / 2;
+    let m = native_matches_byte_rung_on(
+        MachineConfig::i4(),
+        &deep_tri_image_with(40, true),
+        &[tri, tri, tri],
+        "i4 banks",
+    );
+    let banks = m.bank_stats().expect("i4 has banks");
+    assert!(banks.overflows > 0 && banks.underflows > 0, "{banks:?}");
+}
+
+#[test]
+fn frame_heap_exhaustion_matches_the_byte_rung_in_every_slicing() {
+    // Unbounded recursion: the same terminal error at the same
+    // instruction, with the same counters, however fuel is sliced.
+    for (base, bank_args) in [
+        (MachineConfig::i2(), false),
+        (MachineConfig::i3(), false),
+        (MachineConfig::i4(), true),
+    ] {
+        let mut b = ImageBuilder::new();
+        if bank_args {
+            b.bank_args();
+        }
+        let m = b.module("m");
+        b.proc_with(m, ProcSpec::new("spin", 1, 1), |a| {
+            if !bank_args {
+                a.instr(Instr::StoreLocal(0));
+            }
+            a.instr(Instr::LoadLocal(0));
+            a.instr(Instr::LocalCall(0));
+            a.instr(Instr::Ret);
+        });
+        b.proc_with(m, ProcSpec::new("main", 0, 0), |a| {
+            a.instr(Instr::LoadImm(1));
+            a.instr(Instr::LocalCall(0));
+            a.instr(Instr::Halt);
+        });
+        let image = b
+            .build(ProcRef {
+                module: 0,
+                ev_index: 1,
+            })
+            .unwrap();
+        let (reference, want) = run_sliced_to_end(&image, byte_on(base), u64::MAX);
+        let want = format!("{want:?}");
+        assert!(want.contains("OutOfMemory"), "{want}");
+        for slice in [u64::MAX, 1, 3, 7] {
+            let (m, got) = run_sliced_to_end(&image, native_on(base), slice);
+            let label = format!("{base:?} slice {slice}");
+            assert_eq!(format!("{got:?}"), want, "{label}");
+            assert_eq!(fingerprint(&m), fingerprint(&reference), "{label}");
+            // In 1-unit slices the fused `LdCall` never has the fuel to
+            // run; the whole run must go native.
+            if slice == u64::MAX {
+                assert!(m.native_stats().unwrap().native_instrs > 0, "{label}");
+            }
+        }
+    }
 }
 
 #[test]

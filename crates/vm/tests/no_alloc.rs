@@ -439,3 +439,85 @@ fn warm_native_calls_and_deep_recursion_do_not_allocate() {
     assert_eq!(n.compiles, n0.compiles, "steady state recompiles nothing");
     assert_eq!(n.flushes, n0.flushes, "steady state never flushes");
 }
+
+/// A generator coroutine pumped by a procedure: main calls `pump`
+/// forever, and `pump` `XFER`s to the generator and back. Every
+/// coroutine transfer is an unusual `XFER`, so it flushes the return
+/// stack (holding main's return point) and, on the bank machine, the
+/// banks. With `bank_args` the argument is passed by bank renaming.
+fn coroutine_pump_image(bank_args: bool) -> Image {
+    let mut b = ImageBuilder::new();
+    if bank_args {
+        b.bank_args();
+    }
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("gen", 0, 2), |a| {
+        // Drop the resume value, remember the resumer, yield a count.
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::Drop);
+        a.instr(Instr::ReturnContext);
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::AddImm(1));
+        a.instr(Instr::StoreLocal(1));
+        a.instr(Instr::LoadLocal(1));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Xfer);
+        a.jump(top);
+    });
+    // pump(gen) resumes the generator and returns its new context.
+    b.proc_with(m, ProcSpec::new("pump", 1, 1), |a| {
+        if !bank_args {
+            a.instr(Instr::StoreLocal(0));
+        }
+        a.instr(Instr::LoadImm(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Xfer);
+        a.instr(Instr::Drop);
+        a.instr(Instr::ReturnContext);
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 1), |a| {
+        a.instr(Instr::LoadImm(0x8000)); // gen: gft 0, ev 0
+        a.instr(Instr::NewContext);
+        a.instr(Instr::StoreLocal(0));
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LocalCall(1));
+        a.instr(Instr::StoreLocal(0));
+        a.jump(top);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 2,
+    })
+    .unwrap()
+}
+
+#[test]
+fn return_stack_flushes_do_not_allocate() {
+    for (name, config, bank_args) in [
+        ("i3", MachineConfig::i3(), false),
+        ("i4", MachineConfig::i4(), true),
+    ] {
+        let image = coroutine_pump_image(bank_args);
+        let mut m = Machine::load(&image, config).unwrap();
+        assert!(
+            matches!(m.run(20_000), Err(VmError::OutOfFuel)),
+            "{name}: the loop must still be running"
+        );
+        let flushes0 = m.return_stack_stats().flushes;
+        let before = allocs();
+        assert!(matches!(m.run(200_000), Err(VmError::OutOfFuel)));
+        assert_eq!(
+            allocs() - before,
+            0,
+            "{name}: return-stack flushes must write their links in place"
+        );
+        // Prove the window flushed a non-empty return stack often.
+        let flushes = m.return_stack_stats().flushes - flushes0;
+        assert!(flushes > 10_000, "{name}: only {flushes} flushes");
+    }
+}

@@ -250,7 +250,6 @@ pub fn drive_return_stack(trace: &[TraceEvent], depth: usize) -> ReturnStackStat
                     gf: WordAddr(0x40),
                     code_base: ByteAddr(0),
                     pc: ByteAddr(level),
-                    bank: None,
                 });
                 level += 1;
             }
