@@ -1,6 +1,6 @@
 //! Regenerates experiment H2 (see DESIGN.md §6a): host-side transfer
-//! acceleration — the byte / predecode / predecode+IC /
-//! predecode+IC+fusion dispatch ladder on call-dense workloads.
+//! acceleration — the byte / predecode / fuse dispatch ladder on
+//! call-dense workloads.
 //!
 //! Usage: `exp_h2_transfer_speed [--smoke] [--out PATH]`
 //!

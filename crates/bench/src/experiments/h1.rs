@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use fpc_compiler::{Linkage, Options};
-use fpc_vm::{Machine, MachineConfig};
+use fpc_vm::{Machine, MachineConfig, NativeLicense};
 use fpc_workloads::{compile_workload, corpus, Workload};
 
 /// Workloads reported by H1: the call-dense set the predecoder is
@@ -89,10 +89,12 @@ fn configs() -> [(&'static str, MachineConfig, Linkage); 4] {
     ]
 }
 
-/// One timed sample: average seconds over `reps` fresh runs.
+/// One timed sample: average seconds over `reps` fresh runs, each
+/// loaded cold and, given a license, armed for the native tier.
 pub(crate) fn sample(
     image: &fpc_vm::Image,
     config: MachineConfig,
+    license: Option<NativeLicense>,
     fuel: u64,
     reps: usize,
 ) -> (u64, f64) {
@@ -100,6 +102,9 @@ pub(crate) fn sample(
     let mut elapsed = 0.0;
     for _ in 0..reps {
         let mut m = Machine::load(image, config).expect("loads");
+        if let Some(license) = license {
+            assert!(m.arm_native(license), "license must arm");
+        }
         let t0 = Instant::now();
         m.run(fuel).expect("runs");
         elapsed += t0.elapsed().as_secs_f64();
@@ -126,17 +131,9 @@ fn measure(w: &Workload, config: MachineConfig, linkage: Linkage, p: Params) -> 
         },
     )
     .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", w.name));
-    // H1 isolates the predecoder, so the other host accelerators are
-    // pinned off on *both* paths; the transfer cache and fusion get
-    // their own ladder in H2.
-    let byte_cfg = config
-        .with_predecode(false)
-        .with_inline_xfer(false)
-        .with_fusion(false);
-    let pre_cfg = config
-        .with_predecode(true)
-        .with_inline_xfer(false)
-        .with_fusion(false);
+    // H1 isolates the predecoder, so fusion is pinned off on *both*
+    // paths; it gets its own rung in H2.
+    let [(_, byte_cfg), (_, pre_cfg), ..] = config.dispatch_ladder();
     // Untimed warmup: fault in code paths and allocator pools.
     Machine::load(&compiled.image, byte_cfg)
         .expect("loads")
@@ -149,8 +146,8 @@ fn measure(w: &Workload, config: MachineConfig, linkage: Linkage, p: Params) -> 
     let (mut best_byte, mut best_pre) = (f64::INFINITY, f64::INFINITY);
     let mut instructions = 0;
     for _ in 0..p.runs {
-        let (byte_i, byte_s) = sample(&compiled.image, byte_cfg, w.fuel, p.reps);
-        let (pre_i, pre_s) = sample(&compiled.image, pre_cfg, w.fuel, p.reps);
+        let (byte_i, byte_s) = sample(&compiled.image, byte_cfg, None, w.fuel, p.reps);
+        let (pre_i, pre_s) = sample(&compiled.image, pre_cfg, None, w.fuel, p.reps);
         assert_eq!(
             byte_i, pre_i,
             "{}: decode paths must simulate identically",

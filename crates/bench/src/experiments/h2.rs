@@ -2,30 +2,28 @@
 //! call-dense workloads.
 //!
 //! H1 measures what the predecoded stream buys over byte-at-a-time
-//! decoding; H2 climbs the rest of the host ladder on the workloads
-//! that live in the call path. Four dispatch variants, identical in
-//! every simulated counter (`tests/predecode_parity.rs`):
+//! decoding; H2 climbs the interpreted rungs of the host ladder
+//! ([`MachineConfig::dispatch_ladder`]) on the workloads that live in
+//! the call path. Three dispatch variants, identical in every simulated
+//! counter (`tests/predecode_parity.rs`):
 //!
-//! | name | predecode | inline XFER cache | fusion |
-//! |------|-----------|-------------------|--------|
-//! | `byte`              | off | off | off |
-//! | `predecode`         | on  | off | off |
-//! | `predecode_ic`      | on  | on  | off |
-//! | `predecode_ic_fuse` | on  | on  | on  |
+//! | name | predecode | fusion |
+//! |------|-----------|--------|
+//! | `byte`      | off | off |
+//! | `predecode` | on  | off |
+//! | `fuse`      | on  | on  |
 //!
 //! The workload set is the call-dense corpus slice — `fib`,
 //! `ackermann`, `tak`, `hanoi`, `leafcalls` — programs that re-enter
 //! tiny procedure bodies millions of times, so the host cost of
-//! resolving and performing transfers dominates the step loop. This is
-//! the paper's §6 early-binding argument replayed against the *host*:
-//! most call sites transfer to the same place every time, so memoising
-//! the resolution (and fusing the hot operand/transfer pairs around
-//! it) should make a simulated call nearly as cheap to interpret as an
-//! ordinary instruction.
+//! resolving and performing transfers dominates the step loop. Fusing
+//! the hot operand/transfer pairs should make a simulated call nearly
+//! as cheap to interpret as an ordinary instruction; H5 adds the
+//! native rung, where known call targets are bound at compile time.
 //!
 //! Cell *preparation* — compiling each workload and running it once
 //! per dispatch variant to confirm the simulated counters agree and to
-//! harvest the host-side cache statistics — fans out through the
+//! harvest the fusion statistics — fans out through the
 //! parallel driver ([`crate::driver::parallel_map`]): it reads
 //! counters, which are identical on any host schedule. The wall-clock
 //! *timing* stage stays serial and alternates variants within each
@@ -43,29 +41,11 @@ use crate::driver::{default_workers, parallel_map};
 /// The call-dense slice of the corpus.
 pub const WORKLOADS: [&str; 5] = ["fib", "ackermann", "tak", "hanoi", "leafcalls"];
 
-/// The dispatch ladder, weakest first.
-pub const DISPATCHES: [&str; 4] = ["byte", "predecode", "predecode_ic", "predecode_ic_fuse"];
-
-fn dispatch_config(base: MachineConfig, name: &str) -> MachineConfig {
-    match name {
-        "byte" => base
-            .with_predecode(false)
-            .with_inline_xfer(false)
-            .with_fusion(false),
-        "predecode" => base
-            .with_predecode(true)
-            .with_inline_xfer(false)
-            .with_fusion(false),
-        "predecode_ic" => base
-            .with_predecode(true)
-            .with_inline_xfer(true)
-            .with_fusion(false),
-        "predecode_ic_fuse" => base
-            .with_predecode(true)
-            .with_inline_xfer(true)
-            .with_fusion(true),
-        other => panic!("unknown dispatch {other}"),
-    }
+/// The interpreted rungs of the dispatch ladder over `base`, weakest
+/// first.
+fn dispatches(base: MachineConfig) -> [(&'static str, MachineConfig); 3] {
+    let [byte, predecode, fuse, _native] = base.dispatch_ladder();
+    [byte, predecode, fuse]
 }
 
 fn configs() -> [(&'static str, MachineConfig, Linkage); 4] {
@@ -87,26 +67,22 @@ pub struct Row {
     /// Simulated instructions per run (identical on every dispatch).
     pub instructions: u64,
     /// Simulated instructions per host second, per dispatch, in
-    /// [`DISPATCHES`] order.
-    pub ips: [f64; 4],
-    /// Inline-cache hits in one fully accelerated run.
-    pub ic_hits: u64,
-    /// Inline-cache misses in one fully accelerated run.
-    pub ic_misses: u64,
-    /// Fused pair executions in one fully accelerated run.
+    /// ladder order.
+    pub ips: [f64; 3],
+    /// Fused pair executions in one fused run.
     pub fused_execs: u64,
 }
 
 impl Row {
-    /// The headline ratio: the fully accelerated dispatcher over the
-    /// plain predecoded one.
-    pub fn icfuse_over_predecode(&self) -> f64 {
-        self.ips[3] / self.ips[1]
+    /// The headline ratio: the fused dispatcher over the plain
+    /// predecoded one.
+    pub fn fuse_over_predecode(&self) -> f64 {
+        self.ips[2] / self.ips[1]
     }
 
-    /// The full-ladder ratio over the byte decoder.
-    pub fn icfuse_over_byte(&self) -> f64 {
-        self.ips[3] / self.ips[0]
+    /// The fused dispatcher over the byte decoder.
+    pub fn fuse_over_byte(&self) -> f64 {
+        self.ips[2] / self.ips[0]
     }
 }
 
@@ -120,15 +96,13 @@ struct Cell {
 struct Prepared {
     image: Image,
     instructions: u64,
-    ic_hits: u64,
-    ic_misses: u64,
     fused_execs: u64,
 }
 
 /// Compiles one cell and runs the weakest and strongest dispatch once
 /// each: confirms the simulated instruction counters agree and
-/// harvests the host-side cache statistics. Pure counter work — safe
-/// to fan out.
+/// harvests the fusion statistics. Pure counter work — safe to fan
+/// out.
 fn prepare(cell: &Cell) -> Prepared {
     let compiled = compile_workload(
         &cell.workload,
@@ -138,14 +112,10 @@ fn prepare(cell: &Cell) -> Prepared {
         },
     )
     .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", cell.workload.name));
-    let mut byte =
-        Machine::load(&compiled.image, dispatch_config(cell.config, "byte")).expect("loads");
+    let [(_, byte_cfg), _, (_, fuse_cfg)] = dispatches(cell.config);
+    let mut byte = Machine::load(&compiled.image, byte_cfg).expect("loads");
     byte.run(cell.workload.fuel).expect("runs");
-    let mut full = Machine::load(
-        &compiled.image,
-        dispatch_config(cell.config, "predecode_ic_fuse"),
-    )
-    .expect("loads");
+    let mut full = Machine::load(&compiled.image, fuse_cfg).expect("loads");
     full.run(cell.workload.fuel).expect("runs");
     assert_eq!(
         byte.stats().instructions,
@@ -154,13 +124,10 @@ fn prepare(cell: &Cell) -> Prepared {
         cell.workload.name,
         cell.cname
     );
-    let ic = full.xfer_cache_stats().expect("ic is on");
     let fusion = full.fusion_stats().expect("fusion is on");
     Prepared {
         image: compiled.image,
         instructions: full.stats().instructions,
-        ic_hits: ic.hits,
-        ic_misses: ic.misses,
         fused_execs: fusion.fused_execs,
     }
 }
@@ -192,11 +159,10 @@ pub fn measure_all(p: Params) -> Vec<Row> {
         .iter()
         .zip(prepared)
         .map(|(cell, prep)| {
-            let mut best = [f64::INFINITY; 4];
+            let mut best = [f64::INFINITY; 3];
             for _ in 0..p.runs {
-                for (d, name) in DISPATCHES.iter().enumerate() {
-                    let cfg = dispatch_config(cell.config, name);
-                    let (instrs, secs) = sample(&prep.image, cfg, cell.workload.fuel, p.reps);
+                for (d, (_, cfg)) in dispatches(cell.config).into_iter().enumerate() {
+                    let (instrs, secs) = sample(&prep.image, cfg, None, cell.workload.fuel, p.reps);
                     assert_eq!(instrs, prep.instructions, "{}", cell.workload.name);
                     best[d] = best[d].min(secs);
                 }
@@ -206,8 +172,6 @@ pub fn measure_all(p: Params) -> Vec<Row> {
                 config: cell.cname,
                 instructions: prep.instructions,
                 ips: best.map(|s| prep.instructions as f64 / s),
-                ic_hits: prep.ic_hits,
-                ic_misses: prep.ic_misses,
                 fused_execs: prep.fused_execs,
             }
         })
@@ -222,7 +186,7 @@ fn fmt_mips(ips: f64) -> String {
 fn worst(rows: &[Row], keep: impl Fn(&Row) -> bool) -> f64 {
     rows.iter()
         .filter(|r| keep(r))
-        .map(Row::icfuse_over_predecode)
+        .map(Row::fuse_over_predecode)
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -232,22 +196,19 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let mut out = String::new();
     out.push_str("H2: host transfer acceleration (simulated Minstr/s) on call-dense workloads\n");
     out.push_str(&format!(
-        "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8}\n",
-        "workload", "cfg", "sim instrs", "byte", "predec", "+ic", "+fuse", "ic hit%", "vs pre"
+        "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8}\n",
+        "workload", "cfg", "sim instrs", "byte", "predec", "+fuse", "vs pre"
     ));
     for r in &rows {
-        let hitrate = 100.0 * r.ic_hits as f64 / (r.ic_hits + r.ic_misses).max(1) as f64;
         out.push_str(&format!(
-            "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8.1}% {:>7.2}x\n",
+            "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>7.2}x\n",
             r.workload,
             r.config,
             r.instructions,
             fmt_mips(r.ips[0]),
             fmt_mips(r.ips[1]),
             fmt_mips(r.ips[2]),
-            fmt_mips(r.ips[3]),
-            hitrate,
-            r.icfuse_over_predecode()
+            r.fuse_over_predecode()
         ));
     }
     // i4's calls move real simulated words (bank flushes, renamed
@@ -258,7 +219,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let worst_i1_i3 = worst(&rows, |r| r.config != "i4");
     let worst_all = worst(&rows, |_| true);
     out.push_str(&format!(
-        "worst-case predecode_ic_fuse over predecode: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
+        "worst-case fuse over predecode: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
     ));
 
     let mut json = String::from(
@@ -267,31 +228,29 @@ pub fn report_and_json(p: Params) -> (String, String) {
     json.push_str(&format!(
         "  \"configs\": [{}],\n  \"dispatches\": [{}],\n  \"rows\": [\n",
         configs().map(|(c, _, _)| format!("\"{c}\"")).join(", "),
-        DISPATCHES.map(|d| format!("\"{d}\"")).join(", ")
+        dispatches(MachineConfig::i1())
+            .map(|(d, _)| format!("\"{d}\""))
+            .join(", ")
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"config\": \"{}\", \"instructions\": {}, \
-             \"ips\": {{\"byte\": {:.0}, \"predecode\": {:.0}, \"predecode_ic\": {:.0}, \"predecode_ic_fuse\": {:.0}}}, \
-             \"ic_hits\": {}, \"ic_misses\": {}, \"fused_execs\": {}, \
-             \"icfuse_over_predecode\": {:.3}, \"icfuse_over_byte\": {:.3}}}{}\n",
+             \"ips\": {{\"byte\": {:.0}, \"predecode\": {:.0}, \"fuse\": {:.0}}}, \
+             \"fused_execs\": {}, \"fuse_over_predecode\": {:.3}, \"fuse_over_byte\": {:.3}}}{}\n",
             r.workload,
             r.config,
             r.instructions,
             r.ips[0],
             r.ips[1],
             r.ips[2],
-            r.ips[3],
-            r.ic_hits,
-            r.ic_misses,
             r.fused_execs,
-            r.icfuse_over_predecode(),
-            r.icfuse_over_byte(),
+            r.fuse_over_predecode(),
+            r.fuse_over_byte(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"worst_icfuse_over_predecode_i1_i3\": {worst_i1_i3:.3},\n  \"worst_icfuse_over_predecode_all\": {worst_all:.3}\n}}\n"
+        "  ],\n  \"worst_fuse_over_predecode_i1_i3\": {worst_i1_i3:.3},\n  \"worst_fuse_over_predecode_all\": {worst_all:.3}\n}}\n"
     ));
     (out, json)
 }
@@ -301,7 +260,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_cell_prepares_with_live_caches() {
+    fn a_cell_prepares_with_live_fusion() {
         let corpus = corpus();
         let w = corpus.iter().find(|w| w.name == "leafcalls").unwrap();
         let cell = Cell {
@@ -312,16 +271,13 @@ mod tests {
         };
         let prep = prepare(&cell);
         assert!(prep.instructions > 0);
-        assert!(prep.ic_hits > prep.ic_misses, "steady state should hit");
         assert!(prep.fused_execs > 0, "call-dense code should fuse pairs");
     }
 
     #[test]
-    fn the_ladder_spans_off_to_fully_accelerated() {
-        let base = MachineConfig::i2();
-        let byte = dispatch_config(base, "byte");
-        assert!(!byte.predecode && !byte.inline_xfer && !byte.fuse);
-        let full = dispatch_config(base, "predecode_ic_fuse");
-        assert!(full.predecode && full.inline_xfer && full.fuse);
+    fn the_ladder_spans_off_to_fused() {
+        let [(_, byte), _, (_, fuse)] = dispatches(MachineConfig::i2());
+        assert!(!byte.predecode && !byte.fuse);
+        assert!(fuse.predecode && fuse.fuse && !fuse.native);
     }
 }

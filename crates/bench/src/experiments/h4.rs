@@ -9,7 +9,8 @@
 //! bit-identical either way, which this experiment *asserts* on every
 //! cell before timing it. What remains is host wall-clock: simulated
 //! instructions per host second with the checks in place versus
-//! elided, on all four dispatch rungs.
+//! elided, on all four dispatch rungs, the native one armed by the
+//! same certificate.
 //!
 //! The second thing H4 reports is the price of admission: how long
 //! verification itself takes per image, as code bytes per host
@@ -21,10 +22,10 @@ use std::time::Instant;
 
 use fpc_compiler::{Linkage, Options};
 use fpc_verify::{verify_image, VerifyOptions};
-use fpc_vm::{Image, Machine, MachineConfig};
+use fpc_vm::{Image, Machine, MachineConfig, NativeLicense};
 use fpc_workloads::{compile_workload, corpus, Workload};
 
-use super::h1;
+use super::{h1, h5};
 
 /// Workloads reported by H4: the call-dense set where per-step check
 /// overhead concentrates, plus iterative contrast rows.
@@ -41,35 +42,10 @@ pub const WORKLOADS: [&str; 7] = [
 pub use h1::Params;
 
 /// The four host dispatch rungs, applied to the I3 machine (the
-/// paper's full design under direct linkage — the headline machine).
+/// paper's full design under direct linkage — the headline machine),
+/// the native rung at H5's threshold.
 fn rungs() -> [(&'static str, MachineConfig); 4] {
-    let base = MachineConfig::i3();
-    [
-        (
-            "byte",
-            base.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predec",
-            base.with_predecode(true)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "xferic",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        (
-            "fused",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true),
-        ),
-    ]
+    h5::dispatches(MachineConfig::i3())
 }
 
 /// One (workload, rung) measurement.
@@ -100,9 +76,18 @@ impl Row {
 
 /// Runs the image once on each path and asserts the simulated side is
 /// bit-identical — output, halt state, and every counter.
-fn assert_parity(image: &Image, checked: MachineConfig, elided: MachineConfig, fuel: u64) {
+fn assert_parity(
+    image: &Image,
+    checked: MachineConfig,
+    elided: MachineConfig,
+    license: Option<NativeLicense>,
+    fuel: u64,
+) {
     let fingerprint = |config: MachineConfig| {
         let mut m = Machine::load(image, config).expect("loads");
+        if let Some(license) = license {
+            assert!(m.arm_native(license), "license must arm");
+        }
         m.run(fuel).expect("runs");
         format!("{:?}/{}/{:?}", m.output(), m.halted(), m.stats())
     };
@@ -130,29 +115,29 @@ fn measure(w: &Workload, config: MachineConfig, p: Params) -> (u64, f64, f64, f6
     let opts = VerifyOptions::for_config(&config);
     // Time verification itself (best of a few, it is microseconds).
     let mut verify_s = f64::INFINITY;
+    let mut license = None;
     for _ in 0..3 {
         let t0 = Instant::now();
         let report = verify_image(&compiled.image, &opts);
         verify_s = verify_s.min(t0.elapsed().as_secs_f64());
         assert!(report.is_ok(), "{} must verify:\n{report}", w.name);
+        // The native rung runs under the certificate's license.
+        license = report
+            .certificate()
+            .filter(|_| config.native)
+            .map(|c| c.native_license());
     }
     let checked_cfg = config.with_verified_images(false);
     let elided_cfg = config.with_verified_images(true);
-    assert_parity(&compiled.image, checked_cfg, elided_cfg, w.fuel);
+    assert_parity(&compiled.image, checked_cfg, elided_cfg, license, w.fuel);
     // Untimed warmup on both paths.
-    Machine::load(&compiled.image, checked_cfg)
-        .expect("loads")
-        .run(w.fuel)
-        .expect("runs");
-    Machine::load(&compiled.image, elided_cfg)
-        .expect("loads")
-        .run(w.fuel)
-        .expect("runs");
+    h1::sample(&compiled.image, checked_cfg, license, w.fuel, 1);
+    h1::sample(&compiled.image, elided_cfg, license, w.fuel, 1);
     let (mut best_checked, mut best_elided) = (f64::INFINITY, f64::INFINITY);
     let mut instructions = 0;
     for _ in 0..p.runs {
-        let (c_i, c_s) = h1::sample(&compiled.image, checked_cfg, w.fuel, p.reps);
-        let (e_i, e_s) = h1::sample(&compiled.image, elided_cfg, w.fuel, p.reps);
+        let (c_i, c_s) = h1::sample(&compiled.image, checked_cfg, license, w.fuel, p.reps);
+        let (e_i, e_s) = h1::sample(&compiled.image, elided_cfg, license, w.fuel, p.reps);
         assert_eq!(c_i, e_i, "{}: both paths must simulate identically", w.name);
         instructions = c_i;
         best_checked = best_checked.min(c_s);
@@ -204,12 +189,12 @@ pub fn report_and_json(p: Params) -> (String, String) {
         "H4: certificate-licensed check elision (simulated Minstr/s), checked vs elided, I3\n",
     );
     out.push_str(&format!(
-        "{:<10} {:>7} {:>12} {:>9} {:>9} {:>8} {:>10}\n",
+        "{:<10} {:>9} {:>12} {:>9} {:>9} {:>8} {:>10}\n",
         "workload", "rung", "sim instrs", "checked", "elided", "speedup", "verify_us"
     ));
     for r in &rows {
         out.push_str(&format!(
-            "{:<10} {:>7} {:>12} {:>9} {:>9} {:>7.2}x {:>10.1}\n",
+            "{:<10} {:>9} {:>12} {:>9} {:>9} {:>7.2}x {:>10.1}\n",
             r.workload,
             r.rung,
             r.instructions,
@@ -261,7 +246,7 @@ mod tests {
         let corpus = corpus();
         let w = corpus.iter().find(|w| w.name == "leafcalls").unwrap();
         let (rname, config) = rungs()[3];
-        assert_eq!(rname, "fused");
+        assert_eq!(rname, "native");
         let (instrs, checked_s, elided_s, verify_s, bytes) = measure(w, config, Params::smoke());
         assert!(instrs > 0 && checked_s > 0.0 && elided_s > 0.0);
         assert!(verify_s > 0.0 && bytes > 0);

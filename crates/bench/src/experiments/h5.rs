@@ -1,19 +1,18 @@
 //! H5 — tier-5 native execution: the full dispatch ladder topped by
 //! the certificate-licensed direct-threaded compiler.
 //!
-//! H2 stops at fused predecode; H5 adds the fifth rung, where hot
+//! H2 stops at fused predecode; H5 adds the fourth rung, where hot
 //! procedure bodies stop being interpreted at all and run as chains of
-//! pre-monomorphized host handlers (`crates/vm/src/native.rs`). Five
-//! dispatch variants, identical in every simulated counter
-//! (`tests/predecode_parity.rs`):
+//! pre-monomorphized host handlers (`crates/vm/src/native.rs`). The
+//! whole [`MachineConfig::dispatch_ladder`], identical in every
+//! simulated counter (`tests/predecode_parity.rs`):
 //!
-//! | name | predecode | inline XFER cache | fusion | native |
-//! |------|-----------|-------------------|--------|--------|
-//! | `byte`              | off | off | off | off |
-//! | `predecode`         | on  | off | off | off |
-//! | `predecode_ic`      | on  | on  | off | off |
-//! | `predecode_ic_fuse` | on  | on  | on  | off |
-//! | `native`            | on  | on  | on  | on  |
+//! | name | predecode | fusion | native |
+//! |------|-----------|--------|--------|
+//! | `byte`      | off | off | off |
+//! | `predecode` | on  | off | off |
+//! | `fuse`      | on  | on  | off |
+//! | `native`    | on  | on  | on  |
 //!
 //! The workload set is H2's call-dense slice — these programs re-enter
 //! tiny procedure bodies millions of times, so after a few dozen
@@ -40,52 +39,20 @@ use fpc_verify::{verify_image, VerifyOptions};
 use fpc_vm::{Image, Machine, MachineConfig, NativeLicense};
 use fpc_workloads::{compile_workload, corpus, programs, Kind, Workload};
 
-use super::h1::Params;
+use super::h1::{sample, Params};
 use crate::driver::{default_workers, parallel_map};
 
 /// The call-dense slice of the corpus (same as H2's).
 pub const WORKLOADS: [&str; 5] = ["fib", "ackermann", "tak", "hanoi", "leafcalls"];
-
-/// The dispatch ladder, weakest first.
-pub const DISPATCHES: [&str; 5] = [
-    "byte",
-    "predecode",
-    "predecode_ic",
-    "predecode_ic_fuse",
-    "native",
-];
 
 /// Invocations before a body compiles. Low enough that warm-up is a
 /// negligible slice of a corpus run, high enough to be a real tiering
 /// decision rather than compile-everything-at-load.
 const THRESHOLD: u32 = 16;
 
-fn dispatch_config(base: MachineConfig, name: &str) -> MachineConfig {
-    match name {
-        "byte" => base
-            .with_predecode(false)
-            .with_inline_xfer(false)
-            .with_fusion(false),
-        "predecode" => base
-            .with_predecode(true)
-            .with_inline_xfer(false)
-            .with_fusion(false),
-        "predecode_ic" => base
-            .with_predecode(true)
-            .with_inline_xfer(true)
-            .with_fusion(false),
-        "predecode_ic_fuse" => base
-            .with_predecode(true)
-            .with_inline_xfer(true)
-            .with_fusion(true),
-        "native" => base
-            .with_predecode(true)
-            .with_inline_xfer(true)
-            .with_fusion(true)
-            .with_native_tier(true)
-            .with_native_threshold(THRESHOLD),
-        other => panic!("unknown dispatch {other}"),
-    }
+/// The dispatch ladder over `base`, weakest first, native last.
+pub(crate) fn dispatches(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
+    base.with_native_threshold(THRESHOLD).dispatch_ladder()
 }
 
 fn configs() -> [(&'static str, MachineConfig, Linkage); 4] {
@@ -97,7 +64,7 @@ fn configs() -> [(&'static str, MachineConfig, Linkage); 4] {
     ]
 }
 
-/// One (workload, config) measurement across the five-rung ladder.
+/// One (workload, config) measurement across the four-rung ladder.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Workload name.
@@ -107,8 +74,8 @@ pub struct Row {
     /// Simulated instructions per run (identical on every dispatch).
     pub instructions: u64,
     /// Simulated instructions per host second, per dispatch, in
-    /// [`DISPATCHES`] order.
-    pub ips: [f64; 5],
+    /// ladder order.
+    pub ips: [f64; 4],
     /// Instructions retired by fast native handlers in one run.
     pub native_instrs: u64,
     /// Instructions retired through the interpreter fallback inside
@@ -122,14 +89,14 @@ pub struct Row {
 }
 
 impl Row {
-    /// The headline ratio: native over the full fused ladder.
-    pub fn native_over_icfuse(&self) -> f64 {
-        self.ips[4] / self.ips[3]
+    /// The headline ratio: native over the fused rung.
+    pub fn native_over_fuse(&self) -> f64 {
+        self.ips[3] / self.ips[2]
     }
 
-    /// The full five-rung ratio over the byte decoder.
+    /// The native rung over the byte decoder.
     pub fn native_over_byte(&self) -> f64 {
-        self.ips[4] / self.ips[0]
+        self.ips[3] / self.ips[0]
     }
 
     /// Fraction of all retired instructions that ran as fast native
@@ -169,7 +136,7 @@ fn prepare(cell: &Cell) -> Prepared {
         },
     )
     .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", cell.workload.name));
-    let native_cfg = dispatch_config(cell.config, "native");
+    let [(_, byte_cfg), _, _, (_, native_cfg)] = dispatches(cell.config);
     let report = verify_image(&compiled.image, &VerifyOptions::for_config(&native_cfg));
     let license = report
         .certificate()
@@ -180,8 +147,7 @@ fn prepare(cell: &Cell) -> Prepared {
             )
         })
         .native_license();
-    let mut byte =
-        Machine::load(&compiled.image, dispatch_config(cell.config, "byte")).expect("loads");
+    let mut byte = Machine::load(&compiled.image, byte_cfg).expect("loads");
     byte.run(cell.workload.fuel).expect("runs");
     let mut native = Machine::load(&compiled.image, native_cfg).expect("loads");
     assert!(native.arm_native(license), "license must arm");
@@ -213,30 +179,6 @@ fn prepare(cell: &Cell) -> Prepared {
     }
 }
 
-/// Times one dispatch variant: load cold, arm when the variant is the
-/// native rung, and run to completion `reps` times.
-fn sample(
-    image: &Image,
-    config: MachineConfig,
-    license: Option<NativeLicense>,
-    fuel: u64,
-    reps: usize,
-) -> (u64, f64) {
-    let mut instructions = 0;
-    let mut elapsed = 0.0;
-    for _ in 0..reps {
-        let mut m = Machine::load(image, config).expect("loads");
-        if let Some(license) = license {
-            assert!(m.arm_native(license), "license must arm");
-        }
-        let t0 = std::time::Instant::now();
-        m.run(fuel).expect("runs");
-        elapsed += t0.elapsed().as_secs_f64();
-        instructions = m.stats().instructions;
-    }
-    (instructions, elapsed / reps as f64)
-}
-
 /// Runs the full measurement matrix.
 pub fn measure_all(p: Params) -> Vec<Row> {
     let corpus = corpus();
@@ -264,11 +206,10 @@ pub fn measure_all(p: Params) -> Vec<Row> {
         .iter()
         .zip(prepared)
         .map(|(cell, prep)| {
-            let mut best = [f64::INFINITY; 5];
+            let mut best = [f64::INFINITY; 4];
             for _ in 0..p.runs {
-                for (d, name) in DISPATCHES.iter().enumerate() {
-                    let cfg = dispatch_config(cell.config, name);
-                    let license = (*name == "native").then_some(prep.license);
+                for (d, (_, cfg)) in dispatches(cell.config).into_iter().enumerate() {
+                    let license = cfg.native.then_some(prep.license);
                     let (instrs, secs) =
                         sample(&prep.image, cfg, license, cell.workload.fuel, p.reps);
                     assert_eq!(instrs, prep.instructions, "{}", cell.workload.name);
@@ -349,7 +290,7 @@ pub fn measure_call_costs(p: Params) -> Vec<CallCost> {
             };
             let call = prepare(&cell(programs::leafcalls(LEAF_CALLS)));
             let plain = prepare(&cell(no_call_loop(LEAF_CALLS)));
-            let cfg = dispatch_config(config, "native");
+            let (_, cfg) = dispatches(config)[3];
             let mut best = [f64::INFINITY; 2];
             for _ in 0..p.runs * p.reps {
                 for (b, prep) in best.iter_mut().zip([&call, &plain]) {
@@ -375,7 +316,7 @@ fn i4_over_i3(rows: &[Row]) -> f64 {
                 .filter(|r| r.config == config)
                 .fold((0.0, 0.0), |(ns, n), r| {
                     let i = r.instructions as f64;
-                    (ns + i * 1e9 / r.ips[4], n + i)
+                    (ns + i * 1e9 / r.ips[3], n + i)
                 });
         ns / instrs
     };
@@ -390,7 +331,7 @@ fn fmt_mips(ips: f64) -> String {
 fn worst(rows: &[Row], keep: impl Fn(&Row) -> bool) -> f64 {
     rows.iter()
         .filter(|r| keep(r))
-        .map(Row::native_over_icfuse)
+        .map(Row::native_over_fuse)
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -401,21 +342,12 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let mut out = String::new();
     out.push_str("H5: tier-5 native execution (simulated Minstr/s) on call-dense workloads\n");
     out.push_str(&format!(
-        "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
-        "workload",
-        "cfg",
-        "sim instrs",
-        "byte",
-        "predec",
-        "+ic",
-        "+fuse",
-        "native",
-        "nat%",
-        "vs fuse"
+        "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
+        "workload", "cfg", "sim instrs", "byte", "predec", "+fuse", "native", "nat%", "vs fuse"
     ));
     for r in &rows {
         out.push_str(&format!(
-            "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7.1}% {:>8.2}x\n",
+            "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>7.1}% {:>8.2}x\n",
             r.workload,
             r.config,
             r.instructions,
@@ -423,9 +355,8 @@ pub fn report_and_json(p: Params) -> (String, String) {
             fmt_mips(r.ips[1]),
             fmt_mips(r.ips[2]),
             fmt_mips(r.ips[3]),
-            fmt_mips(r.ips[4]),
             100.0 * r.native_share(),
-            r.native_over_icfuse()
+            r.native_over_fuse()
         ));
     }
     // The bank machine (i4) runs its locals and indirect accesses in
@@ -435,7 +366,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let worst_i1_i3 = worst(&rows, |r| r.config != "i4");
     let worst_all = worst(&rows, |_| true);
     out.push_str(&format!(
-        "worst-case native over predecode_ic_fuse: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
+        "worst-case native over fuse: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
     ));
     out.push_str("native call+return pair vs loop instruction (host ns)\n");
     for c in &costs {
@@ -458,14 +389,16 @@ pub fn report_and_json(p: Params) -> (String, String) {
     json.push_str(&format!(
         "  \"configs\": [{}],\n  \"dispatches\": [{}],\n  \"rows\": [\n",
         configs().map(|(c, _, _)| format!("\"{c}\"")).join(", "),
-        DISPATCHES.map(|d| format!("\"{d}\"")).join(", ")
+        dispatches(MachineConfig::i1())
+            .map(|(d, _)| format!("\"{d}\""))
+            .join(", ")
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"config\": \"{}\", \"instructions\": {}, \
-             \"ips\": {{\"byte\": {:.0}, \"predecode\": {:.0}, \"predecode_ic\": {:.0}, \"predecode_ic_fuse\": {:.0}, \"native\": {:.0}}}, \
+             \"ips\": {{\"byte\": {:.0}, \"predecode\": {:.0}, \"fuse\": {:.0}, \"native\": {:.0}}}, \
              \"native_instrs\": {}, \"interp_ops\": {}, \"compiled_procs\": {}, \"hottest_calls\": {}, \
-             \"native_share\": {:.3}, \"native_over_icfuse\": {:.3}, \"native_over_byte\": {:.3}}}{}\n",
+             \"native_share\": {:.3}, \"native_over_fuse\": {:.3}, \"native_over_byte\": {:.3}}}{}\n",
             r.workload,
             r.config,
             r.instructions,
@@ -473,13 +406,12 @@ pub fn report_and_json(p: Params) -> (String, String) {
             r.ips[1],
             r.ips[2],
             r.ips[3],
-            r.ips[4],
             r.native_instrs,
             r.interp_ops,
             r.compiled_procs,
             r.hottest_calls,
             r.native_share(),
-            r.native_over_icfuse(),
+            r.native_over_fuse(),
             r.native_over_byte(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -496,7 +428,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
         ));
     }
     json.push_str(&format!(
-        "  }},\n  \"i4_over_i3_native_ns_per_instr\": {i4_i3:.3},\n  \"worst_native_over_icfuse_i1_i3\": {worst_i1_i3:.3},\n  \"worst_native_over_icfuse_all\": {worst_all:.3}\n}}\n"
+        "  }},\n  \"i4_over_i3_native_ns_per_instr\": {i4_i3:.3},\n  \"worst_native_over_fuse_i1_i3\": {worst_i1_i3:.3},\n  \"worst_native_over_fuse_all\": {worst_all:.3}\n}}\n"
     ));
     (out, json)
 }
@@ -529,12 +461,9 @@ mod tests {
 
     #[test]
     fn the_ladder_tops_out_at_native() {
-        let base = MachineConfig::i2();
-        let byte = dispatch_config(base, "byte");
+        let [(_, byte), _, (_, fuse), (_, native)] = dispatches(MachineConfig::i2());
         assert!(!byte.predecode && !byte.native);
-        let full = dispatch_config(base, "predecode_ic_fuse");
-        assert!(full.predecode && full.fuse && !full.native);
-        let native = dispatch_config(base, "native");
+        assert!(fuse.predecode && fuse.fuse && !fuse.native);
         assert!(native.predecode && native.fuse && native.native);
         assert_eq!(native.native_threshold, THRESHOLD);
     }

@@ -5,8 +5,8 @@
 //! of two slowly-changing stores — the code segment (entry vectors,
 //! procedure headers) and the transfer-table words in data memory (the
 //! GFT and each global frame's code-base word). Anything that memoises
-//! a resolution — an inline cache at a call site, say — is therefore
-//! coherent exactly as long as neither store has changed.
+//! a resolution — a compiled call site, say — is therefore coherent
+//! exactly as long as neither store has changed.
 //!
 //! This module gives that condition a name. A [`TableKey`] snapshots
 //! the two mutation counters (the `CodeStore` version and the data

@@ -132,10 +132,11 @@ impl Memory {
     /// Marks `addr` as a transfer-table word: any store to it (counted
     /// or host-side) bumps the generation returned by
     /// [`Memory::table_gen`]. Host-side caches derived from table words
-    /// — e.g. the VM's inline transfer caches over the GFT and the
-    /// global frames' code-base words — key themselves on that
-    /// generation, so a simulated program overwriting a table entry
-    /// invalidates them without any per-cache hook.
+    /// — e.g. the VM's native tier, whose compiled call sites resolve
+    /// through the GFT and the global frames' code-base words — key
+    /// themselves on that generation, so a simulated program
+    /// overwriting a table entry invalidates them without any
+    /// per-cache hook.
     ///
     /// # Panics
     ///

@@ -104,12 +104,6 @@ pub struct MachineConfig {
     /// on and exists mainly so experiments can measure the byte-decode
     /// baseline.
     pub predecode: bool,
-    /// Memoise resolved call targets in per-site inline caches,
-    /// charging (rather than performing) the table-walk references on
-    /// a hit. Host-side only: simulated counters are bit-identical
-    /// either way. Defaults to on; experiments switch it off to
-    /// measure the plain walk.
-    pub inline_xfer: bool,
     /// Fuse hot 2-op pairs into superinstructions in the predecode
     /// layer and execute them in dedicated step arms. Host-side only;
     /// requires `predecode` (silently inert without it). Defaults to
@@ -189,7 +183,6 @@ impl MachineConfig {
             strict_stack: true,
             stack_depth: 16,
             predecode: true,
-            inline_xfer: true,
             fuse: true,
             fault_reserve_words: 0,
             stack_reserve: 8,
@@ -257,10 +250,10 @@ impl MachineConfig {
         self
     }
 
-    /// Enables or disables the inline transfer caches (host-side
-    /// only; simulated costs are charged identically on hits).
-    pub fn with_inline_xfer(mut self, on: bool) -> Self {
-        self.inline_xfer = on;
+    /// Does nothing: there is no inline transfer cache to switch.
+    /// Kept only for `perfbench/`, its one caller.
+    #[doc(hidden)]
+    pub fn with_inline_xfer(self, _: bool) -> Self {
         self
     }
 
@@ -331,6 +324,27 @@ impl MachineConfig {
     pub fn renaming(&self) -> bool {
         self.banks.map(|b| b.renaming).unwrap_or(false)
     }
+
+    /// The host dispatch ladder over this configuration, weakest
+    /// first: `byte` (every host accelerator off: the reference each
+    /// other rung must match bit-for-bit), `predecode`, `fuse` (plus
+    /// superinstruction fusion) and `native` (plus the native tier at
+    /// this config's [`MachineConfig::native_threshold`]). The rungs
+    /// differ only in host speed; callers that never arm the native
+    /// tier take the first three.
+    pub fn dispatch_ladder(self) -> [(&'static str, MachineConfig); 4] {
+        let interp = |predecode, fuse| {
+            self.with_predecode(predecode)
+                .with_fusion(fuse)
+                .with_native_tier(false)
+        };
+        [
+            ("byte", interp(false, false)),
+            ("predecode", interp(true, false)),
+            ("fuse", interp(true, true)),
+            ("native", interp(true, true).with_native_tier(true)),
+        ]
+    }
 }
 
 impl Default for MachineConfig {
@@ -364,8 +378,7 @@ mod tests {
         assert_eq!(c.alloc, AllocStrategy::General);
         assert!(c.predecode, "predecode defaults to on");
         assert!(!c.with_predecode(false).predecode);
-        assert!(c.inline_xfer && c.fuse, "host accelerators default on");
-        assert!(!c.with_inline_xfer(false).inline_xfer);
+        assert!(c.fuse, "fusion defaults on");
         assert!(!c.with_fusion(false).fuse);
         assert_eq!(c.fault_reserve_words, 0, "no reserve unless asked");
         assert_eq!(c.with_fault_reserve(128).fault_reserve_words, 128);
@@ -384,6 +397,24 @@ mod tests {
         assert_eq!(c.with_memory_words(2048).memory_words, 2048);
         assert!(!c.observe_effects, "observation is opt-in");
         assert!(c.with_observe_effects(true).observe_effects);
+    }
+
+    #[test]
+    fn the_ladder_climbs_from_byte_to_native() {
+        let ladder = MachineConfig::i2()
+            .with_native_threshold(4)
+            .dispatch_ladder();
+        let toggles = ladder.map(|(name, c)| (name, c.predecode, c.fuse, c.native));
+        assert_eq!(
+            toggles,
+            [
+                ("byte", false, false, false),
+                ("predecode", true, false, false),
+                ("fuse", true, true, false),
+                ("native", true, true, true),
+            ]
+        );
+        assert!(ladder.iter().all(|(_, c)| c.native_threshold == 4));
     }
 
     #[test]

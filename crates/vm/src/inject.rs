@@ -44,7 +44,7 @@ pub enum FaultEvent {
     },
     /// Rewrite watched transfer-table words `writes` times without
     /// changing them, storming the generation counter that guards the
-    /// inline transfer caches into wholesale revalidation.
+    /// native tier into wholesale revalidation.
     GenStorm {
         /// Instruction count to trigger at.
         at: u64,

@@ -55,7 +55,6 @@ mod machine;
 mod native;
 mod observe;
 mod predecode;
-mod xfer;
 
 pub use banks::{BankMachine, BankStats};
 pub use cache::{CacheStats, FrameCache};
@@ -76,4 +75,3 @@ pub use machine::{FaultStats, FusionStats, Machine, MachineStats, RemoteRequest,
 pub use native::{NativeLicense, NativeStats};
 pub use observe::ObservedEffects;
 pub use predecode::{fuse_pair, DecodedOp, Fetched, FusedOp, PredecodeCache, PredecodeStats};
-pub use xfer::{CachedTarget, XferCache, XferCacheStats};

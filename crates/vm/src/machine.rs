@@ -37,7 +37,6 @@ use crate::image::{self, Image, ProcRef, AV_BASE, GFT_BASE, GFT_ENTRIES};
 use crate::native::{Compiled, NOp, NativeLicense, NativeTier, ReturnPredictor, Site};
 use crate::observe::ObservedEffects;
 use crate::predecode::{Fetched, FusedOp, PredecodeCache, PredecodeStats};
-use crate::xfer::{CachedTarget, XferCache, XferCacheStats};
 
 /// Whole-run statistics.
 #[derive(Debug, Default, Clone)]
@@ -114,6 +113,17 @@ pub struct FusionStats {
     /// Pairs demoted to a single step because a stack-depth guard
     /// failed (the slow path that keeps error behaviour identical).
     pub demotions: u64,
+}
+
+/// What [`Machine::xfer_cache_stats`] would report; it never does.
+/// Kept only for `perfbench/`, its one caller.
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct XferCacheStats {
+    /// Calls served from a memoised target.
+    pub hits: u64,
+    /// Calls resolved through the tables.
+    pub misses: u64,
 }
 
 /// Counters for the recoverable-fault subsystem.
@@ -231,7 +241,6 @@ pub struct Machine {
     defer_headers: bool,
     classes: fpc_frames::SizeClasses,
     predecode: Option<PredecodeCache>,
-    xfer_ic: Option<XferCache>,
     fused_execs: u64,
     fuse_demotions: u64,
     /// Dynamic stack checks elided under a trusted `fpc-verify`
@@ -341,6 +350,22 @@ enum Flow {
     Next,
     Taken(Option<TransferKind>),
     Halt,
+}
+
+/// A resolved call target: everything [`Machine::enter_call`] needs
+/// beyond the transfer kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CallTarget {
+    /// Procedure header address.
+    pub header: ByteAddr,
+    /// Destination global frame.
+    pub gf: WordAddr,
+    /// Destination code base.
+    pub cb: ByteAddr,
+    /// Header frame-size index byte.
+    pub fsi: u8,
+    /// Header flags byte (packed nargs / addr-taken).
+    pub flags: u8,
 }
 
 /// How a native burst ended.
@@ -476,9 +501,9 @@ impl Machine {
         let mut mem = mem;
         // Watch the transfer-table words — the GFT region and each
         // global frame's code-base word — so any store to them bumps
-        // the table generation the inline transfer caches are keyed
-        // on. Watching is unconditional (it is not a counter) so the
-        // generation is meaningful whether or not the caches are on.
+        // the table generation the native tier is keyed on. Watching
+        // is unconditional (it is not a counter) so the generation is
+        // meaningful whether or not the tier is on.
         mem.watch_range(GFT_BASE, GFT_ENTRIES);
         for &gf in &placement.gf_addrs {
             mem.watch(gf.offset(layout::GF_CODE_BASE));
@@ -557,7 +582,6 @@ impl Machine {
             predecode: config
                 .predecode
                 .then(|| PredecodeCache::with_fusion(config.fuse)),
-            xfer_ic: config.inline_xfer.then(XferCache::new),
             fused_execs: 0,
             fuse_demotions: 0,
             elide_checks: config.verified_images,
@@ -669,11 +693,12 @@ impl Machine {
         })
     }
 
-    /// Inline-transfer-cache statistics, when the caches are enabled.
-    /// Only interpreted calls consult the caches: native bursts resolve
-    /// their call targets at compile time.
+    /// Always `None`: calls resolve through the tables, or through a
+    /// native site's compile-time target, and nothing memoises them.
+    /// Kept only for `perfbench/`, its one caller.
+    #[doc(hidden)]
     pub fn xfer_cache_stats(&self) -> Option<XferCacheStats> {
-        self.xfer_ic.as_ref().map(|c| c.stats())
+        None
     }
 
     /// Superinstruction-fusion statistics, when fusion is active
@@ -800,8 +825,8 @@ impl Machine {
     /// is deferred while in use.
     ///
     /// The accelerators are flushed first so no return stack entry,
-    /// bank, or inline cache can carry control into the unbound segment
-    /// behind the check's back.
+    /// bank, or compiled body can carry control into the unbound
+    /// segment behind the check's back.
     ///
     /// # Errors
     ///
@@ -889,8 +914,9 @@ impl Machine {
 
     /// Injection hook: re-writes a watched transfer-table word with its
     /// own value `n` times (host-side, uncounted). Architecturally a
-    /// no-op, but each poke bumps the table generation, forcing every
-    /// inline transfer cache to revalidate — a generation storm.
+    /// no-op, but each poke bumps the table generation, forcing the
+    /// native tier to revalidate its compiled bodies — a generation
+    /// storm.
     pub fn shake_tables(&mut self, n: u32) {
         for _ in 0..n {
             let v = self.mem.peek(GFT_BASE);
@@ -1085,12 +1111,7 @@ impl Machine {
     /// is the code base of the body holding the call, whose entry
     /// vector a local call indexes. Uncounted: this is compile-time
     /// work; the native handler charges what the run-time walk would.
-    fn known_target(
-        &self,
-        instr: Instr,
-        at: ByteAddr,
-        cb: Option<ByteAddr>,
-    ) -> Option<CachedTarget> {
+    fn known_target(&self, instr: Instr, at: ByteAddr, cb: Option<ByteAddr>) -> Option<CallTarget> {
         let direct = |header: ByteAddr| {
             self.check_header(header).ok()?;
             let (gf, cb) = self.read_header_gf_cb(header);
@@ -1112,7 +1133,7 @@ impl Machine {
             _ => return None,
         };
         let (fsi, flags) = self.read_header(header);
-        Some(CachedTarget {
+        Some(CallTarget {
             header,
             gf,
             cb,
@@ -1670,19 +1691,18 @@ impl Machine {
 
     /// A call site inside a burst. A known target goes straight to the
     /// frame allocation and link, charging what the table walk would:
-    /// one entry-vector read for a local call (the inline cache's hit
-    /// charge), nothing for a direct one; its frame size goes into the
-    /// batch. Anything else walks the tables as the interpreter does;
-    /// the inline cache is never consulted.
+    /// one entry-vector read for a local call, nothing for a direct
+    /// one; its frame size goes into the batch. Anything else walks the
+    /// tables as the interpreter does.
     #[inline(always)]
     fn native_call(&mut self, site: &Site, batch: &mut TransferBatch) -> Result<Flow, VmError> {
         let t = match (site.instr, site.target) {
             (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => {
                 self.code.charge_table_reads(1);
-                CachedTarget { gf: self.gf, ..t }
+                CallTarget { gf: self.gf, ..t }
             }
             (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => t,
-            (instr, _) => return self.call_uncached(instr, ByteAddr(site.at)),
+            (instr, _) => return self.call_via_tables(instr, ByteAddr(site.at)),
         };
         let flow = self.enter_call(t, TransferKind::Call, true)?;
         if !batch.record_frame(t.fsi) {
@@ -2891,109 +2911,11 @@ impl Machine {
         Ok((header, gf, base))
     }
 
-    /// Brings the inline transfer cache up to the current generations
-    /// and returns it. Callers have already checked `xfer_ic.is_some()`.
-    #[inline]
-    fn ic_synced(&mut self) -> &mut XferCache {
-        let code_version = self.code.version();
-        let table_gen = self.mem.table_gen();
-        let code_len = self.code.len();
-        let ic = self.xfer_ic.as_mut().expect("checked by caller");
-        ic.sync(code_version, table_gen, code_len);
-        ic
-    }
-
-    /// `EFC` through the inline cache. The link-vector read is real and
-    /// counted either way (the guard rides its raw value); a hit then
-    /// *charges* the GFT walk's 2 data reads and 1 table read instead
-    /// of performing them.
-    fn external_call_cached(&mut self, k: u8, instr_start: ByteAddr) -> Result<Flow, VmError> {
-        let lv_raw = self.mem.read(self.wrap(layout::lv_slot(self.gf, k as u32)));
-        if let Some(t) = self.ic_synced().lookup_link(instr_start.0, lv_raw) {
-            self.mem.charge_reads(2);
-            self.code.charge_table_reads(1);
-            return self.perform_call_resolved(t, TransferKind::Call, true);
-        }
-        let w = ContextWord::from_raw(lv_raw);
-        match Context::from(w) {
-            Context::Proc(p) => {
-                let (header, dest_gf, dest_cb) = self.resolve_proc_desc(p)?;
-                let (fsi, flags) = self.read_header(header);
-                let t = CachedTarget {
-                    header,
-                    gf: dest_gf,
-                    cb: dest_cb,
-                    fsi,
-                    flags,
-                };
-                if let Some(ic) = self.xfer_ic.as_mut() {
-                    ic.fill_link(instr_start.0, t, lv_raw);
-                }
-                self.perform_call_resolved(t, TransferKind::Call, true)
-            }
-            Context::Frame(_) => self.perform_xfer(w),
-            Context::Nil => Err(VmError::XferToNil),
-        }
-    }
-
-    /// `LFC` through the inline cache: a hit charges the entry-vector
-    /// table read instead of performing it.
-    fn local_call_cached(&mut self, k: u8, instr_start: ByteAddr) -> Result<Flow, VmError> {
-        let (caller_gf, caller_cb) = (self.gf, self.code_base);
-        if let Some(t) = self
-            .ic_synced()
-            .lookup_local(instr_start.0, caller_gf, caller_cb)
-        {
-            self.code.charge_table_reads(1);
-            return self.perform_call_resolved(t, TransferKind::Call, true);
-        }
-        let slot = layout::ev_slot(caller_cb, k as u16);
-        self.check_ev_slot(slot)?;
-        let rel = self.code.read_table(slot);
-        let header = caller_cb.offset(rel as u32);
-        self.check_header(header)?;
-        let (fsi, flags) = self.read_header(header);
-        let t = CachedTarget {
-            header,
-            gf: caller_gf,
-            cb: caller_cb,
-            fsi,
-            flags,
-        };
-        if let Some(ic) = self.xfer_ic.as_mut() {
-            ic.fill_local(instr_start.0, t, caller_gf, caller_cb);
-        }
-        self.perform_call_resolved(t, TransferKind::Call, true)
-    }
-
-    /// `DFC`/`SDC` through the inline cache: the resolution is all
-    /// uncounted header peeks, so a hit charges nothing — it only
-    /// spares the host the peeks and flag unpacking.
-    fn direct_call_cached(&mut self, header: ByteAddr, site: u32) -> Result<Flow, VmError> {
-        if let Some(t) = self.ic_synced().lookup_burned(site) {
-            return self.perform_call_resolved(t, TransferKind::Call, true);
-        }
-        self.check_header(header)?;
-        let (gf, cb) = self.read_header_gf_cb(header);
-        let (fsi, flags) = self.read_header(header);
-        let t = CachedTarget {
-            header,
-            gf,
-            cb,
-            fsi,
-            flags,
-        };
-        if let Some(ic) = self.xfer_ic.as_mut() {
-            ic.fill_burned(site, t);
-        }
-        self.perform_call_resolved(t, TransferKind::Call, true)
-    }
-
-    /// The four call linkages resolved through the tables, without the
-    /// inline cache: `execute` takes this path when the cache is off,
-    /// native bursts always (remote link-vector entries disarm the
+    /// The four call linkages resolved through the tables: every
+    /// interpreted call, and every native call whose target was not
+    /// fixed at compile time (remote link-vector entries disarm the
     /// native tier, so bursts need no remote intercept).
-    fn call_uncached(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
+    fn call_via_tables(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
         let header = match instr {
             Instr::ExternalCall(k) => {
                 // One reference into the link vector…
@@ -3300,31 +3222,15 @@ impl Machine {
     ) -> Result<Flow, VmError> {
         self.check_header(header)?;
         let (fsi, flags) = self.read_header(header);
-        self.perform_call_resolved(
-            CachedTarget {
-                header,
-                gf: dest_gf,
-                cb: dest_cb,
-                fsi,
-                flags,
-            },
-            kind,
-            strict,
-        )
-    }
-
-    /// [`Machine::perform_call`] with the header bytes already in hand
-    /// — the entry point for inline-cache hits, which memoise the
-    /// parsed header alongside the resolved addresses.
-    #[inline(always)]
-    fn perform_call_resolved(
-        &mut self,
-        t: CachedTarget,
-        kind: TransferKind,
-        strict: bool,
-    ) -> Result<Flow, VmError> {
+        let t = CallTarget {
+            header,
+            gf: dest_gf,
+            cb: dest_cb,
+            fsi,
+            flags,
+        };
         let flow = self.enter_call(t, kind, strict)?;
-        self.record_frame_bytes(t.fsi);
+        self.record_frame_bytes(fsi);
         Ok(flow)
     }
 
@@ -3336,11 +3242,11 @@ impl Machine {
     #[inline(always)]
     fn enter_call(
         &mut self,
-        t: CachedTarget,
+        t: CallTarget,
         kind: TransferKind,
         strict: bool,
     ) -> Result<Flow, VmError> {
-        let CachedTarget {
+        let CallTarget {
             header,
             gf: dest_gf,
             cb: dest_cb,
@@ -3789,28 +3695,10 @@ impl Machine {
                 if let Some(link) = self.remote_link_at(k) {
                     return self.remote_xfer(link, instr_start);
                 }
-                if self.xfer_ic.is_some() {
-                    return self.external_call_cached(k, instr_start);
-                }
-                return self.call_uncached(instr, instr_start);
+                return self.call_via_tables(instr, instr_start);
             }
-            Instr::LocalCall(k) => {
-                if self.xfer_ic.is_some() {
-                    return self.local_call_cached(k, instr_start);
-                }
-                return self.call_uncached(instr, instr_start);
-            }
-            Instr::DirectCall(addr) => {
-                if self.xfer_ic.is_some() {
-                    return self.direct_call_cached(ByteAddr(addr), instr_start.0);
-                }
-                return self.call_uncached(instr, instr_start);
-            }
-            Instr::ShortDirectCall(d) => {
-                if self.xfer_ic.is_some() {
-                    return self.direct_call_cached(instr_start.displace(d), instr_start.0);
-                }
-                return self.call_uncached(instr, instr_start);
+            Instr::LocalCall(_) | Instr::DirectCall(_) | Instr::ShortDirectCall(_) => {
+                return self.call_via_tables(instr, instr_start);
             }
             Instr::Ret => return self.perform_return(),
             Instr::Xfer => {

@@ -1,12 +1,12 @@
 //! Tier-5 native execution: certificate-licensed direct-threaded
 //! compilation of hot procedure bodies.
 //!
-//! The dispatch ladder so far (byte → predecode → +inline XFER cache →
-//! +fusion) still pays an interpretive dispatch per step. This module
-//! adds a fifth rung: hot procedure bodies are compiled once into a
-//! chain of pre-monomorphized host handlers ([`NOp`]) with operands
-//! inlined and jump targets resolved to op indices — direct-threaded
-//! code in safe Rust, no runtime codegen.
+//! The dispatch ladder so far (byte → predecode → +fusion) still pays
+//! an interpretive dispatch per step. This module adds a fourth rung:
+//! hot procedure bodies are compiled once into a chain of
+//! pre-monomorphized host handlers ([`NOp`]) with operands inlined and
+//! jump targets resolved to op indices — direct-threaded code in safe
+//! Rust, no runtime codegen.
 //!
 //! # Licensing
 //!
@@ -69,7 +69,7 @@ use fpc_core::TableKey;
 use fpc_isa::Instr;
 use fpc_stats::Histogram;
 
-use crate::xfer::CachedTarget;
+use crate::machine::CallTarget;
 
 /// License to run the native tier, normally obtained from
 /// `fpc_verify::Certificate::native_license()`.
@@ -283,7 +283,7 @@ pub(crate) struct Site {
     /// the code base whose entry vector was read: the target holds only
     /// while the caller runs under that code base, and the destination
     /// global frame is the caller's (`gf` is unused).
-    pub target: Option<CachedTarget>,
+    pub target: Option<CallTarget>,
     /// The compiled entry of a known target's body, if compiled: where
     /// the call continues without [`Compiled::locate`].
     pub entry: Option<Entry>,
@@ -599,7 +599,7 @@ impl NativeTier {
         body: u32,
         end: u32,
         banks: bool,
-        resolve: &dyn Fn(Instr, u32) -> Option<CachedTarget>,
+        resolve: &dyn Fn(Instr, u32) -> Option<CallTarget>,
     ) -> bool {
         let c = &mut self.compiled;
         if end <= body || c.procs.len() >= (REFUSED - 1) as usize {
@@ -679,7 +679,7 @@ fn compile_body(
     body: u32,
     end: u32,
     banks: bool,
-    resolve: &dyn Fn(Instr, u32) -> Option<CachedTarget>,
+    resolve: &dyn Fn(Instr, u32) -> Option<CallTarget>,
 ) -> NativeProc {
     let mut decoded: Vec<(u32, Instr, u8)> = Vec::new();
     for step in fpc_isa::walk(code, body as usize, end as usize) {
@@ -976,7 +976,7 @@ mod tests {
     }
 
     /// A resolver that knows no call target.
-    fn unknown(_: Instr, _: u32) -> Option<CachedTarget> {
+    fn unknown(_: Instr, _: u32) -> Option<CallTarget> {
         None
     }
 
@@ -1130,7 +1130,7 @@ mod tests {
             Instr::ExternalCall(1),
             Instr::Ret,
         ]);
-        let target = CachedTarget {
+        let target = CallTarget {
             header: ByteAddr(0x40),
             gf: WordAddr(0x100),
             cb: ByteAddr(0),
@@ -1177,7 +1177,7 @@ mod tests {
         bytes.extend_from_slice(&[0; PROC_HEADER_BYTES as usize]);
         let b_start = hdr + PROC_HEADER_BYTES;
         bytes.extend(body_bytes(&[Instr::LoadImm(1), Instr::Ret]));
-        let target = CachedTarget {
+        let target = CallTarget {
             header: ByteAddr(hdr),
             gf: WordAddr(0x100),
             cb: ByteAddr(0),

@@ -21,7 +21,7 @@ use fpc_vm::{
 };
 
 /// Every simulated-side observable, flattened through Debug (the same
-/// fingerprint the 5-rung parity suite uses).
+/// fingerprint the 4-rung parity suite uses).
 fn fingerprint(m: &Machine) -> String {
     format!(
         "output={:?} stack={:?} stats={:?} mem={:?} rs={:?} banks={:?} cache={:?} heap={:?}",
@@ -36,19 +36,15 @@ fn fingerprint(m: &Machine) -> String {
     )
 }
 
-/// The native rung under test: full accelerator ladder plus the tier-5
-/// compiler with a low threshold so short runs go native quickly.
+/// The native rung under test, with a low threshold so short runs go
+/// native quickly.
 fn native_config() -> MachineConfig {
     native_on(MachineConfig::i2())
 }
 
 /// `base` (one of I1–I4) on the native rung.
 fn native_on(base: MachineConfig) -> MachineConfig {
-    base.with_predecode(true)
-        .with_inline_xfer(true)
-        .with_fusion(true)
-        .with_native_tier(true)
-        .with_native_threshold(4)
+    base.with_native_threshold(4).dispatch_ladder()[3].1
 }
 
 /// The reference rung: every host accelerator off.
@@ -58,9 +54,7 @@ fn reference_config() -> MachineConfig {
 
 /// `base` on the byte rung.
 fn byte_on(base: MachineConfig) -> MachineConfig {
-    base.with_predecode(false)
-        .with_inline_xfer(false)
-        .with_fusion(false)
+    base.dispatch_ladder()[0].1
 }
 
 /// A license generous enough for these tiny images. The verifier mints
@@ -440,14 +434,9 @@ fn loop_in_a_once_entered_procedure_tiers_up_by_back_edge() {
 }
 
 /// The bank machine's native rung: I4 (8×16 renaming banks, divert
-/// policy) with the full ladder and a low threshold.
+/// policy) with a low threshold.
 fn bank_native_config() -> MachineConfig {
-    MachineConfig::i4()
-        .with_predecode(true)
-        .with_inline_xfer(true)
-        .with_fusion(true)
-        .with_native_tier(true)
-        .with_native_threshold(4)
+    native_on(MachineConfig::i4())
 }
 
 /// A renaming image: `tri` recurses 40 deep — five times the bank
@@ -528,10 +517,7 @@ fn bank_machine_bursts_overflow_underflow_and_divert_like_the_byte_rung() {
         .into_iter()
         .chain((1..=20).rev().map(|x| 2 * x + 1))
         .collect();
-    let byte = MachineConfig::i4()
-        .with_predecode(false)
-        .with_inline_xfer(false)
-        .with_fusion(false);
+    let byte = byte_on(MachineConfig::i4());
     let mut reference = Machine::load(&image, byte).unwrap();
     reference.run(200_000).unwrap();
     assert_eq!(reference.output(), expected.as_slice());

@@ -8,7 +8,7 @@
 //! charge-free observation journal ([`ObservedEffects`]), recorded at
 //! the same granularity — global footprints per code segment, effect
 //! flags per category. The inclusion `observed ⊆ static` must hold for
-//! the whole corpus, on every one of the five dispatch rungs, across
+//! the whole corpus, on every one of the four dispatch rungs, across
 //! machine presets and seeded preemption schedules: acceleration and
 //! slicing may change *when* an effect happens, never whether the
 //! summary predicted it.
@@ -22,42 +22,9 @@ use fpc_vm::{
 };
 use fpc_workloads::{compile_workload, corpus};
 
-/// The five host dispatch rungs, native last.
-fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 5] {
-    [
-        (
-            "byte",
-            base.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode",
-            base.with_predecode(true)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic_fuse",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true),
-        ),
-        (
-            "native",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true)
-                .with_native_tier(true)
-                .with_native_threshold(4),
-        ),
-    ]
+/// The four host dispatch rungs, native last.
+fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
+    base.with_native_threshold(4).dispatch_ladder()
 }
 
 /// Checks `obs ⊆ sum`: every observed effect is predicted by the

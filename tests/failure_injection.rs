@@ -31,36 +31,13 @@ fn run_src(src: &str, config: MachineConfig) -> Result<Machine, VmError> {
     Ok(m)
 }
 
-/// The four host dispatch rungs. Simulated counters are bit-identical
-/// across them by construction; these tests additionally pin down that
-/// *fault behaviour* — codes, recovery, accounting — is too.
-fn rungs(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
-    [
-        (
-            "byte",
-            base.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode",
-            base.with_predecode(true)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic_fuse",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true),
-        ),
-    ]
+/// The three interpreted host dispatch rungs. Simulated counters are
+/// bit-identical across them by construction; these tests additionally
+/// pin down that *fault behaviour* — codes, recovery, accounting — is
+/// too.
+fn rungs(base: MachineConfig) -> [(&'static str, MachineConfig); 3] {
+    let [byte, predecode, fuse, _native] = base.dispatch_ladder();
+    [byte, predecode, fuse]
 }
 
 fn implementations() -> [(&'static str, MachineConfig); 4] {
@@ -705,11 +682,6 @@ fn paused_and_resumed_runs_are_bit_identical() {
             "{rname}"
         );
         assert_eq!(sliced.total_refs(), whole.total_refs(), "{rname}");
-        assert_eq!(
-            format!("{:?}", sliced.xfer_cache_stats()),
-            format!("{:?}", whole.xfer_cache_stats()),
-            "{rname}"
-        );
         assert_eq!(
             format!("{:?}", sliced.fusion_stats()),
             format!("{:?}", whole.fusion_stats()),

@@ -5,7 +5,7 @@
 //! resumes them on arbitrary workers. That is sound only if a run
 //! split into slices `a + b + …` is *bit-identical* to the unsliced
 //! run — stats, output, references, cache and bank statistics — on
-//! every rung of the five-level dispatch ladder, including a
+//! every rung of the four-level dispatch ladder, including a
 //! zero-length first slice and splits that land inside a fused pair or
 //! a native burst. The split tests run on I3 and on the renaming bank
 //! machine I4, where splits also land inside fused bank-local ops.
@@ -25,44 +25,11 @@ use fpc_workloads::{compile_workload, programs};
 
 const FUEL: u64 = 50_000_000;
 
-/// The five host dispatch rungs, native last. The native rung's
+/// The four host dispatch rungs, native last. The native rung's
 /// threshold is low so bursts begin early and random splits land
 /// inside them.
-fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 5] {
-    [
-        (
-            "byte",
-            base.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode",
-            base.with_predecode(true)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic_fuse",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true),
-        ),
-        (
-            "native",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true)
-                .with_native_tier(true)
-                .with_native_threshold(4),
-        ),
-    ]
+fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
+    base.with_native_threshold(4).dispatch_ladder()
 }
 
 /// Loads a machine on `cfg`, arming the native tier when the rung has
@@ -81,21 +48,15 @@ fn load(image: &Image, cfg: MachineConfig) -> Machine {
 }
 
 /// Everything slicing must preserve: architectural state, plus, on
-/// interpreted rungs, the inline-cache and fusion counters. The native
-/// rung's *tier occupancy* counters are deliberately excluded: a pause
-/// exits a burst, so where preemption lands changes which tier retires
-/// an instruction — but never what it computes or charges, which is
+/// interpreted rungs, the fusion counters. The native rung's *tier
+/// occupancy* counters are deliberately excluded: a pause exits a
+/// burst, so where preemption lands changes which tier retires an
+/// instruction — but never what it computes or charges, which is
 /// exactly the charge-not-perform contract. Those counters are the
-/// burst entries, the native vs interpreted instruction shares, and the
-/// inline-cache statistics, since native calls resolve their targets
-/// without the cache and only interpreted calls consult it.
+/// burst entries and the native vs interpreted instruction shares.
 fn fingerprint(m: &Machine, include_tier: bool) -> String {
     let tier = if include_tier {
-        format!(
-            " xfer={:?} fusion={:?}",
-            m.xfer_cache_stats(),
-            m.fusion_stats()
-        )
+        format!(" fusion={:?}", m.fusion_stats())
     } else {
         String::new()
     };

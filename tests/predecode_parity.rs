@@ -1,7 +1,7 @@
 //! Differential tests for the host-side acceleration layers.
 //!
-//! The predecode cache, the inline transfer caches and superinstruction
-//! fusion are host-side optimisations only: a run using any combination
+//! The predecode cache, superinstruction fusion and the native tier
+//! are host-side optimisations only: a run using any combination
 //! of them must be **bit-identical** in every simulated respect —
 //! outputs, instruction/cycle/jump counters, memory-reference counters,
 //! per-transfer-kind statistics, return stack, bank, frame-cache and
@@ -41,38 +41,17 @@ fn all_configs() -> [(&'static str, MachineConfig); 4] {
     ]
 }
 
-/// The acceleration ladder, weakest first. Element 0 (everything off)
-/// is the reference every other rung must match bit-for-bit. The top
-/// rung adds tier-5 native execution with a low compile threshold so
-/// even short corpus runs spend time in compiled bodies.
-fn ladder(c: MachineConfig) -> [(&'static str, MachineConfig); 5] {
-    let off = c.with_inline_xfer(false).with_fusion(false);
-    let full = c
-        .with_predecode(true)
-        .with_inline_xfer(true)
-        .with_fusion(true);
-    [
-        ("byte", off.with_predecode(false)),
-        ("predecode", off.with_predecode(true)),
-        (
-            "predecode+ic",
-            c.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        ("predecode+ic+fuse", full),
-        (
-            "predecode+ic+fuse+native",
-            full.with_native_tier(true).with_native_threshold(4),
-        ),
-    ]
+/// The dispatch ladder, byte first. The native rung's compile
+/// threshold is low so even short corpus runs spend time in compiled
+/// bodies.
+fn ladder(c: MachineConfig) -> [(&'static str, MachineConfig); 4] {
+    c.with_native_threshold(4).dispatch_ladder()
 }
 
 #[test]
 fn corpus_counters_identical_across_decode_paths() {
     let corpus = corpus();
     assert_eq!(corpus.len(), 17, "parity must cover the whole corpus");
-    let mut ic_hits = 0u64;
     let mut fused = 0u64;
     let mut native_instrs = 0u64;
     for w in &corpus {
@@ -108,13 +87,11 @@ fn corpus_counters_identical_across_decode_paths() {
                 w.name
             );
             assert!(runs[0].1.predecode_stats().is_none(), "cache is off");
-            assert!(runs[1].1.xfer_cache_stats().is_none(), "ic is off");
             assert!(runs[1].1.fusion_stats().is_none(), "fusion is off");
-            let top = &runs[3].1;
-            ic_hits += top.xfer_cache_stats().expect("ic is on").hits;
+            let top = &runs[2].1;
             fused += top.fusion_stats().expect("fusion is on").fused_execs;
             assert!(top.native_stats().is_none(), "native tier is off");
-            let nstats = runs[4].1.native_stats().expect("native tier is on");
+            let nstats = runs[3].1.native_stats().expect("native tier is on");
             assert!(
                 nstats.armed,
                 "{} on {name}: the corpus verifies clean, so the license arms",
@@ -123,10 +100,6 @@ fn corpus_counters_identical_across_decode_paths() {
             native_instrs += nstats.native_instrs;
         }
     }
-    assert!(
-        ic_hits > 0,
-        "the corpus must actually exercise inline-cache hits"
-    );
     assert!(
         fused > 0,
         "the corpus must actually execute fused superinstructions"
@@ -222,18 +195,12 @@ fn relocation_mid_run_preserves_counters() {
             ps.rebuilds >= 3,
             "each relocation re-keys the cache: {ps:?}"
         );
-        let ic = runs[3].1.xfer_cache_stats().unwrap();
-        assert!(
-            ic.invalidations >= 3,
-            "each relocation flushes the populated transfer cache: {ic:?}"
-        );
-        assert!(ic.hits > 0, "steady-state calls still hit: {ic:?}");
     }
 }
 
-/// f(x) image whose entry 0 is swapped from x+1 to x*3 after the
-/// second output.
-fn replace_image() -> Image {
+/// f(x) = x + 1 at entry 0; main prints `f(x)` `calls` times, then
+/// halts.
+fn replace_image(x: u16, calls: usize) -> Image {
     let mut b = ImageBuilder::new();
     let m = b.module("m");
     b.proc_with(m, ProcSpec::new("f", 1, 1), |a| {
@@ -244,8 +211,8 @@ fn replace_image() -> Image {
         a.instr(Instr::Ret);
     });
     b.proc_with(m, ProcSpec::new("main", 0, 0), |a| {
-        for _ in 0..4 {
-            a.instr(Instr::LoadImm(10));
+        for _ in 0..calls {
+            a.instr(Instr::LoadImm(x));
             a.instr(Instr::LocalCall(0));
             a.instr(Instr::Out);
         }
@@ -258,51 +225,80 @@ fn replace_image() -> Image {
     .unwrap()
 }
 
-fn run_with_replacement(image: &Image, config: MachineConfig) -> Machine {
+/// Once the program has printed `after` values, entry 0 is swapped for
+/// a body computing `x * mul + add`.
+struct Swap {
+    after: usize,
+    mul: u16,
+    add: u16,
+}
+
+fn run_with_replacements(image: &Image, config: MachineConfig, swaps: &[Swap]) -> Machine {
     let mut machine = Machine::load(image, config).unwrap();
-    while machine.output().len() < 2 {
-        assert_eq!(machine.step().unwrap(), StepOutcome::Ran);
+    for &Swap { after, mul, add } in swaps {
+        while machine.output().len() < after {
+            assert_eq!(machine.step().unwrap(), StepOutcome::Ran);
+        }
+        machine
+            .replace_proc(0, 0, 1, 2, |a| {
+                a.instr(Instr::StoreLocal(0));
+                a.instr(Instr::LoadLocal(0));
+                a.instr(Instr::LoadImm(mul));
+                a.instr(Instr::Mul);
+                a.instr(Instr::LoadImm(add));
+                a.instr(Instr::Add);
+                a.instr(Instr::StoreLocal(1));
+                a.instr(Instr::LoadLocal(1));
+                a.instr(Instr::Ret);
+            })
+            .unwrap();
     }
-    machine
-        .replace_proc(0, 0, 1, 2, |a| {
-            a.instr(Instr::StoreLocal(0));
-            a.instr(Instr::LoadLocal(0));
-            a.instr(Instr::LoadImm(3));
-            a.instr(Instr::Mul);
-            a.instr(Instr::StoreLocal(1));
-            a.instr(Instr::LoadLocal(1));
-            a.instr(Instr::Ret);
-        })
-        .unwrap();
     machine.run(10_000).unwrap();
     machine
 }
 
 #[test]
 fn replacement_mid_run_preserves_counters() {
-    let image = replace_image();
-    for config in [MachineConfig::i2(), MachineConfig::i3()] {
-        let runs: Vec<(&str, Machine)> = ladder(config)
-            .into_iter()
-            .map(|(rung, cfg)| (rung, run_with_replacement(&image, cfg)))
-            .collect();
-        let reference = fingerprint(&runs[0].1);
-        assert_eq!(runs[0].1.output(), &[11, 11, 30, 30]);
-        for (rung, m) in &runs[1..] {
-            assert_eq!(
-                fingerprint(m),
-                reference,
-                "replacement under {config:?} diverged on {rung}"
-            );
+    let swap = |after, mul, add| Swap { after, mul, add };
+    // (image, swaps, expected output): one swap after two calls; one
+    // after three; three in succession; and one before the first call.
+    let cases = [
+        (
+            replace_image(10, 4),
+            vec![swap(2, 3, 0)],
+            vec![11, 11, 30, 30],
+        ),
+        (
+            replace_image(5, 6),
+            vec![swap(3, 1, 10)],
+            vec![6, 6, 6, 15, 15, 15],
+        ),
+        (
+            replace_image(5, 8),
+            vec![swap(2, 1, 11), swap(4, 1, 21), swap(6, 1, 31)],
+            vec![6, 6, 16, 16, 26, 26, 36, 36],
+        ),
+        (replace_image(5, 2), vec![swap(0, 2, 0)], vec![10, 10]),
+    ];
+    for (image, swaps, expected) in &cases {
+        for config in [MachineConfig::i2(), MachineConfig::i3()] {
+            let runs: Vec<(&str, Machine)> = ladder(config)
+                .into_iter()
+                .map(|(rung, cfg)| (rung, run_with_replacements(image, cfg, swaps)))
+                .collect();
+            let reference = fingerprint(&runs[0].1);
+            assert_eq!(runs[0].1.output(), expected.as_slice());
+            for (rung, m) in &runs[1..] {
+                assert_eq!(
+                    fingerprint(m),
+                    reference,
+                    "replacement under {config:?} diverged on {rung}"
+                );
+            }
+            // The replacement body must have been executed from the
+            // cache, not just decoded lazily as a straggler.
+            let ps = runs[1].1.predecode_stats().unwrap();
+            assert!(ps.rebuilds >= 1, "{ps:?}");
         }
-        // The replacement body must have been executed from the cache,
-        // not just decoded lazily as a straggler.
-        let ps = runs[1].1.predecode_stats().unwrap();
-        assert!(ps.rebuilds >= 1, "{ps:?}");
-        let ic = runs[3].1.xfer_cache_stats().unwrap();
-        assert!(
-            ic.invalidations >= 1,
-            "replacing a procedure flushes the transfer cache: {ic:?}"
-        );
     }
 }

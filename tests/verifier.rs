@@ -291,10 +291,7 @@ fn rejects_xfer_at_wrong_depth() {
 /// Steps an image on an unaccelerated I2 machine, tracking the deepest
 /// evaluation stack ever observed.
 fn dynamic_max_depth(image: &Image, fuel: u64) -> usize {
-    let config = MachineConfig::i2()
-        .with_predecode(false)
-        .with_inline_xfer(false)
-        .with_fusion(false);
+    let [(_, config), ..] = MachineConfig::i2().dispatch_ladder();
     let mut m = Machine::load(image, config).unwrap();
     let mut max = m.stack().len();
     for _ in 0..fuel {
@@ -376,16 +373,6 @@ fn run_fingerprint(image: &Image, config: MachineConfig, fuel: u64) -> String {
 
 #[test]
 fn verified_elision_is_simulated_bit_identical() {
-    let rungs: [fn(MachineConfig) -> MachineConfig; 4] = [
-        |c| {
-            c.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false)
-        },
-        |c| c.with_inline_xfer(false).with_fusion(false),
-        |c| c.with_fusion(false),
-        |c| c,
-    ];
     for w in corpus() {
         for preset in [
             MachineConfig::i1(),
@@ -403,14 +390,14 @@ fn verified_elision_is_simulated_bit_identical() {
                 "{} must verify before elision is licensed",
                 w.name
             );
-            for (ri, rung) in rungs.iter().enumerate() {
-                let base = rung(preset);
+            // The interpreted rungs: this test never arms the native tier.
+            for &(rname, base) in &preset.dispatch_ladder()[..3] {
                 let plain = run_fingerprint(&compiled.image, base, w.fuel);
                 let elided =
                     run_fingerprint(&compiled.image, base.with_verified_images(true), w.fuel);
                 assert_eq!(
                     plain, elided,
-                    "{} on {preset:?} rung {ri}: elision changed simulated state",
+                    "{} on {preset:?} rung {rname}: elision changed simulated state",
                     w.name
                 );
             }
