@@ -1,8 +1,7 @@
 //! Regenerates experiment H8 (see DESIGN.md §13 on effect analysis):
-//! corpus-wide effect-summary coverage (retry certificates, safe-point
-//! maps, dead-store findings) and the makespan value of
-//! certificate-licensed retry versus guest-only recovery under seeded
-//! network-fault storms.
+//! corpus-wide effect-summary coverage (retry certificates, dead-store
+//! findings) and the makespan value of certificate-licensed retry
+//! versus guest-only recovery under seeded network-fault storms.
 //!
 //! Usage: `exp_h8_effects [--smoke] [--out PATH]`
 //!

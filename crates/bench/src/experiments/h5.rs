@@ -51,7 +51,7 @@ pub const WORKLOADS: [&str; 5] = ["fib", "ackermann", "tak", "hanoi", "leafcalls
 const THRESHOLD: u32 = 16;
 
 /// The dispatch ladder over `base`, weakest first, native last.
-pub(crate) fn dispatches(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
+fn dispatches(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
     base.with_native_threshold(THRESHOLD).dispatch_ladder()
 }
 

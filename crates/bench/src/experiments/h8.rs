@@ -3,16 +3,16 @@
 //!
 //! Two sections. The **static** section sweeps the whole `fpc-lint`
 //! corpus through the verifier's interprocedural effect analysis and
-//! reports what it proved: how many procedures certify retry-safe, how
-//! dense the migration safe-point maps are, and what the dead-store /
-//! unreachable-code diagnostics found. The **storm** section prices the
-//! retry license: the same seeded network-fault storms are run twice —
-//! once under a no-retry policy (every failure goes to the guest's
-//! failover handler) and once under `auto_retry_if_certified`, where
-//! the host resends because the verifier proved the serving procedure
-//! idempotent. Both recover to bit-identical adjusted finals (the
-//! `tests/rpc_chaos.rs` discipline); the difference is purely *cost*,
-//! and the headline is the makespan ratio.
+//! reports what it proved: how many procedures certify retry-safe and
+//! what the dead-store / unreachable-code diagnostics found. The
+//! **storm** section prices the retry license: the same seeded
+//! network-fault storms are run twice — once under a no-retry policy
+//! (every failure goes to the guest's failover handler) and once
+//! under `auto_retry_if_certified`, where the host resends because the
+//! verifier proved the serving procedure idempotent. Both recover to
+//! bit-identical adjusted finals (the `tests/rpc_chaos.rs`
+//! discipline); the difference is purely *cost*, and the headline is
+//! the makespan ratio.
 //!
 //! **Metric.** Simulated cycles from the deterministic virtual-time
 //! engine, as in H7; the static section counts analysis facts, not
@@ -80,8 +80,6 @@ pub struct CorpusEffects {
     pub retry_safe: usize,
     /// Procedures whose summary hit the conservative top `⊤`.
     pub unknown: usize,
-    /// Instruction boundaries proven migration-safe.
-    pub safe_points: usize,
     /// Dead-store diagnostics.
     pub dead_stores: usize,
     /// Unreachable-code diagnostics.
@@ -109,7 +107,6 @@ pub fn corpus_effects() -> CorpusEffects {
                 out.procs += report.procs.len();
                 out.retry_safe += report.effects.iter().filter(|e| e.retry_safe()).count();
                 out.unknown += report.effects.iter().filter(|e| e.unknown).count();
-                out.safe_points += report.safe_points.iter().map(Vec::len).sum::<usize>();
                 out.dead_stores += report
                     .diagnostics
                     .iter()
@@ -351,16 +348,8 @@ pub fn report_and_json(p: &Params) -> (String, String) {
     out.push_str("H8: effect analysis and licensed retry\n");
     out.push_str(&format!(
         "corpus: {} image(s), {} proc(s): {} retry-safe, {} at ⊤; \
-         {} safe point(s) ({:.1} per proc); \
          {} dead store(s), {} unreachable run(s)\n",
-        fx.images,
-        fx.procs,
-        fx.retry_safe,
-        fx.unknown,
-        fx.safe_points,
-        fx.safe_points as f64 / fx.procs.max(1) as f64,
-        fx.dead_stores,
-        fx.unreachable,
+        fx.images, fx.procs, fx.retry_safe, fx.unknown, fx.dead_stores, fx.unreachable,
     ));
     out.push_str(&format!(
         "storms ({} contexts x {} calls, clean makespan {clean_makespan}):\n\
@@ -398,14 +387,8 @@ pub fn report_and_json(p: &Params) -> (String, String) {
     json.push_str("  \"unit\": \"simulated cycles, deterministic virtual-time engine\",\n");
     json.push_str(&format!(
         "  \"corpus\": {{\"images\": {}, \"procs\": {}, \"retry_safe\": {}, \"unknown\": {}, \
-         \"safe_points\": {}, \"dead_stores\": {}, \"unreachable\": {}}},\n",
-        fx.images,
-        fx.procs,
-        fx.retry_safe,
-        fx.unknown,
-        fx.safe_points,
-        fx.dead_stores,
-        fx.unreachable,
+         \"dead_stores\": {}, \"unreachable\": {}}},\n",
+        fx.images, fx.procs, fx.retry_safe, fx.unknown, fx.dead_stores, fx.unreachable,
     ));
     json.push_str(&format!(
         "  \"contexts\": {}, \"calls\": {}, \"seed\": {},\n  \"clean_makespan_cycles\": {},\n",
@@ -449,7 +432,6 @@ mod tests {
         let fx = corpus_effects();
         assert!(fx.images >= 100, "the whole lint corpus");
         assert!(fx.retry_safe > 0, "something must certify");
-        assert!(fx.safe_points > 0, "safe points must exist");
         let (_, storm) = storms(&p);
         assert_eq!(storm.len(), p.storm_seeds.len());
         for r in &storm {

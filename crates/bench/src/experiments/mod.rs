@@ -17,7 +17,6 @@ pub mod e9;
 pub mod h1;
 pub mod h2;
 pub mod h3;
-pub mod h4;
 pub mod h5;
 pub mod h6;
 pub mod h7;

@@ -117,8 +117,7 @@ pub(crate) struct Analysis<'a> {
     /// Per-proc, per-op-index resolved call sites.
     sites: Vec<HashMap<usize, Site>>,
     /// Per-proc, op indices of `EXTERNALCALL`s routed through remote
-    /// descriptors (the effect analysis's remote seams; excluded from
-    /// safe points because a parked marshal rewinds the pc onto them).
+    /// descriptors (the effect analysis's remote seams).
     remote: Vec<HashSet<usize>>,
     arity: Vec<Arity>,
 }
@@ -420,8 +419,7 @@ impl<'a> Analysis<'a> {
             }
         };
         // Jump-edge helper: targets must be decoded boundaries inside
-        // the body; inside a fused pair's span only the pair's ops
-        // themselves are legal entries.
+        // the body.
         let jump =
             |target: i64, interval: (u32, u32), diags: &mut Vec<DiagKind>, succs: &mut Vec<_>| {
                 if target < p.body_start as i64 || target >= p.body_end as i64 {
@@ -434,10 +432,7 @@ impl<'a> Analysis<'a> {
                 } else if p.opaque.is_some_and(|o| t >= o) {
                     diags.push(DiagKind::Undecodable { at: t });
                 } else {
-                    diags.push(DiagKind::MidInstructionJump {
-                        target: t,
-                        in_fused_pair: p.inside_fused_pair(t),
-                    });
+                    diags.push(DiagKind::MidInstructionJump { target: t });
                 }
             };
 
@@ -588,7 +583,6 @@ impl<'a> Analysis<'a> {
         let mut summaries = Vec::with_capacity(n);
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut intra: Vec<EffectSummary> = vec![EffectSummary::default(); n];
-        let mut safe_points: Vec<Vec<u32>> = vec![Vec::new(); n];
         // Dead-store evidence, keyed by code segment (an instance runs
         // its owner's code, so reads through any sharing frame count).
         let mut seg_reads: HashMap<usize, HashSet<u32>> = HashMap::new();
@@ -642,11 +636,7 @@ impl<'a> Analysis<'a> {
                 let instr = p.ops[idx].1;
                 intra[pid].record(instr, p.seg);
                 if self.remote[pid].contains(&idx) {
-                    // A parked marshal rewinds the pc onto the call, so
-                    // the seam itself is never a migration point.
                     intra[pid].record_remote_site(off);
-                } else if lo == hi && lo <= XFER_RESIDUE_WORDS {
-                    safe_points[pid].push(off);
                 }
                 match instr {
                     Instr::LoadGlobal(s) => {
@@ -730,10 +720,8 @@ impl<'a> Analysis<'a> {
             cycles,
             stack_limit: self.limit,
             xfer_residue: self.residue,
-            fused_pairs: self.d.fused_pairs,
             frame_words_bound: frame_bound,
             effects,
-            safe_points,
         }
     }
 

@@ -15,21 +15,14 @@
 //! `calls_remote` mark, since the callee's real effects happen on a
 //! machine the static proof cannot see into.
 //!
-//! Two licensed capabilities fall out:
-//!
-//! * **Retry safety** ([`EffectSummary::retry_safe`]): a procedure
-//!   whose summary proves no observable-state mutation outside its
-//!   result record — no global writes, no pointer writes, no output,
-//!   no allocator/linkage mutation, no context creation, no nested
-//!   remote calls — can be re-run from scratch with no effect the
-//!   first run did not already have. `fpc-rpc` consults this to
-//!   license automatic retry of timed-out calls.
-//! * **Safe points** (computed in the analysis, exported on the
-//!   [`Certificate`](crate::Certificate)): instruction boundaries
-//!   where the context's live state is fully architectural — exact
-//!   eval-stack depth within the transfer-residue budget and no
-//!   in-flight marshal — the contract surface snapshot/migration
-//!   consumes.
+//! One licensed capability falls out: **retry safety**
+//! ([`EffectSummary::retry_safe`]). A procedure whose summary proves
+//! no observable-state mutation outside its result record — no global
+//! writes, no pointer writes, no output, no allocator/linkage
+//! mutation, no context creation, no nested remote calls — can be
+//! re-run from scratch with no effect the first run did not already
+//! have. `fpc-rpc` consults this to license automatic retry of
+//! timed-out calls.
 
 use std::collections::BTreeMap;
 use std::fmt;

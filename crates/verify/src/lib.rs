@@ -14,16 +14,16 @@
 //!   successor depth is its callee's proven return arity, not a join
 //!   over every return in the program), and `LOADIMM`-fed descriptor
 //!   creations are inverted back to procedures. Unbound, out-of-range
-//!   and mid-instruction targets — including jumps into the interior
-//!   of a fused superinstruction pair — are typed diagnostics.
+//!   and mid-instruction targets are typed diagnostics.
 //! * **Frame bounds.** The resolved call graph is searched for
 //!   recursion cycles; acyclic programs get a worst-case frame-words
 //!   bound from the entry procedure.
 //!
-//! A clean [`VerifyReport`] is a certificate: loading the image with
-//! [`MachineConfig::with_verified_images`] lets the host elide the
-//! per-step dynamic checks the proof subsumes, while every *simulated*
-//! counter stays bit-identical (the parity ladder enforces this).
+//! A clean [`VerifyReport`] issues a [`Certificate`], and the
+//! certificate licenses exactly one thing: the VM's native tier
+//! ([`Certificate::native_license`] → `Machine::arm_native`), which
+//! runs hot bodies as unchecked threaded code. The interpreter keeps
+//! every dynamic check whether or not the image verified.
 //!
 //! ```
 //! use fpc_verify::{verify_image, VerifyOptions};
@@ -51,8 +51,7 @@ mod report;
 
 pub use effects::EffectSummary;
 pub use report::{
-    Certificate, Cycle, DiagKind, Diagnostic, ProcSafePoints, ProcSummary, TargetFault,
-    VerifyReport,
+    Certificate, Cycle, DiagKind, Diagnostic, ProcSummary, TargetFault, VerifyReport,
 };
 
 use fpc_vm::{Image, MachineConfig};
@@ -62,7 +61,7 @@ use fpc_vm::{Image, MachineConfig};
 pub struct VerifyOptions {
     /// Evaluation-stack capacity in words. Must match the
     /// [`MachineConfig::stack_depth`] the image will run under — the
-    /// certificate only licenses check elision at this exact limit.
+    /// proof, and so the native license, is made at this limit.
     pub stack_depth: usize,
 }
 
@@ -202,9 +201,9 @@ mod tests {
     #[test]
     fn remote_imports_verify_with_an_informational_note() {
         // A remote descriptor resolves to its local marshalling stub,
-        // so the image still certifies — check elision stays licensed
-        // for modules with remote calls — while the remote seam is
-        // surfaced as an informational RemoteTarget diagnostic.
+        // so the image still certifies — the native tier stays
+        // licensed for modules with remote calls — while the remote
+        // seam is surfaced as an informational RemoteTarget diagnostic.
         let mut b = ImageBuilder::new();
         let m = b.module("cli");
         let lv = b.import_remote(m, "echo", 3, 2, 1);

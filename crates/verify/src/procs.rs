@@ -3,13 +3,15 @@
 //! Mirrors the VM's predecode body enumeration exactly — the stops are
 //! segment bases (entry vectors are data), every procedure header, and
 //! the end of the code store — so the verifier reasons about the same
-//! instruction stream the machine will execute, fused pairs included.
+//! instruction stream the machine will execute. Fusion is the VM's own
+//! business: every fused pair keeps both ops' boundaries as legal
+//! targets, so the decoded boundaries are all the jump check needs.
 
 use std::collections::HashMap;
 
 use fpc_core::layout;
 use fpc_isa::{decode, Instr};
-use fpc_vm::{fuse_pair, Image};
+use fpc_vm::Image;
 
 use crate::report::{DiagKind, Diagnostic};
 
@@ -35,26 +37,12 @@ pub(crate) struct ProcInfo {
     /// Linear decode of the body: `(absolute offset, instr, len)`.
     pub ops: Vec<(u32, Instr, u8)>,
     /// Absolute offset → index into `ops`. Every entry is a legal
-    /// transfer target, including the second op of a fused pair (the
-    /// VM keeps a singleton map entry for it).
+    /// transfer target.
     pub bounds: HashMap<u32, usize>,
     /// First absolute offset where linear decoding failed (trailing
     /// padding or genuinely opaque bytes), if any. Only an error when
     /// reachable.
     pub opaque: Option<u32>,
-    /// Fused superinstruction pairs under the VM's greedy pairing:
-    /// `(span start, span end, second op offset)`.
-    pub pairs: Vec<(u32, u32, u32)>,
-}
-
-impl ProcInfo {
-    /// Whether `off` falls strictly inside a fused pair's byte span
-    /// without being an op boundary (the mid-superinstruction case).
-    pub fn inside_fused_pair(&self, off: u32) -> bool {
-        self.pairs
-            .iter()
-            .any(|&(start, end, _)| off > start && off < end)
-    }
 }
 
 /// The discovery result: procedures, lookup tables and structural
@@ -66,8 +54,6 @@ pub(crate) struct Discovery {
     /// `(owner module, ev index)` → proc id.
     pub by_ref: HashMap<(usize, u16), usize>,
     pub diagnostics: Vec<Diagnostic>,
-    /// Total fused pairs across all bodies.
-    pub fused_pairs: usize,
 }
 
 fn structural(image: &Image, module: usize, ev: u16, pc: u32, kind: DiagKind) -> Diagnostic {
@@ -120,7 +106,6 @@ pub(crate) fn discover(image: &Image) -> Discovery {
     let mut procs = Vec::new();
     let mut by_header = HashMap::new();
     let mut by_ref = HashMap::new();
-    let mut fused_pairs = 0;
     for (mi, ev, header) in headers {
         if header + layout::PROC_HEADER_BYTES > code_len {
             diagnostics.push(structural(
@@ -192,21 +177,6 @@ pub(crate) fn discover(image: &Image) -> Discovery {
             }
         }
 
-        // Mirror the VM's greedy left-to-right pairing.
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i + 1 < ops.len() {
-            let (oa, a, la) = ops[i];
-            let (ob, b, lb) = ops[i + 1];
-            if fuse_pair(a, b, la, lb).is_some() {
-                pairs.push((oa, ob + lb as u32, ob));
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-        fused_pairs += pairs.len();
-
         let pid = procs.len();
         by_header.insert(header, pid);
         by_ref.insert((mi, ev), pid);
@@ -222,7 +192,6 @@ pub(crate) fn discover(image: &Image) -> Discovery {
             ops,
             bounds,
             opaque,
-            pairs,
         });
     }
     Discovery {
@@ -230,6 +199,5 @@ pub(crate) fn discover(image: &Image) -> Discovery {
         by_header,
         by_ref,
         diagnostics,
-        fused_pairs,
     }
 }

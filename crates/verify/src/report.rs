@@ -35,7 +35,7 @@ impl fmt::Display for TargetFault {
 /// One class of verification failure. Each variant corresponds to one
 /// analysis: structural entry checks, the stack-depth abstract
 /// interpreter, call-target resolution, descriptor resolution, or the
-/// fusion-aware jump-target check.
+/// jump-target check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiagKind {
     /// The entry vector, header bytes or body range are malformed.
@@ -128,10 +128,6 @@ pub enum DiagKind {
     MidInstructionJump {
         /// The absolute byte offset jumped to.
         target: u32,
-        /// True when the offset falls inside the byte span of a fused
-        /// superinstruction pair (entry at the pair's *second* op is a
-        /// legal singleton and is not flagged).
-        in_fused_pair: bool,
     },
     /// A jump leaving the procedure body entirely.
     JumpOutOfBody {
@@ -148,8 +144,8 @@ pub enum DiagKind {
     FallsOffEnd,
     /// **Informational**: an `EXTERNALCALL` routed through a remote
     /// procedure descriptor. The local marshalling stub is verified
-    /// like any procedure (so the certificate stands and check elision
-    /// stays licensed), but the call's real effects happen on another
+    /// like any procedure (so the certificate stands and the native
+    /// tier stays licensed), but the call's real effects happen on another
     /// machine the static proof cannot see into — tooling may want to
     /// know where those seams are.
     RemoteTarget {
@@ -238,15 +234,8 @@ impl fmt::Display for DiagKind {
             DiagKind::BadDescriptor { word } => {
                 write!(f, "descriptor {word:#06x} names no procedure in the image")
             }
-            DiagKind::MidInstructionJump {
-                target,
-                in_fused_pair,
-            } => {
-                write!(f, "jump to {target:#06x} lands mid-instruction")?;
-                if *in_fused_pair {
-                    write!(f, " (inside a fused superinstruction pair)")?;
-                }
-                Ok(())
+            DiagKind::MidInstructionJump { target } => {
+                write!(f, "jump to {target:#06x} lands mid-instruction")
             }
             DiagKind::JumpOutOfBody { target } => {
                 write!(f, "jump to {target:#06x} leaves the procedure body")
@@ -332,28 +321,9 @@ pub struct ProcSummary {
     pub calls: Vec<usize>,
 }
 
-/// The statically proven migration safe points of one procedure:
-/// instruction boundaries where a parked context's live state is fully
-/// architectural — the eval-stack depth is exact and within the
-/// transfer-residue budget, and no remote marshal can be in flight
-/// (remote call sites are excluded, since a parked attempt rewinds the
-/// pc onto the call instruction). The dynamic preconditions — no
-/// pending fault, no installed handler frame mid-dispatch — are the
-/// runtime's to check; this map is the static candidate set
-/// snapshot/migration consumes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcSafePoints {
-    /// Owning (code) module index.
-    pub module: usize,
-    /// Entry-vector index.
-    pub ev_index: u16,
-    /// Absolute code byte offsets of the safe boundaries, ascending.
-    pub pcs: Vec<u32>,
-}
-
 /// The certificate a clean verification issues: what the image was
-/// proven to respect, and therefore what a [`fpc_vm::MachineConfig`]
-/// with `verified_images` may skip checking.
+/// proven to respect. Its one use is licensing the VM's native tier
+/// ([`Certificate::native_license`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// No reachable path exceeds this evaluation-stack depth,
@@ -365,8 +335,6 @@ pub struct Certificate {
     /// entry, or `None` when the call graph has a cycle reachable from
     /// the entry (recursion: frame depth is data-dependent).
     pub frame_words_bound: Option<u32>,
-    /// Per-procedure migration safe points (see [`ProcSafePoints`]).
-    pub safe_points: Vec<ProcSafePoints>,
 }
 
 /// One recursion cycle in the resolved call graph, as a list of
@@ -393,9 +361,6 @@ pub struct VerifyReport {
     /// Words of transfer-residue headroom withheld from
     /// [`VerifyReport::stack_limit`] (0 for transfer-free images).
     pub xfer_residue: u32,
-    /// Number of fused superinstruction pairs the jump-target check
-    /// modelled (mirroring the VM's greedy pairing).
-    pub fused_pairs: usize,
     /// Total frame words of the deepest acyclic call chain from the
     /// entry, or `None` when recursion reachable from the entry makes
     /// frame depth data-dependent.
@@ -404,9 +369,6 @@ pub struct VerifyReport {
     /// [`VerifyReport::procs`] (each is the whole-program summary of
     /// the procedure and everything it can reach).
     pub effects: Vec<crate::EffectSummary>,
-    /// Statically safe instruction boundaries, parallel to
-    /// [`VerifyReport::procs`] (see [`ProcSafePoints`]).
-    pub safe_points: Vec<Vec<u32>>,
 }
 
 impl VerifyReport {
@@ -458,16 +420,6 @@ impl VerifyReport {
                 + self.xfer_residue,
             procs: self.procs.len(),
             frame_words_bound: self.frame_words_bound,
-            safe_points: self
-                .procs
-                .iter()
-                .zip(&self.safe_points)
-                .map(|(p, pcs)| ProcSafePoints {
-                    module: p.module,
-                    ev_index: p.ev_index,
-                    pcs: pcs.clone(),
-                })
-                .collect(),
         })
     }
 }
@@ -488,7 +440,7 @@ impl fmt::Display for VerifyReport {
         if self.is_ok() {
             writeln!(
                 f,
-                "OK: {} procedure(s), max stack depth {} (limit {}), {} fused pair(s)",
+                "OK: {} procedure(s), max stack depth {} (limit {})",
                 self.procs.len(),
                 self.procs
                     .iter()
@@ -496,7 +448,6 @@ impl fmt::Display for VerifyReport {
                     .max()
                     .unwrap_or(0),
                 self.stack_limit,
-                self.fused_pairs,
             )?;
             match self.frame_words_bound {
                 Some(w) => writeln!(f, "frame bound: {w} words on the deepest call chain")?,

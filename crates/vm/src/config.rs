@@ -124,26 +124,16 @@ pub struct MachineConfig {
     ///
     /// [`VmError::FaultDepthExceeded`]: crate::VmError::FaultDepthExceeded
     pub max_fault_depth: u32,
-    /// Trust that loaded images carry an `fpc-verify` certificate
-    /// (every procedure's stack discipline and transfer targets were
-    /// statically proven) and skip the per-step dynamic stack checks:
-    /// push overflow, pop underflow, the fused-pair demotion guard and
-    /// the strict-stack call compare. Host-side only — a verified
-    /// image's simulated counters are bit-identical with the checks on
-    /// or off. The machine re-arms the checks itself whenever the
-    /// certificate's premises lapse: installing a trap or fault
-    /// handler (handler code runs at depths outside the certificate)
-    /// or mutating code post-load (`replace_proc`, `relocate_module`,
-    /// `unbind_module`).
-    pub verified_images: bool,
     /// Enable the tier-5 native execution engine: hot procedure bodies
     /// are compiled to direct-threaded arrays of pre-monomorphized host
     /// handlers and executed without the fetch/dispatch loop. Host-side
     /// only — every simulated counter stays bit-identical to byte
     /// dispatch. Inert until [`Machine::arm_native`] is called with a
     /// [`NativeLicense`] derived from a clean `fpc-verify` certificate,
-    /// and permanently demoted by the same certificate-lapsing events
-    /// that re-arm the dynamic checks.
+    /// and permanently demoted once a certificate premise lapses:
+    /// installing a trap or fault handler (handler code runs at depths
+    /// outside the certificate) or mutating code post-load
+    /// (`replace_proc`, `relocate_module`, `unbind_module`).
     ///
     /// [`Machine::arm_native`]: crate::Machine::arm_native
     /// [`NativeLicense`]: crate::NativeLicense
@@ -187,7 +177,6 @@ impl MachineConfig {
             fault_reserve_words: 0,
             stack_reserve: 8,
             max_fault_depth: 8,
-            verified_images: false,
             native: false,
             native_threshold: 32,
             memory_words: crate::image::DEFAULT_MEMORY_WORDS,
@@ -279,14 +268,6 @@ impl MachineConfig {
     /// Sets the fault-handler nesting bound.
     pub fn with_max_fault_depth(mut self, depth: u32) -> Self {
         self.max_fault_depth = depth;
-        self
-    }
-
-    /// Declares loaded images certificate-carrying (see
-    /// [`MachineConfig::verified_images`]): dynamic stack checks are
-    /// elided until a handler install or code mutation re-arms them.
-    pub fn with_verified_images(mut self, on: bool) -> Self {
-        self.verified_images = on;
         self
     }
 
@@ -384,8 +365,6 @@ mod tests {
         assert_eq!(c.with_fault_reserve(128).fault_reserve_words, 128);
         assert_eq!(c.with_stack_reserve(4).stack_reserve, 4);
         assert_eq!(c.with_max_fault_depth(2).max_fault_depth, 2);
-        assert!(!c.verified_images, "checks stay on unless certified");
-        assert!(c.with_verified_images(true).verified_images);
         assert!(!c.native, "native tier is opt-in");
         assert!(c.with_native_tier(true).native);
         assert_eq!(c.with_native_threshold(7).native_threshold, 7);

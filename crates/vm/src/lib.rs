@@ -74,4 +74,4 @@ pub use listing::listing;
 pub use machine::{FaultStats, FusionStats, Machine, MachineStats, RemoteRequest, StepOutcome};
 pub use native::{NativeLicense, NativeStats};
 pub use observe::ObservedEffects;
-pub use predecode::{fuse_pair, DecodedOp, Fetched, FusedOp, PredecodeCache, PredecodeStats};
+pub use predecode::{PredecodeCache, PredecodeStats};

@@ -243,18 +243,14 @@ pub struct Machine {
     predecode: Option<PredecodeCache>,
     fused_execs: u64,
     fuse_demotions: u64,
-    /// Dynamic stack checks elided under a trusted `fpc-verify`
-    /// certificate ([`MachineConfig::verified_images`]). Cleared — and
-    /// never re-set — the moment a certificate premise lapses: a trap
-    /// or fault handler is installed (handler code runs at stack
-    /// depths the static analysis did not model) or loaded code is
-    /// mutated (`replace_proc` / `relocate_module` / `unbind_module`).
-    elide_checks: bool,
     /// Tier-5 native execution ([`MachineConfig::native`]): hotness
     /// counters plus direct-threaded compiled bodies. Present whenever
     /// the config enables the tier; dormant until [`Machine::arm_native`]
-    /// accepts a [`NativeLicense`], and permanently disarmed at the
-    /// same events that clear `elide_checks`.
+    /// accepts a [`NativeLicense`], and permanently disarmed the moment
+    /// a certificate premise lapses: a trap or fault handler is
+    /// installed (handler code runs at stack depths the static analysis
+    /// did not model) or loaded code is mutated (`replace_proc` /
+    /// `relocate_module` / `unbind_module`).
     native: Option<NativeTier>,
 
     // Registers.
@@ -584,7 +580,6 @@ impl Machine {
                 .then(|| PredecodeCache::with_fusion(config.fuse)),
             fused_execs: 0,
             fuse_demotions: 0,
-            elide_checks: config.verified_images,
             native: config
                 .native
                 .then(|| NativeTier::new(config.native_threshold)),
@@ -772,8 +767,7 @@ impl Machine {
     pub fn set_trap_handler(&mut self, image: &Image, handler: ProcRef) -> Result<(), VmError> {
         self.trap_handler = Some(image.proc_desc(handler)?);
         // Handler code runs stacked on top of the trapping context at
-        // depths the verify certificate did not model: re-arm checks.
-        self.elide_checks = false;
+        // depths the verify certificate did not model.
         self.native_deopt();
         Ok(())
     }
@@ -797,7 +791,6 @@ impl Machine {
         self.fault_handlers[kind.index()] = Some(image.proc_desc(handler)?);
         // As with trap handlers: fault dispatch runs guest code at
         // unmodelled depths, so the verify certificate lapses.
-        self.elide_checks = false;
         self.native_deopt();
         Ok(())
     }
@@ -805,14 +798,6 @@ impl Machine {
     /// Fault-subsystem counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.fstats
-    }
-
-    /// Whether dynamic stack checks are currently elided under a
-    /// trusted verify certificate: the machine was configured with
-    /// [`MachineConfig::with_verified_images`] and no certificate
-    /// premise (no handlers, unmutated code) has lapsed since load.
-    pub fn checks_elided(&self) -> bool {
-        self.elide_checks
     }
 
     /// Marks a module's code segment swapped out. The bytes stay in the
@@ -841,8 +826,7 @@ impl Machine {
         // Caches over the code must revalidate across the transition.
         self.code.bump_version();
         // The certificate covered the loaded image; unbinding changes
-        // which transfers can complete, so dynamic checks come back.
-        self.elide_checks = false;
+        // which transfers can complete.
         self.native_deopt();
         Ok(())
     }
@@ -1040,8 +1024,8 @@ impl Machine {
         Some(nt.hotness(bodies.iter().map(|b| b.start - layout::PROC_HEADER_BYTES)))
     }
 
-    /// Permanent native deopt: a certificate premise lapsed. Invoked
-    /// at exactly the events that clear `elide_checks`.
+    /// Permanent native deopt: a certificate premise lapsed (a handler
+    /// install or a code mutation).
     fn native_deopt(&mut self) {
         if let Some(nt) = self.native.as_mut() {
             nt.disarm();
@@ -1951,7 +1935,6 @@ impl Machine {
         // segment now rather than on first execution.
         self.refresh_predecode();
         // The relocated segment was never seen by the verifier.
-        self.elide_checks = false;
         self.native_deopt();
         Ok(new_base)
     }
@@ -2023,8 +2006,7 @@ impl Machine {
         // Version bumped; retranslate so the new body (found through
         // the redirected entry-vector slot) is predecoded up front.
         self.refresh_predecode();
-        // The replacement body carries no certificate: checks return.
-        self.elide_checks = false;
+        // The replacement body carries no certificate.
         self.native_deopt();
         Ok(hdr)
     }
@@ -2222,9 +2204,7 @@ impl Machine {
         use Instr as I;
         let in_handler = self.fault_depth > 0;
         let depth = self.stack.len();
-        if !self.elide_checks
-            && (depth < f.need as usize || depth + f.grow as usize > self.config.stack_depth)
-        {
+        if depth < f.need as usize || depth + f.grow as usize > self.config.stack_depth {
             self.fuse_demotions += 1;
             return self.step_one(a, f.len_a, instr_start);
         }
@@ -2539,9 +2519,8 @@ impl Machine {
     /// arms read as `taken` expressions.
     #[inline]
     fn top_apply(&mut self, f: impl FnOnce(i16) -> i16) -> bool {
-        // Non-empty by the fusion depth guard, or by the verify
-        // certificate when that guard is elided; total either way so a
-        // bad certificate can corrupt guest state but never panic the
+        // Non-empty by the fusion depth guard; total anyway so a
+        // broken guard can corrupt guest state but never panic the
         // host.
         if let Some(t) = self.stack.last_mut() {
             *t = f(*t as i16) as u16;
@@ -2591,14 +2570,12 @@ impl Machine {
 
     #[inline]
     fn push(&mut self, v: u16) -> Result<(), VmError> {
-        if !self.elide_checks && self.stack.len() >= self.stack_limit() {
+        if self.stack.len() >= self.stack_limit() {
             // Without a StackOverflow fault handler this is fatal
             // rather than a catchable trap: the compiler bounds
             // expression depth statically, so hitting it means
             // miscompiled code. With a handler installed the step loop
-            // converts it into a restartable fault. Under a trusted
-            // verify certificate the bound is a theorem and the check
-            // is skipped (a handler install re-arms it).
+            // converts it into a restartable fault.
             return Err(VmError::UnhandledTrap(TrapCode::StackOverflow));
         }
         self.stack.push(v);
@@ -2607,12 +2584,6 @@ impl Machine {
 
     #[inline]
     fn pop(&mut self) -> Result<u16, VmError> {
-        if self.elide_checks {
-            // The certificate proves no reachable pop underflows; stay
-            // total anyway so an unsound certificate degrades to wrong
-            // guest arithmetic, never a host panic.
-            return Ok(self.stack.pop().unwrap_or(0));
-        }
         self.stack.pop().ok_or(VmError::StackUnderflow)
     }
 
@@ -2740,9 +2711,8 @@ impl Machine {
         });
         // The native tier compiles EFC sites into direct threaded
         // calls that would bypass the remote intercept: disarm it. The
-        // verify certificate is unaffected — remote descriptors are
-        // modelled by their arity-matched stubs — so `elide_checks`
-        // deliberately stays.
+        // verify certificate itself is unaffected — remote descriptors
+        // are modelled by their arity-matched stubs.
         self.native_deopt();
     }
 
@@ -2916,7 +2886,7 @@ impl Machine {
     /// fixed at compile time (remote link-vector entries disarm the
     /// native tier, so bursts need no remote intercept).
     fn call_via_tables(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
-        let header = match instr {
+        let (header, local) = match instr {
             Instr::ExternalCall(k) => {
                 // One reference into the link vector…
                 let w = ContextWord::from_raw(
@@ -2940,21 +2910,18 @@ impl Machine {
                 let slot = layout::ev_slot(self.code_base, k as u16);
                 self.check_ev_slot(slot)?;
                 let rel = self.code.read_table(slot);
-                let header = self.code_base.offset(rel as u32);
-                return self.perform_call(
-                    header,
-                    self.gf,
-                    self.code_base,
-                    TransferKind::Call,
-                    true,
-                );
+                (self.code_base.offset(rel as u32), true)
             }
-            Instr::DirectCall(addr) => ByteAddr(addr),
-            Instr::ShortDirectCall(d) => instr_start.displace(d),
+            Instr::DirectCall(addr) => (ByteAddr(addr), false),
+            Instr::ShortDirectCall(d) => (instr_start.displace(d), false),
             _ => return self.execute(instr, instr_start),
         };
         self.check_header(header)?;
-        let (gf, cb) = self.read_header_gf_cb(header);
+        let (gf, cb) = if local {
+            (self.gf, self.code_base)
+        } else {
+            self.read_header_gf_cb(header)
+        };
         self.perform_call(header, gf, cb, TransferKind::Call, true)
     }
 
@@ -3211,7 +3178,9 @@ impl Machine {
     }
 
     /// The common call path, shared by all four call linkages, traps
-    /// and `XFER`s to procedure descriptors.
+    /// and `XFER`s to procedure descriptors. Every caller has already
+    /// bounds-checked `header` (`check_header`, directly or through
+    /// `resolve_proc_desc`), so it is checked once per call.
     fn perform_call(
         &mut self,
         header: ByteAddr,
@@ -3220,7 +3189,6 @@ impl Machine {
         kind: TransferKind,
         strict: bool,
     ) -> Result<Flow, VmError> {
-        self.check_header(header)?;
         let (fsi, flags) = self.read_header(header);
         let t = CallTarget {
             header,
@@ -3261,11 +3229,7 @@ impl Machine {
         // or an empty AV list must surface while the caller's state is
         // still exactly as the restarted instruction will find it.
         self.check_bound(dest_cb)?;
-        if strict
-            && self.config.strict_stack
-            && !self.elide_checks
-            && self.stack.len() != nargs as usize
-        {
+        if strict && self.config.strict_stack && self.stack.len() != nargs as usize {
             return Err(VmError::StrictStackViolation {
                 depth: self.stack.len(),
                 nargs: nargs as usize,
@@ -3749,7 +3713,7 @@ impl Machine {
                 ))?;
                 // Preflight the push: overflowing *after* the alloc
                 // would leak the record across the fault and restart.
-                if !self.elide_checks && self.stack.len() >= self.stack_limit() {
+                if self.stack.len() >= self.stack_limit() {
                     return Err(VmError::UnhandledTrap(TrapCode::StackOverflow));
                 }
                 let rec = self.alloc_frame(fsi, false)?;
@@ -4634,6 +4598,52 @@ mod tests {
             m.bind_module(1).unwrap();
             m.run(1_000).unwrap();
             assert_eq!(m.output(), &[0, 1, 2], "{name}: all bound");
+        }
+    }
+
+    /// A direct call whose target header lies past the end of code is
+    /// a malformed image on every rung: the header is bounds-checked
+    /// (once) before any of its bytes are read. The loop ahead of the
+    /// call makes `main` hot enough to run natively on the native rung.
+    #[test]
+    fn direct_call_past_code_end_is_bad_image_on_every_rung() {
+        let mut b = ImageBuilder::new();
+        let m = b.module("main");
+        b.proc_with(m, ProcSpec::new("main", 0, 1), |a| {
+            let (top, out) = (a.label(), a.label());
+            a.instr(Instr::LoadImm(8));
+            a.instr(Instr::StoreLocal(0));
+            a.bind(top);
+            a.instr(Instr::LoadLocal(0));
+            a.jump_zero(out);
+            a.instr(Instr::LoadLocal(0));
+            a.instr(Instr::LoadImm(1));
+            a.instr(Instr::Sub);
+            a.instr(Instr::StoreLocal(0));
+            a.jump(top);
+            a.bind(out);
+            a.instr(Instr::DirectCall(0xFF_FF00));
+            a.instr(Instr::Halt);
+        });
+        let image = b
+            .build(ProcRef {
+                module: 0,
+                ev_index: 0,
+            })
+            .unwrap();
+        for (rung, cfg) in MachineConfig::i3()
+            .with_native_threshold(2)
+            .dispatch_ladder()
+        {
+            let mut m = Machine::load(&image, cfg).unwrap();
+            if cfg.native {
+                assert!(m.arm_native(NativeLicense::new(2, 1)), "{rung}");
+            }
+            let err = m.run(10_000).unwrap_err();
+            assert!(matches!(err, VmError::BadImage(_)), "{rung}: {err:?}");
+            if cfg.native {
+                assert!(m.native_stats().unwrap().native_instrs > 0, "{rung}");
+            }
         }
     }
 }

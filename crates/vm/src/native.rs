@@ -13,11 +13,11 @@
 //! The tier only runs under a [`NativeLicense`], normally minted from a
 //! clean `fpc_verify::Certificate`. The license carries the verifier's
 //! whole-image stack-depth bound; arming fails unless that bound fits
-//! the machine's configured stack limit. Every event that would lapse a
-//! check-elision certificate (trap/fault-handler install, `unbind`,
-//! `relocate`, `replace_proc`) also permanently disarms the native tier
-//! and marks the certificate premises broken, so re-arming without
-//! re-verification is impossible.
+//! the machine's configured stack limit. Every event that lapses a
+//! certificate premise (trap/fault-handler install, `unbind`,
+//! `relocate`, `replace_proc`) permanently disarms the native tier and
+//! marks the premises broken, so re-arming without re-verification is
+//! impossible.
 //!
 //! # Charge-not-perform
 //!

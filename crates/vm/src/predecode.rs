@@ -30,7 +30,7 @@ use fpc_mem::CodeStore;
 /// length (needed to advance the PC exactly as the byte decoder
 /// would).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedOp {
+pub(crate) struct DecodedOp {
     /// The decoded instruction.
     pub instr: Instr,
     /// Encoded length in bytes (1–4).
@@ -51,7 +51,7 @@ pub struct DecodedOp {
 /// so every error path goes through the ordinary interpreter and
 /// behaves bit-identically to an unfused run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedOp {
+pub(crate) struct FusedOp {
     /// The second instruction of the pair.
     pub b: Instr,
     /// Encoded length of the first instruction.
@@ -73,7 +73,7 @@ pub struct FusedOp {
 
 /// What the fused lookup found at an offset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fetched {
+pub(crate) enum Fetched {
     /// A singleton instruction and its encoded length.
     One(Instr, u8),
     /// A fused pair: the first instruction plus the fusion record.
@@ -162,9 +162,8 @@ fn fuse_model(i: Instr, second: bool) -> Option<(i8, i8, bool)> {
 }
 
 /// Builds the fusion record for an adjacent pair, or `None` if the
-/// pair is not fusible. Public so `fpc-verify` can mirror the greedy
-/// pairing exactly when it checks jump targets against fused spans.
-pub fn fuse_pair(a: Instr, b: Instr, len_a: u8, len_b: u8) -> Option<FusedOp> {
+/// pair is not fusible.
+pub(crate) fn fuse_pair(a: Instr, b: Instr, len_a: u8, len_b: u8) -> Option<FusedOp> {
     let (pa, qa, _) = fuse_model(a, false)?;
     let (pb, qb, xfer) = fuse_model(b, true)?;
     let (pa, qa, pb, qb) = (pa as i32, qa as i32, pb as i32, qb as i32);
@@ -355,7 +354,11 @@ impl PredecodeCache {
     /// The same [`DecodeError`] the byte decoder reports for this
     /// offset.
     #[inline]
-    pub fn lookup_fused(&mut self, code: &CodeStore, offset: u32) -> Result<Fetched, DecodeError> {
+    pub(crate) fn lookup_fused(
+        &mut self,
+        code: &CodeStore,
+        offset: u32,
+    ) -> Result<Fetched, DecodeError> {
         if self.version != code.version() {
             self.sync(code);
         }

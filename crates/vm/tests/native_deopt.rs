@@ -1,8 +1,8 @@
 //! Deoptimization tests for the tier-5 native compiler.
 //!
-//! Every event that lapses a check-elision certificate — trap-handler
-//! install, fault-handler install, module unbind, module relocation,
-//! procedure replacement — must also demote an *armed, mid-run* native
+//! Every event that lapses a verify certificate's premises —
+//! trap-handler install, fault-handler install, module unbind, module
+//! relocation, procedure replacement — must demote an *armed, mid-run* native
 //! machine back to the interpretive ladder, permanently, without
 //! perturbing one simulated counter. Each test here runs a recursive
 //! workload hot enough to compile, fires one re-arm hook in the middle,

@@ -10,8 +10,8 @@
 //!                                      # native-tier eligibility
 //! fpc-lint --effects prog.mesa [...]   # verify, then print each
 //!                                      # procedure's interprocedural
-//!                                      # effect summary, retry-safety
-//!                                      # verdict and safe-point map
+//!                                      # effect summary and
+//!                                      # retry-safety verdict
 //! fpc-lint --corpus                    # verify the whole fpc-workloads
 //!                                      # corpus under every linkage and
 //!                                      # argument convention, plus the
@@ -120,13 +120,12 @@ fn report_json(name: &str, report: &VerifyReport) -> String {
         .map(|(id, p)| {
             format!(
                 "{{\"module\":{},\"ev_index\":{},\"nargs\":{},\"max_stack\":{},\
-                 \"retry_safe\":{},\"safe_points\":{},\"effects\":\"{}\"}}",
+                 \"retry_safe\":{},\"effects\":\"{}\"}}",
                 p.module,
                 p.ev_index,
                 p.nargs,
                 p.max_stack.map_or("null".into(), |d| d.to_string()),
                 report.effects[id].retry_safe(),
-                report.safe_points[id].len(),
                 json_escape(&report.effects[id].to_string()),
             )
         })
@@ -141,8 +140,8 @@ fn report_json(name: &str, report: &VerifyReport) -> String {
 }
 
 /// `--effects` (per file): the whole-corpus analysis, procedure by
-/// procedure — transitive footprint, retry verdict, safe-point map —
-/// plus any dead-store / unreachable-code notes among the diagnostics.
+/// procedure — transitive footprint and retry verdict — plus any
+/// dead-store / unreachable-code notes among the diagnostics.
 fn print_effects(name: &str, report: &VerifyReport) {
     println!("{name}: effect analysis");
     for (id, p) in report.procs.iter().enumerate() {
@@ -152,12 +151,10 @@ fn print_effects(name: &str, report: &VerifyReport) {
         } else {
             "not retry-safe"
         };
-        let pts = &report.safe_points[id];
         println!(
             "  proc {id}: m{}[{}] {verdict} | effects: {e}",
             p.module, p.ev_index
         );
-        println!("    safe points: {} instruction boundary(ies)", pts.len());
     }
     for d in report.diagnostics.iter().filter(|d| {
         matches!(
@@ -172,7 +169,6 @@ fn print_effects(name: &str, report: &VerifyReport) {
 /// One corpus image's `--effects` summary line.
 fn effects_summary_line(name: &str, report: &VerifyReport) -> String {
     let retry_safe = report.effects.iter().filter(|e| e.retry_safe()).count();
-    let safe_points: usize = report.safe_points.iter().map(Vec::len).sum();
     let dead = report
         .diagnostics
         .iter()
@@ -184,7 +180,7 @@ fn effects_summary_line(name: &str, report: &VerifyReport) -> String {
         .filter(|d| matches!(d.kind, DiagKind::UnreachableCode { .. }))
         .count();
     format!(
-        "{name}: {} proc(s), {retry_safe} retry-safe, {safe_points} safe point(s), \
+        "{name}: {} proc(s), {retry_safe} retry-safe, \
          {dead} dead-store note(s), {unreachable} unreachable note(s)",
         report.procs.len(),
     )

@@ -834,50 +834,65 @@ fn table_scribbling_guests_fail_with_typed_errors() {
 // no gap a flipped code byte can fall through.
 // ---------------------------------------------------------------------
 
-/// Seeded single-byte mutations of every verified corpus image: each
-/// mutant must either fail verification, or — if it still certifies —
-/// load and run (with check elision licensed by that certificate!) to
-/// completion or a typed [`VmError`]. Rejected mutants are also run on
-/// the unverified machine to confirm the dynamic checks degrade to
-/// typed errors too. A host panic anywhere fails this test.
+/// Seeded single-byte mutations of every verified corpus image, on I3
+/// and on the bank machine I4: each mutant must either fail
+/// verification, or — if it still certifies — load and run to
+/// completion or a typed [`VmError`] with the native tier armed by the
+/// mutant's own certificate (a low threshold so hot bodies really run
+/// as unchecked threaded code). Rejected mutants run on the plain
+/// interpreter to confirm the dynamic checks degrade to typed errors
+/// too. A host panic anywhere fails this test.
 #[test]
 fn single_byte_mutants_are_rejected_or_fail_typed() {
     use fpc_verify::{verify_image, VerifyOptions};
     const MUTANTS_PER_IMAGE: usize = 32;
     const MUTANT_FUEL: u64 = 100_000;
-    for (wi, w) in corpus().into_iter().enumerate() {
-        let compiled = compile_workload(&w, Options::default()).unwrap();
-        let opts = VerifyOptions::default();
-        assert!(
-            verify_image(&compiled.image, &opts).is_ok(),
-            "{}: pristine image must verify",
-            w.name
-        );
-        let mut rng = Rng::seed_from_u64(0xF1ED ^ (wi as u64));
-        for _ in 0..MUTANTS_PER_IMAGE {
-            let mut img = compiled.image.clone();
-            let at = (rng.next_u64() % img.code.len() as u64) as usize;
-            // XOR with a nonzero mask so the byte always changes.
-            img.code[at] ^= (rng.next_u64() as u8) | 1;
-            let verdict = verify_image(&img, &opts);
-            let config = if verdict.is_ok() {
-                // Still certified: the certificate must be safe to act
-                // on — run with the dynamic checks elided.
-                MachineConfig::i3().with_verified_images(true)
-            } else {
-                MachineConfig::i3()
-            };
-            match Machine::load(&img, config) {
-                Ok(mut m) => {
-                    if let Err(e) = m.run(MUTANT_FUEL) {
-                        let _ = e.to_string(); // typed, displayable
+    for preset in [MachineConfig::i3(), MachineConfig::i4()] {
+        // Certified mutants whose run reached native code.
+        let mut native_runs = 0usize;
+        let opts = VerifyOptions::for_config(&preset);
+        let options = Options {
+            bank_args: preset.renaming(),
+            ..Options::default()
+        };
+        for (wi, w) in corpus().into_iter().enumerate() {
+            let compiled = compile_workload(&w, options).unwrap();
+            assert!(
+                verify_image(&compiled.image, &opts).is_ok(),
+                "{}: pristine image must verify",
+                w.name
+            );
+            let mut rng = Rng::seed_from_u64(0xF1ED ^ (wi as u64));
+            for _ in 0..MUTANTS_PER_IMAGE {
+                let mut img = compiled.image.clone();
+                let at = (rng.next_u64() % img.code.len() as u64) as usize;
+                // XOR with a nonzero mask so the byte always changes.
+                img.code[at] ^= (rng.next_u64() as u8) | 1;
+                let cert = verify_image(&img, &opts).certificate();
+                let config = match cert {
+                    Some(_) => preset.with_native_tier(true).with_native_threshold(2),
+                    None => preset,
+                };
+                match Machine::load(&img, config) {
+                    Ok(mut m) => {
+                        if let Some(cert) = &cert {
+                            // Still certified: the certificate must be
+                            // safe to act on.
+                            assert!(m.arm_native(cert.native_license()), "{}", w.name);
+                        }
+                        if let Err(e) = m.run(MUTANT_FUEL) {
+                            let _ = e.to_string(); // typed, displayable
+                        }
+                        native_runs +=
+                            m.native_stats().is_some_and(|n| n.native_instrs > 0) as usize;
                     }
-                }
-                Err(e) => {
-                    let _ = e.to_string();
+                    Err(e) => {
+                        let _ = e.to_string();
+                    }
                 }
             }
         }
+        assert!(native_runs > 0, "no certified mutant ran native code");
     }
 }
 
