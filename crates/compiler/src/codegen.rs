@@ -8,13 +8,11 @@
 //! The number of static spill/reload pairs is reported in the
 //! compilation statistics (experiment E9).
 
-use std::collections::HashMap;
-
 use fpc_isa::{Assembler, Instr, Label};
 
 use crate::ast::*;
 use crate::error::{CompileError, Phase};
-use crate::sema::{GlobalSlot, ProgramInfo};
+use crate::sema::ProgramInfo;
 
 /// Call linkage selection (§5 vs §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,7 +126,6 @@ pub struct ProcCode {
 #[derive(Debug, Default)]
 pub struct LvBuilder {
     order: Vec<(usize, usize)>,
-    index: HashMap<(usize, usize), u8>,
 }
 
 impl LvBuilder {
@@ -138,8 +135,8 @@ impl LvBuilder {
     }
 
     fn get_or_insert(&mut self, target: (usize, usize)) -> Result<u8, CompileError> {
-        if let Some(&i) = self.index.get(&target) {
-            return Ok(i);
+        if let Some(i) = self.order.iter().position(|&t| t == target) {
+            return Ok(i as u8);
         }
         if self.order.len() >= 256 {
             return Err(CompileError::new(
@@ -150,7 +147,6 @@ impl LvBuilder {
         }
         let i = self.order.len() as u8;
         self.order.push(target);
-        self.index.insert(target, i);
         Ok(i)
     }
 }
@@ -180,20 +176,12 @@ pub fn gen_proc(
     options: Options,
     lv: &mut LvBuilder,
 ) -> Result<ProcCode, CompileError> {
-    let mut scope = HashMap::new();
-    // Globals first so locals shadow them.
-    for (name, GlobalSlot { offset, ty }) in &info.modules[module].globals {
-        scope.insert(name.clone(), Slot::Global(*offset, *ty));
-    }
-    let mut next = 0u32;
-    for v in proc.params.iter().chain(&proc.locals) {
-        scope.insert(v.name.clone(), Slot::Local(next, v.ty));
-        next += v.ty.words();
-    }
-    let sig = &info.modules[module].procs[*info.modules[module]
-        .proc_index
-        .get(&proc.name)
-        .expect("sema registered the proc")];
+    let named_words = proc
+        .params
+        .iter()
+        .chain(&proc.locals)
+        .map(|v| v.ty.words())
+        .sum();
 
     let body_start = asm.label();
     let body_end = asm.label();
@@ -205,8 +193,9 @@ pub fn gen_proc(
         module,
         options,
         lv,
-        scope,
-        named_words: next,
+        proc,
+        addr_taken: proc.locals.iter().any(|l| !l.ty.is_scalar()),
+        named_words,
         temps_live: 0,
         max_temps: 0,
         depth: 0,
@@ -266,7 +255,7 @@ pub fn gen_proc(
     }
 
     let nlocals = g.named_words + g.max_temps;
-    let (fixups, spills, calls) = (g.fixups, g.spills, g.calls);
+    let (addr_taken, fixups, spills, calls) = (g.addr_taken, g.fixups, g.spills, g.calls);
     asm.bind(body_end);
     Ok(ProcCode {
         header_label,
@@ -274,7 +263,7 @@ pub fn gen_proc(
         body_end,
         nlocals,
         nargs,
-        addr_taken: sig.addr_taken,
+        addr_taken,
         fixups,
         spills,
         calls,
@@ -287,7 +276,10 @@ struct Gen<'a> {
     module: usize,
     options: Options,
     lv: &'a mut LvBuilder,
-    scope: HashMap<String, Slot>,
+    proc: &'a ProcDecl,
+    /// The §7.4 header flag: the body takes a local's address or
+    /// declares a local array (both compile to `LLA`).
+    addr_taken: bool,
     named_words: u32,
     temps_live: u32,
     max_temps: u32,
@@ -325,8 +317,18 @@ impl Gen<'_> {
         self.local_slot_u8(slot, line)
     }
 
+    /// Where `name` lives: a parameter or local (which shadow
+    /// globals), else a global.
     fn slot(&self, name: &str, _line: u32) -> Slot {
-        *self.scope.get(name).expect("sema checked names")
+        let mut next = 0u32;
+        for v in self.proc.params.iter().chain(&self.proc.locals) {
+            if v.name == name {
+                return Slot::Local(next, v.ty);
+            }
+            next += v.ty.words();
+        }
+        let g = self.info.modules[self.module].globals[name];
+        Slot::Global(g.offset, g.ty)
     }
 
     fn stmts(&mut self, body: &[Stmt]) -> Result<(), CompileError> {
@@ -657,6 +659,7 @@ impl Gen<'_> {
                     Slot::Local(slot, _) => {
                         let slot = self.local_slot_u8(slot, Some(*line))?;
                         self.emit(Instr::LoadLocalAddr(slot));
+                        self.addr_taken = true;
                     }
                     Slot::Global(off, _) => self.emit(Instr::LoadGlobalAddr(off)),
                 }

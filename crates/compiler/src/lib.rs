@@ -81,6 +81,41 @@ mod tests {
         run(src, MachineConfig::i2(), Options::default())
     }
 
+    /// The §7.4 `addr_taken` header flag of module 0's procedure `ev`.
+    fn addr_taken(c: &Compiled, ev: u16) -> bool {
+        let at = c.image.proc_header_addr(fpc_vm::ProcRef {
+            module: 0,
+            ev_index: ev,
+        });
+        let flags = c.image.code[(at.0 + fpc_core::layout::HDR_FLAGS) as usize];
+        fpc_core::layout::unpack_flags(flags).1
+    }
+
+    #[test]
+    fn addr_taken_flag_computed() {
+        let src = "module M;
+             proc plain(x: int): int begin return x; end;
+             proc takes() var v: int; begin out *(&v); end;
+             proc arr() var a: array[2] of int; begin a[0] := 1; end;
+             proc main() begin end;
+             end.";
+        let c = compile(&[src], Options::default()).unwrap();
+        assert!(!addr_taken(&c, 0));
+        assert!(addr_taken(&c, 1));
+        assert!(addr_taken(&c, 2), "local arrays imply LLA");
+        assert!(!addr_taken(&c, 3));
+    }
+
+    #[test]
+    fn globals_do_not_set_addr_taken() {
+        let src = "module M;
+             var t: array[4] of int;
+             proc main() begin t[1] := 2; out &t[1]; end;
+             end.";
+        let c = compile(&[src], Options::default()).unwrap();
+        assert!(!addr_taken(&c, 0));
+    }
+
     const FIB: &str = "
         module Math;
         proc fib(n: int): int

@@ -4,7 +4,7 @@
 use fpc_core::layout;
 use fpc_frames::SizeClasses;
 use fpc_isa::sizing::SizeStats;
-use fpc_isa::{disassemble, Assembler};
+use fpc_isa::{walk, Assembler};
 use fpc_mem::ByteAddr;
 use fpc_vm::{Image, ModuleImage, ProcRef};
 
@@ -96,10 +96,10 @@ pub fn link(
             let code = codegen::gen_proc(&mut asm, hl, info, mi, p, options, &mut lvb)?;
             codes.push(code);
         }
-        let out = asm
+        let mut out = asm
             .assemble()
             .map_err(|e| lerr(format!("module `{}`: {e}", m.name)))?;
-        let mut bytes = out.bytes.clone();
+        let mut bytes = std::mem::take(&mut out.bytes);
         if bytes.len() > u16::MAX as usize {
             return Err(lerr(format!("module `{}` exceeds 64 KB of code", m.name)));
         }
@@ -158,7 +158,7 @@ pub fn link(
     }
 
     // Place segments (word aligned).
-    let mut code = Vec::new();
+    let mut code = Vec::with_capacity(linked.iter().map(|lm| lm.bytes.len() + 1).sum());
     let mut bases = Vec::with_capacity(linked.len());
     for lm in &linked {
         if code.len() % 2 != 0 {
@@ -169,13 +169,13 @@ pub fn link(
     }
 
     let mut image_modules: Vec<ModuleImage> = linked
-        .iter()
+        .iter_mut()
         .zip(&bases)
         .map(|(lm, &base)| ModuleImage {
             name: lm.name.clone(),
             code_base: base,
             nprocs: lm.header_offsets.len() as u16,
-            lv: lm.lv.clone(),
+            lv: std::mem::take(&mut lm.lv),
             globals: vec![0; lm.globals_words as usize],
             code_of: None,
         })
@@ -262,9 +262,9 @@ pub fn link(
         for &(start, end) in &lm.body_ranges {
             let s = (bases[mi].0 + start) as usize;
             let e = (bases[mi].0 + end) as usize;
-            let listing = disassemble(&image.code, s, e)
-                .map_err(|err| lerr(format!("disassembly check failed: {err}")))?;
-            for (_, instr) in listing {
+            for r in walk(&image.code, s, e) {
+                let (_, instr, _) =
+                    r.map_err(|err| lerr(format!("disassembly check failed: {err}")))?;
                 stats.size.record(&instr);
             }
         }

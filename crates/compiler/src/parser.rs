@@ -36,8 +36,10 @@ impl Parser {
         self.tokens[self.pos].line
     }
 
+    /// Consumes the current token, moving it out. The parser never
+    /// looks back, and the final `Eof` is never consumed past.
     fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].kind.clone();
+        let t = std::mem::replace(&mut self.tokens[self.pos].kind, Tok::Eof);
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -58,7 +60,8 @@ impl Parser {
     }
 
     fn expect(&mut self, t: Tok) -> Result<(), CompileError> {
-        if self.eat(t.clone()) {
+        if *self.peek() == t {
+            self.bump();
             Ok(())
         } else {
             Err(self.err(format!("expected {t}, found {}", self.peek())))
@@ -66,13 +69,12 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, CompileError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        if let Tok::Ident(s) = &mut self.tokens[self.pos].kind {
+            let s = std::mem::take(s);
+            self.bump();
+            return Ok(s);
         }
+        Err(self.err(format!("expected identifier, found {}", self.peek())))
     }
 
     fn module(&mut self) -> Result<Module, CompileError> {
@@ -226,7 +228,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::If => {
                 self.bump();
                 let mut arms = Vec::new();
@@ -293,16 +295,16 @@ impl Parser {
                 Ok(Stmt::StoreThrough { ptr, value, line })
             }
             Tok::Ident(name) => {
-                match self.peek2().clone() {
+                match self.peek2() {
                     Tok::Assign => {
-                        self.bump();
+                        let name = self.ident()?;
                         self.bump();
                         let value = self.expr()?;
                         self.expect(Tok::Semi)?;
                         Ok(Stmt::Assign { name, value, line })
                     }
                     Tok::LBracket => {
-                        self.bump();
+                        let name = self.ident()?;
                         self.bump();
                         let index = self.expr()?;
                         self.expect(Tok::RBracket)?;
@@ -318,7 +320,7 @@ impl Parser {
                     }
                     Tok::LParen | Tok::Dot => {
                         // A call statement, or a builtin.
-                        if name == "co_free" {
+                        if name.as_str() == "co_free" {
                             self.bump();
                             self.expect(Tok::LParen)?;
                             let e = self.expr()?;
@@ -437,7 +439,7 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, CompileError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Minus => {
                 self.bump();
                 let e = self.unary()?;

@@ -31,9 +31,6 @@ pub struct ProcSig {
     pub ret: Option<Type>,
     /// Entry-vector index.
     pub ev: u16,
-    /// Whether the procedure takes addresses of locals or declares
-    /// local arrays (both compile to `LLA`) — the §7.4 header flag.
-    pub addr_taken: bool,
 }
 
 /// Resolved facts about one module.
@@ -185,14 +182,11 @@ pub fn analyze(modules: &[Module]) -> Result<ProgramInfo, CompileError> {
             if proc_index.insert(p.name.clone(), pi).is_some() {
                 return Err(err(p.line, format!("duplicate procedure `{}`", p.name)));
             }
-            let addr_taken =
-                p.locals.iter().any(|l| !l.ty.is_scalar()) || body_takes_local_addrs(p, &p.body);
             procs.push(ProcSig {
                 name: p.name.clone(),
                 params: p.params.iter().map(|v| v.ty).collect(),
                 ret: p.ret,
                 ev: pi as u16,
-                addr_taken,
             });
         }
         let imports = m
@@ -288,55 +282,9 @@ pub fn analyze(modules: &[Module]) -> Result<ProgramInfo, CompileError> {
     Ok(info)
 }
 
-fn body_takes_local_addrs(p: &ProcDecl, body: &[Stmt]) -> bool {
-    let local_names: Vec<&str> = p
-        .params
-        .iter()
-        .chain(&p.locals)
-        .map(|v| v.name.as_str())
-        .collect();
-    fn expr_has(e: &Expr, locals: &[&str]) -> bool {
-        match e {
-            Expr::AddrOf { name, index, .. } => {
-                locals.contains(&name.as_str())
-                    || index.as_ref().is_some_and(|i| expr_has(i, locals))
-            }
-            Expr::Unary { expr, .. } | Expr::Deref(expr) | Expr::CoStart(expr) => {
-                expr_has(expr, locals)
-            }
-            Expr::Binary { lhs, rhs, .. } => expr_has(lhs, locals) || expr_has(rhs, locals),
-            Expr::Index { index, .. } => expr_has(index, locals),
-            Expr::Call(c) => c.args.iter().any(|a| expr_has(a, locals)),
-            Expr::CoTransfer { ctx, value } => expr_has(ctx, locals) || expr_has(value, locals),
-            _ => false,
-        }
-    }
-    fn stmt_has(s: &Stmt, locals: &[&str]) -> bool {
-        match s {
-            Stmt::Assign { value, .. }
-            | Stmt::Out(value)
-            | Stmt::CoFree(value)
-            | Stmt::Expr(value) => expr_has(value, locals),
-            Stmt::StoreIndex { index, value, .. } => {
-                expr_has(index, locals) || expr_has(value, locals)
-            }
-            Stmt::StoreThrough { ptr, value, .. } => {
-                expr_has(ptr, locals) || expr_has(value, locals)
-            }
-            Stmt::If { arms, els } => {
-                arms.iter()
-                    .any(|(c, b)| expr_has(c, locals) || b.iter().any(|s| stmt_has(s, locals)))
-                    || els.iter().any(|s| stmt_has(s, locals))
-            }
-            Stmt::While { cond, body } => {
-                expr_has(cond, locals) || body.iter().any(|s| stmt_has(s, locals))
-            }
-            Stmt::Return { value, .. } => value.as_ref().is_some_and(|v| expr_has(v, locals)),
-            Stmt::Call(c) => c.args.iter().any(|a| expr_has(a, locals)),
-            Stmt::Halt | Stmt::Yield => false,
-        }
-    }
-    body.iter().any(|s| stmt_has(s, &local_names))
+/// The parameter or local `name` of `p`, if it names one.
+fn local<'a>(p: &'a ProcDecl, name: &str) -> Option<&'a VarDecl> {
+    p.params.iter().chain(&p.locals).find(|v| v.name == name)
 }
 
 /// What a name refers to inside a procedure body.
@@ -349,28 +297,21 @@ enum Binding {
 struct Checker<'a> {
     info: &'a ProgramInfo,
     module: usize,
-    ret: Option<Type>,
-    scope: HashMap<&'a str, Binding>,
+    proc: &'a ProcDecl,
 }
 
 impl<'a> Checker<'a> {
     fn new(info: &'a ProgramInfo, module: usize, p: &'a ProcDecl) -> Result<Self, CompileError> {
-        let mut scope: HashMap<&str, Binding> = HashMap::new();
-        for (name, slot) in &info.modules[module].globals {
-            // Borrow global names from the info (same lifetime).
-            scope.insert(name.as_str(), Binding::Global(slot.ty));
-        }
         let mut slot = 0u32;
-        let mut seen = HashMap::new();
         for v in p.params.iter().chain(&p.locals) {
-            if seen.insert(&v.name, ()).is_some() {
+            // Any but a name's first declaration is a duplicate.
+            if local(p, &v.name).is_some_and(|first| !std::ptr::eq(first, v)) {
                 return Err(CompileError::new(
                     Phase::Sema,
                     Some(v.line),
                     format!("duplicate local `{}`", v.name),
                 ));
             }
-            scope.insert(v.name.as_str(), Binding::Local(v.ty));
             slot += v.ty.words();
         }
         if slot > MAX_LOCAL_SLOT {
@@ -383,8 +324,7 @@ impl<'a> Checker<'a> {
         Ok(Checker {
             info,
             module,
-            ret: p.ret,
-            scope,
+            proc: p,
         })
     }
 
@@ -392,10 +332,16 @@ impl<'a> Checker<'a> {
         CompileError::new(Phase::Sema, line, msg)
     }
 
+    /// What `name` refers to: a parameter or local (which shadow
+    /// globals), else a global.
     fn lookup(&self, name: &str, line: u32) -> Result<Binding, CompileError> {
-        self.scope
+        if let Some(v) = local(self.proc, name) {
+            return Ok(Binding::Local(v.ty));
+        }
+        self.info.modules[self.module]
+            .globals
             .get(name)
-            .copied()
+            .map(|g| Binding::Global(g.ty))
             .ok_or_else(|| self.err(Some(line), format!("unknown variable `{name}`")))
     }
 
@@ -449,7 +395,7 @@ impl<'a> Checker<'a> {
                 self.expr(cond)?;
                 self.stmts(body)
             }
-            Stmt::Return { value, line } => match (self.ret, value) {
+            Stmt::Return { value, line } => match (self.proc.ret, value) {
                 (Some(_), Some(e)) => self.expr(e),
                 (None, None) => Ok(()),
                 (Some(_), None) => Err(self.err(Some(*line), "missing return value".into())),
@@ -651,32 +597,6 @@ mod tests {
         ])
         .unwrap_err();
         assert!(e.to_string().contains("more than one"));
-    }
-
-    #[test]
-    fn addr_taken_flag_computed() {
-        let info = analyze_srcs(&["module M;
-             proc plain(x: int): int begin return x; end;
-             proc takes() var v: int; begin out *(&v); end;
-             proc arr() var a: array[2] of int; begin a[0] := 1; end;
-             proc main() begin end;
-             end."])
-        .unwrap();
-        let procs = &info.modules[0].procs;
-        assert!(!procs[0].addr_taken);
-        assert!(procs[1].addr_taken);
-        assert!(procs[2].addr_taken, "local arrays imply LLA");
-        assert!(!procs[3].addr_taken);
-    }
-
-    #[test]
-    fn globals_do_not_set_addr_taken() {
-        let info = analyze_srcs(&["module M;
-             var t: array[4] of int;
-             proc main() begin t[1] := 2; out &t[1]; end;
-             end."])
-        .unwrap();
-        assert!(!info.modules[0].procs[0].addr_taken);
     }
 
     #[test]

@@ -190,7 +190,8 @@ fn keyword(s: &str) -> Option<Tok> {
 ///
 /// [`CompileError`] for unknown characters or malformed numbers.
 pub fn lex(src: &str) -> Result<Vec<Token>, CompileError> {
-    let mut out = Vec::new();
+    // About one token per three source bytes, indentation included.
+    let mut out = Vec::with_capacity(src.len() / 3);
     let mut line: u32 = 1;
     let bytes = src.as_bytes();
     let mut i = 0;

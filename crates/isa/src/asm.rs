@@ -46,9 +46,16 @@ impl std::error::Error for AsmError {}
 #[derive(Debug, Clone)]
 enum Item {
     Fixed(Instr),
-    Raw(Vec<u8>),
+    /// `raw[at..at + len]` of the assembler's raw-byte pool.
+    Raw {
+        at: usize,
+        len: usize,
+    },
     Bind(Label),
-    Branch { kind: BranchKind, target: Label },
+    Branch {
+        kind: BranchKind,
+        target: Label,
+    },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +124,8 @@ impl Assembled {
 #[derive(Debug, Default)]
 pub struct Assembler {
     items: Vec<Item>,
+    /// Every raw byte appended, in order; `Item::Raw` slices it.
+    raw: Vec<u8>,
     labels: usize,
 }
 
@@ -156,7 +165,11 @@ impl Assembler {
 
     /// Appends raw bytes (procedure headers, tables).
     pub fn raw(&mut self, bytes: &[u8]) {
-        self.items.push(Item::Raw(bytes.to_vec()));
+        self.items.push(Item::Raw {
+            at: self.raw.len(),
+            len: bytes.len(),
+        });
+        self.raw.extend_from_slice(bytes);
     }
 
     /// Appends an unconditional jump to `target`.
@@ -209,7 +222,7 @@ impl Assembler {
             .iter()
             .map(|it| match it {
                 Item::Fixed(i) => i.encoded_len(),
-                Item::Raw(b) => b.len(),
+                Item::Raw { len, .. } => *len,
                 Item::Bind(_) => 0,
                 Item::Branch { kind, .. } => kind.min_len(),
             })
@@ -255,13 +268,13 @@ impl Assembler {
         }
 
         // Emit.
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(sizes.iter().sum());
         for (idx, item) in self.items.iter().enumerate() {
             match item {
                 Item::Fixed(i) => {
                     i.encode(&mut bytes);
                 }
-                Item::Raw(b) => bytes.extend_from_slice(b),
+                Item::Raw { at, len } => bytes.extend_from_slice(&self.raw[*at..at + len]),
                 Item::Bind(_) => {}
                 Item::Branch { kind, target } => {
                     let t = label_offsets[target.0].unwrap() as i64;

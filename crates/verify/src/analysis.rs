@@ -6,9 +6,10 @@
 //! calls are resolved statically and treated pushdown-style — a call
 //! site's successor depth is the callee's proven return arity, not a
 //! merge over every return in the program — which is what makes the
-//! bound exact on straight-line code.
+//! bound exact on straight-line code. A body's dataflow re-runs only
+//! when a callee's arity changed, and stepping an op never allocates.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use fpc_core::{Context, ContextWord};
 use fpc_isa::Instr;
@@ -18,10 +19,6 @@ use crate::effects::{solve, EffectSummary};
 use crate::procs::{discover, Discovery};
 use crate::report::{Cycle, DiagKind, Diagnostic, ProcSummary, TargetFault, VerifyReport};
 use crate::VerifyOptions;
-
-/// Fixpoint state per op: `None` = unreachable, else the entry-depth
-/// interval `[lo, hi]`.
-type OpStates = Vec<Option<(u32, u32)>>;
 
 /// Return-arity lattice: `Bottom` (never returns) < `Known(n)` <
 /// `Conflict`.
@@ -42,25 +39,54 @@ impl Arity {
     }
 }
 
-/// A statically resolved call site.
+/// An op's statically resolved call site.
+#[derive(Debug, Clone, Copy)]
 enum Site {
-    /// Callee proc ids (arity-consistent, non-empty).
-    Procs(Vec<usize>),
-    /// Unusable: the diagnostics to emit at this pc.
-    Bad(Vec<DiagKind>),
+    /// Not a call.
+    None,
+    /// Callee proc ids `callees[from..to]` (arity-consistent,
+    /// non-empty).
+    Procs { from: usize, to: usize },
+    /// Unusable, and already diagnosed: a path through it ends.
+    Bad,
 }
 
 /// One step's outcome: successor op indices with their entry
-/// intervals, plus any diagnostics the op raises at this interval.
-struct Step {
-    succs: Vec<(usize, (u32, u32))>,
-    diags: Vec<DiagKind>,
+/// intervals (the first `nsuccs` of `succs`). The op's diagnostics go
+/// to `diag`, in a fixed order.
+struct Step<'s, D> {
+    succs: [(usize, (u32, u32)); 2],
+    nsuccs: usize,
     /// Return depth interval when the op is a `RET` with a consistent
     /// depth.
     ret: Option<(u32, u32)>,
     /// Depth the op can attain (post-state upper bound), for the
     /// max-stack summary.
     reach: u32,
+    diag: &'s mut D,
+}
+
+impl<D: FnMut(DiagKind)> Step<'_, D> {
+    /// An edge to op `to` entered at `interval`, or the diagnostic for
+    /// why there is none.
+    fn edge(&mut self, to: Result<usize, DiagKind>, interval: (u32, u32)) {
+        match to {
+            Ok(i) => {
+                self.succs[self.nsuccs] = (i, interval);
+                self.nsuccs += 1;
+            }
+            Err(kind) => (self.diag)(kind),
+        }
+    }
+}
+
+/// Every body's last dataflow: joined return arity, maximum
+/// attainable depth, and per op (indexed like the per-op tables)
+/// `None` = unreachable, else the entry-depth interval `[lo, hi]`.
+struct Flows {
+    states: Vec<Option<(u32, u32)>>,
+    ret: Vec<Arity>,
+    max_depth: Vec<Option<u32>>,
 }
 
 /// Plain `(pops, pushes)` for ops with no control effect, `None` for
@@ -114,11 +140,14 @@ pub(crate) struct Analysis<'a> {
     d: Discovery,
     limit: u32,
     residue: u32,
-    /// Per-proc, per-op-index resolved call sites.
-    sites: Vec<HashMap<usize, Site>>,
-    /// Per-proc, op indices of `EXTERNALCALL`s routed through remote
-    /// descriptors (the effect analysis's remote seams).
-    remote: Vec<HashSet<usize>>,
+    /// Per op (image-wide numbering, see `ProcInfo::first_op`): its
+    /// resolved call site.
+    sites: Vec<Site>,
+    /// The callee lists `Site::Procs` ranges index.
+    callees: Vec<usize>,
+    /// Per op: an `EXTERNALCALL` routed through a remote descriptor
+    /// (the effect analysis's remote seams).
+    remote: Vec<bool>,
     arity: Vec<Arity>,
 }
 
@@ -132,8 +161,9 @@ impl<'a> Analysis<'a> {
         let residue = if transfers { XFER_RESIDUE_WORDS } else { 0 };
         let limit = (opts.stack_depth as u32).saturating_sub(residue);
         let mut a = Analysis {
-            sites: Vec::new(),
-            remote: Vec::new(),
+            sites: vec![Site::None; d.total_ops],
+            callees: Vec::new(),
+            remote: vec![false; d.total_ops],
             arity: vec![Arity::Bottom; d.procs.len()],
             image,
             d,
@@ -143,16 +173,15 @@ impl<'a> Analysis<'a> {
         let mut diagnostics = std::mem::take(&mut a.d.diagnostics);
         a.resolve_sites(&mut diagnostics);
         a.scan_descriptors(&mut diagnostics);
-        a.arity_fixpoint();
-        a.final_pass(diagnostics)
+        let flows = a.arity_fixpoint();
+        a.final_pass(diagnostics, flows)
     }
 
     fn diag(&self, pid: usize, pc: u32, kind: DiagKind) -> Diagnostic {
         let p = &self.d.procs[pid];
         let rendered = p
-            .bounds
-            .get(&pc)
-            .map(|&i| format!("c{:#06x}: {}", pc, p.ops[i].1))
+            .op_at(pc)
+            .map(|i| format!("c{:#06x}: {}", pc, p.ops[i].1))
             .unwrap_or_default();
         Diagnostic {
             module: p.seg,
@@ -168,94 +197,82 @@ impl<'a> Analysis<'a> {
     /// diagnostics for unusable targets (these are static table facts,
     /// flagged whether or not the site is reachable).
     fn resolve_sites(&mut self, diagnostics: &mut Vec<Diagnostic>) {
-        let mut sites: Vec<HashMap<usize, Site>> = Vec::with_capacity(self.d.procs.len());
-        let mut remote: Vec<HashSet<usize>> = Vec::with_capacity(self.d.procs.len());
         for pid in 0..self.d.procs.len() {
-            let mut map = HashMap::new();
-            let mut remote_map = HashSet::new();
-            for (idx, &(off, instr, _len)) in self.d.procs[pid].ops.iter().enumerate() {
-                let site = match instr {
-                    Instr::LocalCall(k) => Some(self.resolve_local(pid, k)),
-                    Instr::ExternalCall(k) => Some(self.resolve_external(pid, k)),
-                    Instr::DirectCall(addr) => Some(self.resolve_direct(addr as u64)),
+            let first_op = self.d.procs[pid].first_op;
+            for idx in 0..self.d.procs[pid].ops.len() {
+                let (off, instr, _len) = self.d.procs[pid].ops[idx];
+                let from = self.callees.len();
+                let resolved = match instr {
+                    Instr::LocalCall(k) => self.resolve_local(pid, k),
+                    Instr::ExternalCall(k) => self.resolve_external(pid, k),
+                    Instr::DirectCall(addr) => self.resolve_direct(addr as u64),
                     Instr::ShortDirectCall(disp) => {
-                        Some(self.resolve_direct((off as i64 + disp as i64) as u64))
+                        self.resolve_direct((off as i64 + disp as i64) as u64)
                     }
-                    _ => None,
+                    _ => continue,
                 };
-                if let Some(site) = site {
-                    if let Site::Bad(kinds) = &site {
+                let site = match resolved {
+                    Ok(()) => Site::Procs {
+                        from,
+                        to: self.callees.len(),
+                    },
+                    Err(kinds) => {
+                        self.callees.truncate(from);
                         for k in kinds {
-                            diagnostics.push(self.diag(pid, off, k.clone()));
+                            diagnostics.push(self.diag(pid, off, k));
                         }
+                        Site::Bad
                     }
-                    // An EXTERNALCALL through a remote descriptor: the
-                    // local stub carries the proof, but flag the seam
-                    // as an informational note.
-                    if let Instr::ExternalCall(k) = instr {
-                        let seg = self.d.procs[pid].seg;
-                        for ri in self.image.remote_imports.iter().filter(|ri| {
-                            ri.lv_index == k
-                                && (ri.module == seg
-                                    || self.image.modules[ri.module].code_of == Some(seg))
-                        }) {
-                            remote_map.insert(idx);
-                            diagnostics.push(self.diag(
-                                pid,
-                                off,
-                                DiagKind::RemoteTarget {
-                                    lv_index: k as u32,
-                                    node: ri.node,
-                                    name: ri.name.clone(),
-                                },
-                            ));
-                        }
+                };
+                self.sites[first_op + idx] = site;
+                // An EXTERNALCALL through a remote descriptor: the
+                // local stub carries the proof, but flag the seam as
+                // an informational note.
+                if let Instr::ExternalCall(k) = instr {
+                    let seg = self.d.procs[pid].seg;
+                    for ri in self.image.remote_imports.iter().filter(|ri| {
+                        ri.lv_index == k
+                            && (ri.module == seg
+                                || self.image.modules[ri.module].code_of == Some(seg))
+                    }) {
+                        self.remote[first_op + idx] = true;
+                        diagnostics.push(self.diag(
+                            pid,
+                            off,
+                            DiagKind::RemoteTarget {
+                                lv_index: k as u32,
+                                node: ri.node,
+                                name: ri.name.clone(),
+                            },
+                        ));
                     }
-                    map.insert(idx, site);
                 }
             }
-            sites.push(map);
-            remote.push(remote_map);
         }
-        self.sites = sites;
-        self.remote = remote;
     }
 
-    fn arity_checked(&self, pids: Vec<usize>, target: u32) -> Site {
-        let first = self.d.procs[pids[0]].nargs;
-        if pids.iter().any(|&p| self.d.procs[p].nargs != first) {
-            return Site::Bad(vec![DiagKind::BadCallTarget {
-                target,
-                fault: TargetFault::ArityDisagrees,
-            }]);
-        }
-        Site::Procs(pids)
-    }
-
-    fn resolve_local(&self, pid: usize, k: u8) -> Site {
+    fn resolve_local(&mut self, pid: usize, k: u8) -> Result<(), Vec<DiagKind>> {
         let seg = self.d.procs[pid].seg;
-        if (k as u16) < self.image.modules[seg].nprocs {
-            match self.d.by_ref.get(&(seg, k as u16)) {
-                Some(&callee) => self.arity_checked(vec![callee], k as u32),
-                None => Site::Bad(vec![DiagKind::BadCallTarget {
-                    target: k as u32,
-                    fault: TargetFault::NotAHeader,
-                }]),
-            }
+        let fault = if (k as u16) >= self.image.modules[seg].nprocs {
+            TargetFault::EvIndexOutOfRange
+        } else if let Some(callee) = self.d.by_ref(seg, k as u16) {
+            self.callees.push(callee);
+            return Ok(());
         } else {
-            Site::Bad(vec![DiagKind::BadCallTarget {
-                target: k as u32,
-                fault: TargetFault::EvIndexOutOfRange,
-            }])
-        }
+            TargetFault::NotAHeader
+        };
+        Err(vec![DiagKind::BadCallTarget {
+            target: k as u32,
+            fault,
+        }])
     }
 
-    fn resolve_external(&self, pid: usize, k: u8) -> Site {
+    fn resolve_external(&mut self, pid: usize, k: u8) -> Result<(), Vec<DiagKind>> {
         // The executing global frame can belong to the owner or to any
         // instance sharing the segment; every candidate's link vector
         // must resolve, and all resolutions must agree on arity.
         let seg = self.d.procs[pid].seg;
-        let mut pids = Vec::new();
+        let from = self.callees.len();
         let mut bad = Vec::new();
         for (mi, m) in self.image.modules.iter().enumerate() {
             if mi != seg && m.code_of != Some(seg) {
@@ -283,12 +300,9 @@ impl<'a> Analysis<'a> {
                 continue;
             }
             let owner = tm.code_of.unwrap_or(t.module);
-            match self.d.by_ref.get(&(owner, t.ev_index)) {
-                Some(&callee) => {
-                    if !pids.contains(&callee) {
-                        pids.push(callee);
-                    }
-                }
+            match self.d.by_ref(owner, t.ev_index) {
+                Some(callee) if self.callees[from..].contains(&callee) => {}
+                Some(callee) => self.callees.push(callee),
                 None => bad.push(DiagKind::BadCallTarget {
                     target: k as u32,
                     fault: TargetFault::NotAHeader,
@@ -296,31 +310,38 @@ impl<'a> Analysis<'a> {
             }
         }
         if !bad.is_empty() {
-            Site::Bad(bad)
-        } else if pids.is_empty() {
-            Site::Bad(vec![DiagKind::BadCallTarget {
-                target: k as u32,
-                fault: TargetFault::LvIndexOutOfRange,
-            }])
-        } else {
-            self.arity_checked(pids, k as u32)
+            return Err(bad);
         }
+        let callees = &self.callees[from..];
+        let fault = match callees.first() {
+            None => TargetFault::LvIndexOutOfRange,
+            Some(&c) => {
+                let nargs = self.d.procs[c].nargs;
+                if callees.iter().all(|&p| self.d.procs[p].nargs == nargs) {
+                    return Ok(());
+                }
+                TargetFault::ArityDisagrees
+            }
+        };
+        Err(vec![DiagKind::BadCallTarget {
+            target: k as u32,
+            fault,
+        }])
     }
 
-    fn resolve_direct(&self, addr: u64) -> Site {
-        if addr >= self.image.code.len() as u64 {
-            return Site::Bad(vec![DiagKind::BadCallTarget {
-                target: addr as u32,
-                fault: TargetFault::OutOfRange,
-            }]);
-        }
-        match self.d.by_header.get(&(addr as u32)) {
-            Some(&callee) => self.arity_checked(vec![callee], addr as u32),
-            None => Site::Bad(vec![DiagKind::BadCallTarget {
-                target: addr as u32,
-                fault: TargetFault::NotAHeader,
-            }]),
-        }
+    fn resolve_direct(&mut self, addr: u64) -> Result<(), Vec<DiagKind>> {
+        let fault = if addr >= self.image.code.len() as u64 {
+            TargetFault::OutOfRange
+        } else if let Some(callee) = self.d.by_header(addr as u32) {
+            self.callees.push(callee);
+            return Ok(());
+        } else {
+            TargetFault::NotAHeader
+        };
+        Err(vec![DiagKind::BadCallTarget {
+            target: addr as u32,
+            fault,
+        }])
     }
 
     /// Flags `LOADIMM`-fed context creations whose descriptor word
@@ -356,8 +377,7 @@ impl<'a> Analysis<'a> {
                 if ev >= m.nprocs {
                     return None;
                 }
-                let owner = m.code_of.unwrap_or(mi);
-                return self.d.by_ref.get(&(owner, ev)).copied();
+                return self.d.by_ref(m.code_of.unwrap_or(mi), ev);
             }
         }
         None
@@ -365,40 +385,79 @@ impl<'a> Analysis<'a> {
 
     /// Optimistic fixpoint over return arities: procedures start as
     /// `Bottom` ("never returns"), so calls into not-yet-proven
-    /// callees do not poison their callers; each round re-analyses
-    /// every body under the current assumptions. The lattice has
-    /// height two per procedure, so the loop is linearly bounded.
-    fn arity_fixpoint(&mut self) {
+    /// callees do not poison their callers. Each round re-analyses, in
+    /// proc order, every body that has not yet run under its callees'
+    /// current arities (its own, for a self-call); any other body would
+    /// only reproduce its last result. The lattice has height two per
+    /// procedure, so the loop is linearly bounded.
+    fn arity_fixpoint(&mut self) -> Flows {
         let n = self.d.procs.len();
+        let mut flows = Flows {
+            states: vec![None; self.d.total_ops],
+            ret: vec![Arity::Bottom; n],
+            max_depth: vec![None; n],
+        };
+        let mut wl = VecDeque::new();
+        // Runs are numbered from 1: `ran[p]` is the run that last
+        // analysed body `p`, `moved[p]` the run that last changed its
+        // arity (0 = never).
+        let (mut runs, mut ran, mut moved) = (0, vec![0; n], vec![0; n]);
         for _round in 0..(2 * n + 2) {
             let mut changed = false;
             for pid in 0..n {
-                let (_, ret, _) = self.dataflow(pid);
-                let joined = self.arity[pid].join(ret);
+                let p = &self.d.procs[pid];
+                let stale = ran[pid] == 0
+                    || self.sites[p.first_op..p.first_op + p.ops.len()]
+                        .iter()
+                        .any(|site| match *site {
+                            Site::Procs { from, to } => {
+                                self.callees[from..to].iter().any(|&t| moved[t] >= ran[pid])
+                            }
+                            _ => false,
+                        });
+                if !stale {
+                    continue;
+                }
+                runs += 1;
+                ran[pid] = runs;
+                self.dataflow(pid, &mut flows, &mut wl);
+                let joined = self.arity[pid].join(flows.ret[pid]);
                 if joined != self.arity[pid] {
                     self.arity[pid] = joined;
+                    moved[pid] = runs;
                     changed = true;
                 }
             }
             if !changed {
-                return;
+                return flows;
             }
         }
         debug_assert!(false, "arity fixpoint did not converge");
+        flows
     }
 
-    /// One op's transfer function at interval `(lo, hi)`.
-    fn step(&self, pid: usize, idx: usize, lo: u32, hi: u32) -> Step {
+    /// One op's transfer function at interval `(lo, hi)`. Its
+    /// diagnostics go to `diag`, in a fixed order.
+    fn step<'s, D: FnMut(DiagKind)>(
+        &self,
+        pid: usize,
+        idx: usize,
+        (lo, hi): (u32, u32),
+        diag: &'s mut D,
+    ) -> Step<'s, D> {
         let p = &self.d.procs[pid];
         let (off, instr, len) = p.ops[idx];
-        let mut diags = Vec::new();
-        let mut succs = Vec::new();
-        let mut ret = None;
-        let mut reach = hi;
+        let mut step = Step {
+            succs: [(0, (0, 0)); 2],
+            nsuccs: 0,
+            ret: None,
+            reach: hi,
+            diag,
+        };
 
         if let Some(slot) = local_slot(instr) {
             if p.capacity > 0 && slot >= p.capacity {
-                diags.push(DiagKind::SizeClassMismatch {
+                (step.diag)(DiagKind::SizeClassMismatch {
                     fsi: p.fsi,
                     capacity: p.capacity,
                     slot,
@@ -406,55 +465,48 @@ impl<'a> Analysis<'a> {
             }
         }
 
-        // Fallthrough helper: the next linear offset is the next op,
-        // the opaque tail, or the body end.
-        let fall = |interval: (u32, u32), diags: &mut Vec<DiagKind>, succs: &mut Vec<_>| {
-            let next = off + len as u32;
-            if let Some(&i) = p.bounds.get(&next) {
-                succs.push((i, interval));
-            } else if p.opaque == Some(next) {
-                diags.push(DiagKind::Undecodable { at: next });
-            } else {
-                diags.push(DiagKind::FallsOffEnd);
+        // Fallthrough: the next linear offset is the next op, the
+        // opaque tail, or the body end.
+        let next = off + len as u32;
+        let fall = p.op_at(next).ok_or(if p.opaque == Some(next) {
+            DiagKind::Undecodable { at: next }
+        } else {
+            DiagKind::FallsOffEnd
+        });
+        // Jump edges: targets must be decoded boundaries inside the
+        // body.
+        let jump = |target: i64| {
+            if target < p.body_start as i64 || target >= p.body_end as i64 {
+                return Err(DiagKind::JumpOutOfBody { target });
             }
+            let t = target as u32;
+            p.op_at(t).ok_or(if p.opaque.is_some_and(|o| t >= o) {
+                DiagKind::Undecodable { at: t }
+            } else {
+                DiagKind::MidInstructionJump { target: t }
+            })
         };
-        // Jump-edge helper: targets must be decoded boundaries inside
-        // the body.
-        let jump =
-            |target: i64, interval: (u32, u32), diags: &mut Vec<DiagKind>, succs: &mut Vec<_>| {
-                if target < p.body_start as i64 || target >= p.body_end as i64 {
-                    diags.push(DiagKind::JumpOutOfBody { target });
-                    return;
-                }
-                let t = target as u32;
-                if let Some(&i) = p.bounds.get(&t) {
-                    succs.push((i, interval));
-                } else if p.opaque.is_some_and(|o| t >= o) {
-                    diags.push(DiagKind::Undecodable { at: t });
-                } else {
-                    diags.push(DiagKind::MidInstructionJump { target: t });
-                }
-            };
 
         match instr {
-            Instr::Jump(d) => jump(off as i64 + d as i64, (lo, hi), &mut diags, &mut succs),
+            Instr::Jump(d) => step.edge(jump(off as i64 + d as i64), (lo, hi)),
             Instr::JumpZero(d) | Instr::JumpNotZero(d) => {
                 if lo < 1 {
-                    diags.push(DiagKind::StackUnderflow { depth: lo, pops: 1 });
+                    (step.diag)(DiagKind::StackUnderflow { depth: lo, pops: 1 });
                 } else {
                     let after = (lo - 1, hi - 1);
-                    jump(off as i64 + d as i64, after, &mut diags, &mut succs);
-                    fall(after, &mut diags, &mut succs);
+                    step.edge(jump(off as i64 + d as i64), after);
+                    step.edge(fall, after);
                 }
             }
             Instr::LocalCall(_)
             | Instr::ExternalCall(_)
             | Instr::DirectCall(_)
-            | Instr::ShortDirectCall(_) => match self.sites[pid].get(&idx) {
-                Some(Site::Procs(targets)) => {
+            | Instr::ShortDirectCall(_) => match self.sites[p.first_op + idx] {
+                Site::Procs { from, to } => {
+                    let targets = &self.callees[from..to];
                     let nargs = self.d.procs[targets[0]].nargs;
                     if lo != hi || lo != nargs {
-                        diags.push(DiagKind::CallDepthMismatch { lo, hi, nargs });
+                        (step.diag)(DiagKind::CallDepthMismatch { lo, hi, nargs });
                     } else {
                         let joined = targets
                             .iter()
@@ -464,13 +516,13 @@ impl<'a> Analysis<'a> {
                             Arity::Bottom => {}
                             Arity::Known(r) => {
                                 if r > self.limit {
-                                    diags.push(DiagKind::StackOverflow {
+                                    (step.diag)(DiagKind::StackOverflow {
                                         depth: r,
                                         limit: self.limit,
                                     });
                                 } else {
-                                    reach = reach.max(r);
-                                    fall((r, r), &mut diags, &mut succs);
+                                    step.reach = step.reach.max(r);
+                                    step.edge(fall, (r, r));
                                 }
                             }
                             // The callee's own RETs carry the
@@ -481,13 +533,13 @@ impl<'a> Analysis<'a> {
                     }
                 }
                 // Already diagnosed at resolution; path ends.
-                Some(Site::Bad(_)) => {}
-                None => unreachable!("call instructions always get a site entry"),
+                Site::Bad => {}
+                Site::None => unreachable!("call instructions always get a site entry"),
             },
             Instr::Ret => {
-                ret = Some((lo, hi));
+                step.ret = Some((lo, hi));
                 if lo != hi {
-                    diags.push(DiagKind::InconsistentReturnArity {
+                    (step.diag)(DiagKind::InconsistentReturnArity {
                         first: lo,
                         second: hi,
                     });
@@ -498,70 +550,75 @@ impl<'a> Analysis<'a> {
                 // context on top, at most one transferred value below;
                 // the partner's transfer leaves exactly one value.
                 if lo < 1 || hi > 2 {
-                    diags.push(DiagKind::XferDepth { lo, hi });
+                    (step.diag)(DiagKind::XferDepth { lo, hi });
                 } else {
-                    fall((1, 1), &mut diags, &mut succs);
+                    step.edge(fall, (1, 1));
                 }
             }
             Instr::Trap(_) | Instr::Halt => {}
             _ => {
                 let (pops, pushes) = effect(instr).expect("control ops matched above");
                 if lo < pops {
-                    diags.push(DiagKind::StackUnderflow { depth: lo, pops });
+                    (step.diag)(DiagKind::StackUnderflow { depth: lo, pops });
                 } else {
                     let (alo, ahi) = (lo - pops + pushes, hi - pops + pushes);
                     if ahi > self.limit {
-                        diags.push(DiagKind::StackOverflow {
+                        (step.diag)(DiagKind::StackOverflow {
                             depth: ahi,
                             limit: self.limit,
                         });
                     } else {
-                        reach = reach.max(ahi);
-                        fall((alo, ahi), &mut diags, &mut succs);
+                        step.reach = step.reach.max(ahi);
+                        step.edge(fall, (alo, ahi));
                     }
                 }
             }
         }
-        Step {
-            succs,
-            diags,
-            ret,
-            reach,
-        }
+        step
     }
 
-    /// Runs the worklist dataflow over one body. Returns the fixpoint
-    /// states (entry interval per op), the joined return arity, and
-    /// the maximum attainable depth.
-    fn dataflow(&self, pid: usize) -> (OpStates, Arity, Option<u32>) {
+    /// Runs the worklist dataflow over one body under the current
+    /// arities, leaving its states, joined return arity and maximum
+    /// attainable depth in `flows`. `wl` is scratch.
+    fn dataflow(&self, pid: usize, flows: &mut Flows, wl: &mut VecDeque<usize>) {
         let p = &self.d.procs[pid];
         let entry = if self.image.bank_args { 0 } else { p.nargs };
-        let mut state: Vec<Option<(u32, u32)>> = vec![None; p.ops.len()];
-        let mut max_depth = None;
+        let state = &mut flows.states[p.first_op..p.first_op + p.ops.len()];
+        state.fill(None);
+        flows.ret[pid] = Arity::Bottom;
         if p.ops.is_empty() {
-            return (state, Arity::Bottom, max_depth);
+            flows.max_depth[pid] = None;
+            return;
         }
+        flows.max_depth[pid] = Some(entry);
         if entry > self.limit {
             // Entry alone overflows; the body is never soundly
             // enterable, so nothing further is provable.
-            return (state, Arity::Bottom, Some(entry));
+            return;
         }
-        max_depth = Some(entry);
         state[0] = Some((entry, entry));
-        let mut wl = VecDeque::from([0usize]);
+        wl.clear();
+        wl.push_back(0);
         let mut ret = Arity::Bottom;
+        let mut max_depth = entry;
         while let Some(idx) = wl.pop_front() {
-            let (lo, hi) = state[idx].expect("queued ops have state");
-            let step = self.step(pid, idx, lo, hi);
-            max_depth = Some(max_depth.unwrap_or(0).max(step.reach));
-            if let Some((rlo, rhi)) = step.ret {
+            let interval = state[idx].expect("queued ops have state");
+            let Step {
+                succs,
+                nsuccs,
+                ret: step_ret,
+                reach,
+                ..
+            } = self.step(pid, idx, interval, &mut |_| {});
+            max_depth = max_depth.max(reach);
+            if let Some((rlo, rhi)) = step_ret {
                 ret = ret.join(if rlo == rhi {
                     Arity::Known(rlo)
                 } else {
                     Arity::Conflict
                 });
             }
-            for (succ, (slo, shi)) in step.succs {
+            for &(succ, (slo, shi)) in &succs[..nsuccs] {
                 let joined = match state[succ] {
                     None => (slo, shi),
                     Some((olo, ohi)) => (olo.min(slo), ohi.max(shi)),
@@ -572,26 +629,28 @@ impl<'a> Analysis<'a> {
                 }
             }
         }
-        (state, ret, max_depth)
+        flows.ret[pid] = ret;
+        flows.max_depth[pid] = Some(max_depth);
     }
 
-    /// The final pass: dataflow once more under the fixpoint arities,
-    /// then sweep every reachable op emitting diagnostics from the
-    /// settled states, and assemble the report.
-    fn final_pass(&mut self, mut diagnostics: Vec<Diagnostic>) -> VerifyReport {
+    /// The final pass: sweep every reachable op of every body's settled
+    /// states emitting diagnostics, and assemble the report.
+    fn final_pass(&self, mut diagnostics: Vec<Diagnostic>, flows: Flows) -> VerifyReport {
         let n = self.d.procs.len();
+        let nmodules = self.image.modules.len();
         let mut summaries = Vec::with_capacity(n);
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut intra: Vec<EffectSummary> = vec![EffectSummary::default(); n];
         // Dead-store evidence, keyed by code segment (an instance runs
-        // its owner's code, so reads through any sharing frame count).
-        let mut seg_reads: HashMap<usize, HashSet<u32>> = HashMap::new();
-        let mut seg_exposed: HashSet<usize> = HashSet::new();
+        // its owner's code, so reads through any sharing frame count):
+        // global slot `s` of segment `m` was loaded at `seg_reads[m * 256 + s]`.
+        let mut seg_reads = vec![false; nmodules * 256];
+        let mut seg_exposed = vec![false; nmodules];
         let mut global_stores: Vec<(usize, u32, usize, u32)> = Vec::new();
         let mut indirect_reads = false;
         for (pid, out_edges) in edges.iter_mut().enumerate() {
             let p = &self.d.procs[pid];
-            let (state, ret, max_depth) = self.dataflow(pid);
+            let state = &flows.states[p.first_op..p.first_op + p.ops.len()];
             // Entry-point structural problems the dataflow cannot even
             // start on.
             if p.ops.is_empty() {
@@ -617,7 +676,7 @@ impl<'a> Analysis<'a> {
             let mut ret_seen: Option<u32> = None;
             let mut in_dead_run = false;
             for (idx, st) in state.iter().enumerate() {
-                let Some((lo, hi)) = *st else {
+                let Some(interval) = *st else {
                     // Flag the head of each contiguous unreachable run
                     // (only when the body itself was analysable).
                     if !in_dead_run && state[0].is_some() {
@@ -628,28 +687,24 @@ impl<'a> Analysis<'a> {
                     continue;
                 };
                 in_dead_run = false;
-                let step = self.step(pid, idx, lo, hi);
-                let off = p.ops[idx].0;
-                for kind in step.diags {
-                    diagnostics.push(self.diag(pid, off, kind));
-                }
-                let instr = p.ops[idx].1;
+                let (off, instr, _) = p.ops[idx];
+                let ret = self
+                    .step(pid, idx, interval, &mut |kind| {
+                        diagnostics.push(self.diag(pid, off, kind))
+                    })
+                    .ret;
                 intra[pid].record(instr, p.seg);
-                if self.remote[pid].contains(&idx) {
+                if self.remote[p.first_op + idx] {
                     intra[pid].record_remote_site(off);
                 }
                 match instr {
-                    Instr::LoadGlobal(s) => {
-                        seg_reads.entry(p.seg).or_default().insert(s as u32);
-                    }
+                    Instr::LoadGlobal(s) => seg_reads[p.seg * 256 + s as usize] = true,
                     Instr::StoreGlobal(s) => global_stores.push((pid, off, p.seg, s as u32)),
-                    Instr::LoadGlobalAddr(_) => {
-                        seg_exposed.insert(p.seg);
-                    }
+                    Instr::LoadGlobalAddr(_) => seg_exposed[p.seg] = true,
                     Instr::Read | Instr::LoadIndex => indirect_reads = true,
                     _ => {}
                 }
-                if let Some((rlo, rhi)) = step.ret {
+                if let Some((rlo, rhi)) = ret {
                     if rlo == rhi {
                         if let Some(first) = ret_seen {
                             if first != rlo {
@@ -666,8 +721,8 @@ impl<'a> Analysis<'a> {
                 }
                 // Call edges for the graph: only reachable resolved
                 // sites.
-                if let Some(Site::Procs(targets)) = self.sites[pid].get(&idx) {
-                    for &t in targets {
+                if let Site::Procs { from, to } = self.sites[p.first_op + idx] {
+                    for &t in &self.callees[from..to] {
                         if !out_edges.contains(&t) {
                             out_edges.push(t);
                         }
@@ -680,40 +735,42 @@ impl<'a> Analysis<'a> {
                 header: p.header,
                 nargs: p.nargs,
                 fsi: p.fsi,
-                max_stack: max_depth,
-                ret_arity: match ret {
+                max_stack: flows.max_depth[pid],
+                ret_arity: match flows.ret[pid] {
                     Arity::Known(r) => Some(r),
                     _ => None,
                 },
                 calls: Vec::new(),
             });
         }
-        for (pid, e) in edges.iter().enumerate() {
-            summaries[pid].calls = e.clone();
-        }
 
-        let cycles = find_cycles(&edges);
+        let components = components(&edges);
+        // Actual cycles: components of size > 1, or a self-loop.
+        let cycles: Vec<Cycle> = components
+            .iter()
+            .filter(|c| c.len() > 1 || edges[c[0]].contains(&c[0]))
+            .cloned()
+            .collect();
         let mut cyclic = vec![false; n];
-        for c in &cycles {
-            for &pid in c {
-                cyclic[pid] = true;
-            }
+        for &pid in cycles.iter().flatten() {
+            cyclic[pid] = true;
         }
-        let effects = solve(&intra, &edges, &cyclic);
+        let effects = solve(intra, &edges, &cyclic, &components);
         // A stored slot never loaded through its segment is a dead
         // store — but only when no alias channel could read it: no
         // indirect reads anywhere in the image, and the segment never
         // takes a global's address.
         if !indirect_reads {
             for &(pid, off, seg, slot) in &global_stores {
-                if !seg_exposed.contains(&seg)
-                    && !seg_reads.get(&seg).is_some_and(|s| s.contains(&slot))
-                {
+                if !seg_exposed[seg] && !seg_reads[seg * 256 + slot as usize] {
                     diagnostics.push(self.diag(pid, off, DiagKind::DeadStore { slot }));
                 }
             }
         }
-        let frame_bound = self.frame_bound(&edges, &cycles);
+        let frame_bound = self.frame_bound(&edges, &cyclic, &components);
+        for (summary, e) in summaries.iter_mut().zip(edges) {
+            summary.calls = e;
+        }
         VerifyReport {
             diagnostics,
             procs: summaries,
@@ -728,68 +785,38 @@ impl<'a> Analysis<'a> {
     /// Longest-chain frame-words bound from the entry procedure over
     /// the resolved call graph; `None` when a cycle is reachable from
     /// the entry (recursion depth is data-dependent) or the entry is
-    /// unknown.
-    fn frame_bound(&self, edges: &[Vec<usize>], cycles: &[Cycle]) -> Option<u32> {
-        let entry_owner = {
-            let e = self.image.entry;
-            let m = self.image.modules.get(e.module)?;
-            (m.code_of.unwrap_or(e.module), e.ev_index)
-        };
-        let &entry = self.d.by_ref.get(&entry_owner)?;
-        let mut cyclic = vec![false; self.d.procs.len()];
-        for c in cycles {
-            for &pid in c {
-                cyclic[pid] = true;
-            }
-        }
-        // Memoised DFS over the DAG; a cyclic node reachable from the
-        // entry voids the bound.
-        fn cost(
-            pid: usize,
-            edges: &[Vec<usize>],
-            cyclic: &[bool],
-            frame: &dyn Fn(usize) -> u32,
-            memo: &mut [Option<Option<u32>>],
-        ) -> Option<u32> {
-            if cyclic[pid] {
-                return None;
-            }
-            if let Some(m) = memo[pid] {
-                return m;
-            }
-            let mut deepest = 0;
-            let mut r = Some(());
-            for &t in &edges[pid] {
-                match cost(t, edges, cyclic, frame, memo) {
-                    Some(c) => deepest = deepest.max(c),
-                    None => {
-                        r = None;
-                        break;
-                    }
-                }
-            }
-            let out = r.map(|()| frame(pid) + deepest);
-            memo[pid] = Some(out);
-            out
-        }
+    /// unknown. `components` lists every callee's component before its
+    /// callers', so each chain extends already-known ones.
+    fn frame_bound(
+        &self,
+        edges: &[Vec<usize>],
+        cyclic: &[bool],
+        components: &[Vec<usize>],
+    ) -> Option<u32> {
+        let e = self.image.entry;
+        let m = self.image.modules.get(e.module)?;
+        let entry = self.d.by_ref(m.code_of.unwrap_or(e.module), e.ev_index)?;
         let classes = &self.image.classes;
-        let procs = &self.d.procs;
-        let frame = |pid: usize| -> u32 {
-            let fsi = procs[pid].fsi;
-            if (fsi as usize) < classes.len() {
+        let mut cost: Vec<Option<u32>> = vec![None; edges.len()];
+        for &pid in components.iter().flatten().filter(|&&pid| !cyclic[pid]) {
+            let fsi = self.d.procs[pid].fsi;
+            let frame = if (fsi as usize) < classes.len() {
                 classes.size_of(fsi)
             } else {
                 0
-            }
-        };
-        let mut memo = vec![None; self.d.procs.len()];
-        cost(entry, edges, &cyclic, &frame, &mut memo)
+            };
+            let deepest = edges[pid]
+                .iter()
+                .try_fold(0, |deepest: u32, &t| cost[t].map(|c| deepest.max(c)));
+            cost[pid] = deepest.map(|d| frame + d);
+        }
+        cost[entry]
     }
 }
 
-/// Tarjan strongly-connected components; returns components that are
-/// actual cycles (size > 1, or a self-loop).
-fn find_cycles(edges: &[Vec<usize>]) -> Vec<Cycle> {
+/// Tarjan strongly-connected components, each listed after every
+/// component it has edges into.
+fn components(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
     struct T<'a> {
         edges: &'a [Vec<usize>],
         index: Vec<Option<u32>>,
@@ -797,7 +824,7 @@ fn find_cycles(edges: &[Vec<usize>]) -> Vec<Cycle> {
         on: Vec<bool>,
         stack: Vec<usize>,
         next: u32,
-        out: Vec<Cycle>,
+        out: Vec<Vec<usize>>,
     }
     fn strong(t: &mut T, v: usize) {
         t.index[v] = Some(t.next);
@@ -825,9 +852,7 @@ fn find_cycles(edges: &[Vec<usize>]) -> Vec<Cycle> {
                 }
             }
             comp.reverse();
-            if comp.len() > 1 || t.edges[v].contains(&v) {
-                t.out.push(comp);
-            }
+            t.out.push(comp);
         }
     }
     let n = edges.len();

@@ -205,40 +205,28 @@ impl fmt::Display for EffectSummary {
 /// callee's solved summary. Cycle members (the stack analysis's Tarjan
 /// components) short-circuit to their intra summary with `unknown` and
 /// `recursive` set — the conservative top the issue of a certificate
-/// demands at recursion — which also makes the memoised DFS over the
-/// remaining acyclic graph terminate.
+/// demands at recursion. `components` lists every callee's component
+/// before its callers', so one pass in that order solves every
+/// procedure after its callees.
 pub(crate) fn solve(
-    intra: &[EffectSummary],
+    mut summaries: Vec<EffectSummary>,
     edges: &[Vec<usize>],
     cyclic: &[bool],
+    components: &[Vec<usize>],
 ) -> Vec<EffectSummary> {
-    fn dfs(
-        pid: usize,
-        intra: &[EffectSummary],
-        edges: &[Vec<usize>],
-        cyclic: &[bool],
-        memo: &mut [Option<EffectSummary>],
-    ) -> EffectSummary {
-        if let Some(s) = &memo[pid] {
-            return s.clone();
-        }
-        let mut s = intra[pid].clone();
+    for &pid in components.iter().flatten() {
+        let mut s = std::mem::take(&mut summaries[pid]);
         if cyclic[pid] {
             s.recursive = true;
             s.unknown = true;
         } else {
             for &t in &edges[pid] {
-                let callee = dfs(t, intra, edges, cyclic, memo);
-                s.join(&callee);
+                s.join(&summaries[t]);
             }
         }
-        memo[pid] = Some(s.clone());
-        s
+        summaries[pid] = s;
     }
-    let mut memo: Vec<Option<EffectSummary>> = vec![None; intra.len()];
-    (0..intra.len())
-        .map(|pid| dfs(pid, intra, edges, cyclic, &mut memo))
-        .collect()
+    summaries
 }
 
 #[cfg(test)]
@@ -297,7 +285,7 @@ mod tests {
         ];
         let edges = vec![vec![1], vec![2], vec![1]];
         let cyclic = vec![false, true, true];
-        let solved = solve(&intra, &edges, &cyclic);
+        let solved = solve(intra, &edges, &cyclic, &[vec![1, 2], vec![0]]);
         assert!(solved[1].unknown && solved[1].recursive);
         assert!(solved[0].unknown, "caller inherits the cycle's top");
         assert_eq!(

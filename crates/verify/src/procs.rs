@@ -7,8 +7,6 @@
 //! business: every fused pair keeps both ops' boundaries as legal
 //! targets, so the decoded boundaries are all the jump check needs.
 
-use std::collections::HashMap;
-
 use fpc_core::layout;
 use fpc_isa::{decode, Instr};
 use fpc_vm::Image;
@@ -36,24 +34,57 @@ pub(crate) struct ProcInfo {
     pub capacity: u32,
     /// Linear decode of the body: `(absolute offset, instr, len)`.
     pub ops: Vec<(u32, Instr, u8)>,
-    /// Absolute offset → index into `ops`. Every entry is a legal
-    /// transfer target.
-    pub bounds: HashMap<u32, usize>,
+    /// Index of `ops[0]` in the image-wide numbering of every body's
+    /// ops, which the analysis's per-op tables use.
+    pub first_op: usize,
+    /// Body offset (absolute − `body_start`) → index into `ops`, or
+    /// [`NONE`] where no op starts. Every op start is a legal transfer
+    /// target.
+    bounds: Vec<u32>,
     /// First absolute offset where linear decoding failed (trailing
     /// padding or genuinely opaque bytes), if any. Only an error when
     /// reachable.
     pub opaque: Option<u32>,
 }
 
+impl ProcInfo {
+    /// The index of the op starting at absolute offset `at`, if one
+    /// does.
+    pub fn op_at(&self, at: u32) -> Option<usize> {
+        let i = *self.bounds.get(at.wrapping_sub(self.body_start) as usize)?;
+        (i != NONE).then_some(i as usize)
+    }
+}
+
+/// The empty entry of the dense lookup tables.
+const NONE: u32 = u32::MAX;
+
 /// The discovery result: procedures, lookup tables and structural
 /// diagnostics.
 pub(crate) struct Discovery {
     pub procs: Vec<ProcInfo>,
-    /// Header byte address → proc id, for direct-call resolution.
-    pub by_header: HashMap<u32, usize>,
-    /// `(owner module, ev index)` → proc id.
-    pub by_ref: HashMap<(usize, u16), usize>,
+    /// Ops over all bodies.
+    pub total_ops: usize,
+    /// Header byte address → proc id ([`NONE`] elsewhere), for
+    /// direct-call resolution.
+    by_header: Vec<u32>,
     pub diagnostics: Vec<Diagnostic>,
+}
+
+impl Discovery {
+    /// The procedure whose header starts at byte `addr`.
+    pub fn by_header(&self, addr: u32) -> Option<usize> {
+        let i = *self.by_header.get(addr as usize)?;
+        (i != NONE).then_some(i as usize)
+    }
+
+    /// The procedure at entry `ev` of owner module `module`. Bodies
+    /// are discovered in `(module, ev)` order.
+    pub fn by_ref(&self, module: usize, ev: u16) -> Option<usize> {
+        self.procs
+            .binary_search_by_key(&(module, ev), |p| (p.seg, p.ev_index))
+            .ok()
+    }
 }
 
 fn structural(image: &Image, module: usize, ev: u16, pc: u32, kind: DiagKind) -> Diagnostic {
@@ -103,9 +134,9 @@ pub(crate) fn discover(image: &Image) -> Discovery {
     stops.sort_unstable();
     stops.dedup();
 
-    let mut procs = Vec::new();
-    let mut by_header = HashMap::new();
-    let mut by_ref = HashMap::new();
+    let mut procs: Vec<ProcInfo> = Vec::with_capacity(headers.len());
+    let mut total_ops = 0;
+    let mut by_header = vec![NONE; code_len as usize];
     for (mi, ev, header) in headers {
         if header + layout::PROC_HEADER_BYTES > code_len {
             diagnostics.push(structural(
@@ -158,15 +189,17 @@ pub(crate) fn discover(image: &Image) -> Discovery {
             .unwrap_or(code_len);
 
         // Linear decode, stopping at the first undecodable byte — the
-        // same straight-line run the predecode walk translates.
-        let mut ops: Vec<(u32, Instr, u8)> = Vec::new();
-        let mut bounds = HashMap::new();
+        // same straight-line run the predecode walk translates. Every
+        // op takes at least a byte, so neither table ever grows.
+        let body_len = (body_end - body_start) as usize;
+        let mut ops: Vec<(u32, Instr, u8)> = Vec::with_capacity(body_len);
+        let mut bounds = vec![NONE; body_len];
         let mut opaque = None;
         let mut at = body_start;
         while at < body_end {
             match decode(&image.code, at as usize) {
                 Ok((instr, len)) => {
-                    bounds.insert(at, ops.len());
+                    bounds[(at - body_start) as usize] = ops.len() as u32;
                     ops.push((at, instr, len as u8));
                     at += len as u32;
                 }
@@ -177,9 +210,9 @@ pub(crate) fn discover(image: &Image) -> Discovery {
             }
         }
 
-        let pid = procs.len();
-        by_header.insert(header, pid);
-        by_ref.insert((mi, ev), pid);
+        by_header[header as usize] = procs.len() as u32;
+        let first_op = total_ops;
+        total_ops += ops.len();
         procs.push(ProcInfo {
             seg: mi,
             ev_index: ev,
@@ -190,14 +223,15 @@ pub(crate) fn discover(image: &Image) -> Discovery {
             nargs: nargs as u32,
             capacity,
             ops,
+            first_op,
             bounds,
             opaque,
         });
     }
     Discovery {
         procs,
+        total_ops,
         by_header,
-        by_ref,
         diagnostics,
     }
 }
