@@ -1,7 +1,7 @@
 //! H5 — tier-5 native execution: the full dispatch ladder topped by
 //! the certificate-licensed direct-threaded compiler.
 //!
-//! H2 stops at fused predecode; H5 adds the fourth rung, where hot
+//! H2 stops at fused predecode; H5 adds the fourth rung, where
 //! procedure bodies stop being interpreted at all and run as chains of
 //! pre-monomorphized host handlers (`crates/vm/src/native.rs`). The
 //! whole [`MachineConfig::dispatch_ladder`], identical in every
@@ -15,11 +15,11 @@
 //! | `native`    | on  | on  | on  |
 //!
 //! The workload set is H2's call-dense slice — these programs re-enter
-//! tiny procedure bodies millions of times, so after a few dozen
-//! invocations every hot body is compiled and the run spends its time
-//! in native bursts. The native rung is timed *including* warm-up:
-//! machines load cold, the license is armed, and hotness counting,
-//! compilation and deoptimization checks all happen inside the timed
+//! tiny procedure bodies millions of times. The armed tier compiles
+//! every body before the first instruction, so the whole run executes
+//! in native bursts. The native rung is timed *including* that
+//! compilation: machines load cold, the license is armed, and the
+//! compile pass and deoptimization checks all happen inside the timed
 //! window, so the ratio is end-to-end honest.
 //!
 //! Arming requires an `fpc-verify` certificate; `prepare` verifies
@@ -45,14 +45,9 @@ use crate::driver::{default_workers, parallel_map};
 /// The call-dense slice of the corpus (same as H2's).
 pub const WORKLOADS: [&str; 5] = ["fib", "ackermann", "tak", "hanoi", "leafcalls"];
 
-/// Invocations before a body compiles. Low enough that warm-up is a
-/// negligible slice of a corpus run, high enough to be a real tiering
-/// decision rather than compile-everything-at-load.
-const THRESHOLD: u32 = 16;
-
 /// The dispatch ladder over `base`, weakest first, native last.
 fn dispatches(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
-    base.with_native_threshold(THRESHOLD).dispatch_ladder()
+    base.dispatch_ladder()
 }
 
 fn configs() -> [(&'static str, MachineConfig, Linkage); 4] {
@@ -83,9 +78,6 @@ pub struct Row {
     pub interp_ops: u64,
     /// Bodies compiled by the end of one run.
     pub compiled_procs: usize,
-    /// Invocation count of the hottest procedure (top of the
-    /// `fpc-stats` hotness histogram).
-    pub hottest_calls: u64,
 }
 
 impl Row {
@@ -120,7 +112,6 @@ struct Prepared {
     native_instrs: u64,
     interp_ops: u64,
     compiled_procs: usize,
-    hottest_calls: u64,
 }
 
 /// Compiles and verifies one cell, then runs the weakest and strongest
@@ -167,7 +158,6 @@ fn prepare(cell: &Cell) -> Prepared {
         cell.cname
     );
     let nstats = native.native_stats().expect("native tier is on");
-    let hotness = native.native_hotness().expect("native tier is on");
     Prepared {
         image: compiled.image,
         license,
@@ -175,7 +165,6 @@ fn prepare(cell: &Cell) -> Prepared {
         native_instrs: nstats.native_instrs,
         interp_ops: nstats.interp_ops,
         compiled_procs: nstats.compiled_procs,
-        hottest_calls: hotness.top_k(1).first().map_or(0, |&(_, n)| n),
     }
 }
 
@@ -224,7 +213,6 @@ pub fn measure_all(p: Params) -> Vec<Row> {
                 native_instrs: prep.native_instrs,
                 interp_ops: prep.interp_ops,
                 compiled_procs: prep.compiled_procs,
-                hottest_calls: prep.hottest_calls,
             }
         })
         .collect()
@@ -397,7 +385,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"config\": \"{}\", \"instructions\": {}, \
              \"ips\": {{\"byte\": {:.0}, \"predecode\": {:.0}, \"fuse\": {:.0}, \"native\": {:.0}}}, \
-             \"native_instrs\": {}, \"interp_ops\": {}, \"compiled_procs\": {}, \"hottest_calls\": {}, \
+             \"native_instrs\": {}, \"interp_ops\": {}, \"compiled_procs\": {}, \
              \"native_share\": {:.3}, \"native_over_fuse\": {:.3}, \"native_over_byte\": {:.3}}}{}\n",
             r.workload,
             r.config,
@@ -409,7 +397,6 @@ pub fn report_and_json(p: Params) -> (String, String) {
             r.native_instrs,
             r.interp_ops,
             r.compiled_procs,
-            r.hottest_calls,
             r.native_share(),
             r.native_over_fuse(),
             r.native_over_byte(),
@@ -449,14 +436,12 @@ mod tests {
         };
         let prep = prepare(&cell);
         assert!(prep.instructions > 0);
-        assert!(prep.compiled_procs > 0, "hot bodies must compile");
-        assert!(
-            prep.native_instrs > prep.interp_ops,
-            "fib bodies are mostly fast ops: {} native vs {} interp",
-            prep.native_instrs,
-            prep.interp_ops
+        assert_eq!(prep.compiled_procs, 2, "main and fib both compile");
+        assert_eq!(
+            (prep.native_instrs, prep.interp_ops),
+            (prep.instructions, 0),
+            "every fib instruction retires as a fast native op"
         );
-        assert!(prep.hottest_calls > 0, "hotness histogram must rank");
     }
 
     #[test]
@@ -465,6 +450,5 @@ mod tests {
         assert!(!byte.predecode && !byte.native);
         assert!(fuse.predecode && fuse.fuse && !fuse.native);
         assert!(native.predecode && native.fuse && native.native);
-        assert_eq!(native.native_threshold, THRESHOLD);
     }
 }

@@ -199,47 +199,6 @@ impl Histogram {
             self.spill.get(&value).copied().unwrap_or(0)
         }
     }
-
-    /// The `k` most frequently recorded values as `(value, count)`
-    /// pairs, heaviest first. Ties break toward the smaller value so
-    /// the ranking is deterministic.
-    ///
-    /// This is the hotness query: when the histogram maps procedure
-    /// identifiers to invocation counts, `top_k` is the set of bodies
-    /// worth promoting to a faster execution tier.
-    ///
-    /// ```
-    /// use fpc_stats::Histogram;
-    ///
-    /// let mut h = Histogram::new();
-    /// h.record_n(7, 100);
-    /// h.record_n(3, 250);
-    /// h.record_n(9, 5);
-    /// assert_eq!(h.top_k(2), vec![(3, 250), (7, 100)]);
-    /// ```
-    pub fn top_k(&self, k: usize) -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = self.iter().collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
-    }
-}
-
-/// Merges `parts` into one distribution and ranks it: the `k` heaviest
-/// `(value, count)` pairs of the combined multiset, heaviest first.
-///
-/// Shards that each count hotness locally (one histogram per worker,
-/// per phase, per machine) are ranked globally this way without the
-/// caller mutating any of them.
-pub fn merged_top_k<'a, I>(parts: I, k: usize) -> Vec<(u64, u64)>
-where
-    I: IntoIterator<Item = &'a Histogram>,
-{
-    let mut merged = Histogram::new();
-    for part in parts {
-        merged.merge(part);
-    }
-    merged.top_k(k)
 }
 
 /// The quantiles of the union of `parts`: for each `q` in `qs`, the
@@ -446,19 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_ranks_by_count_with_deterministic_ties() {
-        let mut h = Histogram::new();
-        h.record_n(10, 3);
-        h.record_n(4, 7);
-        h.record_n(2_000, 7); // spill value, tied with 4
-        h.record_n(1, 1);
-        assert_eq!(h.top_k(0), vec![]);
-        assert_eq!(h.top_k(2), vec![(4, 7), (2_000, 7)]);
-        assert_eq!(h.top_k(10), vec![(4, 7), (2_000, 7), (10, 3), (1, 1)]);
-        assert_eq!(Histogram::new().top_k(3), vec![]);
-    }
-
-    #[test]
     fn count_at_covers_dense_and_spill() {
         let mut h = Histogram::new();
         h.record_n(9, 4);
@@ -487,18 +433,6 @@ mod tests {
         // Inputs untouched.
         assert_eq!(a.count(), 5);
         assert_eq!(b.count(), 5);
-    }
-
-    #[test]
-    fn merged_top_k_ranks_the_union() {
-        let a: Histogram = [1u64, 1, 2].into_iter().collect();
-        let b: Histogram = [2u64, 2, 3].into_iter().collect();
-        // union: 1→2, 2→3, 3→1
-        assert_eq!(merged_top_k([&a, &b], 2), vec![(2, 3), (1, 2)]);
-        assert_eq!(merged_top_k(std::iter::empty::<&Histogram>(), 2), vec![]);
-        // inputs untouched
-        assert_eq!(a.count(), 3);
-        assert_eq!(b.count(), 3);
     }
 
     #[test]

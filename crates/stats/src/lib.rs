@@ -25,7 +25,7 @@ mod histogram;
 mod table;
 
 pub use counter::Counter;
-pub use histogram::{merged_quantiles, merged_top_k, Histogram};
+pub use histogram::{merged_quantiles, Histogram};
 pub use table::{Align, Table};
 
 /// A ratio of two event counts, rendered as a percentage.

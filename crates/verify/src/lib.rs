@@ -22,7 +22,7 @@
 //! A clean [`VerifyReport`] issues a [`Certificate`], and the
 //! certificate licenses exactly one thing: the VM's native tier
 //! ([`Certificate::native_license`] → `Machine::arm_native`), which
-//! runs hot bodies as unchecked threaded code. The interpreter keeps
+//! runs every body as unchecked threaded code. The interpreter keeps
 //! every dynamic check whether or not the image verified.
 //!
 //! ```

@@ -124,11 +124,13 @@ pub struct MachineConfig {
     ///
     /// [`VmError::FaultDepthExceeded`]: crate::VmError::FaultDepthExceeded
     pub max_fault_depth: u32,
-    /// Enable the tier-5 native execution engine: hot procedure bodies
-    /// are compiled to direct-threaded arrays of pre-monomorphized host
-    /// handlers and executed without the fetch/dispatch loop. Host-side
-    /// only — every simulated counter stays bit-identical to byte
-    /// dispatch. Inert until [`Machine::arm_native`] is called with a
+    /// Enable the tier-5 native execution engine: every procedure body
+    /// of the image is compiled, in one pass when the armed tier first
+    /// runs and again after each coherence flush, to a direct-threaded
+    /// array of pre-monomorphized host handlers, and executed without
+    /// the fetch/dispatch loop. Host-side only — every simulated
+    /// counter stays bit-identical to byte dispatch. Inert until
+    /// [`Machine::arm_native`] is called with a
     /// [`NativeLicense`] derived from a clean `fpc-verify` certificate,
     /// and permanently demoted once a certificate premise lapses:
     /// installing a trap or fault handler (handler code runs at depths
@@ -138,9 +140,6 @@ pub struct MachineConfig {
     /// [`Machine::arm_native`]: crate::Machine::arm_native
     /// [`NativeLicense`]: crate::NativeLicense
     pub native: bool,
-    /// Invocation count at which a procedure, or back-edge count at
-    /// which a loop, becomes hot enough to compile to the native tier.
-    pub native_threshold: u32,
     /// Simulated data-memory size in words. The default
     /// ([`crate::image::DEFAULT_MEMORY_WORDS`]) is the full 16-bit
     /// address space; hosts that pack large populations of machines
@@ -178,7 +177,6 @@ impl MachineConfig {
             stack_reserve: 8,
             max_fault_depth: 8,
             native: false,
-            native_threshold: 32,
             memory_words: crate::image::DEFAULT_MEMORY_WORDS,
             observe_effects: false,
         }
@@ -280,10 +278,11 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the invocation count that promotes a procedure, and the
-    /// back-edge count that promotes a loop, to the native tier.
-    pub fn with_native_threshold(mut self, calls: u32) -> Self {
-        self.native_threshold = calls;
+    /// A no-op: the native tier compiles every body, so there is no
+    /// hotness threshold to set. Kept only for callers written against
+    /// the old knob, `perfbench/` among them.
+    #[doc(hidden)]
+    pub fn with_native_threshold(self, _calls: u32) -> Self {
         self
     }
 
@@ -309,10 +308,10 @@ impl MachineConfig {
     /// The host dispatch ladder over this configuration, weakest
     /// first: `byte` (every host accelerator off: the reference each
     /// other rung must match bit-for-bit), `predecode`, `fuse` (plus
-    /// superinstruction fusion) and `native` (plus the native tier at
-    /// this config's [`MachineConfig::native_threshold`]). The rungs
-    /// differ only in host speed; callers that never arm the native
-    /// tier take the first three.
+    /// superinstruction fusion) and `native` (plus the native tier,
+    /// which runs every body compiled once armed). The rungs differ
+    /// only in host speed; callers that never arm the native tier take
+    /// the first three.
     pub fn dispatch_ladder(self) -> [(&'static str, MachineConfig); 4] {
         let interp = |predecode, fuse| {
             self.with_predecode(predecode)
@@ -367,7 +366,6 @@ mod tests {
         assert_eq!(c.with_max_fault_depth(2).max_fault_depth, 2);
         assert!(!c.native, "native tier is opt-in");
         assert!(c.with_native_tier(true).native);
-        assert_eq!(c.with_native_threshold(7).native_threshold, 7);
         assert_eq!(
             c.memory_words,
             crate::image::DEFAULT_MEMORY_WORDS,
@@ -380,9 +378,7 @@ mod tests {
 
     #[test]
     fn the_ladder_climbs_from_byte_to_native() {
-        let ladder = MachineConfig::i2()
-            .with_native_threshold(4)
-            .dispatch_ladder();
+        let ladder = MachineConfig::i2().dispatch_ladder();
         let toggles = ladder.map(|(name, c)| (name, c.predecode, c.fuse, c.native));
         assert_eq!(
             toggles,
@@ -393,7 +389,6 @@ mod tests {
                 ("native", true, true, true),
             ]
         );
-        assert!(ladder.iter().all(|(_, c)| c.native_threshold == 4));
     }
 
     #[test]

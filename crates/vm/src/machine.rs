@@ -20,7 +20,7 @@
 
 use std::ops::Range;
 
-use fpc_core::{layout, Context, ContextWord, FrameHandle, GftEntry, ProcDesc};
+use fpc_core::{layout, Context, ContextWord, FrameHandle, GftEntry, ProcDesc, TableKey};
 use fpc_frames::{FrameError, FrameHeap, FrameRecord, FrameTable, GeneralHeap, HeapStats};
 use fpc_isa::{decode, Instr};
 use fpc_mem::{ByteAddr, CodeStore, Memory, WordAddr};
@@ -243,8 +243,8 @@ pub struct Machine {
     predecode: Option<PredecodeCache>,
     fused_execs: u64,
     fuse_demotions: u64,
-    /// Tier-5 native execution ([`MachineConfig::native`]): hotness
-    /// counters plus direct-threaded compiled bodies. Present whenever
+    /// Tier-5 native execution ([`MachineConfig::native`]): the
+    /// image's direct-threaded compiled bodies. Present whenever
     /// the config enables the tier; dormant until [`Machine::arm_native`]
     /// accepts a [`NativeLicense`], and permanently disarmed the moment
     /// a certificate premise lapses: a trap or fault handler is
@@ -580,9 +580,7 @@ impl Machine {
                 .then(|| PredecodeCache::with_fusion(config.fuse)),
             fused_execs: 0,
             fuse_demotions: 0,
-            native: config
-                .native
-                .then(|| NativeTier::new(config.native_threshold)),
+            native: config.native.then(NativeTier::new),
             lf: WordAddr::NIL,
             gf: WordAddr::NIL,
             code_base: ByteAddr(0),
@@ -676,14 +674,19 @@ impl Machine {
     pub fn predecode_stats(&self) -> Option<PredecodeStats> {
         self.predecode.as_ref().map(|p| {
             let mut s = p.stats();
-            // One lookup per executed instruction — except that a fused
-            // pair serves two instructions from one lookup; the cache
-            // leaves the hit counter to us so its hot path stays
-            // counter-free.
+            // One lookup per interpreted instruction — except that a
+            // fused pair serves two instructions from one lookup, and
+            // native bursts (fallback ops included) look up nothing;
+            // the cache leaves the hit counter to us so its hot path
+            // stays counter-free.
+            let native = self
+                .native
+                .as_ref()
+                .map_or(0, |nt| nt.native_instrs + nt.interp_ops);
             s.hits = self
                 .stats
                 .instructions
-                .saturating_sub(s.lazy_decodes + self.fused_execs);
+                .saturating_sub(s.lazy_decodes + self.fused_execs + native);
             s
         })
     }
@@ -963,20 +966,9 @@ impl Machine {
                     NativeExit::Budget | NativeExit::Left => {}
                 }
             }
-            let start = self.pc.0;
-            let jumps0 = self.stats.jumps_taken;
             left -= 1;
             if let StepOutcome::Halted = self.step()? {
                 return Ok(());
-            }
-            // Loop hotness: every interpreted jump path, single or
-            // fused, bumps `jumps_taken`, so a taken jump that landed
-            // at or before the step's start is a back-edge. Its target
-            // is the loop head, where the next burst enters.
-            if self.stats.jumps_taken != jumps0 && self.pc.0 <= start {
-                if let Some(nt) = self.native.as_mut() {
-                    nt.note_backedge(self.pc.0);
-                }
             }
         }
         if self.halted {
@@ -1015,15 +1007,6 @@ impl Machine {
         self.native.as_ref().map(|nt| nt.stats())
     }
 
-    /// Per-procedure invocation counts as an `fpc-stats` histogram
-    /// (value = header byte address, weight = calls), ready for
-    /// `Histogram::top_k` hotness ranking.
-    pub fn native_hotness(&self) -> Option<fpc_stats::Histogram> {
-        let nt = self.native.as_ref()?;
-        let bodies = self.proc_bodies();
-        Some(nt.hotness(bodies.iter().map(|b| b.start - layout::PROC_HEADER_BYTES)))
-    }
-
     /// Permanent native deopt: a certificate premise lapsed (a handler
     /// install or a code mutation).
     fn native_deopt(&mut self) {
@@ -1032,51 +1015,35 @@ impl Machine {
         }
     }
 
-    /// Burst-entry gate: coherence-sync the tier, drain pending
-    /// compilations, and look up `pc` in the compiled-body map.
+    /// Burst-entry gate: recompile the image if the tier's key is
+    /// stale, then look up `pc` in the compiled-body map.
     fn native_begin(&mut self) -> Option<(usize, u32)> {
-        let code_version = self.code.version();
-        let table_gen = self.mem.table_gen();
-        let code_len = self.code.len();
-        let nt = self.native.as_mut()?;
+        let nt = self.native.as_ref()?;
         if !nt.armed() {
             return None;
         }
-        nt.sync(code_version, table_gen, code_len);
-        if nt.has_pending() {
-            self.native_compile_pending();
+        if !nt.current(self.code.version(), self.mem.table_gen()) {
+            self.native_compile_image();
         }
         self.native.as_ref()?.compiled().locate(self.pc.0)
     }
 
-    /// Compiles every body queued by the hotness counters (called when
-    /// some are). Probes that fall outside any procedure body, or whose
-    /// body refuses to lower, are marked refused so they never re-queue.
-    fn native_compile_pending(&mut self) {
+    /// Compiles every loaded procedure body under the current key.
+    fn native_compile_image(&mut self) {
         // The tier is out of `self` while the resolver reads the code.
         let Some(mut nt) = self.native.take() else {
             return;
         };
+        let key = TableKey::new(self.code.version(), self.mem.table_gen());
         let bodies = self.proc_bodies();
-        let banks = self.banks.is_some();
-        for probe in nt.take_pending() {
-            if !nt.candidate(probe) {
-                continue;
-            }
-            // Enclosing body: the last one starting at or before the
-            // probe, provided the probe is inside it.
-            let i = bodies.partition_point(|b| b.start <= probe);
-            let compiled = i > 0 && {
-                let body = &bodies[i - 1];
-                let cb = self.code_base_of(body.start);
-                let resolve = |instr: Instr, at: u32| self.known_target(instr, ByteAddr(at), cb);
-                body.contains(&probe)
-                    && nt.compile(self.code.bytes(), body.start, body.end, banks, &resolve)
-            };
-            if !compiled {
-                nt.refuse(probe);
-            }
-        }
+        let resolve = |instr: Instr, at: u32| self.known_target(instr, ByteAddr(at));
+        nt.compile_image(
+            key,
+            self.code.bytes(),
+            &bodies,
+            self.banks.is_some(),
+            &resolve,
+        );
         self.native = Some(nt);
     }
 
@@ -1091,11 +1058,11 @@ impl Machine {
     /// The target of the call at `at` when it is fixed under the native
     /// tier's key — every byte it is read from is code, which changes
     /// only with the code version — or `None` when it is not (an
-    /// external call reads the link vector) or does not resolve. `cb`
-    /// is the code base of the body holding the call, whose entry
-    /// vector a local call indexes. Uncounted: this is compile-time
-    /// work; the native handler charges what the run-time walk would.
-    fn known_target(&self, instr: Instr, at: ByteAddr, cb: Option<ByteAddr>) -> Option<CallTarget> {
+    /// external call reads the link vector) or does not resolve. A
+    /// local call indexes the entry vector of the module holding the
+    /// call. Uncounted: this is compile-time work; the native handler
+    /// charges what the run-time walk would.
+    fn known_target(&self, instr: Instr, at: ByteAddr) -> Option<CallTarget> {
         let direct = |header: ByteAddr| {
             self.check_header(header).ok()?;
             let (gf, cb) = self.read_header_gf_cb(header);
@@ -1105,7 +1072,7 @@ impl Machine {
             Instr::DirectCall(a) => direct(ByteAddr(a))?,
             Instr::ShortDirectCall(d) => direct(at.displace(d))?,
             Instr::LocalCall(k) => {
-                let cb = cb?;
+                let cb = self.code_base_of(at.0)?;
                 let slot = layout::ev_slot(cb, k as u16);
                 self.check_ev_slot(slot).ok()?;
                 let header = cb.offset(self.code.peek_u16(slot) as u32);
@@ -3222,9 +3189,6 @@ impl Machine {
             flags,
         } = t;
         let (nargs, addr_taken) = layout::unpack_flags(flags);
-        if let Some(nt) = self.native.as_mut() {
-            nt.note_call(header.0);
-        }
         // Faultable work first, commits second: an unbound destination
         // or an empty AV list must surface while the caller's state is
         // still exactly as the restarted instruction will find it.
@@ -3907,6 +3871,28 @@ mod tests {
         }));
         let m = run_image(&image, cfg);
         assert_eq!(m.output(), &[55], "config i4/no-renaming");
+    }
+
+    /// Instructions retired in native bursts never look up the
+    /// predecode cache, so they are not predecode hits.
+    #[test]
+    fn native_bursts_are_not_predecode_hits() {
+        let image = fib_local_calls();
+        let cfg = MachineConfig::i2().dispatch_ladder()[3].1;
+        let mut armed = Machine::load(&image, cfg).unwrap();
+        assert!(armed.arm_native(NativeLicense::new(8, 2)));
+        armed.run(1_000_000).unwrap();
+        assert_eq!(armed.predecode_stats().unwrap().hits, 0);
+        let n = armed.native_stats().unwrap();
+        assert_eq!(
+            n.native_instrs + n.interp_ops,
+            armed.stats().instructions,
+            "every instruction retires in a burst: {n:?}"
+        );
+        // Unarmed, the same machine interprets, and every lookup hits.
+        let dormant = run_image(&image, cfg);
+        assert_eq!(dormant.output(), armed.output());
+        assert!(dormant.predecode_stats().unwrap().hits > 0);
     }
 
     #[test]
@@ -4603,8 +4589,8 @@ mod tests {
 
     /// A direct call whose target header lies past the end of code is
     /// a malformed image on every rung: the header is bounds-checked
-    /// (once) before any of its bytes are read. The loop ahead of the
-    /// call makes `main` hot enough to run natively on the native rung.
+    /// (once) before any of its bytes are read. On the native rung the
+    /// loop ahead of the call retires natively before the call faults.
     #[test]
     fn direct_call_past_code_end_is_bad_image_on_every_rung() {
         let mut b = ImageBuilder::new();
@@ -4631,10 +4617,7 @@ mod tests {
                 ev_index: 0,
             })
             .unwrap();
-        for (rung, cfg) in MachineConfig::i3()
-            .with_native_threshold(2)
-            .dispatch_ladder()
-        {
+        for (rung, cfg) in MachineConfig::i3().dispatch_ladder() {
             let mut m = Machine::load(&image, cfg).unwrap();
             if cfg.native {
                 assert!(m.arm_native(NativeLicense::new(2, 1)), "{rung}");

@@ -1,12 +1,17 @@
 //! Tier-5 native execution: certificate-licensed direct-threaded
-//! compilation of hot procedure bodies.
+//! compilation of every procedure body.
 //!
 //! The dispatch ladder so far (byte → predecode → +fusion) still pays
 //! an interpretive dispatch per step. This module adds a fourth rung:
-//! hot procedure bodies are compiled once into a chain of
+//! each procedure body of the loaded image is compiled into a chain of
 //! pre-monomorphized host handlers ([`NOp`]) with operands inlined and
 //! jump targets resolved to op indices — direct-threaded code in safe
-//! Rust, no runtime codegen.
+//! Rust, no runtime codegen. The license covers the whole image from
+//! load, so the tier compiles every body in one pass when it first
+//! syncs to a coherence key (and again after each flush), linking each
+//! known call site to its target's compiled entry in the same pass:
+//! the binding work is done once, like the paper's early-bound
+//! `DIRECTCALL`.
 //!
 //! # Licensing
 //!
@@ -60,14 +65,14 @@
 //!
 //! Compiled code is keyed by [`TableKey`] (code version × watched-table
 //! generation). A mismatch at burst entry flushes every compiled body
-//! (invocation counts survive, so hot bodies recompile); a store that
-//! bumps the generation *inside* a burst exits the burst at the next
-//! instruction boundary, which is also a restartable-fault boundary.
+//! and recompiles the image under the new key; a store that bumps the
+//! generation *inside* a burst exits the burst at the next instruction
+//! boundary, which is also a restartable-fault boundary.
 
 use fpc_core::layout::PROC_HEADER_BYTES;
 use fpc_core::TableKey;
 use fpc_isa::Instr;
-use fpc_stats::Histogram;
+use std::ops::Range;
 
 use crate::machine::CallTarget;
 
@@ -307,9 +312,6 @@ pub(crate) struct NativeProc {
     pub sites: Vec<Site>,
 }
 
-/// `pc_map` sentinel: byte has been offered for compilation and refused.
-const REFUSED: u16 = u16::MAX;
-
 /// The compiled-body table and the map from code bytes into it. A
 /// burst takes it out of the tier by value for its whole length, so
 /// following a transfer into another body is an index, not a handle
@@ -317,8 +319,7 @@ const REFUSED: u16 = u16::MAX;
 #[derive(Debug, Default)]
 pub(crate) struct Compiled {
     procs: Vec<NativeProc>,
-    /// Code byte → compiled proc index + 1; 0 = uncovered, [`REFUSED`]
-    /// = offered and declined (stops the pending queue from cycling).
+    /// Code byte → compiled proc index + 1; 0 = uncovered.
     pc_map: Vec<u16>,
 }
 
@@ -335,7 +336,7 @@ impl Compiled {
     #[inline]
     pub fn locate(&self, pc: u32) -> Option<(usize, u32)> {
         let p = *self.pc_map.get(pc as usize)?;
-        if p == 0 || p == REFUSED {
+        if p == 0 {
             return None;
         }
         let idx = (p - 1) as usize;
@@ -411,11 +412,10 @@ impl ReturnPredictor {
     }
 }
 
-/// The per-machine native tier: hotness counters, the compiled-body
-/// table, and the coherence key that deoptimizes it.
+/// The per-machine native tier: the compiled-body table and the
+/// coherence key that deoptimizes it.
 #[derive(Debug)]
 pub(crate) struct NativeTier {
-    threshold: u32,
     armed: bool,
     /// Certificate premises still hold (no handler installs, unbinds,
     /// relocations or patches since load). Once false, arming is
@@ -424,12 +424,6 @@ pub(crate) struct NativeTier {
     /// Coherence snapshot guarding every compiled body.
     key: TableKey,
     compiled: Compiled,
-    /// Invocation counts per header byte address, and back-edge counts
-    /// per loop-head byte address (so a loop gets hot even when its
-    /// procedure is entered once). Disjoint index spaces, one vector.
-    counts: Vec<u32>,
-    /// Byte addresses whose enclosing body wants compilation.
-    pending: Vec<u32>,
     pub compiles: u64,
     pub entries: u64,
     pub native_instrs: u64,
@@ -439,18 +433,13 @@ pub(crate) struct NativeTier {
 }
 
 impl NativeTier {
-    pub fn new(threshold: u32) -> Self {
+    pub fn new() -> Self {
         NativeTier {
-            // A zero threshold would trigger on count 0; clamp to 1.
-            threshold: threshold.max(1),
             armed: false,
             cert_ok: true,
-            // Sentinel key: the first sync always flushes, sizing the
-            // maps to the live code store.
+            // Sentinel key: the first burst entry always compiles.
             key: TableKey::new(u64::MAX, u64::MAX),
             compiled: Compiled::default(),
-            counts: Vec::new(),
-            pending: Vec::new(),
             compiles: 0,
             entries: 0,
             native_instrs: 0,
@@ -480,7 +469,6 @@ impl NativeTier {
         self.armed = false;
         self.cert_ok = false;
         self.compiled = Compiled::default();
-        self.pending.clear();
     }
 
     /// Hands the compiled-body table to a burst.
@@ -494,129 +482,49 @@ impl NativeTier {
         self.compiled = compiled;
     }
 
-    /// Transient deopt check at burst entry: on a key mismatch, flush
-    /// every compiled body (counts survive so hot bodies recompile).
-    pub fn sync(&mut self, code_version: u64, table_gen: u64, code_len: u32) {
-        if self.key.matches(code_version, table_gen) {
-            return;
-        }
-        let c = &mut self.compiled;
-        if !c.procs.is_empty() || !c.pc_map.is_empty() {
-            self.flushes += 1;
-        }
-        self.key = TableKey::new(code_version, table_gen);
-        c.procs.clear();
-        c.pc_map.clear();
-        c.pc_map.resize(code_len as usize, 0);
-        self.pending.clear();
-        if self.counts.len() < code_len as usize {
-            self.counts.resize(code_len as usize, 0);
-        }
-        // Counts survive the flush, but `bump` queues a probe only at
-        // the exact threshold crossing — re-queue every already-hot
-        // site so its body recompiles. Each count may be a header or a
-        // loop head; probe both interpretations (`candidate` and
-        // `compile` discard the one that is not a body).
-        if self.armed {
-            for (idx, &c) in self.counts.iter().enumerate() {
-                if c >= self.threshold {
-                    let idx = idx as u32;
-                    self.pending.push(idx);
-                    self.pending.push(idx + PROC_HEADER_BYTES);
-                }
-            }
-        }
-    }
-
-    /// Hotness hook, called on every resolved procedure call with the
-    /// callee's header address.
+    /// Whether the compiled table was built under this code version and
+    /// table generation. When it was not, the next burst entry
+    /// recompiles the image.
     #[inline]
-    pub fn note_call(&mut self, header: u32) {
-        self.bump(header, header + PROC_HEADER_BYTES);
+    pub fn current(&self, code_version: u64, table_gen: u64) -> bool {
+        self.key.matches(code_version, table_gen)
     }
 
-    /// Hotness hook, called on every interpreted backward jump with its
-    /// target. The target is the loop head, and the probe: the body
-    /// enclosing it compiles, and the next burst enters there, so a
-    /// loop goes native even inside a procedure entered only once.
-    #[inline]
-    pub fn note_backedge(&mut self, target: u32) {
-        self.bump(target, target);
-    }
-
-    #[inline]
-    fn bump(&mut self, idx: u32, probe: u32) {
-        if !self.armed {
-            return;
-        }
-        let Some(c) = self.counts.get_mut(idx as usize) else {
-            return;
-        };
-        *c += 1;
-        // Exact-crossing trigger: one probe per site per flush epoch,
-        // so warm calls pay the count increment and nothing else
-        // (`sync` re-queues hot sites after a flush). `candidate`
-        // filters stale probes at compile time.
-        if *c == self.threshold {
-            self.pending.push(probe);
-        }
-    }
-
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    pub fn take_pending(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// True when `probe` is still a compilation candidate (not covered
-    /// by a compiled body, not previously refused).
-    pub fn candidate(&self, probe: u32) -> bool {
-        self.compiled
-            .pc_map
-            .get(probe as usize)
-            .is_some_and(|&p| p == 0)
-    }
-
-    /// Marks `probe` refused so it is never re-queued (until the next
-    /// flush re-zeroes the map).
-    pub fn refuse(&mut self, probe: u32) {
-        if let Some(p) = self.compiled.pc_map.get_mut(probe as usize) {
-            if *p == 0 {
-                *p = REFUSED;
-            }
-        }
-    }
-
-    /// Compiles `[body, end)` and maps its bytes. `resolve` names the
-    /// target of a call at a given address when it is fixed under the
-    /// tier's key (see [`Site::target`]). Returns false when the body
-    /// is unusable (nothing decodes) or the table is full.
-    pub fn compile(
+    /// Flushes the table and compiles every body in `bodies` under
+    /// `key`, then points each known call site at its target's compiled
+    /// entry. `resolve` names the target of a call at a given address
+    /// when it is fixed under `key` (see [`Site::target`]). A body
+    /// that lowers to nothing (its first byte does not decode) stays
+    /// interpreted.
+    pub fn compile_image(
         &mut self,
+        key: TableKey,
         code: &[u8],
-        body: u32,
-        end: u32,
+        bodies: &[Range<u32>],
         banks: bool,
         resolve: &dyn Fn(Instr, u32) -> Option<CallTarget>,
-    ) -> bool {
+    ) {
         let c = &mut self.compiled;
-        if end <= body || c.procs.len() >= (REFUSED - 1) as usize {
-            return false;
+        if !c.pc_map.is_empty() {
+            self.flushes += 1;
         }
-        let proc = compile_body(code, body, end, banks, resolve);
-        if proc.ops.len() <= 1 {
-            return false;
-        }
-        let idx = c.procs.len() as u16 + 1;
-        for a in body..end {
-            if let Some(p) = c.pc_map.get_mut(a as usize) {
-                *p = idx;
+        self.key = key;
+        c.procs.clear();
+        c.pc_map.clear();
+        c.pc_map.resize(code.len(), 0);
+        // The map holds a body index + 1 in a `u16`.
+        for body in bodies.iter().take(u16::MAX as usize) {
+            let Some(map) = c.pc_map.get_mut(body.start as usize..body.end as usize) else {
+                continue;
+            };
+            let proc = compile_body(code, body.start, body.end, banks, resolve);
+            if proc.ops.len() <= 1 {
+                continue;
             }
+            map.fill(c.procs.len() as u16 + 1);
+            c.procs.push(proc);
+            self.compiles += 1;
         }
-        c.procs.push(proc);
-        // Point every known call site at its target's compiled entry.
         for i in 0..c.procs.len() {
             for j in 0..c.procs[i].sites.len() {
                 let at = c.procs[i].sites[j]
@@ -626,20 +534,12 @@ impl NativeTier {
                 c.procs[i].sites[j].entry = entry;
             }
         }
-        self.compiles += 1;
-        true
     }
 
     /// The compiled-body table (outside bursts).
     #[inline]
     pub fn compiled(&self) -> &Compiled {
         &self.compiled
-    }
-
-    /// Invocation count for a header address, or back-edge count for a
-    /// loop head.
-    pub fn count_of(&self, addr: u32) -> u32 {
-        self.counts.get(addr as usize).copied().unwrap_or(0)
     }
 
     pub fn stats(&self) -> NativeStats {
@@ -654,26 +554,12 @@ impl NativeTier {
             disarms: self.disarms,
         }
     }
-
-    /// Materializes the invocation counts for the given header
-    /// addresses as an `fpc-stats` histogram (value = header address,
-    /// weight = calls), ready for `top_k` hotness ranking.
-    pub fn hotness(&self, headers: impl IntoIterator<Item = u32>) -> Histogram {
-        let mut h = Histogram::new();
-        for header in headers {
-            let c = self.count_of(header);
-            if c > 0 {
-                h.record_n(header as u64, c as u64);
-            }
-        }
-        h
-    }
 }
 
 /// Lowers one decoded body into a direct-threaded chain. Stops at the
 /// first undecodable byte (that suffix stays interpreter-only). `banks`
 /// says whether the machine has register banks; `resolve` is as for
-/// [`NativeTier::compile`].
+/// [`NativeTier::compile_image`].
 fn compile_body(
     code: &[u8],
     body: u32,
@@ -1034,32 +920,31 @@ mod tests {
     }
 
     #[test]
-    fn tier_counts_compiles_and_locates() {
+    fn tier_compiles_the_image_and_locates() {
         // A loop whose head is not the body start: LoadImm(0x1234)
         // takes the 3-byte LIW form, giving the body interior
         // (mid-instruction) bytes; the head is the `Out` at byte 3.
         let bytes = body_bytes(&[Instr::LoadImm(0x1234), Instr::Out, Instr::Jump(-1)]);
         let end = bytes.len() as u32;
-        let mut t = NativeTier::new(2);
-        // A disarmed tier counts nothing.
-        t.sync(1, 0, end);
-        t.note_backedge(3);
-        assert_eq!(t.count_of(3), 0);
+        let mut t = NativeTier::new();
+        assert!(!t.current(1, 0), "a fresh tier has compiled nothing");
         t.arm();
-        t.note_backedge(3);
-        assert!(!t.has_pending());
-        t.note_backedge(3);
-        // The exact crossing queues the loop head itself.
-        assert_eq!(t.take_pending(), vec![3]);
-        t.note_backedge(3);
-        assert!(!t.has_pending(), "only the crossing queues a probe");
-        assert!(t.candidate(3) && t.compile(&bytes, 0, end, false, &unknown));
-        assert_eq!(t.stats().compiled_procs, 1);
-        assert!(!t.candidate(3), "a covered head is no longer a candidate");
+        t.compile_image(
+            TableKey::new(1, 0),
+            &bytes,
+            std::slice::from_ref(&(0..end)),
+            false,
+            &unknown,
+        );
+        assert!(t.current(1, 0) && !t.current(1, 1) && !t.current(2, 0));
+        let stats = t.stats();
+        assert_eq!((stats.compiled_procs, stats.compiles), (1, 1));
+        assert_eq!(stats.flushes, 0, "the first pass flushes nothing");
         let c = t.compiled();
         assert_eq!(c.locate(0), Some((0, 0)), "the body start enters op 0");
         assert_eq!(c.locate(3), Some((0, 1)), "the loop head enters mid-body");
         assert!(c.locate(1).is_none(), "mid-instruction bytes don't enter");
+        assert!(c.locate(end).is_none(), "past the code, nothing enters");
         // A prediction is taken only when it names the pc; otherwise
         // the chase falls back to the map.
         assert_eq!(c.chase(3, Some((0, 1, 3))), Some((0, 1)));
@@ -1071,17 +956,47 @@ mod tests {
         assert_eq!(t.stats().compiled_procs, 0);
         t.restore_compiled(c);
         assert_eq!(t.stats().compiled_procs, 1);
-        // A key change flushes bodies but keeps counts, and re-queues
-        // the hot head so its body recompiles.
-        t.sync(2, 0, end);
-        assert_eq!(t.stats().compiled_procs, 0);
-        assert_eq!(t.count_of(3), 3);
-        assert_eq!(t.stats().flushes, 1);
-        assert!(t.take_pending().contains(&3));
+        // A pass under a new key flushes the table and compiles each
+        // body once more.
+        t.compile_image(
+            TableKey::new(2, 0),
+            &bytes,
+            std::slice::from_ref(&(0..end)),
+            false,
+            &unknown,
+        );
+        let stats = t.stats();
+        assert_eq!((stats.compiled_procs, stats.compiles), (1, 2));
+        assert_eq!(stats.flushes, 1);
+        assert_eq!(t.compiled().locate(3), Some((0, 1)));
         // Disarm is permanent.
         t.disarm();
         assert!(!t.armed() && !t.cert_ok());
         assert_eq!(t.stats().disarms, 1);
+        assert_eq!(t.stats().compiled_procs, 0);
+    }
+
+    #[test]
+    fn bodies_that_lower_to_nothing_stay_interpreted() {
+        // An opcode byte that does not decode starts the second body;
+        // the third body lies past the end of the code.
+        let bad = (0..=u8::MAX)
+            .find(|&b| fpc_isa::decode(&[b, 0, 0, 0], 0).is_err())
+            .expect("some opcode byte is unassigned");
+        let mut bytes = body_bytes(&[Instr::LoadImm(1), Instr::Ret]);
+        let good_end = bytes.len() as u32;
+        bytes.extend_from_slice(&[bad, 0, 0]);
+        let end = bytes.len() as u32;
+        let mut t = NativeTier::new();
+        t.arm();
+        let bodies = [0..good_end, good_end..end, end + 4..end + 8];
+        t.compile_image(TableKey::new(1, 0), &bytes, &bodies, false, &unknown);
+        let stats = t.stats();
+        assert_eq!((stats.compiled_procs, stats.compiles), (1, 1));
+        assert_eq!(t.compiled().locate(0), Some((0, 0)));
+        for pc in good_end..end + 8 {
+            assert!(t.compiled().locate(pc).is_none(), "{pc} is interpreted");
+        }
     }
 
     #[test]
@@ -1186,18 +1101,31 @@ mod tests {
         };
         let resolve =
             |instr: Instr, _at: u32| matches!(instr, Instr::DirectCall(_)).then_some(target);
-        let mut t = NativeTier::new(1);
+        let end = bytes.len() as u32;
+        let mut t = NativeTier::new();
         t.arm();
-        t.sync(1, 0, bytes.len() as u32);
-        assert!(t.compile(&bytes, 0, a_end, false, &resolve));
+        // Without B in the image, A's call has nowhere compiled to go.
+        t.compile_image(
+            TableKey::new(1, 0),
+            &bytes,
+            std::slice::from_ref(&(0..a_end)),
+            false,
+            &resolve,
+        );
         assert_eq!(
             t.compiled().proc(0).sites[0].entry,
             None,
-            "B is not compiled yet"
+            "B is not compiled"
         );
-        assert!(t.compile(&bytes, b_start, bytes.len() as u32, false, &resolve));
+        t.compile_image(
+            TableKey::new(2, 0),
+            &bytes,
+            &[0..a_end, b_start..end],
+            false,
+            &resolve,
+        );
         let entry = t.compiled().proc(0).sites[0].entry;
-        assert_eq!(entry, Some((1, 0, b_start)), "A's call now enters B's op 0");
+        assert_eq!(entry, Some((1, 0, b_start)), "A's call enters B's op 0");
         assert_eq!(t.compiled().chase(b_start, entry), Some((1, 0)));
         assert_eq!(
             t.compiled().proc(0).sites[1].entry,
@@ -1226,22 +1154,5 @@ mod tests {
             assert_eq!(r.pop(), Some((0, i, i)));
         }
         assert_eq!(r.pop(), None);
-    }
-
-    #[test]
-    fn refused_probes_do_not_requeue() {
-        let mut t = NativeTier::new(1);
-        t.arm();
-        t.sync(1, 0, 8);
-        t.note_backedge(100); // out of the counts range: ignored
-        assert!(!t.has_pending());
-        t.note_backedge(4);
-        assert!(t.has_pending());
-        for probe in t.take_pending() {
-            t.refuse(probe);
-        }
-        assert!(!t.candidate(4));
-        t.note_backedge(4);
-        assert!(!t.has_pending(), "refused bytes never re-queue");
     }
 }

@@ -5,14 +5,16 @@
 //! relocation, procedure replacement — must demote an *armed, mid-run* native
 //! machine back to the interpretive ladder, permanently, without
 //! perturbing one simulated counter. Each test here runs a recursive
-//! workload hot enough to compile, fires one re-arm hook in the middle,
+//! workload natively, fires one re-arm hook in the middle,
 //! and holds the final machine state bit-identical to an
 //! all-accelerators-off reference given the same hook at the same
 //! simulated point. The license gate is tested from both directions:
 //! no license → the tier never runs; lapsed premises → arming refuses.
-//! Tier-up itself is held to the same oracle: a loop in a procedure
-//! entered once must go native by its back-edge count alone, with the
-//! same counters however a fuel slice falls around the crossing jump.
+//! Compilation itself is held to the same oracle: the armed tier
+//! compiles every body on its first step, once, and again once per
+//! coherence flush, and a loop in a procedure entered once runs native
+//! from its first instruction with the same counters however fuel is
+//! sliced.
 
 use fpc_isa::Instr;
 use fpc_vm::{
@@ -36,15 +38,14 @@ fn fingerprint(m: &Machine) -> String {
     )
 }
 
-/// The native rung under test, with a low threshold so short runs go
-/// native quickly.
+/// The native rung under test.
 fn native_config() -> MachineConfig {
     native_on(MachineConfig::i2())
 }
 
 /// `base` (one of I1–I4) on the native rung.
 fn native_on(base: MachineConfig) -> MachineConfig {
-    base.with_native_threshold(4).dispatch_ladder()[3].1
+    base.dispatch_ladder()[3].1
 }
 
 /// The reference rung: every host accelerator off.
@@ -134,7 +135,7 @@ fn warm_native(image: &Image, outputs: usize) -> Machine {
     let stats = m.native_stats().expect("tier is configured");
     assert!(
         stats.native_instrs > 0,
-        "the run must be hot enough to execute compiled code: {stats:?}"
+        "the run must execute compiled code: {stats:?}"
     );
     m
 }
@@ -337,8 +338,7 @@ fn terminal_faults_match_the_interpreter() {
 }
 
 /// sum(n) = n + (n-1) + … + 1 by a call-free loop, called once from
-/// main: the procedure never gets hot by invocation count, only by its
-/// back-edge.
+/// main.
 fn loop_image() -> Image {
     let mut b = ImageBuilder::new();
     let m = b.module("m");
@@ -376,65 +376,57 @@ fn loop_image() -> Image {
 }
 
 #[test]
-fn loop_in_a_once_entered_procedure_tiers_up_by_back_edge() {
+fn a_loop_in_a_once_entered_procedure_runs_native_from_its_first_instruction() {
     let image = loop_image();
-    let mut reference = Machine::load(&image, reference_config()).unwrap();
-    reference.run(200_000).unwrap();
-    assert_eq!(reference.output(), &[20100]);
-
-    let mut native = Machine::load(&image, native_config()).unwrap();
-    assert!(native.arm_native(license()));
-    native.run(200_000).unwrap();
-    let stats = native.native_stats().unwrap();
-    assert!(
-        stats.native_instrs > 0,
-        "the loop must run native: {stats:?}"
-    );
-    assert_eq!(stats.compiles, 1, "only sum's body compiles: {stats:?}");
-    let hot = native.native_hotness().unwrap();
-    assert_eq!(hot.count(), 1, "sum is entered exactly once");
+    // The first fuel unit compiles both bodies and retires main's
+    // first instruction in a burst.
+    let mut m = Machine::load(&image, native_config()).unwrap();
+    assert!(m.arm_native(license()));
+    assert!(matches!(m.run(1), Err(VmError::OutOfFuel)));
+    let stats = m.native_stats().unwrap();
+    assert_eq!((stats.compiles, stats.native_instrs), (2, 1), "{stats:?}");
+    // Whole and in 1/3/7-unit slices, every instruction retires in a
+    // burst: natively, or (the final `Halt`) through the fallback.
+    let m = native_matches_byte_rung(&image, &[20100], "loop");
+    let stats = m.native_stats().unwrap();
+    assert_eq!(stats.interp_ops, 1, "only the Halt interprets: {stats:?}");
     assert_eq!(
-        fingerprint(&native),
-        fingerprint(&reference),
-        "loop tier-up diverged from the byte rung"
+        stats.native_instrs + stats.interp_ops,
+        m.stats().instructions,
+        "nothing runs outside a burst: {stats:?}"
     );
+}
 
-    // Find the fuel unit that retires the threshold-crossing back-edge:
-    // the probe it queues compiles at the start of the following run.
-    // Every step before the crossing is interpreted, one fuel unit
-    // each, so a slice of that many units ends exactly on the jump.
-    let mut probe = Machine::load(&image, native_config()).unwrap();
-    assert!(probe.arm_native(license()));
-    let mut spent = 0u64;
-    while probe.native_stats().unwrap().compiles == 0 {
-        pace(&mut probe);
-        spent += 1;
+#[test]
+fn every_body_compiles_once_per_key() {
+    // tri, main and the never-called handler: all three compile on the
+    // first step, and a long run compiles nothing more.
+    let image = tri_image();
+    let mut m = Machine::load(&image, native_config()).unwrap();
+    assert!(m.arm_native(license()));
+    pace(&mut m);
+    let first = m.native_stats().unwrap();
+    assert_eq!((first.compiles, first.compiled_procs), (3, 3), "{first:?}");
+    let mut reference = warm_reference(&image, 2);
+    while m.output().len() < 2 {
+        pace(&mut m);
     }
-    let crossing = spent - 1;
-    for split in [crossing - 1, crossing, crossing + 1] {
-        let mut m = Machine::load(&image, native_config()).unwrap();
-        assert!(m.arm_native(license()));
-        assert!(matches!(m.run(split), Err(VmError::OutOfFuel)));
-        if split == crossing {
-            assert_eq!(
-                m.native_stats().unwrap().compiles,
-                0,
-                "the slice ends before the queued probe compiles"
-            );
-        }
-        m.run(200_000).unwrap();
-        let stats = m.native_stats().unwrap();
-        assert!(stats.native_instrs > 0, "split {split}: {stats:?}");
-        assert_eq!(
-            fingerprint(&m),
-            fingerprint(&reference),
-            "a slice ending at fuel {split} diverged from the byte rung"
-        );
-    }
+    let warm = m.native_stats().unwrap();
+    assert_eq!((warm.compiles, warm.flushes), (3, 0), "{warm:?}");
+    // A generation storm between two steps is one flush: the next
+    // step recompiles each body once, and the run stays bit-identical.
+    m.shake_tables(5);
+    reference.shake_tables(5);
+    pace(&mut m);
+    pace(&mut reference);
+    let flushed = m.native_stats().unwrap();
+    assert_eq!((flushed.compiles, flushed.flushes), (6, 1), "{flushed:?}");
+    assert_eq!(flushed.compiled_procs, 3);
+    finish_and_compare(m, reference, "flush");
 }
 
 /// The bank machine's native rung: I4 (8×16 renaming banks, divert
-/// policy) with a low threshold.
+/// policy).
 fn bank_native_config() -> MachineConfig {
     native_on(MachineConfig::i4())
 }
@@ -443,7 +435,7 @@ fn bank_native_config() -> MachineConfig {
 /// count, so every descent overflows banks and every unwind underflows
 /// them — and `poke` round-trips its argument through a pointer to its
 /// own shadowed local (a diverted `Write` and `Read`, plus a diverted
-/// `LoadIndex`), called from a loop until it is hot.
+/// `LoadIndex`), called from a loop.
 fn bank_image() -> Image {
     let mut b = ImageBuilder::new();
     b.bank_args();
@@ -607,7 +599,7 @@ fn native_matches_byte_rung_on(
 }
 
 /// `tri` recursing `depth` deep, called three times from a
-/// straight-line main (which is entered once, so never compiled).
+/// straight-line main.
 fn deep_tri_image(depth: u16) -> Image {
     deep_tri_image_with(depth, false)
 }
@@ -666,7 +658,7 @@ fn recursion_deeper_than_the_return_predictor_matches_the_byte_rung() {
 #[test]
 fn first_calls_on_an_empty_av_list_replenish_inside_bursts() {
     // Every AV list starts empty, and each replenishing trap carves
-    // four frames: tri compiles on its fourth call, so most of a
+    // four frames: tri is compiled before its first call, so the whole
     // 60-deep first descent traps to the software allocator from
     // inside a burst.
     let tri = 60 * 61 / 2;
@@ -751,18 +743,79 @@ fn frame_heap_exhaustion_matches_the_byte_rung_in_every_slicing() {
     }
 }
 
-#[test]
-fn returns_into_an_uncompiled_caller_leave_the_burst() {
-    // main runs once and has no loop, so it never compiles: every
-    // outermost return of the compiled `tri` lands in interpreted code.
-    let m = native_matches_byte_rung(&deep_tri_image(10), &[55, 55, 55], "uncompiled caller");
-    let stats = m.native_stats().unwrap();
-    assert_eq!(stats.compiled_procs, 1, "only tri compiles: {stats:?}");
+/// `main` calls `scrib(rel)`, which rewrites main's saved PC to `rel`
+/// (relative to the code base), skipping `LoadImm 1; Out; LoadLocal 0`
+/// so the return lands on `LoadImm 5`. That op is the second half of a
+/// fused `LoadLocal; LoadImm` pair, so no compiled op starts there.
+fn swallowed_return_image(rel: u16) -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("scrib", 1, 1), |a| {
+        // The caller's frame address is its context word doubled; its
+        // saved PC is frame word 0.
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::ReturnContext);
+        a.instr(Instr::Dup);
+        a.instr(Instr::Add);
+        a.instr(Instr::Write);
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 1), move |a| {
+        a.instr(Instr::LoadImm(rel));
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Out);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(5));
+        a.instr(Instr::Out);
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 1,
+    })
+    .unwrap()
 }
 
-/// A generator coroutine, a second process and a hot leaf procedure,
-/// all compiled by their loops or call counts, so coroutine `XFER`s,
-/// process switches, calls and returns all happen inside bursts:
+#[test]
+fn a_return_to_no_compiled_op_start_leaves_the_burst() {
+    // The relative PC is solved by rebuilding until the layout stops
+    // moving: `LoadImm 5` is main's sixth instruction.
+    let mut rel = 0u16;
+    let image = loop {
+        let image = swallowed_return_image(rel);
+        let cb = image.modules[0].code_base.0 as usize;
+        let ev = cb + 2;
+        let body = cb
+            + u16::from_le_bytes([image.code[ev], image.code[ev + 1]]) as usize
+            + fpc_core::layout::PROC_HEADER_BYTES as usize;
+        let (at, ..) = fpc_isa::walk(&image.code, body, image.code.len())
+            .nth(5)
+            .unwrap()
+            .unwrap();
+        let want = (at - cb) as u16;
+        if want == rel {
+            break image;
+        }
+        rel = want;
+    };
+    let m = native_matches_byte_rung(&image, &[5], "swallowed return");
+    // The burst leaves at the return; `LoadImm 5` is the one
+    // instruction interpreted outside a burst, and the next burst
+    // enters at the `Out` after it.
+    let stats = m.native_stats().unwrap();
+    assert_eq!(stats.compiled_procs, 2, "{stats:?}");
+    assert_eq!(
+        m.stats().instructions - stats.native_instrs - stats.interp_ops,
+        1,
+        "{stats:?}"
+    );
+}
+
+/// A generator coroutine, a second process and a leaf procedure, all
+/// compiled, so coroutine `XFER`s, process switches, calls and returns
+/// all happen inside bursts:
 ///
 /// * `gen` yields 1, 2, 3, … to whoever resumes it;
 /// * `leaf(x)` switches process, then returns 2x — so each process's
@@ -860,7 +913,7 @@ fn coroutine_and_process_switches_inside_bursts_match_the_byte_rung() {
 }
 
 /// `probe()` rewrites GFT entry 0 with its own value (a relink to the
-/// same target) and returns 1; `main` calls it from a hot loop, so the
+/// same target) and returns 1; `main` calls it from a loop, so the
 /// store lands between a compiled call and its return.
 fn relink_image() -> Image {
     let mut b = ImageBuilder::new();
@@ -906,11 +959,15 @@ fn relink_image() -> Image {
 fn relink_under_a_compiled_call_site_exits_and_flushes() {
     let m = native_matches_byte_rung(&relink_image(), &[40], "relink");
     let stats = m.native_stats().unwrap();
-    assert!(
-        stats.flushes > 0,
+    assert_eq!(
+        stats.flushes, 40,
         "every relink bumps the table generation: {stats:?}"
     );
-    assert!(stats.compiles > 2, "flushed bodies recompile: {stats:?}");
+    assert_eq!(
+        stats.compiles,
+        2 * (stats.flushes + 1),
+        "each pass compiles both bodies once: {stats:?}"
+    );
 }
 
 /// Module `a` (0): `one` outputs 1; `scrib(x)`, when `x` is non-zero,

@@ -164,19 +164,16 @@ fn warm_machine_steps_do_not_allocate() {
 #[test]
 fn warm_native_bursts_do_not_allocate() {
     let image = call_loop_image();
-    let cfg = MachineConfig::i2()
-        .with_native_tier(true)
-        .with_native_threshold(4);
+    let cfg = MachineConfig::i2().with_native_tier(true);
     let mut m = Machine::load(&image, cfg).unwrap();
     assert!(
         m.arm_native(NativeLicense::new(8, 2)),
         "fresh machine must arm"
     );
-    // Warm-up: both procedures cross the hotness threshold, compile,
-    // and every Vec (compiled bodies, pc map, counts, the machine's own
-    // steady-state buffers) settles at final capacity. The pending
-    // queue only fills on an exact threshold crossing or a coherence
-    // flush, neither of which recurs while warm.
+    // Warm-up: both procedures compile on the first step, and every
+    // Vec (compiled bodies, pc map, the machine's own steady-state
+    // buffers) settles at final capacity. Only a coherence flush
+    // recompiles, and none happens while warm.
     assert!(
         matches!(m.run(20_000), Err(VmError::OutOfFuel)),
         "the loop must still be running"
@@ -205,8 +202,8 @@ fn warm_native_bursts_do_not_allocate() {
     assert_eq!(n.flushes, n0.flushes, "steady state never flushes");
 }
 
-/// A call-free loop in a procedure entered exactly once: only its
-/// back-edge can make it hot.
+/// A call-free loop in a procedure that is never called: `main` is
+/// entered once, at load.
 fn counting_loop_image() -> Image {
     let mut b = ImageBuilder::new();
     let m = b.module("m");
@@ -226,11 +223,9 @@ fn counting_loop_image() -> Image {
 }
 
 #[test]
-fn warm_backedge_compiled_loop_does_not_allocate() {
+fn warm_loop_in_a_never_called_procedure_does_not_allocate() {
     let image = counting_loop_image();
-    let cfg = MachineConfig::i2()
-        .with_native_tier(true)
-        .with_native_threshold(4);
+    let cfg = MachineConfig::i2().with_native_tier(true);
     let mut m = Machine::load(&image, cfg).unwrap();
     assert!(
         m.arm_native(NativeLicense::new(8, 1)),
@@ -242,18 +237,18 @@ fn warm_backedge_compiled_loop_does_not_allocate() {
     );
     let n0 = m.native_stats().expect("tier is configured");
     assert_eq!(n0.compiles, 1, "the loop body compiles once: {n0:?}");
-    assert!(
-        m.native_hotness().unwrap().count() == 0,
-        "main is never called, so only its back-edge can have compiled it"
+    assert_eq!(
+        n0.native_instrs,
+        m.stats().instructions,
+        "the loop runs native from its first instruction: {n0:?}"
     );
-    assert!(n0.native_instrs > 0, "warm-up must reach native: {n0:?}");
 
     let before = allocs();
     assert!(matches!(m.run(100_000), Err(VmError::OutOfFuel)));
     assert_eq!(
         allocs() - before,
         0,
-        "a warm back-edge-compiled loop must be allocation-free"
+        "a warm native loop must be allocation-free"
     );
     let n = m.native_stats().unwrap();
     assert!(
@@ -304,9 +299,7 @@ fn bank_recursion_image() -> Image {
 #[test]
 fn warm_bank_machine_native_bursts_do_not_allocate() {
     let image = bank_recursion_image();
-    let cfg = MachineConfig::i4()
-        .with_native_tier(true)
-        .with_native_threshold(4);
+    let cfg = MachineConfig::i4().with_native_tier(true);
     let mut m = Machine::load(&image, cfg).unwrap();
     assert!(
         m.arm_native(NativeLicense::new(8, 2)),
@@ -390,9 +383,7 @@ fn calls_and_deep_recursion_image() -> Image {
 #[test]
 fn warm_native_calls_and_deep_recursion_do_not_allocate() {
     let image = calls_and_deep_recursion_image();
-    let cfg = MachineConfig::i2()
-        .with_native_tier(true)
-        .with_native_threshold(4);
+    let cfg = MachineConfig::i2().with_native_tier(true);
     let mut m = Machine::load(&image, cfg).unwrap();
     assert!(
         m.arm_native(NativeLicense::new(8, 3)),
