@@ -180,25 +180,29 @@ impl GeneralHeap {
         if pos < self.free.len() && addr + size > self.free[pos].0 {
             return Err(FrameError::InvalidFrame(frame));
         }
-        self.free.insert(pos, (addr, size));
         self.charged_refs += 3; // link in
-                                // Coalesce with successor then predecessor.
-        if pos + 1 < self.free.len() {
-            let (a, s) = self.free[pos];
-            let (na, ns) = self.free[pos + 1];
-            if a + s == na {
-                self.free[pos] = (a, s + ns);
-                self.free.remove(pos + 1);
+                                // Coalesce with successor then predecessor, each charged as a
+                                // node merge; the block is merged in place rather than inserted
+                                // and then removed.
+        let succ = (self.free.get(pos)).and_then(|&(na, ns)| (addr + size == na).then_some(ns));
+        let pred = pos > 0 && {
+            let (pa, ps) = self.free[pos - 1];
+            pa + ps == addr
+        };
+        match (pred, succ) {
+            (false, None) => self.free.insert(pos, (addr, size)),
+            (false, Some(ns)) => {
+                self.free[pos] = (addr, size + ns);
                 self.charged_refs += 2;
             }
-        }
-        if pos > 0 {
-            let (pa, ps) = self.free[pos - 1];
-            let (a, s) = self.free[pos];
-            if pa + ps == a {
-                self.free[pos - 1] = (pa, ps + s);
-                self.free.remove(pos);
+            (true, None) => {
+                self.free[pos - 1].1 += size;
                 self.charged_refs += 2;
+            }
+            (true, Some(ns)) => {
+                self.free[pos - 1].1 += size + ns;
+                self.free.remove(pos);
+                self.charged_refs += 4;
             }
         }
         self.frees += 1;

@@ -105,6 +105,13 @@ impl SizeClasses {
         self.sizes[fsi as usize]
     }
 
+    /// The frame size (in words) of class `fsi`, or `None` beyond the
+    /// ladder.
+    #[inline]
+    pub fn words(&self, fsi: u8) -> Option<u32> {
+        self.sizes.get(fsi as usize).copied()
+    }
+
     /// The largest frame size covered.
     pub fn max_words(&self) -> u32 {
         *self.sizes.last().expect("ladder is never empty")

@@ -119,10 +119,19 @@ pub struct FrameRecord {
 
 /// The one record of each allocated frame, indexed directly by frame
 /// address: a flat vector, because it sits on the call/return path.
+///
+/// [`FrameTable::for_region`] reserves room for every frame address of
+/// a region up front, so covering a newly carved frame never goes to
+/// the host allocator.
 #[derive(Debug, Clone, Default)]
 pub struct FrameTable(Vec<Option<FrameRecord>>);
 
 impl FrameTable {
+    /// An empty table with room for every frame below `end`.
+    pub fn for_region(end: u32) -> Self {
+        FrameTable(Vec::with_capacity(end as usize))
+    }
+
     /// The record of an allocated frame.
     #[inline]
     pub fn get(&self, frame: WordAddr) -> Option<&FrameRecord> {
@@ -140,7 +149,7 @@ impl FrameTable {
     pub fn insert(&mut self, frame: WordAddr, record: FrameRecord) {
         let i = frame.0 as usize;
         if i >= self.0.len() {
-            self.0.resize(i + 1, None);
+            self.cover(frame.0 + 1);
         }
         self.0[i] = Some(record);
     }
@@ -149,6 +158,28 @@ impl FrameTable {
     #[inline]
     pub fn remove(&mut self, frame: WordAddr) -> Option<FrameRecord> {
         self.0.get_mut(frame.0 as usize)?.take()
+    }
+
+    /// Drops its owner's claim on `frame`: the size class of a frame
+    /// in use, which stays recorded but unclaimed, or `None` when
+    /// `frame` is not in use.
+    #[inline]
+    pub fn release(&mut self, frame: WordAddr) -> Option<u8> {
+        match self.get_mut(frame) {
+            Some(r) if r.in_use => {
+                r.in_use = false;
+                Some(r.fsi)
+            }
+            _ => None,
+        }
+    }
+
+    /// Extends the table to cover every address below `end`.
+    #[cold]
+    fn cover(&mut self, end: u32) {
+        if end as usize > self.0.len() {
+            self.0.resize(end as usize, None);
+        }
     }
 }
 
@@ -253,7 +284,7 @@ impl FrameHeap {
             soft_end,
             region_end: region.end,
             emergency: false,
-            frames: FrameTable::default(),
+            frames: FrameTable::for_region(region.end),
             stats: HeapStats::default(),
         })
     }
@@ -324,7 +355,9 @@ impl FrameHeap {
 
     /// Allocates a frame of size class `fsi` — the operation performed
     /// by the XFER microcode, which reads the fsi straight from the
-    /// procedure header.
+    /// procedure header. The frame is recorded unclaimed; see
+    /// [`FrameHeap::alloc_record`] for an allocation its owner claims
+    /// at once.
     ///
     /// Fast path: exactly three memory references (fetch list head from
     /// AV, fetch next pointer from the first node, store it into the
@@ -339,14 +372,79 @@ impl FrameHeap {
     /// guest scribbled over the AV or a link word).
     #[inline]
     pub fn alloc_fsi(&mut self, mem: &mut Memory, fsi: u8) -> Result<WordAddr, FrameError> {
-        if fsi as usize >= self.classes.len() {
-            return Err(FrameError::OversizeRequest {
-                words: self.classes.max_words() + 1,
-            });
-        }
+        let unclaimed = FrameRecord {
+            fsi,
+            ..Default::default()
+        };
+        self.alloc_record(mem, fsi, unclaimed)
+    }
+
+    /// Pops a frame off class `fsi`'s free list and writes `record` as
+    /// its one record: a call claims its frame in the same step that
+    /// allocates it. `record.fsi` may name a smaller class than `fsi`
+    /// (a frame cache serving small requests with standard frames).
+    ///
+    /// A non-empty list is the inline fast path, the three references
+    /// of [`FrameHeap::alloc_fsi`]. An empty list (the software
+    /// allocator's trap), an fsi beyond the ladder and a corrupt head
+    /// take the cold path, with the same errors.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameHeap::alloc_fsi`].
+    #[inline]
+    pub fn alloc_record(
+        &mut self,
+        mem: &mut Memory,
+        fsi: u8,
+        record: FrameRecord,
+    ) -> Result<WordAddr, FrameError> {
+        let Some(words) = self.classes.words(fsi) else {
+            return Err(self.oversize());
+        };
         let head_slot = self.av_base.offset(fsi as u32);
-        let mut head = mem.read(head_slot); // ref 1
-        self.stats.fast_refs += 1;
+        // The three references are counted as one group once the list
+        // turns out non-empty.
+        let head = mem.peek(head_slot); // ref 1
+        let frame = WordAddr(head as u32);
+        match self.frames.0.get_mut(head as usize) {
+            // A free frame the table covers; 0 (an empty list) is
+            // never recorded, so it lands in the slow path below.
+            Some(slot @ None) if head != 0 => *slot = Some(record),
+            _ => {
+                mem.charge(1, 0);
+                return self.alloc_slow(mem, fsi, record, head_slot, head);
+            }
+        }
+        let next = mem.peek(frame); // ref 2
+        mem.poke(head_slot, next); // ref 3
+        mem.charge(2, 1);
+        self.stats.fast_refs += 3;
+        self.count_alloc(words);
+        Ok(frame)
+    }
+
+    #[cold]
+    fn oversize(&self) -> FrameError {
+        FrameError::OversizeRequest {
+            words: self.classes.max_words() + 1,
+        }
+    }
+
+    /// The rest of [`FrameHeap::alloc_record`] when the list head read
+    /// as `head` is not a covered free frame: replenish an empty list,
+    /// report a corrupt head, or cover a free frame the table does not
+    /// reach yet.
+    #[cold]
+    fn alloc_slow(
+        &mut self,
+        mem: &mut Memory,
+        fsi: u8,
+        record: FrameRecord,
+        head_slot: WordAddr,
+        mut head: u16,
+    ) -> Result<WordAddr, FrameError> {
+        self.stats.fast_refs += 1; // the head read
         if head == 0 {
             self.replenish(mem, fsi)?;
             head = mem.read(head_slot); // still part of the trap cost
@@ -359,17 +457,17 @@ impl FrameHeap {
         let next = mem.read(frame); // ref 2
         mem.write(head_slot, next); // ref 3
         self.stats.fast_refs += 2;
+        self.count_alloc(self.classes.size_of(fsi));
+        self.frames.insert(frame, record);
+        Ok(frame)
+    }
 
+    #[inline(always)]
+    fn count_alloc(&mut self, words: u32) {
         self.stats.allocs += 1;
-        self.stats.granted_words += self.classes.size_of(fsi) as u64;
+        self.stats.granted_words += words as u64;
         self.stats.live += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.stats.live);
-        let unclaimed = FrameRecord {
-            fsi,
-            ..Default::default()
-        };
-        self.frames.insert(frame, unclaimed);
-        Ok(frame)
     }
 
     /// Frees a frame. Exactly four memory references: fetch the hidden
@@ -386,15 +484,29 @@ impl FrameHeap {
         if !self.is_live(frame) {
             return Err(FrameError::InvalidFrame(frame));
         }
-        let fsi = mem.read(WordAddr(frame.0 - 1)); // ref 1
+        self.free_live(mem, frame)
+    }
+
+    /// [`FrameHeap::free`] of a frame its owner has just found live
+    /// (see [`FrameTable::release`]), without looking it up again.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::CorruptHeap`] as for [`FrameHeap::free`].
+    #[inline]
+    pub fn free_live(&mut self, mem: &mut Memory, frame: WordAddr) -> Result<(), FrameError> {
+        let size_word = WordAddr(frame.0 - 1);
+        let fsi = mem.peek(size_word); // ref 1
         if fsi as usize >= self.classes.len() {
-            return Err(FrameError::CorruptHeap(WordAddr(frame.0 - 1)));
+            mem.charge(1, 0);
+            return Err(FrameError::CorruptHeap(size_word));
         }
         self.frames.remove(frame);
         let head_slot = self.av_base.offset(fsi as u32);
-        let head = mem.read(head_slot); // ref 2
-        mem.write(frame, head); // ref 3
-        mem.write(head_slot, frame.0 as u16); // ref 4
+        let head = mem.peek(head_slot); // ref 2
+        mem.poke(frame, head); // ref 3
+        mem.poke(head_slot, frame.0 as u16); // ref 4
+        mem.charge(2, 2);
         self.stats.fast_refs += 4;
         self.stats.frees += 1;
         self.stats.live -= 1;
@@ -436,6 +548,9 @@ impl FrameHeap {
             self.carve += block;
             carved += 1;
         }
+        // Every carved frame lies below `carve`, inside the region the
+        // table reserved room for.
+        self.frames.cover(self.carve);
         self.stats.carved_words += carved as u64 * block as u64;
         self.stats.slow_refs += mem.stats().since(before).total();
         if carved == 0 {
@@ -480,6 +595,33 @@ mod tests {
         let before = mem.stats();
         heap.free(&mut mem, f).unwrap();
         assert_eq!(mem.stats().since(before).total(), 4, "free fast path");
+    }
+
+    #[test]
+    fn claimed_allocation_writes_its_record_once() {
+        let (mut mem, mut heap) = setup();
+        let fsi = heap.fsi_for(10).unwrap();
+        let f = heap.alloc_fsi(&mut mem, fsi).unwrap();
+        heap.free(&mut mem, f).unwrap();
+        let claimed = FrameRecord {
+            fsi,
+            addr_taken: true,
+            in_use: true,
+        };
+        let before = mem.stats();
+        let g = heap.alloc_record(&mut mem, fsi, claimed).unwrap();
+        assert_eq!(g, f, "the warm list pops the freed frame");
+        assert_eq!(mem.stats().since(before).total(), 3, "claimed fast path");
+        assert_eq!(heap.frames_mut().get(g), Some(&claimed));
+        // Its owner releases the claim and frees it without a lookup.
+        assert_eq!(heap.frames_mut().release(g), Some(fsi));
+        assert_eq!(heap.frames_mut().release(g), None, "claim already dropped");
+        let before = mem.stats();
+        heap.free_live(&mut mem, g).unwrap();
+        assert_eq!(mem.stats().since(before).total(), 4, "free fast path");
+        assert!(!heap.is_live(g));
+        assert_eq!(heap.stats().live, 0);
+        assert_eq!(heap.stats().fast_refs, 2 * (3 + 4));
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl CodeStore {
     }
 
     /// Counts `n` table reads without performing them — the
-    /// [`crate::Memory::charge_reads`] analogue for entry-vector
+    /// [`crate::Memory::charge`] analogue for entry-vector
     /// lookups, used by host-side caches that memoise a resolved
     /// transfer target but still owe the simulated machine its
     /// references.

@@ -52,7 +52,13 @@ impl MemStats {
 pub struct Memory {
     words: Vec<Word>,
     stats: MemStats,
-    /// One flag per word: stores to flagged words bump [`Memory::table_gen`].
+    /// References charged with [`Memory::charge_refs`]: counted in
+    /// [`Memory::refs`], not in `stats`.
+    charged: u64,
+    /// One flag per word below the highest watched word: stores to
+    /// flagged words bump [`Memory::table_gen`]. Its length is the watch
+    /// bound; a store at or above it skips the lookup, so the frame
+    /// region, which lies above every transfer table, pays one compare.
     watched: Vec<bool>,
     table_gen: u64,
 }
@@ -89,7 +95,8 @@ impl Memory {
         Memory {
             words: vec![0; size as usize],
             stats: MemStats::default(),
-            watched: vec![false; size as usize],
+            charged: 0,
+            watched: Vec::new(),
             table_gen: 0,
         }
     }
@@ -112,10 +119,10 @@ impl Memory {
         words.clear();
         words.resize(size as usize, 0);
         watched.clear();
-        watched.resize(size as usize, false);
         Memory {
             words,
             stats: MemStats::default(),
+            charged: 0,
             watched,
             table_gen: 0,
         }
@@ -142,7 +149,7 @@ impl Memory {
     ///
     /// Panics if `addr` is out of range.
     pub fn watch(&mut self, addr: WordAddr) {
-        self.watched[addr.0 as usize] = true;
+        self.watch_range(addr, 1);
     }
 
     /// Watches `len` consecutive words starting at `start`.
@@ -151,9 +158,15 @@ impl Memory {
     ///
     /// Panics if the range runs past the end of memory.
     pub fn watch_range(&mut self, start: WordAddr, len: u32) {
-        for i in 0..len {
-            self.watch(start.offset(i));
+        let (lo, hi) = (start.0 as usize, start.0 as usize + len as usize);
+        assert!(
+            hi <= self.words.len(),
+            "watched words {start}+{len} out of range"
+        );
+        if hi > self.watched.len() {
+            self.watched.resize(hi, false);
         }
+        self.watched[lo..hi].fill(true);
     }
 
     /// Generation of the watched (transfer-table) words: bumped by
@@ -163,16 +176,39 @@ impl Memory {
         self.table_gen
     }
 
-    /// Counts `n` architectural reads without performing them.
+    /// Counts `reads` architectural reads and `writes` architectural
+    /// writes without performing them through [`Memory::read`] and
+    /// [`Memory::write`].
     ///
-    /// This exists for host-side memoisation that must preserve the
-    /// paper's reference arithmetic: a cache that remembers the result
-    /// of an N-read table walk still owes the simulated machine those N
-    /// references, it merely skips the host work of the walk. Charging
-    /// keeps [`MemStats`] bit-identical to the uncached run.
+    /// A path that makes a fixed group of references (a frame
+    /// allocation's three, say) does them with
+    /// [`Memory::peek`]/[`Memory::poke`] and counts the group once, so
+    /// the counters move once per group instead of once per word. A
+    /// host-side shortcut that skips a walk still owes the simulated
+    /// machine the walk's references and charges them here. Either way
+    /// [`MemStats`] stays bit-identical to doing every access one by
+    /// one.
+    #[inline(always)]
+    pub fn charge(&mut self, reads: u64, writes: u64) {
+        self.stats.data_reads += reads;
+        self.stats.data_writes += writes;
+    }
+
+    /// Counts `n` references made outside data memory (code-table
+    /// reads, a modelled allocator's list walk) into [`Memory::refs`]
+    /// only: [`MemStats`] does not see them, and
+    /// [`Memory::reset_stats`] keeps them.
     #[inline]
-    pub fn charge_reads(&mut self, n: u64) {
-        self.stats.data_reads += n;
+    pub fn charge_refs(&mut self, n: u64) {
+        self.charged += n;
+    }
+
+    /// Every counted reference so far: [`MemStats::total`] plus the
+    /// references charged with [`Memory::charge_refs`]. The difference
+    /// of two readings is what the references between them cost.
+    #[inline]
+    pub fn refs(&self) -> u64 {
+        self.stats.total() + self.charged
     }
 
     /// Number of words.
@@ -201,9 +237,7 @@ impl Memory {
     #[inline]
     pub fn write(&mut self, addr: WordAddr, value: Word) {
         self.stats.data_writes += 1;
-        if self.watched[addr.0 as usize] {
-            self.table_gen += 1;
-        }
+        self.note_store(addr);
         self.words[addr.0 as usize] = value;
     }
 
@@ -224,10 +258,17 @@ impl Memory {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn poke(&mut self, addr: WordAddr, value: Word) {
-        if self.watched[addr.0 as usize] {
+        self.note_store(addr);
+        self.words[addr.0 as usize] = value;
+    }
+
+    /// Bumps the table generation for a store to a watched word. Words
+    /// at or above the watch bound are never watched.
+    #[inline(always)]
+    fn note_store(&mut self, addr: WordAddr) {
+        if self.watched.get(addr.0 as usize).copied().unwrap_or(false) {
             self.table_gen += 1;
         }
-        self.words[addr.0 as usize] = value;
     }
 
     /// Current reference counters.
@@ -235,7 +276,9 @@ impl Memory {
         self.stats
     }
 
-    /// Resets the reference counters (e.g. after a warm-up phase).
+    /// Resets the data reference counters (e.g. after a warm-up
+    /// phase). References charged with [`Memory::charge_refs`] stay
+    /// counted in [`Memory::refs`].
     pub fn reset_stats(&mut self) {
         self.stats = MemStats::default();
     }
@@ -334,15 +377,64 @@ mod tests {
     }
 
     #[test]
-    fn charged_reads_count_without_touching_words() {
+    fn stores_above_the_watch_bound_skip_the_generation() {
+        let mut m = Memory::new(64);
+        m.watch(WordAddr(10));
+        m.write(WordAddr(10), 1); // watched, below the bound
+        assert_eq!(m.table_gen(), 1);
+        m.write(WordAddr(11), 1); // at the bound
+        m.write(WordAddr(40), 1); // above it
+        m.poke(WordAddr(63), 1);
+        assert_eq!(m.table_gen(), 1);
+        m.write(WordAddr(9), 1); // below the bound, unwatched
+        assert_eq!(m.table_gen(), 1);
+        // Watching a higher word moves the bound past it.
+        m.watch(WordAddr(40));
+        m.write(WordAddr(40), 2);
+        assert_eq!(m.table_gen(), 2);
+        m.write(WordAddr(39), 2);
+        m.write(WordAddr(41), 2);
+        assert_eq!(m.table_gen(), 2);
+        m.write(WordAddr(10), 2); // the lower watch still holds
+        assert_eq!(m.table_gen(), 3);
+    }
+
+    #[test]
+    #[should_panic]
+    fn watching_past_the_end_panics() {
+        Memory::new(4).watch(WordAddr(4));
+    }
+
+    #[test]
+    fn charged_refs_count_in_refs_only() {
         let mut m = Memory::new(16);
-        m.poke(WordAddr(1), 42);
-        m.charge_reads(3);
+        m.write(WordAddr(1), 1);
+        let _ = m.read(WordAddr(1));
+        m.charge(2, 0);
+        m.charge_refs(5);
         assert_eq!(
             m.stats(),
             MemStats {
                 data_reads: 3,
-                data_writes: 0
+                data_writes: 1
+            }
+        );
+        assert_eq!(m.refs(), 9);
+        m.reset_stats();
+        assert_eq!(m.stats().total(), 0);
+        assert_eq!(m.refs(), 5, "charged references survive a reset");
+    }
+
+    #[test]
+    fn charged_accesses_count_without_touching_words() {
+        let mut m = Memory::new(16);
+        m.poke(WordAddr(1), 42);
+        m.charge(3, 2);
+        assert_eq!(
+            m.stats(),
+            MemStats {
+                data_reads: 3,
+                data_writes: 2
             }
         );
         assert_eq!(m.peek(WordAddr(1)), 42, "words untouched");

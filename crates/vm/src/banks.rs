@@ -64,6 +64,9 @@ const NO_FRAME: u32 = u32::MAX;
 /// live inline in the `Bank` struct and dirtiness be one bitmask.
 pub const MAX_BANK_WORDS: u32 = 64;
 
+/// Hard cap on banks, so the free banks fit one bitmask.
+pub const MAX_BANKS: usize = 64;
+
 #[derive(Debug, Clone)]
 struct Bank {
     /// Words actually shadowed (min of bank size and the frame's
@@ -72,7 +75,7 @@ struct Bank {
     data: [u16; MAX_BANK_WORDS as usize],
     /// Bit `i` set = word `i` written since assignment/activation.
     dirty: u64,
-    /// LRU clock value of the last assignment/activation.
+    /// LRU stamp of the bank's last use (see `BankMachine::stamp`).
     last_use: u64,
     /// The caller's bank at assignment, or [`NO_FRAME`]: where a
     /// return from this bank's frame most likely lands.
@@ -83,10 +86,15 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct BankMachine {
     banks: Vec<Bank>,
-    /// Frame whose locals each bank shadows; `None` = free. Apart from
-    /// the data, so a scan for a frame or a free bank reads one line.
-    frames: Vec<Option<WordAddr>>,
+    /// Frame whose locals each bank shadows; [`NO_FRAME`] = free.
+    /// Apart from the data, so a scan for a frame or a free bank reads
+    /// one line.
+    frames: Vec<u32>,
+    /// Bit `b` set = bank `b` is free, so the first free bank is one
+    /// `trailing_zeros`.
+    free: u64,
     words: u32,
+    /// LRU clock: the last stamp handed out.
     clock: u64,
     /// Memo of the last `(frame, bank)` resolution. Local reads and
     /// writes resolve the same (current) frame almost every time, so
@@ -111,6 +119,7 @@ impl BankMachine {
     /// cannot rotate).
     pub fn new(banks: usize, words: u32) -> Self {
         assert!(banks >= 2, "at least two banks required");
+        assert!(banks <= MAX_BANKS, "at most {MAX_BANKS} banks");
         assert!(words > 0, "banks must hold at least one word");
         assert!(
             words <= MAX_BANK_WORDS,
@@ -126,7 +135,8 @@ impl BankMachine {
                     caller: NO_FRAME,
                 })
                 .collect(),
-            frames: vec![None; banks],
+            frames: vec![NO_FRAME; banks],
+            free: u64::MAX >> (MAX_BANKS - banks),
             words,
             clock: 0,
             memo: Cell::new((NO_FRAME, 0)),
@@ -152,11 +162,14 @@ impl BankMachine {
     /// of the access itself.
     #[inline]
     pub fn bank_of(&self, frame: WordAddr) -> Option<usize> {
+        if frame.0 == NO_FRAME {
+            return None;
+        }
         let (f, b) = self.memo.get();
-        if f == frame.0 && f != NO_FRAME {
+        if f == frame.0 {
             return Some(b as usize);
         }
-        let idx = self.frames.iter().position(|&f| f == Some(frame))?;
+        let idx = self.frames.iter().position(|&f| f == frame.0)?;
         self.memo.set((frame.0, idx as u32));
         Some(idx)
     }
@@ -164,11 +177,9 @@ impl BankMachine {
     /// Reads local `idx` of `frame` from its bank, if shadowed there.
     pub fn read_local(&mut self, frame: WordAddr, idx: u32) -> Option<u16> {
         let b = self.bank_of(frame)?;
-        let bank = &mut self.banks[b];
-        if idx < bank.shadow_words {
-            self.clock += 1;
-            bank.last_use = self.clock;
-            Some(bank.data[idx as usize])
+        if idx < self.banks[b].shadow_words {
+            self.stamp(b);
+            Some(self.banks[b].data[idx as usize])
         } else {
             None
         }
@@ -180,10 +191,9 @@ impl BankMachine {
         let Some(b) = self.bank_of(frame) else {
             return false;
         };
-        let bank = &mut self.banks[b];
-        if idx < bank.shadow_words {
-            self.clock += 1;
-            bank.last_use = self.clock;
+        if idx < self.banks[b].shadow_words {
+            self.stamp(b);
+            let bank = &mut self.banks[b];
             bank.data[idx as usize] = value;
             bank.dirty |= 1 << idx;
             true
@@ -213,15 +223,13 @@ impl BankMachine {
         let (b, refs) = self.take_bank(mem, protect);
         self.floor = self.floor.min(layout::local_slot(frame, 0).0);
         self.memo.set((frame.0, b as u32));
-        self.frames[b] = Some(frame);
+        self.frames[b] = frame.0;
+        self.free &= !(1 << b);
         let bank = &mut self.banks[b];
         bank.caller = caller.map_or(NO_FRAME, |c| c as u32);
         bank.shadow_words = shadow;
         bank.data[..shadow as usize].fill(0);
         bank.dirty = 0;
-        self.clock += 1;
-        bank.last_use = self.clock;
-        self.stats.assigns += 1;
         if let Some(args) = rename_args {
             debug_assert!(args.len() as u32 <= shadow, "arguments exceed bank shadow");
             bank.data[..args.len()].copy_from_slice(args);
@@ -229,6 +237,8 @@ impl BankMachine {
             self.stats.renames += 1;
             self.stats.renamed_words += args.len() as u64;
         }
+        self.stamp(b);
+        self.stats.assigns += 1;
         refs
     }
 
@@ -238,9 +248,16 @@ impl BankMachine {
         let Some(b) = self.bank_of(frame) else {
             return false;
         };
+        self.stamp(b);
+        true
+    }
+
+    /// Marks bank `b` the most recently used: every use stamps it, and
+    /// the stamps pick the overflow victim.
+    #[inline(always)]
+    fn stamp(&mut self, b: usize) {
         self.clock += 1;
         self.banks[b].last_use = self.clock;
-        true
     }
 
     /// Ensures `frame` (an existing context being re-entered) has a
@@ -256,14 +273,28 @@ impl BankMachine {
         if self.touch(frame) {
             return 0;
         }
-        // Underflow: "a free bank is assigned and loaded from the
-        // frame" (§7.1).
+        self.load(mem, frame, locals_words, protect)
+    }
+
+    /// The underflow half of [`BankMachine::activate`], for a caller
+    /// whose [`BankMachine::touch`] of `frame` just failed: "a free
+    /// bank is assigned and loaded from the frame" (§7.1). Returns the
+    /// memory references spent (victim flush + load).
+    pub fn load(
+        &mut self,
+        mem: &mut Memory,
+        frame: WordAddr,
+        locals_words: u32,
+        protect: Option<WordAddr>,
+    ) -> u64 {
+        debug_assert!(self.bank_of(frame).is_none(), "frame already shadowed");
         self.stats.underflows += 1;
         let shadow = locals_words.min(self.words);
         let (b, mut refs) = self.take_bank(mem, protect);
         self.floor = self.floor.min(layout::local_slot(frame, 0).0);
         self.memo.set((frame.0, b as u32));
-        self.frames[b] = Some(frame);
+        self.frames[b] = frame.0;
+        self.free &= !(1 << b);
         let bank = &mut self.banks[b];
         bank.caller = NO_FRAME;
         bank.shadow_words = shadow;
@@ -273,8 +304,7 @@ impl BankMachine {
         }
         refs += shadow as u64;
         self.stats.loaded_words += shadow as u64;
-        self.clock += 1;
-        bank.last_use = self.clock;
+        self.stamp(b);
         refs
     }
 
@@ -283,12 +313,14 @@ impl BankMachine {
     #[inline]
     pub fn release(&mut self, frame: WordAddr) {
         if let Some(b) = self.bank_of(frame) {
-            self.frames[b] = None;
+            self.frames[b] = NO_FRAME;
+            self.free |= 1 << b;
             self.banks[b].shadow_words = 0;
             // The return that freed this frame lands in its caller's bank.
             let c = self.banks[b].caller;
-            let f = self.frames.get(c as usize).copied().flatten();
-            self.memo.set(f.map_or((NO_FRAME, 0), |f| (f.0, c)));
+            let f = self.frames.get(c as usize).copied().unwrap_or(NO_FRAME);
+            self.memo
+                .set(if f == NO_FRAME { (NO_FRAME, 0) } else { (f, c) });
         }
     }
 
@@ -306,7 +338,7 @@ impl BankMachine {
     /// and other unusual transfers ("all the banks are flushed into
     /// storage", §7.1). Returns references spent.
     pub fn flush_all(&mut self, mem: &mut Memory) -> u64 {
-        if self.frames.iter().all(Option::is_none) {
+        if self.free.count_ones() as usize == self.banks.len() {
             return 0;
         }
         self.stats.full_flushes += 1;
@@ -326,7 +358,10 @@ impl BankMachine {
             return None;
         }
         for (bank, &frame) in self.banks.iter().zip(&self.frames) {
-            let Some(frame) = frame else { continue };
+            if frame == NO_FRAME {
+                continue;
+            }
+            let frame = WordAddr(frame);
             let lo = layout::local_slot(frame, 0).0;
             let hi = lo + bank.shadow_words;
             if (lo..hi).contains(&addr.0) {
@@ -370,14 +405,14 @@ impl BankMachine {
         (idx < bank.shadow_words).then(|| bank.data[idx as usize])
     }
 
-    /// Picks a free bank, or steals the least recently used one that is
-    /// not `protect` (overflow: "the contents of the oldest bank is
-    /// written out into the frame").
+    /// Picks the first free bank, or steals the least recently used one
+    /// that is not `protect` (overflow: "the contents of the oldest bank
+    /// is written out into the frame").
     #[inline]
     fn take_bank(&mut self, mem: &mut Memory, protect: Option<WordAddr>) -> (usize, u64) {
-        match self.frames.iter().position(Option::is_none) {
-            Some(b) => (b, 0),
-            None => self.spill(mem, protect),
+        match self.free {
+            0 => self.spill(mem, protect),
+            free => (free.trailing_zeros() as usize, 0),
         }
     }
 
@@ -386,6 +421,7 @@ impl BankMachine {
     #[cold]
     fn spill(&mut self, mem: &mut Memory, protect: Option<WordAddr>) -> (usize, u64) {
         self.stats.overflows += 1;
+        let protect = protect.map_or(NO_FRAME, |p| p.0);
         let victim = (0..self.banks.len())
             .filter(|&i| self.frames[i] != protect)
             .min_by_key(|&i| self.banks[i].last_use)
@@ -395,9 +431,12 @@ impl BankMachine {
     }
 
     fn flush_bank(&mut self, mem: &mut Memory, b: usize) -> u64 {
-        let Some(frame) = self.frames[b].take() else {
+        let frame = std::mem::replace(&mut self.frames[b], NO_FRAME);
+        if frame == NO_FRAME {
             return 0;
-        };
+        }
+        self.free |= 1 << b;
+        let frame = WordAddr(frame);
         let bank = &mut self.banks[b];
         let mut refs = 0;
         // Walk set bits only: "avoid the cost of dumping registers

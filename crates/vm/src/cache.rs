@@ -11,7 +11,7 @@
 //! or below that class pop a frame with zero serial memory references;
 //! larger requests and cache misses fall back to the AV heap.
 
-use fpc_frames::{FrameError, FrameHeap};
+use fpc_frames::{FrameError, FrameHeap, FrameRecord};
 use fpc_mem::{Memory, WordAddr};
 
 /// Counters kept by the frame cache (experiment E8).
@@ -111,19 +111,43 @@ impl FrameCache {
         mem: &mut Memory,
         fsi: u8,
     ) -> Result<(WordAddr, u8), FrameError> {
-        if fsi <= self.standard_fsi {
+        let class = self.class_for(fsi);
+        let unclaimed = FrameRecord {
+            fsi: class,
+            ..Default::default()
+        };
+        Ok((self.alloc_record(heap, mem, unclaimed)?, class))
+    }
+
+    /// [`FrameCache::alloc`] for a frame of class `record.fsi` whose
+    /// one record is `record`: a cached frame's record is overwritten,
+    /// a heap frame is recorded as [`FrameHeap::alloc_record`] pops it.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameCache::alloc`].
+    #[inline]
+    pub fn alloc_record(
+        &mut self,
+        heap: &mut FrameHeap,
+        mem: &mut Memory,
+        record: FrameRecord,
+    ) -> Result<WordAddr, FrameError> {
+        if record.fsi <= self.standard_fsi {
             if let Some(f) = self.frames.pop() {
                 self.stats.hits += 1;
-                return Ok((f, self.standard_fsi));
+                heap.frames_mut().insert(f, record);
+                return Ok(f);
             }
-            self.stats.misses += 1;
-            let f = heap.alloc_fsi(mem, self.standard_fsi)?;
-            Ok((f, self.standard_fsi))
-        } else {
-            self.stats.misses += 1;
-            let f = heap.alloc_fsi(mem, fsi)?;
-            Ok((f, fsi))
         }
+        self.stats.misses += 1;
+        heap.alloc_record(mem, self.class_for(record.fsi), record)
+    }
+
+    /// The class a request of class `fsi` occupies.
+    #[inline(always)]
+    fn class_for(&self, fsi: u8) -> u8 {
+        fsi.max(self.standard_fsi)
     }
 
     /// Frees a frame allocated for class `fsi` (the class asked of

@@ -189,27 +189,29 @@ impl TransferStats {
 /// costlier event goes straight into the run's histogram.
 const BATCH_CYCLES: usize = 16;
 
-/// One kind's share of a [`TransferBatch`].
+/// One kind's share of a [`TransferBatch`]: the cycle histogram of
+/// its cheap events and their summed references. Their count, cycles
+/// and jump-speed count follow from the histogram at flush.
 #[derive(Debug, Clone, Copy, Default)]
 struct KindBatch {
-    count: u64,
-    fast: u64,
-    cycles: u64,
     refs: u64,
     hist: [u64; BATCH_CYCLES],
 }
 
 impl KindBatch {
     fn flush_into(&mut self, k: &mut KindStats) {
-        k.count += self.count;
-        k.fast += self.fast;
-        k.cycles += self.cycles;
-        k.refs += self.refs;
         for (v, &n) in self.hist.iter().enumerate() {
             if n > 0 {
-                k.cycle_hist.record_n(v as u64, n);
+                let v = v as u64;
+                k.count += n;
+                k.cycles += v * n;
+                if v <= jump_cycles() {
+                    k.fast += n;
+                }
+                k.cycle_hist.record_n(v, n);
             }
         }
+        k.refs += self.refs;
         *self = KindBatch::default();
     }
 }
@@ -229,9 +231,9 @@ pub(crate) struct TransferBatch {
 }
 
 impl TransferBatch {
-    /// Records one event: calls and returns into the batch, other
-    /// kinds, and histogram buckets past the batch's range, directly
-    /// into `stats`.
+    /// Records one event: calls and returns that cost fewer cycles than
+    /// the batch's histogram covers into the batch, everything else
+    /// directly into `stats`.
     #[inline(always)]
     pub fn record(
         &mut self,
@@ -245,14 +247,12 @@ impl TransferBatch {
             TransferKind::Return => &mut self.returns,
             _ => return stats.record(kind, cycles, refs),
         };
-        b.count += 1;
-        b.cycles += cycles;
-        b.refs += refs;
-        b.fast += (cycles <= jump_cycles()) as u64;
-        if cycles < BATCH_CYCLES as u64 {
-            b.hist[cycles as usize] += 1;
-        } else {
-            stats.kind_mut(kind).cycle_hist.record(cycles);
+        match b.hist.get_mut(cycles as usize) {
+            Some(n) => {
+                *n += 1;
+                b.refs += refs;
+            }
+            None => stats.record(kind, cycles, refs),
         }
     }
 

@@ -14,12 +14,10 @@
 //! receives the affected entries from [`ReturnStack::push`] and
 //! [`ReturnStack::flush`].
 
-use std::collections::VecDeque;
-
 use fpc_mem::{ByteAddr, WordAddr};
 
 /// One suspended caller recorded by the IFU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReturnEntry {
     /// The caller's local frame.
     pub frame: WordAddr,
@@ -62,11 +60,14 @@ impl ReturnStackStats {
 /// The bounded return-prediction stack.
 ///
 /// A capacity of zero disables it (every pop is a miss), which is how
-/// the I1/I2 configurations run.
+/// the I1/I2 configurations run. The entries live in a fixed ring: a
+/// push onto a full stack overwrites the oldest entry in place.
 #[derive(Debug, Clone, Default)]
 pub struct ReturnStack {
-    entries: VecDeque<ReturnEntry>,
-    capacity: usize,
+    ring: Vec<ReturnEntry>,
+    /// Ring index of the oldest entry.
+    bottom: usize,
+    len: usize,
     stats: ReturnStackStats,
 }
 
@@ -74,25 +75,38 @@ impl ReturnStack {
     /// Creates a stack holding up to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         ReturnStack {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
+            ring: vec![ReturnEntry::default(); capacity],
+            bottom: 0,
+            len: 0,
             stats: ReturnStackStats::default(),
         }
     }
 
-    /// Whether the stack is enabled at all.
+    /// Whether the stack exists at all.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.capacity > 0
+        !self.ring.is_empty()
     }
 
     /// Current depth.
     pub fn depth(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Counters.
     pub fn stats(&self) -> ReturnStackStats {
         self.stats
+    }
+
+    /// Ring index of the entry `i` places above the bottom.
+    #[inline(always)]
+    fn slot(&self, i: usize) -> usize {
+        let at = self.bottom + i;
+        if at >= self.ring.len() {
+            at - self.ring.len()
+        } else {
+            at
+        }
     }
 
     /// Pushes a caller entry. If the stack is full, the **oldest**
@@ -108,20 +122,22 @@ impl ReturnStack {
             return None;
         }
         self.stats.pushes += 1;
-        let evicted = if self.entries.len() == self.capacity {
+        if self.len == self.ring.len() {
             self.stats.evictions += 1;
-            self.entries.pop_front()
-        } else {
-            None
-        };
-        self.entries.push_back(entry);
-        evicted
+            let evicted = std::mem::replace(&mut self.ring[self.bottom], entry);
+            self.bottom = self.slot(1);
+            return Some(evicted);
+        }
+        let top = self.slot(self.len);
+        self.ring[top] = entry;
+        self.len += 1;
+        None
     }
 
     /// The frame of the current bottom entry — the callee of a
     /// just-evicted entry.
     pub fn bottom_frame(&self) -> Option<WordAddr> {
-        self.entries.front().map(|e| e.frame)
+        (self.len > 0).then(|| self.ring[self.bottom].frame)
     }
 
     /// Pops the top entry for a return; `None` means the general path
@@ -131,27 +147,26 @@ impl ReturnStack {
         if !self.enabled() {
             return None;
         }
-        match self.entries.pop_back() {
-            Some(e) => {
-                self.stats.hits += 1;
-                Some(e)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        if self.len == 0 {
+            self.stats.misses += 1;
+            return None;
         }
+        self.stats.hits += 1;
+        self.len -= 1;
+        Some(self.ring[self.slot(self.len)])
     }
 
     /// Flushes all entries, newest first — the order in which the
     /// machine must chain return links (current frame's link points at
-    /// the newest entry's frame, and so on down). The entries drain in
-    /// place; dropping the iterator early discards the rest.
+    /// the newest entry's frame, and so on down). The stack is empty
+    /// at once; dropping the iterator early discards the rest.
     pub fn flush(&mut self) -> impl Iterator<Item = ReturnEntry> + '_ {
-        if self.enabled() && !self.entries.is_empty() {
+        if self.len > 0 {
             self.stats.flushes += 1;
         }
-        self.entries.drain(..).rev()
+        let len = std::mem::take(&mut self.len);
+        let this = &*self;
+        (0..len).rev().map(move |i| this.ring[this.slot(i)])
     }
 }
 

@@ -348,8 +348,11 @@ enum Flow {
     Halt,
 }
 
-/// A resolved call target: everything [`Machine::enter_call`] needs
-/// beyond the transfer kind.
+/// A resolved call target and its call plan: everything
+/// [`Machine::enter_call`] needs beyond the transfer kind, with the
+/// header's packed bytes already unpacked. The native tier builds one
+/// per known call site at compile time, so a call through it derives
+/// nothing from the header or the size-class ladder at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CallTarget {
     /// Procedure header address.
@@ -360,8 +363,41 @@ pub(crate) struct CallTarget {
     pub cb: ByteAddr,
     /// Header frame-size index byte.
     pub fsi: u8,
-    /// Header flags byte (packed nargs / addr-taken).
-    pub flags: u8,
+    /// Argument count, from the header flags.
+    pub nargs: u8,
+    /// The §7.4 flag, from the header flags: the callee's locals may be
+    /// addressed.
+    pub addr_taken: bool,
+    /// Words in the class's locals region (0 beyond the ladder, where
+    /// the frame allocation fails first).
+    pub locals: u32,
+    /// Bytes of a frame of the class, for `frame_bytes`.
+    pub frame_bytes: u32,
+}
+
+impl CallTarget {
+    /// The plan for a call of the procedure at `header`, whose header
+    /// holds `fsi` and the packed `flags`.
+    pub(crate) fn new(
+        header: ByteAddr,
+        gf: WordAddr,
+        cb: ByteAddr,
+        (fsi, flags): (u8, u8),
+        classes: &fpc_frames::SizeClasses,
+    ) -> Self {
+        let (nargs, addr_taken) = layout::unpack_flags(flags);
+        let words = classes.words(fsi).unwrap_or(0);
+        CallTarget {
+            header,
+            gf,
+            cb,
+            fsi,
+            nargs,
+            addr_taken,
+            locals: words.saturating_sub(layout::FRAME_HEADER_WORDS),
+            frame_bytes: words * 2,
+        }
+    }
 }
 
 /// How a native burst ended.
@@ -399,6 +435,16 @@ fn renaming_fits(
         )));
     }
     Ok(())
+}
+
+/// Runs one general-heap operation, charging the references it models
+/// into the memory's count.
+#[inline]
+fn general<R>(g: &mut GeneralHeap, mem: &mut Memory, op: impl FnOnce(&mut GeneralHeap) -> R) -> R {
+    let before = g.charged_refs();
+    let r = op(g);
+    mem.charge_refs(g.charged_refs() - before);
+    r
 }
 
 impl Machine {
@@ -514,7 +560,7 @@ impl Machine {
         let allocator = match config.alloc {
             AllocStrategy::General => Allocator::General(
                 GeneralHeap::with_reserve(region.start, region.end - region.start, reserve),
-                FrameTable::default(),
+                FrameTable::for_region(region.end),
             ),
             AllocStrategy::Av => Allocator::Av(FrameHeap::with_reserve(
                 &mut mem,
@@ -868,7 +914,7 @@ impl Machine {
             let words = self.classes.size_of(fsi);
             loop {
                 let got = match &mut self.allocator {
-                    Allocator::General(g, _) => g.alloc(words),
+                    Allocator::General(g, _) => general(g, &mut self.mem, |g| g.alloc(words)),
                     Allocator::Av(h) | Allocator::Cached { heap: h, .. } => {
                         h.alloc_fsi(&mut self.mem, fsi)
                     }
@@ -889,7 +935,7 @@ impl Machine {
         let refs0 = self.refs_total();
         while let Some((frame, words)) = self.seized.pop() {
             let r = match &mut self.allocator {
-                Allocator::General(g, _) => g.free(frame, words),
+                Allocator::General(g, _) => general(g, &mut self.mem, |g| g.free(frame, words)),
                 Allocator::Av(h) | Allocator::Cached { heap: h, .. } => {
                     h.free(&mut self.mem, frame)
                 }
@@ -1083,14 +1129,8 @@ impl Machine {
             }
             _ => return None,
         };
-        let (fsi, flags) = self.read_header(header);
-        Some(CallTarget {
-            header,
-            gf,
-            cb,
-            fsi,
-            flags,
-        })
+        let header_bytes = self.read_header(header);
+        Some(CallTarget::new(header, gf, cb, header_bytes, &self.classes))
     }
 
     /// Executes a native burst starting at op `ip` of compiled body
@@ -1167,49 +1207,6 @@ impl Machine {
                 }
             };
         }
-        // A call or return retires through `native_xfer`, then the
-        // burst follows it: a call pushes its return point on the
-        // predictor and follows to its target's compiled entry, a
-        // return pops the predictor. Calls and returns take separate
-        // paths, so neither branches on the transfer kind. Exits the
-        // burst on halt or on a version/generation move.
-        macro_rules! xfer {
-            ($site:expr) => {
-                let site = &body.sites[$site as usize];
-                let ret = matches!(site.instr, Instr::Ret);
-                let kind = match if ret {
-                    self.native_xfer(site, &mut batch, &mut cycles, &mut jumps, |m, _, _| {
-                        m.perform_return()
-                    })
-                } else {
-                    self.native_xfer(site, &mut batch, &mut cycles, &mut jumps, |m, s, b| {
-                        m.native_call(s, b)
-                    })
-                } {
-                    Ok(kind) => kind,
-                    Err(e) => {
-                        // The faulting transfer retired nothing.
-                        *budget += 1;
-                        break Err(e);
-                    }
-                };
-                if self.halted {
-                    break Ok(NativeExit::Halted);
-                }
-                if self.code.version() != ver0 || self.mem.table_gen() != gen0 {
-                    break Ok(NativeExit::Left);
-                }
-                let predicted = match kind {
-                    Some(TransferKind::Call) if !ret => {
-                        predictor.push(cur, ip, site.at + site.len as u32);
-                        site.entry
-                    }
-                    Some(TransferKind::Return) if ret => predictor.pop(),
-                    _ => None,
-                };
-                follow!(predicted);
-            };
-        }
         let result = loop {
             if *budget == 0 {
                 self.pc = ByteAddr(body.offs[ip as usize]);
@@ -1218,25 +1215,31 @@ impl Machine {
             *budget -= 1;
             let op = body.ops[ip as usize];
             ip += 1;
-            match op {
+            // Every op but a call or return continues the loop; those
+            // name their site for the transfer block below.
+            let site = match op {
                 NOp::Imm(v) => {
                     self.stack.push(v);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::LocalRd(n) => {
                     let v = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(v);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::LocalWr(n) => {
                     let v = self.stack.pop().unwrap_or(0);
                     self.native_local_wr::<BANKS>(n, v, &mut cycles);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::LocalAddr(n) => {
                     let addr = layout::local_slot(self.lf, n as u32);
                     self.stack.push(addr.0 as u16);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::GlobalRd(n) => {
                     self.obs_global(n as u32, false);
@@ -1245,6 +1248,7 @@ impl Machine {
                         .read(self.wrap(self.gf.offset(layout::GF_GLOBALS + n as u32)));
                     self.stack.push(v);
                     cycles += CYCLE_BASE + CYCLE_MEMREF;
+                    continue;
                 }
                 NOp::GlobalWr(n) => {
                     self.obs_global(n as u32, true);
@@ -1256,11 +1260,13 @@ impl Machine {
                         self.pc = ByteAddr(body.offs[ip as usize]);
                         break Ok(NativeExit::Left);
                     }
+                    continue;
                 }
                 NOp::GlobalAddr(n) => {
                     let addr = self.wrap(self.gf.offset(layout::GF_GLOBALS + n as u32));
                     self.stack.push(addr.0 as u16);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Read => {
                     self.obs(|o| o.reads_memory = true);
@@ -1268,6 +1274,7 @@ impl Machine {
                     let v = self.native_indirect_rd::<BANKS>(addr, &mut cycles);
                     self.stack.push(v);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Write => {
                     self.obs(|o| o.writes_memory = true);
@@ -1279,6 +1286,7 @@ impl Machine {
                         self.pc = ByteAddr(body.offs[ip as usize]);
                         break Ok(NativeExit::Left);
                     }
+                    continue;
                 }
                 NOp::LoadIndex => {
                     self.obs(|o| o.reads_memory = true);
@@ -1288,6 +1296,7 @@ impl Machine {
                     let v = self.native_indirect_rd::<BANKS>(addr, &mut cycles);
                     self.stack.push(v);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::StoreIndex => {
                     self.obs(|o| o.writes_memory = true);
@@ -1301,85 +1310,104 @@ impl Machine {
                         self.pc = ByteAddr(body.offs[ip as usize]);
                         break Ok(NativeExit::Left);
                     }
+                    continue;
                 }
                 NOp::Add => {
                     self.native_binary(|a, b| a.wrapping_add(b));
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Sub => {
                     self.native_binary(|a, b| a.wrapping_sub(b));
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Mul => {
                     self.native_binary(|a, b| a.wrapping_mul(b));
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Neg => {
                     let a = self.stack.pop().unwrap_or(0) as i16;
                     self.stack.push(a.wrapping_neg() as u16);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::And => {
                     self.native_binary(|a, b| a & b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Or => {
                     self.native_binary(|a, b| a | b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Xor => {
                     self.native_binary(|a, b| a ^ b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Shl => {
                     let n = self.stack.pop().unwrap_or(0) & 0x0F;
                     let v = self.stack.pop().unwrap_or(0);
                     self.stack.push(v << n);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Shr => {
                     let n = self.stack.pop().unwrap_or(0) & 0x0F;
                     let v = self.stack.pop().unwrap_or(0);
                     self.stack.push(v >> n);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::CmpEq => {
                     self.native_compare(|a, b| a == b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::CmpNe => {
                     self.native_compare(|a, b| a != b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::CmpLt => {
                     self.native_compare(|a, b| a < b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::CmpLe => {
                     self.native_compare(|a, b| a <= b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::CmpGt => {
                     self.native_compare(|a, b| a > b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::CmpGe => {
                     self.native_compare(|a, b| a >= b);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::AddImm(n) => {
                     let v = self.stack.pop().unwrap_or(0);
                     self.stack.push(v.wrapping_add(n as u16));
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Dup => {
                     let v = self.stack.last().copied().unwrap_or(0);
                     self.stack.push(v);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Drop => {
                     self.stack.pop();
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Exch => {
                     let b = self.stack.pop().unwrap_or(0);
@@ -1387,20 +1415,24 @@ impl Machine {
                     self.stack.push(b);
                     self.stack.push(a);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Out => {
                     self.obs(|o| o.writes_output = true);
                     let v = self.stack.pop().unwrap_or(0);
                     self.output.push(v);
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Noop => {
                     cycles += CYCLE_BASE;
+                    continue;
                 }
                 NOp::Jmp(t) => {
                     ip = t;
                     cycles += CYCLE_BASE + CYCLE_REFILL;
                     jumps += 1;
+                    continue;
                 }
                 NOp::Jz(t) => {
                     if self.stack.pop().unwrap_or(0) == 0 {
@@ -1410,6 +1442,7 @@ impl Machine {
                     } else {
                         cycles += CYCLE_BASE;
                     }
+                    continue;
                 }
                 NOp::Jnz(t) => {
                     if self.stack.pop().unwrap_or(0) != 0 {
@@ -1419,10 +1452,9 @@ impl Machine {
                     } else {
                         cycles += CYCLE_BASE;
                     }
+                    continue;
                 }
-                NOp::Xfer(s) => {
-                    xfer!(s);
-                }
+                NOp::Xfer(s) => s,
                 NOp::Interp(instr, len) => {
                     interp_ops += 1;
                     let start = body.offs[(ip - 1) as usize];
@@ -1442,6 +1474,7 @@ impl Machine {
                         // chase it natively if the target is compiled.
                         follow!(None);
                     }
+                    continue;
                 }
                 NOp::Exit => {
                     // Fell off the compiled body: no instruction
@@ -1459,6 +1492,7 @@ impl Machine {
                     self.stack.push(a);
                     self.stack.push(v);
                     cycles += 2 * CYCLE_BASE;
+                    continue;
                 }
                 NOp::LdLd(n, m) => {
                     need!(1);
@@ -1467,18 +1501,21 @@ impl Machine {
                     let b = self.native_local_rd::<BANKS>(m, &mut cycles);
                     self.stack.push(b);
                     cycles += 2 * CYCLE_BASE;
+                    continue;
                 }
                 NOp::AddIW(v) => {
                     need!(1);
                     let a = self.stack.pop().unwrap_or(0);
                     self.stack.push(a.wrapping_add(v));
                     cycles += 2 * CYCLE_BASE;
+                    continue;
                 }
                 NOp::SubIW(v) => {
                     need!(1);
                     let a = self.stack.pop().unwrap_or(0);
                     self.stack.push(a.wrapping_sub(v));
                     cycles += 2 * CYCLE_BASE;
+                    continue;
                 }
                 NOp::CmpJz(c, t) => {
                     need!(1);
@@ -1491,18 +1528,21 @@ impl Machine {
                         cycles += 2 * CYCLE_BASE + CYCLE_REFILL;
                         jumps += 1;
                     }
+                    continue;
                 }
                 NOp::LdSubI(n, v) => {
                     need!(2);
                     let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_sub(v));
                     cycles += 3 * CYCLE_BASE;
+                    continue;
                 }
                 NOp::LdAddI(n, v) => {
                     need!(2);
                     let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_add(v));
                     cycles += 3 * CYCLE_BASE;
+                    continue;
                 }
                 NOp::LdXAdd(n) => {
                     need!(2);
@@ -1510,6 +1550,7 @@ impl Machine {
                     let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_add(t));
                     cycles += 3 * CYCLE_BASE;
+                    continue;
                 }
                 NOp::LdICmpJz(n, v, c, t) => {
                     need!(3);
@@ -1521,6 +1562,7 @@ impl Machine {
                         cycles += 4 * CYCLE_BASE + CYCLE_REFILL;
                         jumps += 1;
                     }
+                    continue;
                 }
                 NOp::LdLdCmpJz(n, m, c, t) => {
                     need!(3);
@@ -1533,6 +1575,7 @@ impl Machine {
                         cycles += 4 * CYCLE_BASE + CYCLE_REFILL;
                         jumps += 1;
                     }
+                    continue;
                 }
                 // Fused argument setup + transfer: the prefix charges
                 // like its standalone fused form, then the call retires
@@ -1542,21 +1585,21 @@ impl Machine {
                     let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a);
                     cycles += CYCLE_BASE;
-                    xfer!(s);
+                    s
                 }
                 NOp::LdSubICall(n, v, s) => {
                     need!(3);
                     let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_sub(v));
                     cycles += 3 * CYCLE_BASE;
-                    xfer!(s);
+                    s
                 }
                 NOp::LdAddICall(n, v, s) => {
                     need!(3);
                     let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_add(v));
                     cycles += 3 * CYCLE_BASE;
-                    xfer!(s);
+                    s
                 }
                 NOp::LdXAddCall(n, s) => {
                     need!(3);
@@ -1564,7 +1607,7 @@ impl Machine {
                     let a = self.native_local_rd::<BANKS>(n, &mut cycles);
                     self.stack.push(a.wrapping_add(t));
                     cycles += 3 * CYCLE_BASE;
-                    xfer!(s);
+                    s
                 }
                 NOp::WrJmp(n, t) => {
                     need!(1);
@@ -1573,6 +1616,7 @@ impl Machine {
                     ip = t;
                     cycles += 2 * CYCLE_BASE + CYCLE_REFILL;
                     jumps += 1;
+                    continue;
                 }
                 NOp::LdLdCall(n, m, s) => {
                     need!(2);
@@ -1581,9 +1625,48 @@ impl Machine {
                     let b = self.native_local_rd::<BANKS>(m, &mut cycles);
                     self.stack.push(b);
                     cycles += 2 * CYCLE_BASE;
-                    xfer!(s);
+                    s
                 }
+            };
+            // A call or return retires through `native_xfer`, then the
+            // burst follows it: a call pushes its return point on the
+            // predictor and follows to its target's compiled entry, a
+            // return pops the predictor. Calls and returns take separate
+            // paths, so neither branches on the transfer kind. Exits the
+            // burst on halt or on a version/generation move.
+            let site = &body.sites[site as usize];
+            let ret = matches!(site.instr, Instr::Ret);
+            let kind = match if ret {
+                self.native_xfer::<BANKS>(site, &mut batch, &mut cycles, &mut jumps, |m, _, _| {
+                    m.perform_return()
+                })
+            } else {
+                self.native_xfer::<BANKS>(site, &mut batch, &mut cycles, &mut jumps, |m, s, b| {
+                    m.native_call(s, b)
+                })
+            } {
+                Ok(kind) => kind,
+                Err(e) => {
+                    // The faulting transfer retired nothing.
+                    *budget += 1;
+                    break Err(e);
+                }
+            };
+            if self.halted {
+                break Ok(NativeExit::Halted);
             }
+            if self.code.version() != ver0 || self.mem.table_gen() != gen0 {
+                break Ok(NativeExit::Left);
+            }
+            let predicted = match kind {
+                Some(TransferKind::Call) if !ret => {
+                    predictor.push(cur, ip, site.at + site.len as u32);
+                    site.entry
+                }
+                Some(TransferKind::Return) if ret => predictor.pop(),
+                _ => None,
+            };
+            follow!(predicted);
         };
         let retired = budget0 - *budget;
         let fast = retired - interp_ops;
@@ -1609,7 +1692,7 @@ impl Machine {
     /// handler present (it returns the error before touching any
     /// state).
     #[inline(always)]
-    fn native_xfer(
+    fn native_xfer<const BANKS: bool>(
         &mut self,
         site: &Site,
         batch: &mut TransferBatch,
@@ -1618,11 +1701,17 @@ impl Machine {
         retire: impl FnOnce(&mut Self, &Site, &mut TransferBatch) -> Result<Flow, VmError>,
     ) -> Result<Option<TransferKind>, VmError> {
         let refs0 = self.refs_total();
-        let divert0 = self.stats.divert_cycles;
+        // Only a bank machine diverts references.
+        let divert0 = if BANKS { self.stats.divert_cycles } else { 0 };
         self.pc = ByteAddr(site.at + site.len as u32);
         let flow = retire(self, site, batch)?;
         let refs = self.refs_total() - refs0;
-        let mut c = CYCLE_BASE + refs * CYCLE_MEMREF + (self.stats.divert_cycles - divert0);
+        let divert = if BANKS {
+            self.stats.divert_cycles - divert0
+        } else {
+            0
+        };
+        let mut c = CYCLE_BASE + refs * CYCLE_MEMREF + divert;
         let mut kind = None;
         match flow {
             Flow::Next => {}
@@ -1647,17 +1736,19 @@ impl Machine {
     /// tables as the interpreter does.
     #[inline(always)]
     fn native_call(&mut self, site: &Site, batch: &mut TransferBatch) -> Result<Flow, VmError> {
-        let t = match (site.instr, site.target) {
-            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => {
-                self.code.charge_table_reads(1);
-                CallTarget { gf: self.gf, ..t }
-            }
-            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => t,
+        let (t, local) = match (site.instr, &site.target) {
+            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => (t, true),
+            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => (t, false),
             (instr, _) => return self.call_via_tables(instr, ByteAddr(site.at)),
         };
-        let flow = self.enter_call(t, TransferKind::Call, true)?;
+        let flow = if local {
+            self.charge_table_read();
+            self.enter_call(&CallTarget { gf: self.gf, ..*t }, TransferKind::Call, true)?
+        } else {
+            self.enter_call(t, TransferKind::Call, true)?
+        };
         if !batch.record_frame(t.fsi) {
-            self.record_frame_bytes(t.fsi);
+            self.stats.frame_bytes.record(t.frame_bytes as u64);
         }
         Ok(flow)
     }
@@ -1832,13 +1923,27 @@ impl Machine {
         self.mem.peek(addr)
     }
 
-    #[inline]
+    /// Every counted reference so far. Code-table reads and the
+    /// general heap's modelled walks are charged into the memory's
+    /// count as they happen, so this is one counter and a transfer's
+    /// references are one difference.
+    #[inline(always)]
     fn refs_total(&self) -> u64 {
-        let general = match &self.allocator {
-            Allocator::General(g, _) => g.charged_refs(),
-            _ => 0,
-        };
-        self.mem.stats().total() + self.code.stats().table_reads + general
+        self.mem.refs()
+    }
+
+    /// A counted read of a code-table word (an entry-vector slot).
+    #[inline]
+    fn read_table(&mut self, slot: ByteAddr) -> u16 {
+        self.mem.charge_refs(1);
+        self.code.read_table(slot)
+    }
+
+    /// Charges the table read of a walk whose result is already known.
+    #[inline]
+    fn charge_table_read(&mut self) {
+        self.mem.charge_refs(1);
+        self.code.charge_table_reads(1);
     }
 
     /// Moves a module's code segment to freshly allocated space in the
@@ -2815,7 +2920,7 @@ impl Machine {
                         // argument packed off the stack and per result
                         // unpacked onto it — charged exactly once per
                         // successful call, never for parked attempts.
-                        self.mem.charge_reads(nargs as u64 + nret as u64);
+                        self.mem.charge(nargs as u64 + nret as u64, 0);
                         Ok(Flow::Taken(Some(TransferKind::Remote)))
                     }
                     RemoteOpState::Failed(class) => {
@@ -2842,7 +2947,7 @@ impl Machine {
         let eff = entry.effective_ev_index(p.code().get());
         let slot = layout::ev_slot(base, eff);
         self.check_ev_slot(slot)?;
-        let rel = self.code.read_table(slot);
+        let rel = self.read_table(slot);
         let header = base.offset(rel as u32);
         self.check_header(header)?;
         Ok((header, gf, base))
@@ -2876,7 +2981,7 @@ impl Machine {
                 // level of indirection (the entry vector).
                 let slot = layout::ev_slot(self.code_base, k as u16);
                 self.check_ev_slot(slot)?;
-                let rel = self.code.read_table(slot);
+                let rel = self.read_table(slot);
                 (self.code_base.offset(rel as u32), true)
             }
             Instr::DirectCall(addr) => (ByteAddr(addr), false),
@@ -2910,27 +3015,28 @@ impl Machine {
         fsi.map_or(0, |f| self.classes.size_of(f) - layout::FRAME_HEADER_WORDS)
     }
 
-    /// Allocates a frame of class `fsi` and records it in use. Callers
-    /// record its size in `frame_bytes` once the whole transfer has
-    /// succeeded, so a frame-faulted attempt leaves every observable
-    /// untouched and the handler-driven retry is indistinguishable from
-    /// a first try.
+    /// Allocates a frame of class `fsi` and records it in use, writing
+    /// its one record as it is popped. Callers record its size in
+    /// `frame_bytes` once the whole transfer has succeeded, so a
+    /// frame-faulted attempt leaves every observable untouched and the
+    /// handler-driven retry is indistinguishable from a first try.
     #[inline(always)]
     fn alloc_frame(&mut self, fsi: u8, addr_taken: bool) -> Result<WordAddr, VmError> {
-        let (frame, table) = match &mut self.allocator {
-            Allocator::General(g, t) => (g.alloc(self.classes.size_of(fsi))?, t),
-            Allocator::Av(h) => (h.alloc_fsi(&mut self.mem, fsi)?, h.frames_mut()),
-            Allocator::Cached { heap, cache } => {
-                (cache.alloc(heap, &mut self.mem, fsi)?.0, heap.frames_mut())
-            }
-        };
         let record = FrameRecord {
             fsi,
             addr_taken,
             in_use: true,
         };
-        table.insert(frame, record);
-        Ok(frame)
+        Ok(match &mut self.allocator {
+            Allocator::General(g, t) => {
+                let words = self.classes.size_of(fsi);
+                let frame = general(g, &mut self.mem, |g| g.alloc(words))?;
+                t.insert(frame, record);
+                frame
+            }
+            Allocator::Av(h) => h.alloc_record(&mut self.mem, fsi, record)?,
+            Allocator::Cached { heap, cache } => cache.alloc_record(heap, &mut self.mem, record)?,
+        })
     }
 
     /// Records one allocation of class `fsi` in the `frame_bytes`
@@ -2943,29 +3049,26 @@ impl Machine {
 
     /// Frees a frame in use. A frame that is not (never allocated,
     /// already freed, or held in the frame cache) is an invalid free.
+    /// The record is looked up once: the AV heap frees the frame
+    /// without checking it again.
     #[inline(always)]
     fn free_frame(&mut self, frame: WordAddr) -> Result<(), VmError> {
-        let record = match &mut self.allocator {
-            Allocator::General(_, t) => t.remove(frame),
-            Allocator::Av(h) | Allocator::Cached { heap: h, .. } => {
-                match h.frames_mut().get_mut(frame) {
-                    Some(r) if r.in_use => {
-                        r.in_use = false;
-                        Some(*r)
-                    }
-                    _ => None,
-                }
-            }
+        let fsi = match &mut self.allocator {
+            Allocator::General(_, t) => t.remove(frame).map(|r| r.fsi),
+            Allocator::Av(h) | Allocator::Cached { heap: h, .. } => h.frames_mut().release(frame),
         };
-        let Some(FrameRecord { fsi, .. }) = record else {
+        let Some(fsi) = fsi else {
             return Err(VmError::Frame(FrameError::InvalidFrame(frame)));
         };
         if let Some(b) = self.banks.as_mut() {
             b.release(frame);
         }
         match &mut self.allocator {
-            Allocator::General(g, _) => g.free(frame, self.classes.size_of(fsi))?,
-            Allocator::Av(h) => h.free(&mut self.mem, frame)?,
+            Allocator::General(g, _) => {
+                let words = self.classes.size_of(fsi);
+                general(g, &mut self.mem, |g| g.free(frame, words))?
+            }
+            Allocator::Av(h) => h.free_live(&mut self.mem, frame)?,
             Allocator::Cached { heap, cache } => cache.free(heap, &mut self.mem, frame, fsi)?,
         }
         // A fault handler's frame going away is its completion: the
@@ -3115,9 +3218,11 @@ impl Machine {
         // Backstop: callers precheck boundness before committing state,
         // so this only fires on paths that have committed nothing yet.
         self.check_frame_bound(frame)?;
-        let pc_rel = self.mem.read(self.wrap(frame.offset(layout::FRAME_PC)));
-        let gf = WordAddr(self.mem.read(self.wrap(frame.offset(layout::FRAME_GLOBAL))) as u32);
-        let cb_word = self.mem.read(self.wrap(gf.offset(layout::GF_CODE_BASE)));
+        // Three reads, counted as one group.
+        let pc_rel = self.mem.peek(self.wrap(frame.offset(layout::FRAME_PC)));
+        let gf = WordAddr(self.mem.peek(self.wrap(frame.offset(layout::FRAME_GLOBAL))) as u32);
+        let cb_word = self.mem.peek(self.wrap(gf.offset(layout::GF_CODE_BASE)));
+        self.mem.charge(3, 0);
         let base = layout::code_base_bytes(cb_word);
         self.lf = frame;
         self.gf = gf;
@@ -3136,11 +3241,13 @@ impl Machine {
         }
     }
 
+    /// Underflow: loads a bank for `frame`, which `touch` just found
+    /// without one.
     #[cold]
     fn fill_bank(&mut self, frame: WordAddr) {
         let locals = self.locals_of(frame);
         if let Some(b) = self.banks.as_mut() {
-            b.activate(&mut self.mem, frame, locals, None);
+            b.load(&mut self.mem, frame, locals, None);
         }
     }
 
@@ -3156,16 +3263,10 @@ impl Machine {
         kind: TransferKind,
         strict: bool,
     ) -> Result<Flow, VmError> {
-        let (fsi, flags) = self.read_header(header);
-        let t = CallTarget {
-            header,
-            gf: dest_gf,
-            cb: dest_cb,
-            fsi,
-            flags,
-        };
-        let flow = self.enter_call(t, kind, strict)?;
-        self.record_frame_bytes(fsi);
+        let header_bytes = self.read_header(header);
+        let t = CallTarget::new(header, dest_gf, dest_cb, header_bytes, &self.classes);
+        let flow = self.enter_call(&t, kind, strict)?;
+        self.stats.frame_bytes.record(t.frame_bytes as u64);
         Ok(flow)
     }
 
@@ -3177,18 +3278,20 @@ impl Machine {
     #[inline(always)]
     fn enter_call(
         &mut self,
-        t: CallTarget,
+        t: &CallTarget,
         kind: TransferKind,
         strict: bool,
     ) -> Result<Flow, VmError> {
-        let CallTarget {
+        let &CallTarget {
             header,
             gf: dest_gf,
             cb: dest_cb,
             fsi,
-            flags,
+            nargs,
+            addr_taken,
+            locals,
+            ..
         } = t;
-        let (nargs, addr_taken) = layout::unpack_flags(flags);
         // Faultable work first, commits second: an unbound destination
         // or an empty AV list must surface while the caller's state is
         // still exactly as the restarted instruction will find it.
@@ -3229,17 +3332,18 @@ impl Machine {
                     .write(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
             }
         } else {
-            // General scheme: suspend the caller and link the callee.
+            // General scheme: suspend the caller and link the callee,
+            // three writes counted as one group.
             let rel = self.rel_pc(self.pc);
-            self.mem.write(self.lf.offset(layout::FRAME_PC), rel);
+            self.mem.poke(self.lf.offset(layout::FRAME_PC), rel);
             self.mem
-                .write(frame.offset(layout::FRAME_RETURN_LINK), caller_ctx.raw());
+                .poke(frame.offset(layout::FRAME_RETURN_LINK), caller_ctx.raw());
             self.mem
-                .write(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
+                .poke(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
+            self.mem.charge(0, 3);
         }
 
         if let Some(b) = self.banks.as_mut() {
-            let locals = self.classes.size_of(fsi) - layout::FRAME_HEADER_WORDS;
             if self.config.renaming() {
                 // §7.2: the stack bank becomes the callee's local bank;
                 // arguments appear in place.
@@ -3742,7 +3846,7 @@ impl Machine {
                 self.obs(|o| o.donates = true);
                 let req = self.pop()? as u32;
                 let granted = match &mut self.allocator {
-                    Allocator::General(g, _) => g.donate(req),
+                    Allocator::General(g, _) => general(g, &mut self.mem, |g| g.donate(req)),
                     Allocator::Av(h) => h.donate(req),
                     Allocator::Cached { heap, .. } => heap.donate(req),
                 };

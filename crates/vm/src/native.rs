@@ -1045,13 +1045,13 @@ mod tests {
             Instr::ExternalCall(1),
             Instr::Ret,
         ]);
-        let target = CallTarget {
-            header: ByteAddr(0x40),
-            gf: WordAddr(0x100),
-            cb: ByteAddr(0),
-            fsi: 1,
-            flags: 0,
-        };
+        let target = CallTarget::new(
+            ByteAddr(0x40),
+            WordAddr(0x100),
+            ByteAddr(0),
+            (1, 0),
+            &fpc_frames::SizeClasses::mesa(),
+        );
         // The resolver knows direct and local calls, never external
         // ones (their link-vector word is data).
         let resolve = |instr: Instr, _at: u32| match instr {
@@ -1092,13 +1092,13 @@ mod tests {
         bytes.extend_from_slice(&[0; PROC_HEADER_BYTES as usize]);
         let b_start = hdr + PROC_HEADER_BYTES;
         bytes.extend(body_bytes(&[Instr::LoadImm(1), Instr::Ret]));
-        let target = CallTarget {
-            header: ByteAddr(hdr),
-            gf: WordAddr(0x100),
-            cb: ByteAddr(0),
-            fsi: 0,
-            flags: 0,
-        };
+        let target = CallTarget::new(
+            ByteAddr(hdr),
+            WordAddr(0x100),
+            ByteAddr(0),
+            (0, 0),
+            &fpc_frames::SizeClasses::mesa(),
+        );
         let resolve =
             |instr: Instr, _at: u32| matches!(instr, Instr::DirectCall(_)).then_some(target);
         let end = bytes.len() as u32;

@@ -498,3 +498,73 @@ fn return_stack_flushes_do_not_allocate() {
         assert!(flushes > 10_000, "{name}: only {flushes} flushes");
     }
 }
+
+/// Recursion that deepens on every pass: `main` calls `rec(d)` for
+/// d = 8, 16, 24, …, and `rec(n)` recurses to depth `n`. Each pass
+/// goes deeper than any before it, so its calls pop frames that the
+/// software allocator has just carved.
+fn deepening_image() -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("rec", 1, 1), |a| {
+        a.instr(Instr::StoreLocal(0));
+        let done = a.label();
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(done);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::LocalCall(0));
+        a.bind(done);
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 1), |a| {
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::AddImm(8));
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LocalCall(0));
+        a.jump(top);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 1,
+    })
+    .unwrap()
+}
+
+#[test]
+fn recursing_deeper_than_ever_does_not_allocate() {
+    let image = deepening_image();
+    for base in [MachineConfig::i2(), MachineConfig::i3()] {
+        let mut m = Machine::load(&image, base.with_native_tier(true)).unwrap();
+        assert!(
+            m.arm_native(NativeLicense::new(8, 2)),
+            "fresh machine must arm"
+        );
+        // Warm-up: passes to depth 8..=64 compile both bodies and meet
+        // every transfer cost the window will see.
+        assert!(matches!(m.run(3_000), Err(VmError::OutOfFuel)));
+        let heap0 = m.heap_stats().expect("AV heap").clone();
+        let n0 = m.native_stats().expect("tier is configured");
+
+        let before = allocs();
+        assert!(matches!(m.run(30_000), Err(VmError::OutOfFuel)));
+        assert_eq!(
+            allocs() - before,
+            0,
+            "recursing into freshly carved frames must be allocation-free"
+        );
+
+        // The window went deeper than the warm-up, on frames the
+        // software allocator carved for it, all of it native.
+        let heap = m.heap_stats().unwrap();
+        assert!(heap.peak_live > heap0.peak_live + 64, "{heap:?}");
+        assert!(heap.traps > heap0.traps, "no fresh frames were carved");
+        let n = m.native_stats().unwrap();
+        assert_eq!(n.compiles, n0.compiles, "nothing recompiles");
+        assert_eq!(n.interp_ops, n0.interp_ops, "every instruction ran native");
+    }
+}

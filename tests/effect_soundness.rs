@@ -24,7 +24,7 @@ use fpc_workloads::{compile_workload, corpus};
 
 /// The four host dispatch rungs, native last.
 fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
-    base.with_native_threshold(4).dispatch_ladder()
+    base.dispatch_ladder()
 }
 
 /// Checks `obs ⊆ sum`: every observed effect is predicted by the

@@ -838,8 +838,8 @@ fn table_scribbling_guests_fail_with_typed_errors() {
 /// and on the bank machine I4: each mutant must either fail
 /// verification, or — if it still certifies — load and run to
 /// completion or a typed [`VmError`] with the native tier armed by the
-/// mutant's own certificate (a low threshold so hot bodies really run
-/// as unchecked threaded code). Rejected mutants run on the plain
+/// mutant's own certificate (every body then runs as unchecked
+/// threaded code). Rejected mutants run on the plain
 /// interpreter to confirm the dynamic checks degrade to typed errors
 /// too. A host panic anywhere fails this test.
 #[test]
@@ -870,7 +870,7 @@ fn single_byte_mutants_are_rejected_or_fail_typed() {
                 img.code[at] ^= (rng.next_u64() as u8) | 1;
                 let cert = verify_image(&img, &opts).certificate();
                 let config = match cert {
-                    Some(_) => preset.with_native_tier(true).with_native_threshold(2),
+                    Some(_) => preset.with_native_tier(true),
                     None => preset,
                 };
                 match Machine::load(&img, config) {

@@ -25,11 +25,11 @@ use fpc_workloads::{compile_workload, programs};
 
 const FUEL: u64 = 50_000_000;
 
-/// The four host dispatch rungs, native last. The native rung's
-/// threshold is low so bursts begin early and random splits land
-/// inside them.
+/// The four host dispatch rungs, native last. The armed native rung
+/// compiles every body before the first instruction, so random splits
+/// land inside its bursts.
 fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
-    base.with_native_threshold(4).dispatch_ladder()
+    base.dispatch_ladder()
 }
 
 /// Loads a machine on `cfg`, arming the native tier when the rung has

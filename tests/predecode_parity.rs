@@ -41,11 +41,11 @@ fn all_configs() -> [(&'static str, MachineConfig); 4] {
     ]
 }
 
-/// The dispatch ladder, byte first. The native rung's compile
-/// threshold is low so even short corpus runs spend time in compiled
-/// bodies.
+/// The dispatch ladder, byte first. The armed native rung compiles
+/// every body before the first instruction, so even short corpus runs
+/// spend time in compiled bodies.
 fn ladder(c: MachineConfig) -> [(&'static str, MachineConfig); 4] {
-    c.with_native_threshold(4).dispatch_ladder()
+    c.dispatch_ladder()
 }
 
 #[test]
