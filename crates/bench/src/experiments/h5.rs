@@ -295,20 +295,19 @@ pub fn measure_call_costs(p: Params) -> Vec<CallCost> {
         .collect()
 }
 
-/// Native ns per instruction on the bank machine over the same on I3,
-/// across the whole call-dense set.
+/// Native run time of the whole call-dense set on the bank machine over
+/// the same on I3: a ratio of run times for the same programs, not of
+/// per-instruction costs. Renaming drops I4's argument-store prologues,
+/// so I4 retires fewer instructions for the same work, and per its own
+/// instruction count a bank machine as fast as I3 would read slower.
 fn i4_over_i3(rows: &[Row]) -> f64 {
-    let ns_per_instr = |config: &str| {
-        let (ns, instrs) =
-            rows.iter()
-                .filter(|r| r.config == config)
-                .fold((0.0, 0.0), |(ns, n), r| {
-                    let i = r.instructions as f64;
-                    (ns + i * 1e9 / r.ips[3], n + i)
-                });
-        ns / instrs
+    let native_ns = |config: &str| -> f64 {
+        rows.iter()
+            .filter(|r| r.config == config)
+            .map(|r| r.instructions as f64 * 1e9 / r.ips[3])
+            .sum()
     };
-    ns_per_instr("i4") / ns_per_instr("i3")
+    native_ns("i4") / native_ns("i3")
 }
 
 fn fmt_mips(ips: f64) -> String {
@@ -368,7 +367,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
     }
     let i4_i3 = i4_over_i3(&rows);
     out.push_str(&format!(
-        "i4 over i3 native ns/instr on the call-dense set: {i4_i3:.2}x\n"
+        "i4 over i3 native run time on the call-dense set: {i4_i3:.2}x\n"
     ));
 
     let mut json = String::from(

@@ -18,6 +18,14 @@
 //! path in the system invalidates through one of the two counters —
 //! the late-binding freedoms of D1 survive the early-binding speed of
 //! D3 because staleness is *detected*, not outlawed.
+//!
+//! The VM's native tier is the one user. Its compiled call sites bind
+//! only what the code store fixes (direct calls, and local calls
+//! through the entry vector); external calls walk the GFT and code-base
+//! words at run time. So the code version is what guards its bindings,
+//! and the generation only makes a table store end the burst and
+//! recompile the image — kept so that a binding drawn from the tables
+//! would stay coherent without a new hook.
 
 /// A snapshot of the two counters every resolved transfer target
 /// depends on: the code store's mutation version and the data memory's

@@ -127,6 +127,7 @@ impl GeneralHeap {
     /// # Errors
     ///
     /// [`FrameError::OutOfMemory`] when no block fits.
+    #[inline(always)]
     pub fn alloc(&mut self, words: u32) -> Result<WordAddr, FrameError> {
         // Header word to remember the size at free time, as real
         // general allocators do; rounded to an even block so frames

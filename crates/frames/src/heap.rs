@@ -145,7 +145,7 @@ impl FrameTable {
     }
 
     /// Records `frame` as allocated.
-    #[inline]
+    #[inline(always)]
     pub fn insert(&mut self, frame: WordAddr, record: FrameRecord) {
         let i = frame.0 as usize;
         if i >= self.0.len() {

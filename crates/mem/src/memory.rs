@@ -138,12 +138,13 @@ impl Memory {
 
     /// Marks `addr` as a transfer-table word: any store to it (counted
     /// or host-side) bumps the generation returned by
-    /// [`Memory::table_gen`]. Host-side caches derived from table words
-    /// — e.g. the VM's native tier, whose compiled call sites resolve
-    /// through the GFT and the global frames' code-base words — key
-    /// themselves on that generation, so a simulated program
-    /// overwriting a table entry invalidates them without any
-    /// per-cache hook.
+    /// [`Memory::table_gen`]. A host-side cache derived from table words
+    /// can key itself on that generation, so a simulated program
+    /// overwriting a table entry invalidates it without any per-cache
+    /// hook. The VM's native tier is keyed on it, but binds no table
+    /// word: it resolves known call targets from the code store alone
+    /// and walks the tables at run time for the rest. There a watched
+    /// store only ends the burst and recompiles the image.
     ///
     /// # Panics
     ///
@@ -223,7 +224,7 @@ impl Memory {
     /// Panics if `addr` is out of range — an out-of-range architectural
     /// reference is a simulator bug, not a program error, because the
     /// frame allocator and linker only hand out in-range addresses.
-    #[inline]
+    #[inline(always)]
     pub fn read(&mut self, addr: WordAddr) -> Word {
         self.stats.data_reads += 1;
         self.words[addr.0 as usize]
@@ -234,7 +235,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
-    #[inline]
+    #[inline(always)]
     pub fn write(&mut self, addr: WordAddr, value: Word) {
         self.stats.data_writes += 1;
         self.note_store(addr);

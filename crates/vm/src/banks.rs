@@ -160,7 +160,7 @@ impl BankMachine {
     /// rather than a map — it sits on the per-instruction local
     /// read/write path, where a hashed lookup would dominate the cost
     /// of the access itself.
-    #[inline]
+    #[inline(always)]
     pub fn bank_of(&self, frame: WordAddr) -> Option<usize> {
         if frame.0 == NO_FRAME {
             return None;
@@ -175,6 +175,7 @@ impl BankMachine {
     }
 
     /// Reads local `idx` of `frame` from its bank, if shadowed there.
+    #[inline(always)]
     pub fn read_local(&mut self, frame: WordAddr, idx: u32) -> Option<u16> {
         let b = self.bank_of(frame)?;
         if idx < self.banks[b].shadow_words {
@@ -187,6 +188,7 @@ impl BankMachine {
 
     /// Writes local `idx` of `frame` into its bank, if shadowed there.
     /// Returns `false` if the access must go to storage.
+    #[inline(always)]
     pub fn write_local(&mut self, frame: WordAddr, idx: u32, value: u16) -> bool {
         let Some(b) = self.bank_of(frame) else {
             return false;
@@ -243,7 +245,7 @@ impl BankMachine {
     }
 
     /// Marks `frame`'s bank used; false if it has none.
-    #[inline]
+    #[inline(always)]
     pub fn touch(&mut self, frame: WordAddr) -> bool {
         let Some(b) = self.bank_of(frame) else {
             return false;

@@ -159,7 +159,7 @@ impl FrameCache {
     /// # Errors
     ///
     /// Propagates AV-heap errors.
-    #[inline]
+    #[inline(always)]
     pub fn free(
         &mut self,
         heap: &mut FrameHeap,

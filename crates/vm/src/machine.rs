@@ -400,6 +400,27 @@ impl CallTarget {
     }
 }
 
+/// The counters whose changes a native burst charges its fast ops by:
+/// counted references, bank diversions and taken jumps. A burst keeps
+/// their values at entry, advanced past every change that a transfer
+/// or an interpreter fallback charged itself.
+#[derive(Clone, Copy)]
+struct Mark {
+    refs: u64,
+    divert: u64,
+    jumps: u64,
+}
+
+impl Mark {
+    /// Advances past the changes from `before` to `after`.
+    #[inline(always)]
+    fn skip(&mut self, before: Mark, after: Mark) {
+        self.refs += after.refs - before.refs;
+        self.divert += after.divert - before.divert;
+        self.jumps += after.jumps - before.jumps;
+    }
+}
+
 /// How a native burst ended.
 enum NativeExit {
     /// The machine halted inside the burst.
@@ -1152,13 +1173,16 @@ impl Machine {
     }
 
     /// The burst loop, consuming one fuel unit per retired instruction.
-    /// Fast handlers — calls and returns included — accumulate cycle,
-    /// jump and transfer charges locally and flush them once on exit;
-    /// anything with richer accounting retires through
-    /// [`Machine::step_one`]. `BANKS` is whether the machine has
-    /// register banks; every local and indirect access goes through the
-    /// `native_*` helpers, which drop the bank paths entirely when it
-    /// is false.
+    ///
+    /// Fast ops charge by the linear rule [`Machine::step_one`] applies,
+    /// once per burst rather than per op: at exit, `CYCLE_BASE` per
+    /// retired op plus the changes of `Memory::refs` (`CYCLE_MEMREF`
+    /// each), `divert_cycles` and `jumps_taken` (`CYCLE_REFILL` each),
+    /// less the changes that something else charged itself — a call or
+    /// return, which [`Machine::native_xfer`] charges and records
+    /// exactly, and an interpreter fallback, which `step_one` charges.
+    /// `BANKS` is whether the machine has register banks; when it is
+    /// false the bank lookups and the divert counter drop out entirely.
     fn native_burst<const BANKS: bool>(
         &mut self,
         code: &Compiled,
@@ -1166,6 +1190,7 @@ impl Machine {
         mut ip: u32,
         budget: &mut u64,
     ) -> Result<NativeExit, VmError> {
+        use Instr as I;
         // Arming requires intact certificate premises, so no trap or
         // fault handler can be installed while the tier runs: burst
         // instructions are never handler-attributed.
@@ -1174,8 +1199,10 @@ impl Machine {
         let ver0 = self.code.version();
         let mut body = code.proc(cur);
         let budget0 = *budget;
+        // Transfers' cycles beyond `CYCLE_BASE`, and the counters the
+        // fast ops' charge starts from.
         let mut cycles = 0u64;
-        let mut jumps = 0u64;
+        let mut mark = self.mark::<BANKS>();
         let mut interp_ops = 0u64;
         let mut batch = TransferBatch::default();
         let mut predictor = ReturnPredictor::new();
@@ -1192,6 +1219,35 @@ impl Machine {
                 *budget -= $extra;
             };
         }
+        // A single-op handler: the interpreter's own definition of the
+        // named instruction, unchecked under the license. A burst never
+        // passes a jump, so no address is needed.
+        macro_rules! exec {
+            ($instr:expr) => {
+                if let Err(e) = self.straight::<false, BANKS>($instr, ByteAddr(0)) {
+                    *budget += 1;
+                    break Err(e);
+                }
+            };
+        }
+        macro_rules! run {
+            ($instr:expr) => {{
+                exec!($instr);
+                continue;
+            }};
+        }
+        // A store may bump the watched-table generation: the burst then
+        // exits at the next instruction boundary.
+        macro_rules! store {
+            ($instr:expr) => {{
+                exec!($instr);
+                if self.mem.table_gen() != gen0 {
+                    self.pc = ByteAddr(body.offs[ip as usize]);
+                    break Ok(NativeExit::Left);
+                }
+                continue;
+            }};
+        }
         // Follows a transfer that moved `pc`: to the predicted entry
         // when it holds, else to whatever compiled op covers `pc`; the
         // burst exits when nothing does.
@@ -1207,6 +1263,19 @@ impl Machine {
                 }
             };
         }
+        // Jumps to op `t` when `taken`, counting it where `step_one`
+        // does; the exit charges its refill. (The store also keeps the
+        // compiler from turning the branch into a data dependence of
+        // the next dispatch.)
+        macro_rules! jump {
+            ($t:expr, $taken:expr) => {{
+                if $taken {
+                    ip = $t;
+                    self.stats.jumps_taken += 1;
+                }
+                continue;
+            }};
+        }
         let result = loop {
             if *budget == 0 {
                 self.pc = ByteAddr(body.offs[ip as usize]);
@@ -1218,247 +1287,51 @@ impl Machine {
             // Every op but a call or return continues the loop; those
             // name their site for the transfer block below.
             let site = match op {
-                NOp::Imm(v) => {
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::LocalRd(n) => {
-                    let v = self.native_local_rd::<BANKS>(n, &mut cycles);
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::LocalWr(n) => {
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.native_local_wr::<BANKS>(n, v, &mut cycles);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::LocalAddr(n) => {
-                    let addr = layout::local_slot(self.lf, n as u32);
-                    self.stack.push(addr.0 as u16);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::GlobalRd(n) => {
-                    self.obs_global(n as u32, false);
-                    let v = self
-                        .mem
-                        .read(self.wrap(self.gf.offset(layout::GF_GLOBALS + n as u32)));
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                    continue;
-                }
-                NOp::GlobalWr(n) => {
-                    self.obs_global(n as u32, true);
-                    let v = self.stack.pop().unwrap_or(0);
-                    let addr = self.wrap(self.gf.offset(layout::GF_GLOBALS + n as u32));
-                    self.mem.write(addr, v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                    if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(body.offs[ip as usize]);
-                        break Ok(NativeExit::Left);
-                    }
-                    continue;
-                }
-                NOp::GlobalAddr(n) => {
-                    let addr = self.wrap(self.gf.offset(layout::GF_GLOBALS + n as u32));
-                    self.stack.push(addr.0 as u16);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Read => {
-                    self.obs(|o| o.reads_memory = true);
-                    let addr = WordAddr(self.stack.pop().unwrap_or(0) as u32);
-                    let v = self.native_indirect_rd::<BANKS>(addr, &mut cycles);
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Write => {
-                    self.obs(|o| o.writes_memory = true);
-                    let addr = WordAddr(self.stack.pop().unwrap_or(0) as u32);
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.native_indirect_wr::<BANKS>(addr, v, &mut cycles);
-                    cycles += CYCLE_BASE;
-                    if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(body.offs[ip as usize]);
-                        break Ok(NativeExit::Left);
-                    }
-                    continue;
-                }
-                NOp::LoadIndex => {
-                    self.obs(|o| o.reads_memory = true);
-                    let idx = self.stack.pop().unwrap_or(0);
-                    let base = self.stack.pop().unwrap_or(0);
-                    let addr = WordAddr(base.wrapping_add(idx) as u32);
-                    let v = self.native_indirect_rd::<BANKS>(addr, &mut cycles);
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::StoreIndex => {
-                    self.obs(|o| o.writes_memory = true);
-                    let idx = self.stack.pop().unwrap_or(0);
-                    let base = self.stack.pop().unwrap_or(0);
-                    let v = self.stack.pop().unwrap_or(0);
-                    let addr = WordAddr(base.wrapping_add(idx) as u32);
-                    self.native_indirect_wr::<BANKS>(addr, v, &mut cycles);
-                    cycles += CYCLE_BASE;
-                    if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(body.offs[ip as usize]);
-                        break Ok(NativeExit::Left);
-                    }
-                    continue;
-                }
-                NOp::Add => {
-                    self.native_binary(|a, b| a.wrapping_add(b));
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Sub => {
-                    self.native_binary(|a, b| a.wrapping_sub(b));
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Mul => {
-                    self.native_binary(|a, b| a.wrapping_mul(b));
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Neg => {
-                    let a = self.stack.pop().unwrap_or(0) as i16;
-                    self.stack.push(a.wrapping_neg() as u16);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::And => {
-                    self.native_binary(|a, b| a & b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Or => {
-                    self.native_binary(|a, b| a | b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Xor => {
-                    self.native_binary(|a, b| a ^ b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Shl => {
-                    let n = self.stack.pop().unwrap_or(0) & 0x0F;
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.stack.push(v << n);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Shr => {
-                    let n = self.stack.pop().unwrap_or(0) & 0x0F;
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.stack.push(v >> n);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::CmpEq => {
-                    self.native_compare(|a, b| a == b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::CmpNe => {
-                    self.native_compare(|a, b| a != b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::CmpLt => {
-                    self.native_compare(|a, b| a < b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::CmpLe => {
-                    self.native_compare(|a, b| a <= b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::CmpGt => {
-                    self.native_compare(|a, b| a > b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::CmpGe => {
-                    self.native_compare(|a, b| a >= b);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::AddImm(n) => {
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.stack.push(v.wrapping_add(n as u16));
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Dup => {
-                    let v = self.stack.last().copied().unwrap_or(0);
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Drop => {
-                    self.stack.pop();
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Exch => {
-                    let b = self.stack.pop().unwrap_or(0);
-                    let a = self.stack.pop().unwrap_or(0);
-                    self.stack.push(b);
-                    self.stack.push(a);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Out => {
-                    self.obs(|o| o.writes_output = true);
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.output.push(v);
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Noop => {
-                    cycles += CYCLE_BASE;
-                    continue;
-                }
-                NOp::Jmp(t) => {
-                    ip = t;
-                    cycles += CYCLE_BASE + CYCLE_REFILL;
-                    jumps += 1;
-                    continue;
-                }
-                NOp::Jz(t) => {
-                    if self.stack.pop().unwrap_or(0) == 0 {
-                        ip = t;
-                        cycles += CYCLE_BASE + CYCLE_REFILL;
-                        jumps += 1;
-                    } else {
-                        cycles += CYCLE_BASE;
-                    }
-                    continue;
-                }
-                NOp::Jnz(t) => {
-                    if self.stack.pop().unwrap_or(0) != 0 {
-                        ip = t;
-                        cycles += CYCLE_BASE + CYCLE_REFILL;
-                        jumps += 1;
-                    } else {
-                        cycles += CYCLE_BASE;
-                    }
-                    continue;
-                }
+                NOp::Imm(v) => run!(I::LoadImm(v)),
+                NOp::LocalRd(n) => run!(I::LoadLocal(n)),
+                NOp::LocalWr(n) => run!(I::StoreLocal(n)),
+                NOp::LocalAddr(n) => run!(I::LoadLocalAddr(n)),
+                NOp::GlobalRd(n) => run!(I::LoadGlobal(n)),
+                NOp::GlobalWr(n) => store!(I::StoreGlobal(n)),
+                NOp::GlobalAddr(n) => run!(I::LoadGlobalAddr(n)),
+                NOp::Read => run!(I::Read),
+                NOp::Write => store!(I::Write),
+                NOp::LoadIndex => run!(I::LoadIndex),
+                NOp::StoreIndex => store!(I::StoreIndex),
+                NOp::Add => run!(I::Add),
+                NOp::Sub => run!(I::Sub),
+                NOp::Mul => run!(I::Mul),
+                NOp::Neg => run!(I::Neg),
+                NOp::And => run!(I::And),
+                NOp::Or => run!(I::Or),
+                NOp::Xor => run!(I::Xor),
+                NOp::Shl => run!(I::Shl),
+                NOp::Shr => run!(I::Shr),
+                NOp::CmpEq => run!(I::CmpEq),
+                NOp::CmpNe => run!(I::CmpNe),
+                NOp::CmpLt => run!(I::CmpLt),
+                NOp::CmpLe => run!(I::CmpLe),
+                NOp::CmpGt => run!(I::CmpGt),
+                NOp::CmpGe => run!(I::CmpGe),
+                NOp::AddImm(n) => run!(I::AddImm(n)),
+                NOp::Dup => run!(I::Dup),
+                NOp::Drop => run!(I::Drop),
+                NOp::Exch => run!(I::Exch),
+                NOp::Out => run!(I::Out),
+                NOp::Noop => run!(I::Noop),
+                NOp::Jmp(t) => jump!(t, true),
+                NOp::Jz(t) => jump!(t, self.stack.pop().unwrap_or(0) == 0),
+                NOp::Jnz(t) => jump!(t, self.stack.pop().unwrap_or(0) != 0),
                 NOp::Xfer(s) => s,
                 NOp::Interp(instr, len) => {
                     interp_ops += 1;
                     let start = body.offs[(ip - 1) as usize];
-                    if let Err(e) = self.step_one(instr, len, ByteAddr(start)) {
+                    let before = self.mark::<BANKS>();
+                    let r = self.step_one(instr, len, ByteAddr(start));
+                    // `step_one` charged what it changed, or nothing
+                    // when it failed.
+                    mark.skip(before, self.mark::<BANKS>());
+                    if let Err(e) = r {
                         break Err(e);
                     }
                     if self.halted {
@@ -1484,147 +1357,110 @@ impl Machine {
                     break Ok(NativeExit::Left);
                 }
                 // Fused runs retire several instructions per dispatch:
-                // `need!` takes the extra fuel, the body charges every
-                // constituent op's cycles in one commit.
+                // `need!` takes the extra fuel, which the exit charge
+                // counts like any other retired op.
                 NOp::Ld2(n, v) => {
                     need!(1);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a);
                     self.stack.push(v);
-                    cycles += 2 * CYCLE_BASE;
                     continue;
                 }
                 NOp::LdLd(n, m) => {
                     need!(1);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a);
-                    let b = self.native_local_rd::<BANKS>(m, &mut cycles);
+                    let b = self.read_local::<BANKS>(m as u32);
                     self.stack.push(b);
-                    cycles += 2 * CYCLE_BASE;
                     continue;
                 }
                 NOp::AddIW(v) => {
                     need!(1);
                     let a = self.stack.pop().unwrap_or(0);
                     self.stack.push(a.wrapping_add(v));
-                    cycles += 2 * CYCLE_BASE;
                     continue;
                 }
                 NOp::SubIW(v) => {
                     need!(1);
                     let a = self.stack.pop().unwrap_or(0);
                     self.stack.push(a.wrapping_sub(v));
-                    cycles += 2 * CYCLE_BASE;
                     continue;
                 }
                 NOp::CmpJz(c, t) => {
                     need!(1);
                     let b = self.stack.pop().unwrap_or(0) as i16;
                     let a = self.stack.pop().unwrap_or(0) as i16;
-                    if c.eval(a, b) {
-                        cycles += 2 * CYCLE_BASE;
-                    } else {
-                        ip = t;
-                        cycles += 2 * CYCLE_BASE + CYCLE_REFILL;
-                        jumps += 1;
-                    }
-                    continue;
+                    jump!(t, !c.eval(a, b));
                 }
                 NOp::LdSubI(n, v) => {
                     need!(2);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a.wrapping_sub(v));
-                    cycles += 3 * CYCLE_BASE;
                     continue;
                 }
                 NOp::LdAddI(n, v) => {
                     need!(2);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a.wrapping_add(v));
-                    cycles += 3 * CYCLE_BASE;
                     continue;
                 }
                 NOp::LdXAdd(n) => {
                     need!(2);
                     let t = self.stack.pop().unwrap_or(0);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a.wrapping_add(t));
-                    cycles += 3 * CYCLE_BASE;
                     continue;
                 }
                 NOp::LdICmpJz(n, v, c, t) => {
                     need!(3);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
-                    if c.eval(a as i16, v as i16) {
-                        cycles += 4 * CYCLE_BASE;
-                    } else {
-                        ip = t;
-                        cycles += 4 * CYCLE_BASE + CYCLE_REFILL;
-                        jumps += 1;
-                    }
-                    continue;
+                    let a = self.read_local::<BANKS>(n as u32);
+                    jump!(t, !c.eval(a as i16, v as i16));
                 }
                 NOp::LdLdCmpJz(n, m, c, t) => {
                     need!(3);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
-                    let b = self.native_local_rd::<BANKS>(m, &mut cycles);
-                    if c.eval(a as i16, b as i16) {
-                        cycles += 4 * CYCLE_BASE;
-                    } else {
-                        ip = t;
-                        cycles += 4 * CYCLE_BASE + CYCLE_REFILL;
-                        jumps += 1;
-                    }
-                    continue;
+                    let a = self.read_local::<BANKS>(n as u32);
+                    let b = self.read_local::<BANKS>(m as u32);
+                    jump!(t, !c.eval(a as i16, b as i16));
                 }
-                // Fused argument setup + transfer: the prefix charges
-                // like its standalone fused form, then the call retires
-                // through its site.
+                NOp::WrJmp(n, t) => {
+                    need!(1);
+                    let v = self.stack.pop().unwrap_or(0);
+                    self.write_local::<BANKS>(n as u32, v);
+                    jump!(t, true);
+                }
+                // Fused argument setup + transfer: the prefix retires
+                // as fast ops, then the call retires through its site.
                 NOp::LdCall(n, s) => {
                     need!(1);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a);
-                    cycles += CYCLE_BASE;
                     s
                 }
                 NOp::LdSubICall(n, v, s) => {
                     need!(3);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a.wrapping_sub(v));
-                    cycles += 3 * CYCLE_BASE;
                     s
                 }
                 NOp::LdAddICall(n, v, s) => {
                     need!(3);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a.wrapping_add(v));
-                    cycles += 3 * CYCLE_BASE;
                     s
                 }
                 NOp::LdXAddCall(n, s) => {
                     need!(3);
                     let t = self.stack.pop().unwrap_or(0);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a.wrapping_add(t));
-                    cycles += 3 * CYCLE_BASE;
                     s
-                }
-                NOp::WrJmp(n, t) => {
-                    need!(1);
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.native_local_wr::<BANKS>(n, v, &mut cycles);
-                    ip = t;
-                    cycles += 2 * CYCLE_BASE + CYCLE_REFILL;
-                    jumps += 1;
-                    continue;
                 }
                 NOp::LdLdCall(n, m, s) => {
                     need!(2);
-                    let a = self.native_local_rd::<BANKS>(n, &mut cycles);
+                    let a = self.read_local::<BANKS>(n as u32);
                     self.stack.push(a);
-                    let b = self.native_local_rd::<BANKS>(m, &mut cycles);
+                    let b = self.read_local::<BANKS>(m as u32);
                     self.stack.push(b);
-                    cycles += 2 * CYCLE_BASE;
                     s
                 }
             };
@@ -1636,14 +1472,11 @@ impl Machine {
             // burst on halt or on a version/generation move.
             let site = &body.sites[site as usize];
             let ret = matches!(site.instr, Instr::Ret);
+            let charge = (&mut mark, &mut cycles);
             let kind = match if ret {
-                self.native_xfer::<BANKS>(site, &mut batch, &mut cycles, &mut jumps, |m, _, _| {
-                    m.perform_return()
-                })
+                self.native_xfer::<BANKS>(site, &mut batch, charge, |m, _, _| m.perform_return())
             } else {
-                self.native_xfer::<BANKS>(site, &mut batch, &mut cycles, &mut jumps, |m, s, b| {
-                    m.native_call(s, b)
-                })
+                self.native_xfer::<BANKS>(site, &mut batch, charge, |m, s, b| m.native_call(s, b))
             } {
                 Ok(kind) => kind,
                 Err(e) => {
@@ -1668,11 +1501,15 @@ impl Machine {
             };
             follow!(predicted);
         };
+        let now = self.mark::<BANKS>();
         let retired = budget0 - *budget;
         let fast = retired - interp_ops;
         self.stats.instructions += fast;
-        self.stats.cycles += cycles;
-        self.stats.jumps_taken += jumps;
+        self.stats.cycles += fast * CYCLE_BASE
+            + (now.refs - mark.refs) * CYCLE_MEMREF
+            + (now.divert - mark.divert)
+            + (now.jumps - mark.jumps) * CYCLE_REFILL
+            + cycles;
         batch.flush_into(&mut self.stats, &self.classes);
         if let Some(nt) = self.native.as_mut() {
             nt.entries += 1;
@@ -1682,46 +1519,55 @@ impl Machine {
         result
     }
 
+    /// The counters whose changes a burst charges by the linear rule.
+    #[inline(always)]
+    fn mark<const BANKS: bool>(&self) -> Mark {
+        Mark {
+            refs: self.refs_total(),
+            divert: if BANKS { self.stats.divert_cycles } else { 0 },
+            jumps: self.stats.jumps_taken,
+        }
+    }
+
     /// Retires a call or return site inside an armed burst through
-    /// `retire`, charging into the burst's accumulators what
-    /// [`Machine::step_one`] would charge, and returns its transfer
-    /// kind. Arming requires that no trap or fault handler is
-    /// installed, so the handler-attribution block and the
-    /// `dispatch_fault` recovery path are provably dead: a fault here
-    /// is terminal exactly as `dispatch_fault` would conclude with no
-    /// handler present (it returns the error before touching any
-    /// state).
+    /// `retire` and returns its transfer kind. It charges what
+    /// [`Machine::step_one`] would beyond `CYCLE_BASE`, which the burst
+    /// charges per op, into the burst's `cycles`, and advances its
+    /// `mark` past the references and diversions it charged; a
+    /// transfer that fails charges nothing. Arming requires that no
+    /// trap or fault handler is installed, so the handler-attribution
+    /// block and the `dispatch_fault` recovery path are provably dead:
+    /// a fault here is terminal exactly as `dispatch_fault` would
+    /// conclude with no handler present (it returns the error before
+    /// touching any state).
     #[inline(always)]
     fn native_xfer<const BANKS: bool>(
         &mut self,
         site: &Site,
         batch: &mut TransferBatch,
-        cycles: &mut u64,
-        jumps: &mut u64,
+        (mark, cycles): (&mut Mark, &mut u64),
         retire: impl FnOnce(&mut Self, &Site, &mut TransferBatch) -> Result<Flow, VmError>,
     ) -> Result<Option<TransferKind>, VmError> {
-        let refs0 = self.refs_total();
-        // Only a bank machine diverts references.
-        let divert0 = if BANKS { self.stats.divert_cycles } else { 0 };
+        let before = self.mark::<BANKS>();
         self.pc = ByteAddr(site.at + site.len as u32);
-        let flow = retire(self, site, batch)?;
-        let refs = self.refs_total() - refs0;
-        let divert = if BANKS {
-            self.stats.divert_cycles - divert0
-        } else {
-            0
-        };
-        let mut c = CYCLE_BASE + refs * CYCLE_MEMREF + divert;
+        let flow = retire(self, site, batch);
+        let after = self.mark::<BANKS>();
+        // A transfer counts no jump, so its references and diversions
+        // are all the mark skips.
+        let refs = after.refs - before.refs;
+        let divert = after.divert - before.divert;
+        mark.refs += refs;
+        mark.divert += divert;
+        let mut c = refs * CYCLE_MEMREF + divert;
         let mut kind = None;
-        match flow {
+        match flow? {
             Flow::Next => {}
-            Flow::Taken(k) => {
+            // Charged at exit, like the burst's own jumps.
+            Flow::Taken(None) => self.stats.jumps_taken += 1,
+            Flow::Taken(Some(k)) => {
                 c += CYCLE_REFILL;
-                kind = k;
-                match k {
-                    Some(k) => batch.record(&mut self.stats.transfers, k, c, refs),
-                    None => *jumps += 1,
-                }
+                kind = Some(k);
+                batch.record(&mut self.stats.transfers, k, CYCLE_BASE + c, refs);
             }
             Flow::Halt => self.halted = true,
         }
@@ -1751,90 +1597,6 @@ impl Machine {
             self.stats.frame_bytes.record(t.frame_bytes as u64);
         }
         Ok(flow)
-    }
-
-    /// [`Machine::read_local`] inside a burst, charging into the
-    /// burst's cycle accumulator: a bank shadow hit is a register
-    /// access (no counted reference, same LRU clock bump), anything
-    /// else one counted reference.
-    #[inline(always)]
-    fn native_local_rd<const BANKS: bool>(&mut self, n: u8, cycles: &mut u64) -> u16 {
-        if BANKS {
-            let lf = self.lf;
-            if let Some(v) = self.banks.as_mut().and_then(|b| b.read_local(lf, n as u32)) {
-                return v;
-            }
-        }
-        *cycles += CYCLE_MEMREF;
-        self.mem
-            .read(self.wrap(layout::local_slot(self.lf, n as u32)))
-    }
-
-    /// [`Machine::write_local`] inside a burst; charges as
-    /// [`Machine::native_local_rd`].
-    #[inline(always)]
-    fn native_local_wr<const BANKS: bool>(&mut self, n: u8, v: u16, cycles: &mut u64) {
-        if BANKS {
-            let lf = self.lf;
-            if self
-                .banks
-                .as_mut()
-                .is_some_and(|b| b.write_local(lf, n as u32, v))
-            {
-                return;
-            }
-        }
-        *cycles += CYCLE_MEMREF;
-        let addr = self.wrap(layout::local_slot(self.lf, n as u32));
-        self.mem.write(addr, v);
-    }
-
-    /// [`Machine::read_indirect`] inside a burst: a diverted reference
-    /// charges its divert cycles, any other one counted reference.
-    #[inline(always)]
-    fn native_indirect_rd<const BANKS: bool>(&mut self, addr: WordAddr, cycles: &mut u64) -> u16 {
-        if !BANKS {
-            *cycles += CYCLE_MEMREF;
-            return self.mem.read(addr);
-        }
-        let divert0 = self.stats.divert_cycles;
-        let v = self.read_indirect(addr);
-        *cycles += match self.stats.divert_cycles - divert0 {
-            0 => CYCLE_MEMREF,
-            divert => divert,
-        };
-        v
-    }
-
-    /// [`Machine::write_indirect`] inside a burst; charges as
-    /// [`Machine::native_indirect_rd`].
-    #[inline(always)]
-    fn native_indirect_wr<const BANKS: bool>(&mut self, addr: WordAddr, v: u16, cycles: &mut u64) {
-        if !BANKS {
-            *cycles += CYCLE_MEMREF;
-            self.mem.write(addr, v);
-            return;
-        }
-        let divert0 = self.stats.divert_cycles;
-        self.write_indirect(addr, v);
-        *cycles += match self.stats.divert_cycles - divert0 {
-            0 => CYCLE_MEMREF,
-            divert => divert,
-        };
-    }
-
-    #[inline]
-    fn native_binary(&mut self, f: impl FnOnce(i16, i16) -> i16) {
-        let b = self.stack.pop().unwrap_or(0) as i16;
-        let a = self.stack.pop().unwrap_or(0) as i16;
-        self.stack.push(f(a, b) as u16);
-    }
-
-    #[inline]
-    fn native_compare(&mut self, f: impl FnOnce(i16, i16) -> bool) {
-        let b = self.stack.pop().unwrap_or(0) as i16;
-        let a = self.stack.pop().unwrap_or(0) as i16;
-        self.stack.push(f(a, b) as u16);
     }
 
     /// Retires the machine and returns its simulated memory's backing
@@ -2264,279 +2026,50 @@ impl Machine {
     /// counters between the halves because `TransferStats::record`
     /// needs the second half's exact refs and cycles.
     ///
-    /// Stack-depth guards demote underflow/overflow conditions to an
-    /// ordinary single step so every error path goes through the
-    /// normal interpreter.
+    /// The stack-depth guard demotes a pair that could underflow or
+    /// overflow to an ordinary single step, so every error path goes
+    /// through the normal interpreter; past it, both halves run the
+    /// unchecked straight-line definition.
+    #[inline(always)]
     fn step_pair(
         &mut self,
         a: Instr,
         f: FusedOp,
         instr_start: ByteAddr,
     ) -> Result<StepOutcome, VmError> {
-        use Instr as I;
-        let in_handler = self.fault_depth > 0;
         let depth = self.stack.len();
         if depth < f.need as usize || depth + f.grow as usize > self.config.stack_depth {
             self.fuse_demotions += 1;
             return self.step_one(a, f.len_a, instr_start);
         }
         let b_start = instr_start.offset(f.len_a as u32);
-        let end = b_start.offset(f.len_b as u32);
         if f.xfer {
             return self.step_pair_xfer(a, f, instr_start, b_start);
         }
-        if f.pure {
-            // Neither half can make a counted or diverted reference,
-            // so the counter reads are skipped entirely. The hottest
-            // shapes manipulate the stack top in place (the fused
-            // "eval-stack top caching") instead of popping and
-            // re-pushing; the guards above make that safe.
-            self.pc = end;
-            let taken = match (a, f.b) {
-                (I::LoadImm(v), I::Add) => self.top_apply(|t| t.wrapping_add(v as i16)),
-                (I::LoadImm(v), I::Sub) => self.top_apply(|t| t.wrapping_sub(v as i16)),
-                (I::LoadImm(v), I::Mul) => self.top_apply(|t| t.wrapping_mul(v as i16)),
-                (I::LoadImm(v), I::And) => self.top_apply(|t| t & v as i16),
-                (I::LoadImm(v), I::Or) => self.top_apply(|t| t | v as i16),
-                (I::LoadImm(v), I::Xor) => self.top_apply(|t| t ^ v as i16),
-                (I::LoadImm(v), I::CmpEq) => self.top_apply(|t| (t == v as i16) as i16),
-                (I::LoadImm(v), I::CmpNe) => self.top_apply(|t| (t != v as i16) as i16),
-                (I::LoadImm(v), I::CmpLt) => self.top_apply(|t| (t < v as i16) as i16),
-                (I::LoadImm(v), I::CmpLe) => self.top_apply(|t| (t <= v as i16) as i16),
-                (I::LoadImm(v), I::CmpGt) => self.top_apply(|t| (t > v as i16) as i16),
-                (I::LoadImm(v), I::CmpGe) => self.top_apply(|t| (t >= v as i16) as i16),
-                (I::CmpEq, I::JumpZero(d)) => self.cmp_branch(|x, y| x == y, false, b_start, d),
-                (I::CmpNe, I::JumpZero(d)) => self.cmp_branch(|x, y| x != y, false, b_start, d),
-                (I::CmpLt, I::JumpZero(d)) => self.cmp_branch(|x, y| x < y, false, b_start, d),
-                (I::CmpLe, I::JumpZero(d)) => self.cmp_branch(|x, y| x <= y, false, b_start, d),
-                (I::CmpGt, I::JumpZero(d)) => self.cmp_branch(|x, y| x > y, false, b_start, d),
-                (I::CmpGe, I::JumpZero(d)) => self.cmp_branch(|x, y| x >= y, false, b_start, d),
-                (I::CmpEq, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x == y, true, b_start, d),
-                (I::CmpNe, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x != y, true, b_start, d),
-                (I::CmpLt, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x < y, true, b_start, d),
-                (I::CmpLe, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x <= y, true, b_start, d),
-                (I::CmpGt, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x > y, true, b_start, d),
-                (I::CmpGe, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x >= y, true, b_start, d),
-                _ => {
-                    self.pc = b_start;
-                    let flow_a = self.execute(a, instr_start)?;
-                    debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-                    self.pc = end;
-                    match self.execute(f.b, b_start)? {
-                        Flow::Next => false,
-                        Flow::Taken(k) => {
-                            debug_assert!(k.is_none(), "pure pairs end in jumps at most");
-                            true
-                        }
-                        Flow::Halt => {
-                            debug_assert!(false, "Halt is not a fusible second op");
-                            self.halted = true;
-                            false
-                        }
-                    }
-                }
-            };
-            let mut cycles = 2 * CYCLE_BASE;
-            if taken {
-                cycles += CYCLE_REFILL;
-                self.stats.jumps_taken += 1;
-            }
-            self.stats.cycles += cycles;
-            self.stats.instructions += 2;
-            self.fused_execs += 1;
-            if in_handler {
-                self.fstats.handler_cycles += cycles;
-                self.fstats.handler_instructions += 2;
-                self.fstats.handler_jumps += taken as u64;
-            }
-            return Ok(StepOutcome::Ran);
-        }
-        // Straight-line pair with possible counted references: one
-        // batched counter read for both halves. The hottest
-        // local-variable shapes are dispatched in place (no second
-        // trip through the big execute match); everything else runs
-        // both halves through the ordinary interpreter. Either way
-        // the accounting below is identical.
-        let refs0 = self.refs_total();
-        let divert0 = self.stats.divert_cycles;
-        self.pc = end;
-        let flow_b = match (a, f.b) {
-            (I::LoadLocal(m), I::LoadLocal(n)) => {
-                let v = self.read_local(m as u32);
-                self.stack.push(v);
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::LoadImm(v)) => {
-                let x = self.read_local(m as u32);
-                self.stack.push(x);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::Add) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| t.wrapping_add(v));
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::Sub) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| t.wrapping_sub(v));
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::Mul) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| t.wrapping_mul(v));
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpEq) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t == v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpNe) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t != v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpLt) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t < v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpLe) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t <= v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpGt) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t > v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpGe) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t >= v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::Exch) => {
-                let v = self.read_local(m as u32);
-                let x = self.stack.pop().expect("guarded by fusion depth check");
-                self.stack.push(v);
-                self.stack.push(x);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::StoreLocal(n)) => {
-                let v = self.read_local(m as u32);
-                self.write_local(n as u32, v);
-                Flow::Next
-            }
-            (I::StoreLocal(m), I::StoreLocal(n)) => {
-                let v = self.stack.pop().expect("guarded by fusion depth check");
-                self.write_local(m as u32, v);
-                let v = self.stack.pop().expect("guarded by fusion depth check");
-                self.write_local(n as u32, v);
-                Flow::Next
-            }
-            (I::StoreLocal(m), I::LoadLocal(n)) => {
-                let v = self.stack.pop().expect("guarded by fusion depth check");
-                self.write_local(m as u32, v);
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::StoreLocal(m), I::LoadImm(v)) => {
-                let x = self.stack.pop().expect("guarded by fusion depth check");
-                self.write_local(m as u32, x);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::LoadImm(v), I::StoreLocal(m)) => {
-                self.write_local(m as u32, v);
-                Flow::Next
-            }
-            (I::Add, I::StoreLocal(m)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                let x = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.write_local(m as u32, x.wrapping_add(y) as u16);
-                Flow::Next
-            }
-            (I::Sub, I::StoreLocal(m)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                let x = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.write_local(m as u32, x.wrapping_sub(y) as u16);
-                Flow::Next
-            }
-            (I::Add, I::LoadLocal(n)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.top_apply(|t| t.wrapping_add(y));
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::Sub, I::LoadLocal(n)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.top_apply(|t| t.wrapping_sub(y));
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::Mul, I::LoadLocal(n)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.top_apply(|t| t.wrapping_mul(y));
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::LoadGlobal(g), I::LoadImm(v)) => {
-                self.obs_global(g as u32, false);
-                let x = self.mem.read(self.global_addr(g as u32));
-                self.stack.push(x);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::Add, I::StoreGlobal(g)) => {
-                self.obs_global(g as u32, true);
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                let x = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.mem
-                    .write(self.global_addr(g as u32), x.wrapping_add(y) as u16);
-                Flow::Next
-            }
-            (I::Sub, I::StoreGlobal(g)) => {
-                self.obs_global(g as u32, true);
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                let x = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.mem
-                    .write(self.global_addr(g as u32), x.wrapping_sub(y) as u16);
-                Flow::Next
-            }
-            _ => {
-                self.pc = b_start;
-                let flow_a = self.execute(a, instr_start)?;
-                debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-                self.pc = end;
-                self.execute(f.b, b_start)?
+        // A pure pair makes no counted or diverted reference, so it
+        // skips the counter reads.
+        let mark = |m: &Self| {
+            if f.pure {
+                (0, 0)
+            } else {
+                (m.refs_total(), m.stats.divert_cycles)
             }
         };
-        let refs = self.refs_total() - refs0;
-        let divert = self.stats.divert_cycles - divert0;
-        let mut cycles = 2 * CYCLE_BASE + refs * CYCLE_MEMREF + divert;
-        let mut jumped = false;
-        match flow_b {
-            Flow::Next => {}
-            Flow::Taken(k) => {
-                debug_assert!(k.is_none(), "transfer seconds take step_pair_xfer");
-                cycles += CYCLE_REFILL;
-                self.stats.jumps_taken += 1;
-                jumped = true;
-            }
-            Flow::Halt => self.halted = true,
+        let (refs0, divert0) = mark(self);
+        self.pc = b_start.offset(f.len_b as u32);
+        self.straight::<false, true>(a, instr_start)?;
+        let jumped = matches!(self.straight::<false, true>(f.b, b_start)?, Flow::Taken(_));
+        let (refs1, divert1) = mark(self);
+        let refs = refs1 - refs0;
+        let mut cycles = 2 * CYCLE_BASE + refs * CYCLE_MEMREF + (divert1 - divert0);
+        if jumped {
+            cycles += CYCLE_REFILL;
+            self.stats.jumps_taken += 1;
         }
         self.stats.cycles += cycles;
         self.stats.instructions += 2;
         self.fused_execs += 1;
-        if in_handler {
+        if self.fault_depth > 0 {
             self.fstats.handler_cycles += cycles;
             self.fstats.handler_refs += refs;
             self.fstats.handler_instructions += 2;
@@ -2560,19 +2093,7 @@ impl Machine {
         let refs0 = self.refs_total();
         let divert0 = self.stats.divert_cycles;
         self.pc = b_start;
-        // An error here commits nothing — same as an unfused step A
-        // (first halves cannot actually error under the depth guards).
-        match a {
-            Instr::LoadImm(v) => self.stack.push(v),
-            Instr::LoadLocal(n) => {
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-            }
-            _ => {
-                let flow_a = self.execute(a, instr_start)?;
-                debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-            }
-        }
+        self.straight::<false, true>(a, instr_start)?;
         let refs = self.refs_total() - refs0;
         let cycles = CYCLE_BASE + refs * CYCLE_MEMREF + (self.stats.divert_cycles - divert0);
         self.stats.cycles += cycles;
@@ -2584,46 +2105,6 @@ impl Machine {
         }
         self.fused_execs += 1;
         self.step_one(f.b, f.len_b, b_start)
-    }
-
-    /// Applies `f` to the evaluation-stack top in place (fused
-    /// arithmetic's "top caching"). Returns `false` so the fused match
-    /// arms read as `taken` expressions.
-    #[inline]
-    fn top_apply(&mut self, f: impl FnOnce(i16) -> i16) -> bool {
-        // Non-empty by the fusion depth guard; total anyway so a
-        // broken guard can corrupt guest state but never panic the
-        // host.
-        if let Some(t) = self.stack.last_mut() {
-            *t = f(*t as i16) as u16;
-        } else {
-            self.stack.push(f(0) as u16);
-        }
-        false
-    }
-
-    /// Fused compare+branch: pops both operands, branches on the
-    /// comparison without materialising the boolean. `on_true` selects
-    /// `JumpNotZero` semantics (branch when the compare holds) versus
-    /// `JumpZero` (branch when it fails). Returns whether it branched.
-    #[inline]
-    fn cmp_branch(
-        &mut self,
-        f: impl FnOnce(i16, i16) -> bool,
-        on_true: bool,
-        b_start: ByteAddr,
-        d: i32,
-    ) -> bool {
-        // Depth ≥ 2 by the fusion guard or the verify certificate;
-        // total regardless (see `top_apply`).
-        let y = self.stack.pop().unwrap_or(0) as i16;
-        let x = self.stack.pop().unwrap_or(0) as i16;
-        if f(x, y) == on_true {
-            self.pc = b_start.displace(d);
-            true
-        } else {
-            false
-        }
     }
 
     /// The evaluation-stack depth limit in force. The configured
@@ -2640,7 +2121,7 @@ impl Machine {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, v: u16) -> Result<(), VmError> {
         if self.stack.len() >= self.stack_limit() {
             // Without a StackOverflow fault handler this is fatal
@@ -2654,14 +2135,16 @@ impl Machine {
         Ok(())
     }
 
-    #[inline]
+    #[inline(always)]
     fn pop(&mut self) -> Result<u16, VmError> {
         self.stack.pop().ok_or(VmError::StackUnderflow)
     }
 
-    #[inline]
-    fn read_local(&mut self, idx: u32) -> u16 {
-        if let Some(b) = self.banks.as_mut() {
+    /// A local: a bank register when the frame's bank shadows it, else
+    /// one counted reference. `BANKS` is as for [`Machine::straight`].
+    #[inline(always)]
+    fn read_local<const BANKS: bool>(&mut self, idx: u32) -> u16 {
+        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
             if let Some(v) = b.read_local(self.lf, idx) {
                 return v;
             }
@@ -2669,9 +2152,9 @@ impl Machine {
         self.mem.read(self.wrap(layout::local_slot(self.lf, idx)))
     }
 
-    #[inline]
-    fn write_local(&mut self, idx: u32, v: u16) {
-        if let Some(b) = self.banks.as_mut() {
+    #[inline(always)]
+    fn write_local<const BANKS: bool>(&mut self, idx: u32, v: u16) {
+        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
             if b.write_local(self.lf, idx, v) {
                 return;
             }
@@ -2680,9 +2163,12 @@ impl Machine {
             .write(self.wrap(layout::local_slot(self.lf, idx)), v);
     }
 
-    #[inline]
-    fn read_indirect(&mut self, addr: WordAddr) -> u16 {
-        if let Some(b) = self.banks.as_mut() {
+    /// A reference through a pointer: diverted to a bank register (one
+    /// divert cycle, no counted reference) when a bank shadows `addr`,
+    /// else one counted reference.
+    #[inline(always)]
+    fn read_indirect<const BANKS: bool>(&mut self, addr: WordAddr) -> u16 {
+        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
             if let Some((frame, idx)) = b.shadow_hit(addr) {
                 self.stats.divert_cycles += 1;
                 return b.divert_read(frame, idx);
@@ -2691,9 +2177,9 @@ impl Machine {
         self.mem.read(addr)
     }
 
-    #[inline]
-    fn write_indirect(&mut self, addr: WordAddr, v: u16) {
-        if let Some(b) = self.banks.as_mut() {
+    #[inline(always)]
+    fn write_indirect<const BANKS: bool>(&mut self, addr: WordAddr, v: u16) {
+        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
             if let Some((frame, idx)) = b.shadow_hit(addr) {
                 self.stats.divert_cycles += 1;
                 b.divert_write(frame, idx, v);
@@ -2710,7 +2196,7 @@ impl Machine {
 
     /// Journals an effect when observation is on. Charge-free: the
     /// closure only touches the journal, never simulated state.
-    #[inline]
+    #[inline(always)]
     fn obs(&mut self, f: impl FnOnce(&mut ObservedEffects)) {
         if let Some(o) = self.observe.as_mut() {
             f(o);
@@ -2720,11 +2206,14 @@ impl Machine {
     /// Journals a global-frame access against the executing code
     /// segment (resolved from the live `gf`, so instances record
     /// against their owner's code — the static summary's domain).
-    #[inline]
+    #[inline(always)]
     fn obs_global(&mut self, slot: u32, write: bool) {
-        if self.observe.is_none() {
-            return;
+        if self.observe.is_some() {
+            self.journal_global(slot, write);
         }
+    }
+
+    fn journal_global(&mut self, slot: u32, write: bool) {
         let seg = self
             .modules
             .iter()
@@ -3570,30 +3059,93 @@ impl Machine {
         r
     }
 
-    fn binary_op(&mut self, f: impl FnOnce(i16, i16) -> i16) -> Result<(), VmError> {
-        let b = self.pop()? as i16;
-        let a = self.pop()? as i16;
-        self.push(f(a, b) as u16)
-    }
-
-    fn compare(&mut self, f: impl FnOnce(i16, i16) -> bool) -> Result<(), VmError> {
-        let b = self.pop()? as i16;
-        let a = self.pop()? as i16;
-        self.push(f(a, b) as u16)
-    }
-
-    fn execute(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
+    /// The one definition of every straight-line instruction: the ops
+    /// [`crate::predecode`] may fuse, minus calls and returns, plus
+    /// `LoadLocalAddr`. `execute`, both halves of a fused pair and every
+    /// single-op native handler run it. It charges nothing: each
+    /// driver applies the paper's linear rule around it — `CYCLE_BASE`
+    /// per instruction, `CYCLE_MEMREF` per change of `Memory::refs`,
+    /// the change of `divert_cycles`, and `CYCLE_REFILL` per taken jump.
+    ///
+    /// `CHECKED` is whether stack depth is checked here (`execute`) or
+    /// already proven, by a fused pair's `need`/`grow` guard or by the
+    /// native license; pairs through the checked form ran the fused rung
+    /// at 0.75× (DESIGN §6b). The unchecked form pops 0 from an empty
+    /// stack rather than panicking, so a broken proof corrupts guest
+    /// state, never the host. `BANKS` is false
+    /// only when the driver knows the machine has no register banks (a
+    /// burst fixes that once), which drops the bank lookup from every
+    /// local and indirect reference.
+    ///
+    /// Jumps set `pc` relative to `at`, their own start. The native tier
+    /// resolves jumps to op indices itself and never passes one here, so
+    /// its handlers pass no address. No driver passes any other
+    /// instruction: [`Machine::execute`] defines the rest itself, and
+    /// fusion and the native tier admit only these.
+    #[inline(always)]
+    fn straight<const CHECKED: bool, const BANKS: bool>(
+        &mut self,
+        instr: Instr,
+        at: ByteAddr,
+    ) -> Result<Flow, VmError> {
+        use Instr as I;
+        macro_rules! pop {
+            () => {
+                if CHECKED {
+                    self.pop()?
+                } else {
+                    self.stack.pop().unwrap_or(0)
+                }
+            };
+        }
+        macro_rules! push {
+            ($v:expr) => {{
+                let v = $v;
+                if CHECKED {
+                    self.push(v)?
+                } else {
+                    self.stack.push(v)
+                }
+            }};
+        }
+        // Replaces the top word `t` with the expression, in place: a pop
+        // and a push that leave the depth as it was, so only underflow
+        // can fail (an unchecked empty stack pops 0). In place, not as a
+        // pop and a push, is what keeps fused pairs as fast as the
+        // specialised arms they replaced (DESIGN §6b).
+        macro_rules! top {
+            (|$t:ident| $e:expr) => {{
+                if self.stack.is_empty() {
+                    if CHECKED {
+                        return Err(VmError::StackUnderflow);
+                    }
+                    self.stack.push(0);
+                }
+                let i = self.stack.len() - 1;
+                let $t = self.stack[i];
+                let v = $e;
+                self.stack[i] = v;
+            }};
+        }
+        // Pops b, then replaces a with the expression.
+        macro_rules! binary {
+            (|$a:ident, $b:ident| $e:expr) => {{
+                let $b = pop!() as i16;
+                top!(|a| {
+                    let $a = a as i16;
+                    ($e) as u16
+                })
+            }};
+        }
         match instr {
-            Instr::LoadLocal(n) => {
-                let v = self.read_local(n as u32);
-                self.push(v)?;
+            I::LoadLocal(n) => push!(self.read_local::<BANKS>(n as u32)),
+            I::StoreLocal(n) => {
+                let v = pop!();
+                self.write_local::<BANKS>(n as u32, v);
             }
-            Instr::StoreLocal(n) => {
-                let v = self.pop()?;
-                self.write_local(n as u32, v);
-            }
-            Instr::LoadLocalAddr(n) => {
-                if self.banks.is_some()
+            I::LoadLocalAddr(n) => {
+                if BANKS
+                    && self.banks.is_some()
                     && matches!(
                         self.config.banks.map(|b| b.ptr_policy),
                         Some(PtrLocalPolicy::Outlaw)
@@ -3601,53 +3153,108 @@ impl Machine {
                 {
                     return Err(VmError::PointerToLocalOutlawed);
                 }
-                let addr = layout::local_slot(self.lf, n as u32);
-                self.push(addr.0 as u16)?;
+                push!(layout::local_slot(self.lf, n as u32).0 as u16);
             }
-            Instr::LoadGlobal(n) => {
+            I::LoadGlobal(n) => {
                 self.obs_global(n as u32, false);
-                let v = self.mem.read(self.global_addr(n as u32));
-                self.push(v)?;
+                push!(self.mem.read(self.global_addr(n as u32)));
             }
-            Instr::LoadGlobalAddr(n) => {
-                let addr = self.global_addr(n as u32);
-                self.push(addr.0 as u16)?;
-            }
-            Instr::StoreGlobal(n) => {
+            I::LoadGlobalAddr(n) => push!(self.global_addr(n as u32).0 as u16),
+            I::StoreGlobal(n) => {
                 self.obs_global(n as u32, true);
-                let v = self.pop()?;
+                let v = pop!();
                 self.mem.write(self.global_addr(n as u32), v);
             }
-            Instr::LoadImm(v) => self.push(v)?,
-            Instr::Read => {
+            I::LoadImm(v) => push!(v),
+            I::Read => {
                 self.obs(|o| o.reads_memory = true);
-                let addr = WordAddr(self.pop()? as u32);
-                let v = self.read_indirect(addr);
-                self.push(v)?;
+                top!(|addr| self.read_indirect::<BANKS>(WordAddr(addr as u32)));
             }
-            Instr::Write => {
+            I::Write => {
                 self.obs(|o| o.writes_memory = true);
-                let addr = WordAddr(self.pop()? as u32);
-                let v = self.pop()?;
-                self.write_indirect(addr, v);
+                let addr = WordAddr(pop!() as u32);
+                let v = pop!();
+                self.write_indirect::<BANKS>(addr, v);
             }
-            Instr::LoadIndex => {
+            I::LoadIndex => {
                 self.obs(|o| o.reads_memory = true);
-                let idx = self.pop()?;
-                let base = self.pop()?;
-                let v = self.read_indirect(WordAddr(base.wrapping_add(idx) as u32));
-                self.push(v)?;
+                let idx = pop!();
+                top!(|base| self.read_indirect::<BANKS>(WordAddr(base.wrapping_add(idx) as u32)));
             }
-            Instr::StoreIndex => {
+            I::StoreIndex => {
                 self.obs(|o| o.writes_memory = true);
-                let idx = self.pop()?;
-                let base = self.pop()?;
-                let v = self.pop()?;
-                self.write_indirect(WordAddr(base.wrapping_add(idx) as u32), v);
+                let idx = pop!();
+                let base = pop!();
+                let v = pop!();
+                self.write_indirect::<BANKS>(WordAddr(base.wrapping_add(idx) as u32), v);
             }
-            Instr::Add => self.binary_op(|a, b| a.wrapping_add(b))?,
-            Instr::Sub => self.binary_op(|a, b| a.wrapping_sub(b))?,
-            Instr::Mul => self.binary_op(|a, b| a.wrapping_mul(b))?,
+            I::Add => binary!(|a, b| a.wrapping_add(b)),
+            I::Sub => binary!(|a, b| a.wrapping_sub(b)),
+            I::Mul => binary!(|a, b| a.wrapping_mul(b)),
+            I::Neg => top!(|t| (t as i16).wrapping_neg() as u16),
+            I::And => binary!(|a, b| a & b),
+            I::Or => binary!(|a, b| a | b),
+            I::Xor => binary!(|a, b| a ^ b),
+            I::Shl => binary!(|v, n| (v as u16) << (n as u16 & 0x0F)),
+            I::Shr => binary!(|v, n| (v as u16) >> (n as u16 & 0x0F)),
+            I::CmpEq => binary!(|a, b| a == b),
+            I::CmpNe => binary!(|a, b| a != b),
+            I::CmpLt => binary!(|a, b| a < b),
+            I::CmpLe => binary!(|a, b| a <= b),
+            I::CmpGt => binary!(|a, b| a > b),
+            I::CmpGe => binary!(|a, b| a >= b),
+            I::AddImm(n) => top!(|t| t.wrapping_add(n as u16)),
+            I::Dup => {
+                let v = if CHECKED {
+                    *self.stack.last().ok_or(VmError::StackUnderflow)?
+                } else {
+                    self.stack.last().copied().unwrap_or(0)
+                };
+                push!(v);
+            }
+            I::Drop => {
+                pop!();
+            }
+            I::Exch => {
+                let b = pop!();
+                let a = pop!();
+                push!(b);
+                push!(a);
+            }
+            I::Out => {
+                self.obs(|o| o.writes_output = true);
+                let v = pop!();
+                self.output.push(v);
+            }
+            I::Noop => {}
+            I::Jump(d) => {
+                self.pc = at.displace(d);
+                return Ok(Flow::Taken(None));
+            }
+            I::JumpZero(d) => {
+                if pop!() == 0 {
+                    self.pc = at.displace(d);
+                    return Ok(Flow::Taken(None));
+                }
+            }
+            I::JumpNotZero(d) => {
+                if pop!() != 0 {
+                    self.pc = at.displace(d);
+                    return Ok(Flow::Taken(None));
+                }
+            }
+            _ => unreachable!("not a straight-line instruction"),
+        }
+        Ok(Flow::Next)
+    }
+
+    /// Executes one instruction, checked: the interpreter's step, and
+    /// every fallback of the fused rung and the native tier. It defines
+    /// the instructions with their own accounting or error paths —
+    /// traps, transfers, contexts, processes, heap, module and remote
+    /// ops — and runs [`Machine::straight`] for the rest.
+    fn execute(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
+        match instr {
             Instr::Div => {
                 let b = self.pop()? as i16;
                 let a = self.pop()? as i16;
@@ -3663,62 +3270,6 @@ impl Machine {
                     return self.restartable_trap(TrapCode::DivideByZero, &[a as u16, b as u16]);
                 }
                 self.push(a.wrapping_rem(b) as u16)?;
-            }
-            Instr::Neg => {
-                let a = self.pop()? as i16;
-                self.push(a.wrapping_neg() as u16)?;
-            }
-            Instr::And => self.binary_op(|a, b| a & b)?,
-            Instr::Or => self.binary_op(|a, b| a | b)?,
-            Instr::Xor => self.binary_op(|a, b| a ^ b)?,
-            Instr::Shl => {
-                let n = self.pop()? & 0x0F;
-                let v = self.pop()?;
-                self.push(v << n)?;
-            }
-            Instr::Shr => {
-                let n = self.pop()? & 0x0F;
-                let v = self.pop()?;
-                self.push(v >> n)?;
-            }
-            Instr::CmpEq => self.compare(|a, b| a == b)?,
-            Instr::CmpNe => self.compare(|a, b| a != b)?,
-            Instr::CmpLt => self.compare(|a, b| a < b)?,
-            Instr::CmpLe => self.compare(|a, b| a <= b)?,
-            Instr::CmpGt => self.compare(|a, b| a > b)?,
-            Instr::CmpGe => self.compare(|a, b| a >= b)?,
-            Instr::AddImm(n) => {
-                let v = self.pop()?;
-                self.push(v.wrapping_add(n as u16))?;
-            }
-            Instr::Dup => {
-                let v = *self.stack.last().ok_or(VmError::StackUnderflow)?;
-                self.push(v)?;
-            }
-            Instr::Drop => {
-                self.pop()?;
-            }
-            Instr::Exch => {
-                let b = self.pop()?;
-                let a = self.pop()?;
-                self.push(b)?;
-                self.push(a)?;
-            }
-            Instr::Jump(d) => {
-                self.pc = instr_start.displace(d);
-                return Ok(Flow::Taken(None));
-            }
-            Instr::JumpZero(d) => {
-                if self.pop()? == 0 {
-                    self.pc = instr_start.displace(d);
-                    return Ok(Flow::Taken(None));
-                }
-            }
-            Instr::JumpNotZero(d) => {
-                if self.pop()? != 0 {
-                    self.pc = instr_start.displace(d);
-                    return Ok(Flow::Taken(None));
-                }
             }
             Instr::ExternalCall(k) => {
                 // The remote intercept runs before any counted memory
@@ -3880,13 +3431,42 @@ impl Machine {
                 let w = self.pop()?;
                 self.failover_requests.push(w);
             }
-            Instr::Out => {
-                self.obs(|o| o.writes_output = true);
-                let v = self.pop()?;
-                self.output.push(v);
-            }
             Instr::Halt => return Ok(Flow::Halt),
-            Instr::Noop => {}
+            Instr::LoadLocal(_)
+            | Instr::StoreLocal(_)
+            | Instr::LoadLocalAddr(_)
+            | Instr::LoadGlobalAddr(_)
+            | Instr::LoadGlobal(_)
+            | Instr::StoreGlobal(_)
+            | Instr::LoadImm(_)
+            | Instr::Read
+            | Instr::Write
+            | Instr::LoadIndex
+            | Instr::StoreIndex
+            | Instr::Add
+            | Instr::Sub
+            | Instr::Mul
+            | Instr::Neg
+            | Instr::And
+            | Instr::Or
+            | Instr::Xor
+            | Instr::Shl
+            | Instr::Shr
+            | Instr::CmpEq
+            | Instr::CmpNe
+            | Instr::CmpLt
+            | Instr::CmpLe
+            | Instr::CmpGt
+            | Instr::CmpGe
+            | Instr::AddImm(_)
+            | Instr::Dup
+            | Instr::Drop
+            | Instr::Exch
+            | Instr::Jump(_)
+            | Instr::JumpZero(_)
+            | Instr::JumpNotZero(_)
+            | Instr::Out
+            | Instr::Noop => return self.straight::<true, true>(instr, instr_start),
         }
         Ok(Flow::Next)
     }
@@ -4549,6 +4129,118 @@ mod tests {
             .unwrap();
         let m = run_image(&image, MachineConfig::i2());
         assert_eq!(m.output(), &[5]);
+
+        // Every straight-line instruction, in a loop so that the native
+        // handlers and the fused pairs both run, on every rung of every
+        // implementation: the rungs must agree on everything simulated.
+        for (imp, base) in [
+            ("i1", MachineConfig::i1()),
+            ("i2", MachineConfig::i2()),
+            ("i3", MachineConfig::i3()),
+            ("i4", MachineConfig::i4()),
+        ] {
+            let image = straight_line_loop(base.renaming());
+            let mut runs = Vec::new();
+            for (rung, cfg) in base.dispatch_ladder() {
+                let mut m = Machine::load(&image, cfg).unwrap();
+                if rung == "native" {
+                    assert!(m.arm_native(NativeLicense::new(8, 1)), "{imp}");
+                }
+                m.run(1_000_000).unwrap();
+                match rung {
+                    "fuse" => assert!(m.fusion_stats().unwrap().fused_execs > 0, "{imp}"),
+                    "native" => assert!(m.native_stats().unwrap().native_instrs > 100, "{imp}"),
+                    _ => {}
+                }
+                let s = m.stats();
+                let counters = (s.instructions, s.cycles, s.jumps_taken, m.total_refs());
+                runs.push((rung, m.output().to_vec(), m.stack().to_vec(), counters));
+            }
+            let (_, output, stack, counters) = &runs[0];
+            assert_eq!(
+                output.len(),
+                6,
+                "{imp}: one output per iteration and the array"
+            );
+            for (rung, o, st, c) in &runs[1..] {
+                assert_eq!((o, st, c), (output, stack, counters), "{imp} {rung}");
+            }
+        }
+    }
+
+    /// A loop of five iterations using every straight-line instruction:
+    /// arithmetic, logic, shifts and comparisons on the counter, stack
+    /// shuffles, a global array through `StoreIndex`/`LoadIndex`,
+    /// `Read`/`Write` through global and local addresses, and all three
+    /// jumps. Outputs the accumulator each iteration and leaves it on
+    /// the stack. `bank_args` builds it for a renaming machine.
+    fn straight_line_loop(bank_args: bool) -> Image {
+        use Instr as I;
+        let mut b = ImageBuilder::new();
+        if bank_args {
+            b.bank_args();
+        }
+        let m = b.module("main");
+        let g = b.global(m, 0);
+        let arr = b.global(m, 0);
+        for _ in 0..6 {
+            b.global(m, 0);
+        }
+        b.proc_with(m, ProcSpec::new("main", 0, 4), |a| {
+            let (top, end, skip) = (a.label(), a.label(), a.label());
+            for i in [
+                I::LoadImm(5),
+                I::StoreLocal(0),
+                I::LoadImm(0),
+                I::StoreLocal(1),
+            ] {
+                a.instr(i);
+            }
+            a.bind(top);
+            a.instr(I::LoadLocal(0));
+            a.jump_zero(end);
+            #[rustfmt::skip]
+            let body = [
+                I::LoadLocal(0), I::LoadImm(3), I::Mul, I::LoadImm(1), I::Sub,
+                I::LoadImm(7), I::Add, I::Neg, I::AddImm(100),
+                I::LoadImm(0x0F0F), I::And, I::LoadImm(0x0100), I::Or,
+                I::LoadImm(0x00FF), I::Xor, I::LoadImm(2), I::Shl, I::LoadImm(1), I::Shr,
+                I::Dup, I::Exch, I::Drop, I::Noop,
+                // arr[i] = x; x = arr[i]; g = x; x = g (by address)
+                I::LoadGlobalAddr(arr), I::LoadLocal(0), I::StoreIndex,
+                I::LoadGlobalAddr(arr), I::LoadLocal(0), I::LoadIndex,
+                I::LoadGlobalAddr(g), I::Write, I::LoadGlobalAddr(g), I::Read,
+                // local 3 = x through its address, then back
+                I::LoadLocalAddr(3), I::Write, I::LoadLocalAddr(3), I::Read, I::StoreLocal(2),
+                I::LoadLocal(2), I::LoadImm(50), I::CmpEq,
+                I::LoadLocal(2), I::LoadImm(50), I::CmpNe, I::Add,
+                I::LoadLocal(2), I::LoadImm(50), I::CmpLt, I::Add,
+                I::LoadLocal(2), I::LoadImm(50), I::CmpLe, I::Add,
+                I::LoadLocal(2), I::LoadImm(50), I::CmpGt, I::Add,
+                I::LoadLocal(2), I::LoadImm(50), I::CmpGe, I::Add,
+                I::LoadLocal(2), I::Add, I::LoadGlobal(g), I::Add,
+                I::LoadLocal(1), I::Add, I::StoreLocal(1), I::LoadLocal(1), I::Out,
+                I::LoadGlobal(arr), I::LoadImm(1), I::Add, I::StoreGlobal(arr),
+                I::LoadLocal(0), I::LoadImm(1), I::Sub, I::StoreLocal(0),
+                I::LoadLocal(0),
+            ];
+            for i in body {
+                a.instr(i);
+            }
+            a.jump_not_zero(skip);
+            a.instr(I::Noop);
+            a.bind(skip);
+            a.jump(top);
+            a.bind(end);
+            for i in [I::LoadGlobal(arr), I::Out, I::LoadLocal(1), I::Halt] {
+                a.instr(i);
+            }
+        });
+        b.build(ProcRef {
+            module: 0,
+            ev_index: 0,
+        })
+        .unwrap()
     }
 
     #[test]

@@ -27,18 +27,20 @@
 //! # Charge-not-perform
 //!
 //! Native handlers keep every simulated counter bit-identical to byte
-//! dispatch: fast handlers charge exactly the cycles, memory references
-//! and jump-refills the interpreter would, and perform the same counted
-//! [`fpc_mem::Memory`] traffic. On the register-bank machine the local
-//! and indirect handlers go through the same bank paths as the
-//! interpreter: a shadow hit is a register access with no counted
-//! reference, a diverted indirect reference charges the divert cycle,
-//! and everything else is one counted reference. Calls and returns are
-//! native instructions too (see *Calls at jump cost* below); anything
-//! else with non-trivial accounting (XFER, traps, heap ops,
-//! `LoadLocalAddr` under banks, which the `Outlaw` policy traps) falls
-//! back to the interpreter's own `step_one`, instruction by
-//! instruction, inside the native burst.
+//! dispatch. A single-op handler calls the interpreter's own
+//! definition of its instruction (`Machine::straight`), so it performs
+//! the same counted [`fpc_mem::Memory`] traffic and the same bank paths
+//! — a shadow hit is a register access, a diverted indirect reference
+//! counts a divert cycle, everything else is one counted reference.
+//! Only the fused superinstructions are written here by hand. No
+//! handler charges cycles: the burst charges its fast ops by the
+//! interpreter's linear rule once, from the changes of the reference,
+//! divert and jump counters. Calls and returns are native instructions
+//! too (see *Calls at jump cost* below); anything else with
+//! non-trivial accounting (XFER, traps, heap ops, `LoadLocalAddr` under
+//! banks, which the `Outlaw` policy traps) falls back to the
+//! interpreter's own `step_one`, instruction by instruction, inside the
+//! native burst.
 //!
 //! # Calls at jump cost
 //!
@@ -139,32 +141,31 @@ pub struct NativeStats {
 
 /// One direct-threaded host handler with operands inlined.
 ///
-/// Fast variants replicate the interpreter's execute arm *and* its
-/// accounting exactly, register banks included; everything else lowers
-/// to [`NOp::Interp`].
+/// Each single-op variant names one straight-line instruction, and its
+/// handler calls the interpreter's definition of that instruction
+/// rather than replicating it; the fused variants from `Ld2` on are the
+/// only bodies written by hand. Everything else lowers to
+/// [`NOp::Interp`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum NOp {
-    /// `LoadImm`: push a literal.
+    /// `LoadImm`.
     Imm(u16),
-    /// `LoadLocal`: a bank register, else one counted read of the slot.
+    /// `LoadLocal`.
     LocalRd(u8),
-    /// `StoreLocal`: a bank register, else one counted write of the slot.
+    /// `StoreLocal`.
     LocalWr(u8),
-    /// `LoadLocalAddr` (banks off): pure address push.
+    /// `LoadLocalAddr`, lowered only without banks.
     LocalAddr(u8),
-    /// `LoadGlobal`: one counted read of the global slot.
+    /// `LoadGlobal`.
     GlobalRd(u8),
-    /// `StoreGlobal`: one counted write; may bump the table generation.
+    /// `StoreGlobal`; like `Write` and `StoreIndex`, it may bump the
+    /// table generation.
     GlobalWr(u8),
-    /// `LoadGlobalAddr`: pure address push.
+    /// `LoadGlobalAddr`.
     GlobalAddr(u8),
-    /// `Read`: counted (or bank-diverted) read at a popped address.
     Read,
-    /// `Write`: counted (or diverted) write; may bump the generation.
     Write,
-    /// `LoadIndex`: counted (or diverted) read at base + index.
     LoadIndex,
-    /// `StoreIndex`: counted (or diverted) write; may bump the generation.
     StoreIndex,
     Add,
     Sub,

@@ -1,4 +1,4 @@
-//! Same-binary A/B timing of the `calls_hot` programs.
+//! Same-binary A/B timing of the `calls_hot` or `loops_hot` programs.
 //!
 //! Two copies of the simulator are linked into this one binary: `base`
 //! (a committed revision) and `head` (the working tree). Every round
@@ -8,8 +8,10 @@
 //! counted references and output must be equal, or the harness stops.
 //!
 //! Built and run by `ab.py`, which generates the manifest naming the
-//! two copies; see there for usage. Arguments: the number of timed
-//! rounds, then optionally a substring that item names must contain.
+//! two copies and copies the loop programs in as `loops.rs`; see there
+//! for usage. Arguments: the number of timed rounds, the set (`calls`
+//! or `loops`), the rung (`native` or `fused`), then optionally a
+//! substring that item names must contain.
 
 use std::time::Instant;
 
@@ -31,23 +33,41 @@ macro_rules! side {
             use $vm::{Image, Machine, MachineConfig, NativeLicense};
             use $workloads::programs;
 
+            /// perfbench's loop programs.
+            mod loops {
+                use ::rng::Rng;
+                use $workloads::{Kind, Workload};
+                include!("loops.rs");
+            }
+
             pub struct Item {
                 pub name: String,
                 image: Image,
-                license: NativeLicense,
+                /// The license to arm, on the native rung.
+                license: Option<NativeLicense>,
                 config: MachineConfig,
             }
 
-            /// The `calls_hot` programs on I1–I4 (Mesa linkage on
-            /// I1/I2, Direct on I3/I4), at the fastest licensed setting.
-            pub fn items() -> Vec<Item> {
-                let programs = [
-                    programs::fib(23),
-                    programs::ackermann(3, 6),
-                    programs::tak(12, 6, 0),
-                    programs::hanoi(15),
-                    programs::leafcalls(32_000),
-                ];
+            /// The programs of `set` on I1–I4 (Mesa linkage on I1/I2,
+            /// Direct on I3/I4) at `rung`: `native` is the fastest
+            /// licensed setting, `fused` predecode and fusion unarmed.
+            pub fn items(set: &str, rung: &str) -> Vec<Item> {
+                let programs = match set {
+                    "calls" => vec![
+                        programs::fib(23),
+                        programs::ackermann(3, 6),
+                        programs::tak(12, 6, 0),
+                        programs::hanoi(15),
+                        programs::leafcalls(32_000),
+                    ],
+                    "loops" => loops::loop_programs(&mut ::rng::Rng::seed_from_u64(1)),
+                    _ => panic!("set: calls or loops, not {set}"),
+                };
+                let native = match rung {
+                    "native" => true,
+                    "fused" => false,
+                    _ => panic!("rung: native or fused, not {rung}"),
+                };
                 let imps = [
                     ("i1", MachineConfig::i1(), Linkage::Mesa),
                     ("i2", MachineConfig::i2(), Linkage::Mesa),
@@ -60,7 +80,7 @@ macro_rules! side {
                         let config = base
                             .with_predecode(true)
                             .with_fusion(true)
-                            .with_native_tier(true);
+                            .with_native_tier(native);
                         let options = Options {
                             linkage,
                             bank_args: config.renaming(),
@@ -74,6 +94,7 @@ macro_rules! side {
                             .certificate()
                             .unwrap_or_else(|| panic!("{} does not verify clean", p.name))
                             .native_license();
+                        let license = native.then_some(license);
                         items.push(Item {
                             name: format!("{}/{imp}", p.name),
                             image,
@@ -85,14 +106,13 @@ macro_rules! side {
                 items
             }
 
-            /// Loads and arms `item`, then times one whole run.
+            /// Loads `item` and arms it on the native rung, then times
+            /// one whole run.
             pub fn run(item: &Item) -> (u64, super::Counters) {
                 let mut m = Machine::load(&item.image, item.config).expect("load");
-                assert!(
-                    m.arm_native(item.license),
-                    "{}: license did not arm",
-                    item.name
-                );
+                if let Some(license) = item.license {
+                    assert!(m.arm_native(license), "{}: license did not arm", item.name);
+                }
                 let t = super::Instant::now();
                 m.run(100_000_000).expect("run");
                 let ns = t.elapsed().as_nanos() as u64;
@@ -131,13 +151,15 @@ fn main() {
         .next()
         .map(|s| s.parse().expect("rounds: a number"))
         .unwrap_or(30);
+    let set = args.next().unwrap_or_else(|| "calls".into());
+    let rung = args.next().unwrap_or_else(|| "native".into());
     // Only the items whose name contains this, e.g. "/i4" or "fib/".
     let only = args.next().unwrap_or_default();
-    let base: Vec<_> = base::items()
+    let base: Vec<_> = base::items(&set, &rung)
         .into_iter()
         .filter(|i| i.name.contains(&only))
         .collect();
-    let head: Vec<_> = head::items()
+    let head: Vec<_> = head::items(&set, &rung)
         .into_iter()
         .filter(|i| i.name.contains(&only))
         .collect();
@@ -171,7 +193,10 @@ fn main() {
             totals.push(round_base as f64 / round_head as f64);
         }
     }
-    println!("base/head run time over {rounds} alternating rounds (>1: head faster)");
+    println!(
+        "{set} on the {rung} rung: base/head run time over {rounds} alternating rounds \
+         (>1: head faster)"
+    );
     println!(
         "{:<20} {:>10} {:>10} {:>8} {:>8} {:>8}",
         "item", "base ms", "head ms", "median", "q1", "q3"
