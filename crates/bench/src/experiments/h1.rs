@@ -131,8 +131,8 @@ fn measure(w: &Workload, config: MachineConfig, linkage: Linkage, p: Params) -> 
         },
     )
     .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", w.name));
-    // H1 isolates the predecoder, so fusion is pinned off on *both*
-    // paths; it gets its own rung in H2.
+    // H1 isolates the predecoder: the native tier is off on both
+    // paths; it gets its own rung in H5.
     let [(_, byte_cfg), (_, pre_cfg), ..] = config.dispatch_ladder();
     // Untimed warmup: fault in code paths and allocator pools.
     Machine::load(&compiled.image, byte_cfg)

@@ -1,21 +1,20 @@
-//! H5 — tier-5 native execution: the full dispatch ladder topped by
-//! the certificate-licensed direct-threaded compiler.
+//! H5 — native execution: the full dispatch ladder topped by the
+//! certificate-licensed direct-threaded compiler.
 //!
-//! H2 stops at fused predecode; H5 adds the fourth rung, where
-//! procedure bodies stop being interpreted at all and run as chains of
-//! pre-monomorphized host handlers (`crates/vm/src/native.rs`). The
-//! whole [`MachineConfig::dispatch_ladder`], identical in every
-//! simulated counter (`tests/predecode_parity.rs`):
+//! The top rung stops interpreting procedure bodies at all and runs
+//! them as chains of pre-monomorphized host handlers
+//! (`crates/vm/src/native.rs`). The whole
+//! [`MachineConfig::dispatch_ladder`], identical in every simulated
+//! counter (`tests/predecode_parity.rs`):
 //!
-//! | name | predecode | fusion | native |
-//! |------|-----------|--------|--------|
-//! | `byte`      | off | off | off |
-//! | `predecode` | on  | off | off |
-//! | `fuse`      | on  | on  | off |
-//! | `native`    | on  | on  | on  |
+//! | name | predecode | native |
+//! |------|-----------|--------|
+//! | `byte`      | off | off |
+//! | `predecode` | on  | off |
+//! | `native`    | on  | on, armed |
 //!
-//! The workload set is H2's call-dense slice — these programs re-enter
-//! tiny procedure bodies millions of times. The armed tier compiles
+//! The workload set is the corpus's call-dense slice — these programs
+//! re-enter tiny procedure bodies millions of times. The armed tier compiles
 //! every body before the first instruction, so the whole run executes
 //! in native bursts. The native rung is timed *including* that
 //! compilation: machines load cold, the license is armed, and the
@@ -24,8 +23,8 @@
 //!
 //! Arming requires an `fpc-verify` certificate; `prepare` verifies
 //! each image and panics if the corpus ever stops verifying clean,
-//! because an unarmed native rung would silently time the fused
-//! ladder twice.
+//! because an unarmed native rung would silently time the checked
+//! bursts instead.
 //!
 //! The per-layer call cost comes from a leaf-call loop
 //! (`while i < n do i := leaf(i)`, `leaf(x) = x + 1`) timed on the
@@ -42,11 +41,11 @@ use fpc_workloads::{compile_workload, corpus, programs, Kind, Workload};
 use super::h1::{sample, Params};
 use crate::driver::{default_workers, parallel_map};
 
-/// The call-dense slice of the corpus (same as H2's).
+/// The call-dense slice of the corpus.
 pub const WORKLOADS: [&str; 5] = ["fib", "ackermann", "tak", "hanoi", "leafcalls"];
 
 /// The dispatch ladder over `base`, weakest first, native last.
-fn dispatches(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
+fn dispatches(base: MachineConfig) -> [(&'static str, MachineConfig); 3] {
     base.dispatch_ladder()
 }
 
@@ -59,7 +58,7 @@ fn configs() -> [(&'static str, MachineConfig, Linkage); 4] {
     ]
 }
 
-/// One (workload, config) measurement across the four-rung ladder.
+/// One (workload, config) measurement across the three-rung ladder.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Workload name.
@@ -70,7 +69,7 @@ pub struct Row {
     pub instructions: u64,
     /// Simulated instructions per host second, per dispatch, in
     /// ladder order.
-    pub ips: [f64; 4],
+    pub ips: [f64; 3],
     /// Instructions retired by fast native handlers in one run.
     pub native_instrs: u64,
     /// Instructions retired through the interpreter fallback inside
@@ -81,14 +80,14 @@ pub struct Row {
 }
 
 impl Row {
-    /// The headline ratio: native over the fused rung.
-    pub fn native_over_fuse(&self) -> f64 {
-        self.ips[3] / self.ips[2]
+    /// The headline ratio: native over the predecoding interpreter.
+    pub fn native_over_predecode(&self) -> f64 {
+        self.ips[2] / self.ips[1]
     }
 
     /// The native rung over the byte decoder.
     pub fn native_over_byte(&self) -> f64 {
-        self.ips[3] / self.ips[0]
+        self.ips[2] / self.ips[0]
     }
 
     /// Fraction of all retired instructions that ran as fast native
@@ -127,7 +126,7 @@ fn prepare(cell: &Cell) -> Prepared {
         },
     )
     .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", cell.workload.name));
-    let [(_, byte_cfg), _, _, (_, native_cfg)] = dispatches(cell.config);
+    let [(_, byte_cfg), _, (_, native_cfg)] = dispatches(cell.config);
     let report = verify_image(&compiled.image, &VerifyOptions::for_config(&native_cfg));
     let license = report
         .certificate()
@@ -195,7 +194,7 @@ pub fn measure_all(p: Params) -> Vec<Row> {
         .iter()
         .zip(prepared)
         .map(|(cell, prep)| {
-            let mut best = [f64::INFINITY; 4];
+            let mut best = [f64::INFINITY; 3];
             for _ in 0..p.runs {
                 for (d, (_, cfg)) in dispatches(cell.config).into_iter().enumerate() {
                     let license = cfg.native.then_some(prep.license);
@@ -278,7 +277,7 @@ pub fn measure_call_costs(p: Params) -> Vec<CallCost> {
             };
             let call = prepare(&cell(programs::leafcalls(LEAF_CALLS)));
             let plain = prepare(&cell(no_call_loop(LEAF_CALLS)));
-            let (_, cfg) = dispatches(config)[3];
+            let (_, cfg) = dispatches(config)[2];
             let mut best = [f64::INFINITY; 2];
             for _ in 0..p.runs * p.reps {
                 for (b, prep) in best.iter_mut().zip([&call, &plain]) {
@@ -304,7 +303,7 @@ fn i4_over_i3(rows: &[Row]) -> f64 {
     let native_ns = |config: &str| -> f64 {
         rows.iter()
             .filter(|r| r.config == config)
-            .map(|r| r.instructions as f64 * 1e9 / r.ips[3])
+            .map(|r| r.instructions as f64 * 1e9 / r.ips[2])
             .sum()
     };
     native_ns("i4") / native_ns("i3")
@@ -318,7 +317,7 @@ fn fmt_mips(ips: f64) -> String {
 fn worst(rows: &[Row], keep: impl Fn(&Row) -> bool) -> f64 {
     rows.iter()
         .filter(|r| keep(r))
-        .map(Row::native_over_fuse)
+        .map(Row::native_over_predecode)
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -327,23 +326,22 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let rows = measure_all(p);
     let costs = measure_call_costs(p);
     let mut out = String::new();
-    out.push_str("H5: tier-5 native execution (simulated Minstr/s) on call-dense workloads\n");
+    out.push_str("H5: native execution (simulated Minstr/s) on call-dense workloads\n");
     out.push_str(&format!(
-        "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
-        "workload", "cfg", "sim instrs", "byte", "predec", "+fuse", "native", "nat%", "vs fuse"
+        "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>10}\n",
+        "workload", "cfg", "sim instrs", "byte", "predec", "native", "nat%", "vs predec"
     ));
     for r in &rows {
         out.push_str(&format!(
-            "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>7.1}% {:>8.2}x\n",
+            "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>7.1}% {:>9.2}x\n",
             r.workload,
             r.config,
             r.instructions,
             fmt_mips(r.ips[0]),
             fmt_mips(r.ips[1]),
             fmt_mips(r.ips[2]),
-            fmt_mips(r.ips[3]),
             100.0 * r.native_share(),
-            r.native_over_fuse()
+            r.native_over_predecode()
         ));
     }
     // The bank machine (i4) runs its locals and indirect accesses in
@@ -353,7 +351,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let worst_i1_i3 = worst(&rows, |r| r.config != "i4");
     let worst_all = worst(&rows, |_| true);
     out.push_str(&format!(
-        "worst-case native over fuse: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
+        "worst-case native over predecode: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
     ));
     out.push_str("native call+return pair vs loop instruction (host ns)\n");
     for c in &costs {
@@ -383,21 +381,20 @@ pub fn report_and_json(p: Params) -> (String, String) {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"config\": \"{}\", \"instructions\": {}, \
-             \"ips\": {{\"byte\": {:.0}, \"predecode\": {:.0}, \"fuse\": {:.0}, \"native\": {:.0}}}, \
+             \"ips\": {{\"byte\": {:.0}, \"predecode\": {:.0}, \"native\": {:.0}}}, \
              \"native_instrs\": {}, \"interp_ops\": {}, \"compiled_procs\": {}, \
-             \"native_share\": {:.3}, \"native_over_fuse\": {:.3}, \"native_over_byte\": {:.3}}}{}\n",
+             \"native_share\": {:.3}, \"native_over_predecode\": {:.3}, \"native_over_byte\": {:.3}}}{}\n",
             r.workload,
             r.config,
             r.instructions,
             r.ips[0],
             r.ips[1],
             r.ips[2],
-            r.ips[3],
             r.native_instrs,
             r.interp_ops,
             r.compiled_procs,
             r.native_share(),
-            r.native_over_fuse(),
+            r.native_over_predecode(),
             r.native_over_byte(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -414,7 +411,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
         ));
     }
     json.push_str(&format!(
-        "  }},\n  \"i4_over_i3_native_ns_per_instr\": {i4_i3:.3},\n  \"worst_native_over_fuse_i1_i3\": {worst_i1_i3:.3},\n  \"worst_native_over_fuse_all\": {worst_all:.3}\n}}\n"
+        "  }},\n  \"i4_over_i3_native_ns_per_instr\": {i4_i3:.3},\n  \"worst_native_over_predecode_i1_i3\": {worst_i1_i3:.3},\n  \"worst_native_over_predecode_all\": {worst_all:.3}\n}}\n"
     ));
     (out, json)
 }
@@ -445,9 +442,9 @@ mod tests {
 
     #[test]
     fn the_ladder_tops_out_at_native() {
-        let [(_, byte), _, (_, fuse), (_, native)] = dispatches(MachineConfig::i2());
+        let [(_, byte), (_, predecode), (_, native)] = dispatches(MachineConfig::i2());
         assert!(!byte.predecode && !byte.native);
-        assert!(fuse.predecode && fuse.fuse && !fuse.native);
-        assert!(native.predecode && native.fuse && native.native);
+        assert!(predecode.predecode && !predecode.native);
+        assert!(native.predecode && native.native);
     }
 }

@@ -55,16 +55,10 @@ pub struct Memory {
     /// References charged with [`Memory::charge_refs`]: counted in
     /// [`Memory::refs`], not in `stats`.
     charged: u64,
-    /// One flag per word below the highest watched word: stores to
-    /// flagged words bump [`Memory::table_gen`]. Its length is the watch
-    /// bound; a store at or above it skips the lookup, so the frame
-    /// region, which lies above every transfer table, pays one compare.
-    watched: Vec<bool>,
-    table_gen: u64,
 }
 
-/// The recyclable backing store of a retired [`Memory`]: the word and
-/// watch-flag vectors with their host allocations intact.
+/// The recyclable backing store of a retired [`Memory`]: the word
+/// vector with its host allocation intact.
 ///
 /// A host that churns through many short-lived machines (a scheduler
 /// retiring and respawning guest contexts) hands buffers back to
@@ -73,14 +67,12 @@ pub struct Memory {
 #[derive(Debug, Default)]
 pub struct MemoryBuffer {
     words: Vec<Word>,
-    watched: Vec<bool>,
 }
 
 impl MemoryBuffer {
-    /// Host-word capacity currently held (the larger of the two
-    /// vectors' capacities, in words).
+    /// Host-word capacity currently held.
     pub fn capacity(&self) -> usize {
-        self.words.capacity().max(self.watched.capacity())
+        self.words.capacity()
     }
 }
 
@@ -96,85 +88,33 @@ impl Memory {
             words: vec![0; size as usize],
             stats: MemStats::default(),
             charged: 0,
-            watched: Vec::new(),
-            table_gen: 0,
         }
     }
 
     /// Creates a zeroed memory of `size` words inside a recycled
-    /// buffer: the vectors are cleared and re-zeroed but keep their
-    /// allocations, so no host allocation happens when the buffer's
+    /// buffer: the vector is cleared and re-zeroed but keeps its
+    /// allocation, so no host allocation happens when the buffer's
     /// capacity already covers `size`. Semantically identical to
-    /// [`Memory::new`] — stats and the table generation start at zero.
+    /// [`Memory::new`] — stats start at zero.
     ///
     /// # Panics
     ///
     /// Panics if `size` is zero.
     pub fn with_buffer(size: u32, buf: MemoryBuffer) -> Self {
         assert!(size > 0, "memory must contain at least the nil word");
-        let MemoryBuffer {
-            mut words,
-            mut watched,
-        } = buf;
+        let MemoryBuffer { mut words } = buf;
         words.clear();
         words.resize(size as usize, 0);
-        watched.clear();
         Memory {
             words,
             stats: MemStats::default(),
             charged: 0,
-            watched,
-            table_gen: 0,
         }
     }
 
     /// Dismantles the memory into its recyclable backing store.
     pub fn into_buffer(self) -> MemoryBuffer {
-        MemoryBuffer {
-            words: self.words,
-            watched: self.watched,
-        }
-    }
-
-    /// Marks `addr` as a transfer-table word: any store to it (counted
-    /// or host-side) bumps the generation returned by
-    /// [`Memory::table_gen`]. A host-side cache derived from table words
-    /// can key itself on that generation, so a simulated program
-    /// overwriting a table entry invalidates it without any per-cache
-    /// hook. The VM's native tier is keyed on it, but binds no table
-    /// word: it resolves known call targets from the code store alone
-    /// and walks the tables at run time for the rest. There a watched
-    /// store only ends the burst and recompiles the image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn watch(&mut self, addr: WordAddr) {
-        self.watch_range(addr, 1);
-    }
-
-    /// Watches `len` consecutive words starting at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range runs past the end of memory.
-    pub fn watch_range(&mut self, start: WordAddr, len: u32) {
-        let (lo, hi) = (start.0 as usize, start.0 as usize + len as usize);
-        assert!(
-            hi <= self.words.len(),
-            "watched words {start}+{len} out of range"
-        );
-        if hi > self.watched.len() {
-            self.watched.resize(hi, false);
-        }
-        self.watched[lo..hi].fill(true);
-    }
-
-    /// Generation of the watched (transfer-table) words: bumped by
-    /// every store to a watched word. Monotonic; never reset.
-    #[inline]
-    pub fn table_gen(&self) -> u64 {
-        self.table_gen
+        MemoryBuffer { words: self.words }
     }
 
     /// Counts `reads` architectural reads and `writes` architectural
@@ -238,7 +178,6 @@ impl Memory {
     #[inline(always)]
     pub fn write(&mut self, addr: WordAddr, value: Word) {
         self.stats.data_writes += 1;
-        self.note_store(addr);
         self.words[addr.0 as usize] = value;
     }
 
@@ -259,17 +198,7 @@ impl Memory {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn poke(&mut self, addr: WordAddr, value: Word) {
-        self.note_store(addr);
         self.words[addr.0 as usize] = value;
-    }
-
-    /// Bumps the table generation for a store to a watched word. Words
-    /// at or above the watch bound are never watched.
-    #[inline(always)]
-    fn note_store(&mut self, addr: WordAddr) {
-        if self.watched.get(addr.0 as usize).copied().unwrap_or(false) {
-            self.table_gen += 1;
-        }
     }
 
     /// Current reference counters.
@@ -299,21 +228,16 @@ mod tests {
     #[test]
     fn recycled_buffer_is_indistinguishable_from_fresh() {
         let mut dirty = Memory::new(64);
-        dirty.watch(WordAddr(5));
-        dirty.write(WordAddr(5), 9); // stats, watch flags, generation all dirty
+        dirty.write(WordAddr(5), 9); // stats and words dirty
         let buf = dirty.into_buffer();
         assert!(buf.capacity() >= 64);
 
-        let mut reused = Memory::with_buffer(32, buf);
+        let reused = Memory::with_buffer(32, buf);
         assert_eq!(reused.size(), 32);
         assert_eq!(reused.stats().total(), 0);
-        assert_eq!(reused.table_gen(), 0);
         for i in 0..32 {
             assert_eq!(reused.peek(WordAddr(i)), 0, "word {i} not zeroed");
         }
-        // The old watch flag must not survive into the new lease.
-        reused.write(WordAddr(5), 1);
-        assert_eq!(reused.table_gen(), 0, "stale watch flag leaked");
     }
 
     #[test]
@@ -359,51 +283,6 @@ mod tests {
         m.write(WordAddr(1), 1);
         m.reset_stats();
         assert_eq!(m.stats().total(), 0);
-    }
-
-    #[test]
-    fn watched_words_bump_the_generation() {
-        let mut m = Memory::new(16);
-        m.watch(WordAddr(3));
-        m.watch_range(WordAddr(8), 2);
-        assert_eq!(m.table_gen(), 0);
-        m.write(WordAddr(1), 5); // unwatched: no bump
-        assert_eq!(m.table_gen(), 0);
-        m.write(WordAddr(3), 5);
-        assert_eq!(m.table_gen(), 1);
-        m.poke(WordAddr(9), 7); // host-side stores count too
-        assert_eq!(m.table_gen(), 2);
-        m.reset_stats(); // counters reset; the generation must not
-        assert_eq!(m.table_gen(), 2);
-    }
-
-    #[test]
-    fn stores_above_the_watch_bound_skip_the_generation() {
-        let mut m = Memory::new(64);
-        m.watch(WordAddr(10));
-        m.write(WordAddr(10), 1); // watched, below the bound
-        assert_eq!(m.table_gen(), 1);
-        m.write(WordAddr(11), 1); // at the bound
-        m.write(WordAddr(40), 1); // above it
-        m.poke(WordAddr(63), 1);
-        assert_eq!(m.table_gen(), 1);
-        m.write(WordAddr(9), 1); // below the bound, unwatched
-        assert_eq!(m.table_gen(), 1);
-        // Watching a higher word moves the bound past it.
-        m.watch(WordAddr(40));
-        m.write(WordAddr(40), 2);
-        assert_eq!(m.table_gen(), 2);
-        m.write(WordAddr(39), 2);
-        m.write(WordAddr(41), 2);
-        assert_eq!(m.table_gen(), 2);
-        m.write(WordAddr(10), 2); // the lower watch still holds
-        assert_eq!(m.table_gen(), 3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn watching_past_the_end_panics() {
-        Memory::new(4).watch(WordAddr(4));
     }
 
     #[test]

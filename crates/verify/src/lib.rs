@@ -20,10 +20,11 @@
 //!   bound from the entry procedure.
 //!
 //! A clean [`VerifyReport`] issues a [`Certificate`], and the
-//! certificate licenses exactly one thing: the VM's native tier
-//! ([`Certificate::native_license`] → `Machine::arm_native`), which
-//! runs every body as unchecked threaded code. The interpreter keeps
-//! every dynamic check whether or not the image verified.
+//! certificate licenses exactly one thing: skipping the VM's native
+//! tier's stack checks ([`Certificate::native_license`] →
+//! `Machine::arm_native`), so the tier runs every body as unchecked
+//! threaded code. The interpreter keeps every dynamic check whether or
+//! not the image verified.
 //!
 //! ```
 //! use fpc_verify::{verify_image, VerifyOptions};

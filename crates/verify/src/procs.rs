@@ -3,9 +3,10 @@
 //! Mirrors the VM's predecode body enumeration exactly — the stops are
 //! segment bases (entry vectors are data), every procedure header, and
 //! the end of the code store — so the verifier reasons about the same
-//! instruction stream the machine will execute. Fusion is the VM's own
-//! business: every fused pair keeps both ops' boundaries as legal
-//! targets, so the decoded boundaries are all the jump check needs.
+//! instruction stream the machine will execute. Superinstructions are
+//! the VM's own business: every instruction boundary inside one stays a
+//! legal target (the VM interprets an entry there), so the decoded
+//! boundaries are all the jump check needs.
 
 use fpc_core::layout;
 use fpc_isa::{decode, Instr};

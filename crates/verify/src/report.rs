@@ -425,8 +425,9 @@ impl VerifyReport {
 }
 
 impl Certificate {
-    /// Mints the license that arms the VM's tier-5 native compiler
-    /// ([`fpc_vm::Machine::arm_native`]). Only clean verifications
+    /// Mints the license that arms the VM's native tier
+    /// ([`fpc_vm::Machine::arm_native`]), letting its bursts skip their
+    /// stack checks. Only clean verifications
     /// produce a [`Certificate`], so holding one *is* the eligibility
     /// proof; the license carries the proven stack bound for the VM's
     /// final fit check against its configured stack depth.

@@ -76,7 +76,9 @@ impl BankConfig {
 
 /// A complete machine configuration.
 ///
-/// The presets correspond to the paper's implementations:
+/// The presets correspond to the paper's implementations. Every preset
+/// predecodes and runs the native tier (checked until a license arms
+/// it); they differ only in the simulated machine:
 ///
 /// | preset | return stack | banks | allocator |
 /// |--------|--------------|-------|-----------|
@@ -104,11 +106,6 @@ pub struct MachineConfig {
     /// on and exists mainly so experiments can measure the byte-decode
     /// baseline.
     pub predecode: bool,
-    /// Fuse hot 2-op pairs into superinstructions in the predecode
-    /// layer and execute them in dedicated step arms. Host-side only;
-    /// requires `predecode` (silently inert without it). Defaults to
-    /// on; parity tests run fused vs. unfused.
-    pub fuse: bool,
     /// Frame-region words withheld from normal allocation as the fault
     /// reserve: a frame-fault handler can `DONATE` them back (the §5.3
     /// replenisher's donation pool), and fault dispatch may borrow from
@@ -124,18 +121,20 @@ pub struct MachineConfig {
     ///
     /// [`VmError::FaultDepthExceeded`]: crate::VmError::FaultDepthExceeded
     pub max_fault_depth: u32,
-    /// Enable the tier-5 native execution engine: every procedure body
-    /// of the image is compiled, in one pass when the armed tier first
-    /// runs and again after each coherence flush, to a direct-threaded
-    /// array of pre-monomorphized host handlers, and executed without
-    /// the fetch/dispatch loop. Host-side only — every simulated
-    /// counter stays bit-identical to byte dispatch. Inert until
-    /// [`Machine::arm_native`] is called with a
-    /// [`NativeLicense`] derived from a clean `fpc-verify` certificate,
-    /// and permanently demoted once a certificate premise lapses:
-    /// installing a trap or fault handler (handler code runs at depths
-    /// outside the certificate) or mutating code post-load
-    /// (`replace_proc`, `relocate_module`, `unbind_module`).
+    /// Run the native tier: every procedure body of the image is
+    /// compiled, in one pass when the machine first runs and again
+    /// after each code change, to a direct-threaded array of
+    /// pre-monomorphized host handlers, and executed without the
+    /// fetch/dispatch loop. Host-side only — every simulated counter
+    /// stays bit-identical to byte dispatch. Unarmed, a burst checks
+    /// each op's stack effect before running it and leaves any op that
+    /// would underflow or overflow to the interpreter;
+    /// [`Machine::arm_native`] with a [`NativeLicense`] derived from a
+    /// clean `fpc-verify` certificate compiles that check out. The tier
+    /// stops for good once a certificate premise lapses: installing a
+    /// trap or fault handler (handler code runs at depths outside the
+    /// certificate) or mutating code post-load (`replace_proc`,
+    /// `relocate_module`, `unbind_module`). On in every preset.
     ///
     /// [`Machine::arm_native`]: crate::Machine::arm_native
     /// [`NativeLicense`]: crate::NativeLicense
@@ -172,11 +171,10 @@ impl MachineConfig {
             strict_stack: true,
             stack_depth: 16,
             predecode: true,
-            fuse: true,
             fault_reserve_words: 0,
             stack_reserve: 8,
             max_fault_depth: 8,
-            native: false,
+            native: true,
             memory_words: crate::image::DEFAULT_MEMORY_WORDS,
             observe_effects: false,
         }
@@ -244,10 +242,10 @@ impl MachineConfig {
         self
     }
 
-    /// Enables or disables superinstruction fusion (host-side only;
-    /// inert unless predecoding is on).
-    pub fn with_fusion(mut self, on: bool) -> Self {
-        self.fuse = on;
+    /// Does nothing: there is no fused rung to switch. Kept only for
+    /// `perfbench/`, its one caller.
+    #[doc(hidden)]
+    pub fn with_fusion(self, _: bool) -> Self {
         self
     }
 
@@ -269,10 +267,9 @@ impl MachineConfig {
         self
     }
 
-    /// Enables or disables the tier-5 native execution engine (see
-    /// [`MachineConfig::native`]). Host-side only; still needs a
-    /// certificate-derived license at run time before it executes
-    /// anything.
+    /// Enables or disables the native tier (see
+    /// [`MachineConfig::native`]). Host-side only; a certificate-derived
+    /// license at run time lets its bursts skip their stack checks.
     pub fn with_native_tier(mut self, on: bool) -> Self {
         self.native = on;
         self
@@ -307,22 +304,15 @@ impl MachineConfig {
 
     /// The host dispatch ladder over this configuration, weakest
     /// first: `byte` (every host accelerator off: the reference each
-    /// other rung must match bit-for-bit), `predecode`, `fuse` (plus
-    /// superinstruction fusion) and `native` (plus the native tier,
-    /// which runs every body compiled once armed). The rungs differ
-    /// only in host speed; callers that never arm the native tier take
-    /// the first three.
-    pub fn dispatch_ladder(self) -> [(&'static str, MachineConfig); 4] {
-        let interp = |predecode, fuse| {
-            self.with_predecode(predecode)
-                .with_fusion(fuse)
-                .with_native_tier(false)
-        };
+    /// other rung must match bit-for-bit), `predecode`, and `native`
+    /// (plus the native tier, which runs every body compiled: checked,
+    /// or unchecked once armed). The rungs differ only in host speed.
+    pub fn dispatch_ladder(self) -> [(&'static str, MachineConfig); 3] {
+        let rung = |predecode, native| self.with_predecode(predecode).with_native_tier(native);
         [
-            ("byte", interp(false, false)),
-            ("predecode", interp(true, false)),
-            ("fuse", interp(true, true)),
-            ("native", interp(true, true).with_native_tier(true)),
+            ("byte", rung(false, false)),
+            ("predecode", rung(true, false)),
+            ("native", rung(true, true)),
         ]
     }
 }
@@ -358,14 +348,12 @@ mod tests {
         assert_eq!(c.alloc, AllocStrategy::General);
         assert!(c.predecode, "predecode defaults to on");
         assert!(!c.with_predecode(false).predecode);
-        assert!(c.fuse, "fusion defaults on");
-        assert!(!c.with_fusion(false).fuse);
         assert_eq!(c.fault_reserve_words, 0, "no reserve unless asked");
         assert_eq!(c.with_fault_reserve(128).fault_reserve_words, 128);
         assert_eq!(c.with_stack_reserve(4).stack_reserve, 4);
         assert_eq!(c.with_max_fault_depth(2).max_fault_depth, 2);
-        assert!(!c.native, "native tier is opt-in");
-        assert!(c.with_native_tier(true).native);
+        assert!(c.native, "the native tier defaults to on");
+        assert!(!c.with_native_tier(false).native);
         assert_eq!(
             c.memory_words,
             crate::image::DEFAULT_MEMORY_WORDS,
@@ -379,14 +367,13 @@ mod tests {
     #[test]
     fn the_ladder_climbs_from_byte_to_native() {
         let ladder = MachineConfig::i2().dispatch_ladder();
-        let toggles = ladder.map(|(name, c)| (name, c.predecode, c.fuse, c.native));
+        let toggles = ladder.map(|(name, c)| (name, c.predecode, c.native));
         assert_eq!(
             toggles,
             [
-                ("byte", false, false, false),
-                ("predecode", true, false, false),
-                ("fuse", true, true, false),
-                ("native", true, true, true),
+                ("byte", false, false),
+                ("predecode", true, false),
+                ("native", true, true),
             ]
         );
     }

@@ -20,7 +20,7 @@
 
 use std::ops::Range;
 
-use fpc_core::{layout, Context, ContextWord, FrameHandle, GftEntry, ProcDesc, TableKey};
+use fpc_core::{layout, Context, ContextWord, FrameHandle, GftEntry, ProcDesc};
 use fpc_frames::{FrameError, FrameHeap, FrameRecord, FrameTable, GeneralHeap, HeapStats};
 use fpc_isa::{decode, Instr};
 use fpc_mem::{ByteAddr, CodeStore, Memory, WordAddr};
@@ -33,10 +33,10 @@ use crate::cost::{
 };
 use crate::error::{FaultKind, RemoteFaultClass, TrapCode, VmError};
 use crate::ifu::{ReturnEntry, ReturnStack, ReturnStackStats};
-use crate::image::{self, Image, ProcRef, AV_BASE, GFT_BASE, GFT_ENTRIES};
-use crate::native::{Compiled, NOp, NativeLicense, NativeTier, ReturnPredictor, Site};
+use crate::image::{self, Image, ProcRef, AV_BASE, GFT_BASE};
+use crate::native::{Compiled, Effect, NOp, NativeLicense, NativeTier, ReturnPredictor, Site};
 use crate::observe::ObservedEffects;
-use crate::predecode::{Fetched, FusedOp, PredecodeCache, PredecodeStats};
+use crate::predecode::{PredecodeCache, PredecodeStats};
 
 /// Whole-run statistics.
 #[derive(Debug, Default, Clone)]
@@ -99,19 +99,14 @@ struct LoadedModule {
     code_seg: usize,
 }
 
-/// Host-side superinstruction counters, surfaced via
-/// [`Machine::fusion_stats`]. Deliberately *not* part of
-/// [`MachineStats`]: the parity fingerprint covers every simulated
-/// observable, and these counters differ between fused and unfused
-/// runs by construction.
+/// What [`Machine::fusion_stats`] would report; it never does.
+/// Kept only for `perfbench/`, its one caller.
+#[doc(hidden)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FusionStats {
-    /// Fused pairs present in the predecode overlay.
-    pub fused_sites: usize,
-    /// Steps that executed a fused pair (two instructions each).
+    /// Steps that executed a fused pair.
     pub fused_execs: u64,
-    /// Pairs demoted to a single step because a stack-depth guard
-    /// failed (the slow path that keeps error behaviour identical).
+    /// Pairs demoted to a single step.
     pub demotions: u64,
 }
 
@@ -241,16 +236,14 @@ pub struct Machine {
     defer_headers: bool,
     classes: fpc_frames::SizeClasses,
     predecode: Option<PredecodeCache>,
-    fused_execs: u64,
-    fuse_demotions: u64,
-    /// Tier-5 native execution ([`MachineConfig::native`]): the
-    /// image's direct-threaded compiled bodies. Present whenever
-    /// the config enables the tier; dormant until [`Machine::arm_native`]
-    /// accepts a [`NativeLicense`], and permanently disarmed the moment
-    /// a certificate premise lapses: a trap or fault handler is
-    /// installed (handler code runs at stack depths the static analysis
-    /// did not model) or loaded code is mutated (`replace_proc` /
-    /// `relocate_module` / `unbind_module`).
+    /// The native tier ([`MachineConfig::native`]): the image's
+    /// direct-threaded compiled bodies. Present whenever the config
+    /// enables the tier; its bursts check stack effects until
+    /// [`Machine::arm_native`] accepts a [`NativeLicense`], and it stops
+    /// for good the moment a certificate premise lapses: a trap or
+    /// fault handler is installed (handler code runs at stack depths
+    /// the static analysis did not model) or loaded code is mutated
+    /// (`replace_proc` / `relocate_module` / `unbind_module`).
     native: Option<NativeTier>,
 
     // Registers.
@@ -334,9 +327,9 @@ impl std::fmt::Debug for Machine {
 /// state), the one interior-mutability cell (the bank lookup memo) is
 /// `Cell`, which is `Send`, and the compiled native bodies are plain
 /// owned data. The accelerator
-/// caches stay valid across a steal because their coherence keys
-/// (code-store version, watched-table generation) are derived from the
-/// machine's own state, which moves with it.
+/// caches stay valid across a steal because their coherence key (the
+/// code-store version) is derived from the machine's own state, which
+/// moves with it.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Machine>();
@@ -425,10 +418,9 @@ impl Mark {
 enum NativeExit {
     /// The machine halted inside the burst.
     Halted,
-    /// Fuel ran out; `pc` is materialized at the next instruction.
-    Budget,
-    /// Control left compiled code (transfer, deopt, fall-off); `pc`
-    /// is materialized and the interpreter resumes.
+    /// Fuel ran out, an op's stack check failed, or control left
+    /// compiled code (transfer, code change, fall-off); `pc` is
+    /// materialized and the interpreter resumes.
     Left,
 }
 
@@ -562,15 +554,6 @@ impl Machine {
             }
         }
         let mut mem = mem;
-        // Watch the transfer-table words — the GFT region and each
-        // global frame's code-base word — so any store to them bumps
-        // the table generation the native tier is keyed on. Watching
-        // is unconditional (it is not a counter) so the generation is
-        // meaningful whether or not the tier is on.
-        mem.watch_range(GFT_BASE, GFT_ENTRIES);
-        for &gf in &placement.gf_addrs {
-            mem.watch(gf.offset(layout::GF_CODE_BASE));
-        }
         let region = placement.frame_region.clone();
         let reserve = config.fault_reserve_words;
         if reserve > 0 && reserve + 2 >= region.end - region.start {
@@ -642,11 +625,7 @@ impl Machine {
             banks,
             defer_headers,
             classes: image.classes.clone(),
-            predecode: config
-                .predecode
-                .then(|| PredecodeCache::with_fusion(config.fuse)),
-            fused_execs: 0,
-            fuse_demotions: 0,
+            predecode: config.predecode.then(PredecodeCache::new),
             native: config.native.then(NativeTier::new),
             lf: WordAddr::NIL,
             gf: WordAddr::NIL,
@@ -741,11 +720,9 @@ impl Machine {
     pub fn predecode_stats(&self) -> Option<PredecodeStats> {
         self.predecode.as_ref().map(|p| {
             let mut s = p.stats();
-            // One lookup per interpreted instruction — except that a
-            // fused pair serves two instructions from one lookup, and
-            // native bursts (fallback ops included) look up nothing;
-            // the cache leaves the hit counter to us so its hot path
-            // stays counter-free.
+            // One lookup per interpreted instruction — native bursts
+            // (fallback ops included) look up nothing; the cache leaves
+            // the hit counter to us so its hot path stays counter-free.
             let native = self
                 .native
                 .as_ref()
@@ -753,7 +730,7 @@ impl Machine {
             s.hits = self
                 .stats
                 .instructions
-                .saturating_sub(s.lazy_decodes + self.fused_execs + native);
+                .saturating_sub(s.lazy_decodes + native);
             s
         })
     }
@@ -766,17 +743,11 @@ impl Machine {
         None
     }
 
-    /// Superinstruction-fusion statistics, when fusion is active
-    /// (requires predecoding).
+    /// Always `None`: there is no fused rung. Kept only for
+    /// `perfbench/`, its one caller.
+    #[doc(hidden)]
     pub fn fusion_stats(&self) -> Option<FusionStats> {
-        match &self.predecode {
-            Some(p) if self.config.fuse => Some(FusionStats {
-                fused_sites: p.fused_pairs(),
-                fused_execs: self.fused_execs,
-                demotions: self.fuse_demotions,
-            }),
-            _ => None,
-        }
+        None
     }
 
     /// Performs the initial transfer to `entry` with `args` pre-pushed
@@ -966,18 +937,6 @@ impl Machine {
         self.fstats.injected_refs += self.refs_total() - refs0;
     }
 
-    /// Injection hook: re-writes a watched transfer-table word with its
-    /// own value `n` times (host-side, uncounted). Architecturally a
-    /// no-op, but each poke bumps the table generation, forcing the
-    /// native tier to revalidate its compiled bodies — a generation
-    /// storm.
-    pub fn shake_tables(&mut self, n: u32) {
-        for _ in 0..n {
-            let v = self.mem.peek(GFT_BASE);
-            self.mem.poke(GFT_BASE, v);
-        }
-    }
-
     /// Runs until `HALT`, all processes exit, or an error.
     ///
     /// # Errors
@@ -1013,24 +972,27 @@ impl Machine {
             }
             if let Some((proc, ip)) = self.native_begin() {
                 let before = left;
-                // One bank decision per burst: I1–I3 bursts carry no
-                // per-access bank check at all.
-                let exit = if self.banks.is_some() {
-                    self.native_run::<true>(proc, ip, &mut left)?
-                } else {
-                    self.native_run::<false>(proc, ip, &mut left)?
+                // One check decision and one bank decision per burst:
+                // armed bursts carry no stack check, and I1–I3 bursts
+                // no per-access bank check at all.
+                let exit = match (self.native_armed(), self.banks.is_some()) {
+                    (false, false) => self.native_run::<true, false>(proc, ip, &mut left)?,
+                    (false, true) => self.native_run::<true, true>(proc, ip, &mut left)?,
+                    (true, false) => self.native_run::<false, false>(proc, ip, &mut left)?,
+                    (true, true) => self.native_run::<false, true>(proc, ip, &mut left)?,
                 };
                 match exit {
                     NativeExit::Halted => return Ok(()),
-                    // Budget exhausted or the burst left compiled
-                    // code; `pc` is materialized either way. A burst
-                    // that retired nothing (a fused run needs more
-                    // fuel than remains, or the entry op is the body's
-                    // exit pad) falls through to retire one
-                    // instruction interpretively — otherwise a 1-fuel
-                    // run would re-enter the same burst forever.
-                    NativeExit::Budget | NativeExit::Left if left < before => continue,
-                    NativeExit::Budget | NativeExit::Left => {}
+                    // A burst that retired nothing (a superinstruction
+                    // needs more fuel than remains, the entry op's stack
+                    // check fails, or the entry op is the body's exit
+                    // pad) falls through to retire one instruction
+                    // interpretively — which raises the check's error
+                    // exactly as the byte rung would, and keeps a
+                    // 1-fuel run from re-entering the same burst
+                    // forever.
+                    NativeExit::Left if left < before => continue,
+                    NativeExit::Left => {}
                 }
             }
             left -= 1;
@@ -1045,19 +1007,21 @@ impl Machine {
         }
     }
 
-    /// Arms the tier-5 native compiler under a verifier license.
+    /// Arms the native tier under a verifier license: its bursts skip
+    /// their stack checks from then on.
     ///
-    /// Returns `false` — leaving the tier provably dormant — when the
-    /// config never enabled it, when any certificate premise has
-    /// already lapsed (a trap or fault handler was installed, or
-    /// loaded code was mutated), or when the license's proven stack
-    /// bound does not fit this machine's configured stack depth.
+    /// Returns `false` — leaving the tier as it was — when the config
+    /// never enabled it, when any certificate premise has already
+    /// lapsed (a trap or fault handler was installed, or loaded code
+    /// was mutated: the tier has stopped), or when the license's proven
+    /// stack bound does not fit this machine's configured stack depth
+    /// (the tier keeps running checked).
     pub fn arm_native(&mut self, license: NativeLicense) -> bool {
         let stack_depth = self.config.stack_depth;
         let Some(nt) = self.native.as_mut() else {
             return false;
         };
-        if !nt.cert_ok() || license.max_stack_depth() as usize > stack_depth {
+        if !nt.live() || license.max_stack_depth() as usize > stack_depth {
             return false;
         }
         nt.arm();
@@ -1082,30 +1046,29 @@ impl Machine {
         }
     }
 
-    /// Burst-entry gate: recompile the image if the tier's key is
-    /// stale, then look up `pc` in the compiled-body map.
+    /// Burst-entry gate: recompile the image if the code changed since
+    /// the last pass, then look up `pc` in the compiled-body map.
     fn native_begin(&mut self) -> Option<(usize, u32)> {
         let nt = self.native.as_ref()?;
-        if !nt.armed() {
+        if !nt.live() {
             return None;
         }
-        if !nt.current(self.code.version(), self.mem.table_gen()) {
+        if !nt.current(self.code.version()) {
             self.native_compile_image();
         }
         self.native.as_ref()?.compiled().locate(self.pc.0)
     }
 
-    /// Compiles every loaded procedure body under the current key.
+    /// Compiles every loaded procedure body from the current code.
     fn native_compile_image(&mut self) {
         // The tier is out of `self` while the resolver reads the code.
         let Some(mut nt) = self.native.take() else {
             return;
         };
-        let key = TableKey::new(self.code.version(), self.mem.table_gen());
         let bodies = self.proc_bodies();
         let resolve = |instr: Instr, at: u32| self.known_target(instr, ByteAddr(at));
         nt.compile_image(
-            key,
+            self.code.version(),
             self.code.bytes(),
             &bodies,
             self.banks.is_some(),
@@ -1122,9 +1085,9 @@ impl Machine {
             .map(|m| m.code_base)
     }
 
-    /// The target of the call at `at` when it is fixed under the native
-    /// tier's key — every byte it is read from is code, which changes
-    /// only with the code version — or `None` when it is not (an
+    /// The target of the call at `at` when the code fixes it — every
+    /// byte it is read from is code, which changes only with the code
+    /// version — or `None` when it does not (an
     /// external call reads the link vector) or does not resolve. A
     /// local call indexes the entry vector of the module holding the
     /// call. Uncounted: this is compile-time work; the native handler
@@ -1157,17 +1120,17 @@ impl Machine {
     /// Executes a native burst starting at op `ip` of compiled body
     /// `proc`. The burst holds the compiled-body table by value for its
     /// whole length and hands it back to the tier on every exit path.
-    fn native_run<const BANKS: bool>(
+    fn native_run<const CHECKED: bool, const BANKS: bool>(
         &mut self,
         proc: usize,
         ip: u32,
         budget: &mut u64,
     ) -> Result<NativeExit, VmError> {
-        let compiled = self.native.as_mut().expect("armed burst").take_compiled();
-        let result = self.native_burst::<BANKS>(&compiled, proc, ip, budget);
+        let compiled = self.native.as_mut().expect("live tier").take_compiled();
+        let result = self.native_burst::<CHECKED, BANKS>(&compiled, proc, ip, budget);
         self.native
             .as_mut()
-            .expect("armed burst")
+            .expect("live tier")
             .restore_compiled(compiled);
         result
     }
@@ -1181,9 +1144,14 @@ impl Machine {
     /// less the changes that something else charged itself — a call or
     /// return, which [`Machine::native_xfer`] charges and records
     /// exactly, and an interpreter fallback, which `step_one` charges.
-    /// `BANKS` is whether the machine has register banks; when it is
-    /// false the bank lookups and the divert counter drop out entirely.
-    fn native_burst<const BANKS: bool>(
+    /// `CHECKED` is whether the tier is unarmed: each op's stack effect
+    /// is then checked before it runs, and an op that would underflow
+    /// or overflow ends the burst at its start, untouched, for the
+    /// interpreter to raise the error. Armed, the license has proven
+    /// the check never fails. `BANKS` is whether the machine has
+    /// register banks; when it is false the bank lookups and the
+    /// divert counter drop out entirely.
+    fn native_burst<const CHECKED: bool, const BANKS: bool>(
         &mut self,
         code: &Compiled,
         mut cur: usize,
@@ -1191,11 +1159,12 @@ impl Machine {
         budget: &mut u64,
     ) -> Result<NativeExit, VmError> {
         use Instr as I;
-        // Arming requires intact certificate premises, so no trap or
-        // fault handler can be installed while the tier runs: burst
-        // instructions are never handler-attributed.
+        // The tier runs only while the certificate premises hold, so no
+        // trap or fault handler can be installed while it runs: burst
+        // instructions are never handler-attributed, and the stack
+        // limit is the configured depth.
         debug_assert_eq!(self.fault_depth, 0);
-        let gen0 = self.mem.table_gen();
+        let limit = self.stack_limit();
         let ver0 = self.code.version();
         let mut body = code.proc(cur);
         let budget0 = *budget;
@@ -1206,7 +1175,7 @@ impl Machine {
         let mut interp_ops = 0u64;
         let mut batch = TransferBatch::default();
         let mut predictor = ReturnPredictor::new();
-        // A fused arm retiring `1 + extra` instructions takes the extra
+        // A superinstruction retiring `1 + extra` instructions takes the extra
         // fuel up front; on shortfall it refunds the loop-top unit —
         // nothing has executed, so `pc` still names the run start.
         macro_rules! need {
@@ -1214,14 +1183,15 @@ impl Machine {
                 if *budget < $extra {
                     *budget += 1;
                     self.pc = ByteAddr(body.offs[(ip - 1) as usize]);
-                    break Ok(NativeExit::Budget);
+                    break Ok(NativeExit::Left);
                 }
                 *budget -= $extra;
             };
         }
         // A single-op handler: the interpreter's own definition of the
-        // named instruction, unchecked under the license. A burst never
-        // passes a jump, so no address is needed.
+        // named instruction, unchecked: the license or the op's stack
+        // check has proven it. A burst never passes a jump, so no
+        // address is needed.
         macro_rules! exec {
             ($instr:expr) => {
                 if let Err(e) = self.straight::<false, BANKS>($instr, ByteAddr(0)) {
@@ -1233,18 +1203,6 @@ impl Machine {
         macro_rules! run {
             ($instr:expr) => {{
                 exec!($instr);
-                continue;
-            }};
-        }
-        // A store may bump the watched-table generation: the burst then
-        // exits at the next instruction boundary.
-        macro_rules! store {
-            ($instr:expr) => {{
-                exec!($instr);
-                if self.mem.table_gen() != gen0 {
-                    self.pc = ByteAddr(body.offs[ip as usize]);
-                    break Ok(NativeExit::Left);
-                }
                 continue;
             }};
         }
@@ -1276,10 +1234,12 @@ impl Machine {
                 continue;
             }};
         }
+        let fits =
+            |e: Effect, depth: usize| depth >= e.need as usize && depth + e.grow as usize <= limit;
         let result = loop {
-            if *budget == 0 {
+            if *budget == 0 || (CHECKED && !fits(body.effects[ip as usize], self.stack.len())) {
                 self.pc = ByteAddr(body.offs[ip as usize]);
-                break Ok(NativeExit::Budget);
+                break Ok(NativeExit::Left);
             }
             *budget -= 1;
             let op = body.ops[ip as usize];
@@ -1292,12 +1252,12 @@ impl Machine {
                 NOp::LocalWr(n) => run!(I::StoreLocal(n)),
                 NOp::LocalAddr(n) => run!(I::LoadLocalAddr(n)),
                 NOp::GlobalRd(n) => run!(I::LoadGlobal(n)),
-                NOp::GlobalWr(n) => store!(I::StoreGlobal(n)),
+                NOp::GlobalWr(n) => run!(I::StoreGlobal(n)),
                 NOp::GlobalAddr(n) => run!(I::LoadGlobalAddr(n)),
                 NOp::Read => run!(I::Read),
-                NOp::Write => store!(I::Write),
+                NOp::Write => run!(I::Write),
                 NOp::LoadIndex => run!(I::LoadIndex),
-                NOp::StoreIndex => store!(I::StoreIndex),
+                NOp::StoreIndex => run!(I::StoreIndex),
                 NOp::Add => run!(I::Add),
                 NOp::Sub => run!(I::Sub),
                 NOp::Mul => run!(I::Mul),
@@ -1337,9 +1297,9 @@ impl Machine {
                     if self.halted {
                         break Ok(NativeExit::Halted);
                     }
-                    if self.code.version() != ver0 || self.mem.table_gen() != gen0 {
-                        // Code or a watched table changed under the
-                        // burst; `pc` is already architectural.
+                    if self.code.version() != ver0 {
+                        // The code changed under the burst; `pc` is
+                        // already architectural.
                         break Ok(NativeExit::Left);
                     }
                     if self.pc.0 != start + len as u32 {
@@ -1356,7 +1316,7 @@ impl Machine {
                     self.pc = ByteAddr(body.offs[(ip - 1) as usize]);
                     break Ok(NativeExit::Left);
                 }
-                // Fused runs retire several instructions per dispatch:
+                // Superinstructions retire several instructions per dispatch:
                 // `need!` takes the extra fuel, which the exit charge
                 // counts like any other retired op.
                 NOp::Ld2(n, v) => {
@@ -1428,7 +1388,7 @@ impl Machine {
                     self.write_local::<BANKS>(n as u32, v);
                     jump!(t, true);
                 }
-                // Fused argument setup + transfer: the prefix retires
+                // Argument setup + transfer: the prefix retires
                 // as fast ops, then the call retires through its site.
                 NOp::LdCall(n, s) => {
                     need!(1);
@@ -1469,7 +1429,7 @@ impl Machine {
             // predictor and follows to its target's compiled entry, a
             // return pops the predictor. Calls and returns take separate
             // paths, so neither branches on the transfer kind. Exits the
-            // burst on halt or on a version/generation move.
+            // burst on halt or on a code-version move.
             let site = &body.sites[site as usize];
             let ret = matches!(site.instr, Instr::Ret);
             let charge = (&mut mark, &mut cycles);
@@ -1488,7 +1448,7 @@ impl Machine {
             if self.halted {
                 break Ok(NativeExit::Halted);
             }
-            if self.code.version() != ver0 || self.mem.table_gen() != gen0 {
+            if self.code.version() != ver0 {
                 break Ok(NativeExit::Left);
             }
             let predicted = match kind {
@@ -1529,12 +1489,12 @@ impl Machine {
         }
     }
 
-    /// Retires a call or return site inside an armed burst through
+    /// Retires a call or return site inside a burst through
     /// `retire` and returns its transfer kind. It charges what
     /// [`Machine::step_one`] would beyond `CYCLE_BASE`, which the burst
     /// charges per op, into the burst's `cycles`, and advances its
     /// `mark` past the references and diversions it charged; a
-    /// transfer that fails charges nothing. Arming requires that no
+    /// transfer that fails charges nothing. The tier runs only while no
     /// trap or fault handler is installed, so the handler-attribution
     /// block and the `dispatch_fault` recovery path are provably dead:
     /// a fault here is terminal exactly as `dispatch_fault` would
@@ -1856,17 +1816,11 @@ impl Machine {
             return Ok(StepOutcome::Halted);
         }
         let instr_start = self.pc;
-        let fetched = match self.predecode.as_mut() {
-            Some(cache) => cache.lookup_fused(&self.code, instr_start.0)?,
-            None => {
-                let (instr, len) = decode(self.code.bytes(), instr_start.0 as usize)?;
-                Fetched::One(instr, len as u8)
-            }
+        let (instr, len) = match self.predecode.as_mut() {
+            Some(cache) => cache.lookup(&self.code, instr_start.0)?,
+            None => decode(self.code.bytes(), instr_start.0 as usize)?,
         };
-        match fetched {
-            Fetched::One(instr, len) => self.step_one(instr, len, instr_start),
-            Fetched::Pair(a, f) => self.step_pair(a, f, instr_start),
-        }
+        self.step_one(instr, len as u8, instr_start)
     }
 
     /// Executes one instruction and commits its cost — the classic
@@ -2012,99 +1966,6 @@ impl Machine {
             Allocator::General(g, _) => g.set_emergency(on),
             Allocator::Av(h) | Allocator::Cached { heap: h, .. } => h.set_emergency(on),
         }
-    }
-
-    /// Executes a fused pair as one host step while accounting exactly
-    /// two simulated instructions.
-    ///
-    /// The cost model is linear — `cycles = BASE + refs·MEMREF +
-    /// divert (+ REFILL when taken)` per instruction — so for a
-    /// straight-line pair the two steps' costs sum to `2·BASE` plus
-    /// the *total* refs/divert deltas, and one batched commit is
-    /// bit-identical to two separate ones. Pairs ending in a transfer
-    /// take [`Machine::step_pair_xfer`] instead, which snapshots the
-    /// counters between the halves because `TransferStats::record`
-    /// needs the second half's exact refs and cycles.
-    ///
-    /// The stack-depth guard demotes a pair that could underflow or
-    /// overflow to an ordinary single step, so every error path goes
-    /// through the normal interpreter; past it, both halves run the
-    /// unchecked straight-line definition.
-    #[inline(always)]
-    fn step_pair(
-        &mut self,
-        a: Instr,
-        f: FusedOp,
-        instr_start: ByteAddr,
-    ) -> Result<StepOutcome, VmError> {
-        let depth = self.stack.len();
-        if depth < f.need as usize || depth + f.grow as usize > self.config.stack_depth {
-            self.fuse_demotions += 1;
-            return self.step_one(a, f.len_a, instr_start);
-        }
-        let b_start = instr_start.offset(f.len_a as u32);
-        if f.xfer {
-            return self.step_pair_xfer(a, f, instr_start, b_start);
-        }
-        // A pure pair makes no counted or diverted reference, so it
-        // skips the counter reads.
-        let mark = |m: &Self| {
-            if f.pure {
-                (0, 0)
-            } else {
-                (m.refs_total(), m.stats.divert_cycles)
-            }
-        };
-        let (refs0, divert0) = mark(self);
-        self.pc = b_start.offset(f.len_b as u32);
-        self.straight::<false, true>(a, instr_start)?;
-        let jumped = matches!(self.straight::<false, true>(f.b, b_start)?, Flow::Taken(_));
-        let (refs1, divert1) = mark(self);
-        let refs = refs1 - refs0;
-        let mut cycles = 2 * CYCLE_BASE + refs * CYCLE_MEMREF + (divert1 - divert0);
-        if jumped {
-            cycles += CYCLE_REFILL;
-            self.stats.jumps_taken += 1;
-        }
-        self.stats.cycles += cycles;
-        self.stats.instructions += 2;
-        self.fused_execs += 1;
-        if self.fault_depth > 0 {
-            self.fstats.handler_cycles += cycles;
-            self.fstats.handler_refs += refs;
-            self.fstats.handler_instructions += 2;
-            self.fstats.handler_jumps += jumped as u64;
-        }
-        Ok(StepOutcome::Ran)
-    }
-
-    /// A fused pair whose second half is a transfer: the first half
-    /// retires in place as a step of its own, the transfer through
-    /// [`Machine::step_one`] — the one place a call or return is
-    /// charged, since `TransferStats::record` needs its exact refs and
-    /// cycles.
-    fn step_pair_xfer(
-        &mut self,
-        a: Instr,
-        f: FusedOp,
-        instr_start: ByteAddr,
-        b_start: ByteAddr,
-    ) -> Result<StepOutcome, VmError> {
-        let refs0 = self.refs_total();
-        let divert0 = self.stats.divert_cycles;
-        self.pc = b_start;
-        self.straight::<false, true>(a, instr_start)?;
-        let refs = self.refs_total() - refs0;
-        let cycles = CYCLE_BASE + refs * CYCLE_MEMREF + (self.stats.divert_cycles - divert0);
-        self.stats.cycles += cycles;
-        self.stats.instructions += 1;
-        if self.fault_depth > 0 {
-            self.fstats.handler_cycles += cycles;
-            self.fstats.handler_refs += refs;
-            self.fstats.handler_instructions += 1;
-        }
-        self.fused_execs += 1;
-        self.step_one(f.b, f.len_b, b_start)
     }
 
     /// The evaluation-stack depth limit in force. The configured
@@ -3060,17 +2921,15 @@ impl Machine {
     }
 
     /// The one definition of every straight-line instruction: the ops
-    /// [`crate::predecode`] may fuse, minus calls and returns, plus
-    /// `LoadLocalAddr`. `execute`, both halves of a fused pair and every
+    /// the native tier's stack-effect table holds. `execute` and every
     /// single-op native handler run it. It charges nothing: each
     /// driver applies the paper's linear rule around it — `CYCLE_BASE`
     /// per instruction, `CYCLE_MEMREF` per change of `Memory::refs`,
     /// the change of `divert_cycles`, and `CYCLE_REFILL` per taken jump.
     ///
     /// `CHECKED` is whether stack depth is checked here (`execute`) or
-    /// already proven, by a fused pair's `need`/`grow` guard or by the
-    /// native license; pairs through the checked form ran the fused rung
-    /// at 0.75× (DESIGN §6b). The unchecked form pops 0 from an empty
+    /// already proven, by a burst's per-op stack check or by the native
+    /// license. The unchecked form pops 0 from an empty
     /// stack rather than panicking, so a broken proof corrupts guest
     /// state, never the host. `BANKS` is false
     /// only when the driver knows the machine has no register banks (a
@@ -3081,7 +2940,7 @@ impl Machine {
     /// resolves jumps to op indices itself and never passes one here, so
     /// its handlers pass no address. No driver passes any other
     /// instruction: [`Machine::execute`] defines the rest itself, and
-    /// fusion and the native tier admit only these.
+    /// the native tier admits only these.
     #[inline(always)]
     fn straight<const CHECKED: bool, const BANKS: bool>(
         &mut self,
@@ -3111,8 +2970,8 @@ impl Machine {
         // Replaces the top word `t` with the expression, in place: a pop
         // and a push that leave the depth as it was, so only underflow
         // can fail (an unchecked empty stack pops 0). In place, not as a
-        // pop and a push, is what keeps fused pairs as fast as the
-        // specialised arms they replaced (DESIGN §6b).
+        // pop and a push, is what keeps the native handlers as fast as
+        // specialised arms (DESIGN §6b).
         macro_rules! top {
             (|$t:ident| $e:expr) => {{
                 if self.stack.is_empty() {
@@ -3249,7 +3108,7 @@ impl Machine {
     }
 
     /// Executes one instruction, checked: the interpreter's step, and
-    /// every fallback of the fused rung and the native tier. It defines
+    /// every fallback of the native tier. It defines
     /// the instructions with their own accounting or error paths —
     /// traps, transfers, contexts, processes, heap, module and remote
     /// ops — and runs [`Machine::straight`] for the rest.
@@ -3557,26 +3416,31 @@ mod tests {
         assert_eq!(m.output(), &[55], "config i4/no-renaming");
     }
 
-    /// Instructions retired in native bursts never look up the
-    /// predecode cache, so they are not predecode hits.
+    /// Instructions retired in native bursts, armed or checked, never
+    /// look up the predecode cache, so they are not predecode hits.
     #[test]
     fn native_bursts_are_not_predecode_hits() {
         let image = fib_local_calls();
-        let cfg = MachineConfig::i2().dispatch_ladder()[3].1;
+        let [_, (_, interp), (_, cfg)] = MachineConfig::i2().dispatch_ladder();
         let mut armed = Machine::load(&image, cfg).unwrap();
         assert!(armed.arm_native(NativeLicense::new(8, 2)));
         armed.run(1_000_000).unwrap();
-        assert_eq!(armed.predecode_stats().unwrap().hits, 0);
-        let n = armed.native_stats().unwrap();
-        assert_eq!(
-            n.native_instrs + n.interp_ops,
-            armed.stats().instructions,
-            "every instruction retires in a burst: {n:?}"
-        );
-        // Unarmed, the same machine interprets, and every lookup hits.
-        let dormant = run_image(&image, cfg);
-        assert_eq!(dormant.output(), armed.output());
-        assert!(dormant.predecode_stats().unwrap().hits > 0);
+        let checked = run_image(&image, cfg);
+        for m in [&armed, &checked] {
+            assert_eq!(m.predecode_stats().unwrap().hits, 0);
+            let n = m.native_stats().unwrap();
+            assert_eq!(
+                n.native_instrs + n.interp_ops,
+                m.stats().instructions,
+                "every instruction retires in a burst: {n:?}"
+            );
+        }
+        // With the tier off, the machine interprets, and every lookup
+        // hits.
+        let interpreted = run_image(&image, interp);
+        assert_eq!(interpreted.output(), armed.output());
+        assert_eq!(checked.output(), armed.output());
+        assert!(interpreted.predecode_stats().unwrap().hits > 0);
     }
 
     #[test]
@@ -4131,8 +3995,9 @@ mod tests {
         assert_eq!(m.output(), &[5]);
 
         // Every straight-line instruction, in a loop so that the native
-        // handlers and the fused pairs both run, on every rung of every
-        // implementation: the rungs must agree on everything simulated.
+        // handlers and the superinstructions run, on every rung of every
+        // implementation and on the checked tier: each must agree with
+        // the byte rung on everything simulated.
         for (imp, base) in [
             ("i1", MachineConfig::i1()),
             ("i2", MachineConfig::i2()),
@@ -4141,16 +4006,15 @@ mod tests {
         ] {
             let image = straight_line_loop(base.renaming());
             let mut runs = Vec::new();
-            for (rung, cfg) in base.dispatch_ladder() {
+            let ladder = base.dispatch_ladder();
+            for (rung, cfg) in ladder.into_iter().chain([("checked", ladder[2].1)]) {
                 let mut m = Machine::load(&image, cfg).unwrap();
                 if rung == "native" {
                     assert!(m.arm_native(NativeLicense::new(8, 1)), "{imp}");
                 }
                 m.run(1_000_000).unwrap();
-                match rung {
-                    "fuse" => assert!(m.fusion_stats().unwrap().fused_execs > 0, "{imp}"),
-                    "native" => assert!(m.native_stats().unwrap().native_instrs > 100, "{imp}"),
-                    _ => {}
+                if cfg.native {
+                    assert!(m.native_stats().unwrap().native_instrs > 100, "{imp}");
                 }
                 let s = m.stats();
                 let counters = (s.instructions, s.cycles, s.jumps_taken, m.total_refs());

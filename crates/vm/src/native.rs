@@ -1,28 +1,32 @@
-//! Tier-5 native execution: certificate-licensed direct-threaded
-//! compilation of every procedure body.
+//! The native tier: direct-threaded compilation of every procedure
+//! body, checked by default and unchecked under a verifier license.
 //!
-//! The dispatch ladder so far (byte → predecode → +fusion) still pays
-//! an interpretive dispatch per step. This module adds a fourth rung:
+//! The dispatch ladder below it (byte → predecode) still pays an
+//! interpretive dispatch per step. This module adds the third rung:
 //! each procedure body of the loaded image is compiled into a chain of
 //! pre-monomorphized host handlers ([`NOp`]) with operands inlined and
 //! jump targets resolved to op indices — direct-threaded code in safe
-//! Rust, no runtime codegen. The license covers the whole image from
-//! load, so the tier compiles every body in one pass when it first
-//! syncs to a coherence key (and again after each flush), linking each
-//! known call site to its target's compiled entry in the same pass:
-//! the binding work is done once, like the paper's early-bound
-//! `DIRECTCALL`.
+//! Rust, no runtime codegen. The tier compiles every body in one pass
+//! when it first syncs to the code version (and again after each
+//! flush), linking each known call site to its target's compiled entry
+//! in the same pass: the binding work is done once, like the paper's
+//! early-bound `DIRECTCALL`.
 //!
-//! # Licensing
+//! # Checks and the license
 //!
-//! The tier only runs under a [`NativeLicense`], normally minted from a
-//! clean `fpc_verify::Certificate`. The license carries the verifier's
-//! whole-image stack-depth bound; arming fails unless that bound fits
-//! the machine's configured stack limit. Every event that lapses a
-//! certificate premise (trap/fault-handler install, `unbind`,
-//! `relocate`, `replace_proc`) permanently disarms the native tier and
-//! marks the premises broken, so re-arming without re-verification is
-//! impossible.
+//! A machine with [`crate::MachineConfig::native`] set runs compiled
+//! bursts from its first `run`. Before each op an unarmed burst checks
+//! the op's stack effect ([`Effect`], from the one table
+//! [`stack_effect`]); when the check fails the burst exits at the op's
+//! start and the interpreter raises the byte rung's exact error. A
+//! [`NativeLicense`], normally minted from a clean
+//! `fpc_verify::Certificate`, carries the verifier's whole-image
+//! stack-depth bound; arming under it compiles the check out, and
+//! fails unless that bound fits the machine's configured stack limit.
+//! Every event that lapses a certificate premise (trap/fault-handler
+//! install, `unbind`, `relocate`, `replace_proc`, a remote link) stops
+//! the tier for good, armed or not, so a burst never runs under a
+//! handler.
 //!
 //! # Charge-not-perform
 //!
@@ -32,7 +36,7 @@
 //! the same counted [`fpc_mem::Memory`] traffic and the same bank paths
 //! — a shadow hit is a register access, a diverted indirect reference
 //! counts a divert cycle, everything else is one counted reference.
-//! Only the fused superinstructions are written here by hand. No
+//! Only the superinstructions are written here by hand. No
 //! handler charges cycles: the burst charges its fast ops by the
 //! interpreter's linear rule once, from the changes of the reference,
 //! divert and jump counters. Calls and returns are native instructions
@@ -49,14 +53,14 @@
 //! stack). The tier does the same for its host cost:
 //!
 //! * **Known targets.** A `DirectCall`, `ShortDirectCall` or
-//!   `LocalCall` whose target is fixed under the [`TableKey`] is
-//!   resolved at compile time into a per-body [`Site`]: header, frame
-//!   size index and flags, plus the destination global frame and code
-//!   base for direct calls. The handler charges what the table walk
-//!   would (one entry-vector read for a local call, nothing for a
-//!   direct one) and goes straight to the frame allocation and link.
-//!   External calls, and any site whose target did not resolve, walk
-//!   the tables as the interpreter does.
+//!   `LocalCall` whose target is fixed by the code bytes is resolved at
+//!   compile time into a per-body [`Site`]: header, frame size index
+//!   and flags, plus the destination global frame and code base for
+//!   direct calls. The handler charges what the table walk would (one
+//!   entry-vector read for a local call, nothing for a direct one) and
+//!   goes straight to the frame allocation and link. External calls,
+//!   and any site whose target did not resolve, walk the tables as the
+//!   interpreter does.
 //! * **Predicted returns.** A burst-local [`ReturnPredictor`] holds the
 //!   `(body, op)` each native call will return to. A return checks the
 //!   prediction against the architectural `pc`, as the IFU checks its
@@ -65,14 +69,14 @@
 //!
 //! # Deoptimization
 //!
-//! Compiled code is keyed by [`TableKey`] (code version × watched-table
-//! generation). A mismatch at burst entry flushes every compiled body
-//! and recompiles the image under the new key; a store that bumps the
-//! generation *inside* a burst exits the burst at the next instruction
-//! boundary, which is also a restartable-fault boundary.
+//! Compiled code is keyed by the code store's version alone: no
+//! compiled op binds a data-memory word (a local site re-checks the
+//! caller's code base at run time, and external calls walk the tables).
+//! A version change at burst entry flushes every compiled body and
+//! recompiles the image; one inside a burst (an interpreted `BINDMOD`)
+//! exits the burst at the next instruction boundary.
 
 use fpc_core::layout::PROC_HEADER_BYTES;
-use fpc_core::TableKey;
 use fpc_isa::Instr;
 use std::ops::Range;
 
@@ -83,7 +87,8 @@ use crate::machine::CallTarget;
 ///
 /// Carries the verifier's proven whole-image operand-stack bound and
 /// the number of procedures the proof covers. `Machine::arm_native`
-/// refuses a license whose bound exceeds the configured stack depth.
+/// refuses a license whose bound exceeds the configured stack depth;
+/// an accepted one lets bursts skip their stack checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NativeLicense {
     max_stack_depth: u32,
@@ -115,11 +120,11 @@ impl NativeLicense {
 
 /// Host-side observability counters for the native tier.
 ///
-/// Like `FusionStats`, these describe the *host* acceleration and are
-/// deliberately excluded from simulated-counter fingerprints.
+/// These describe the *host* acceleration and are deliberately
+/// excluded from simulated-counter fingerprints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NativeStats {
-    /// Whether the tier is currently armed.
+    /// Whether the tier is armed: its bursts run unchecked.
     pub armed: bool,
     /// Compiled bodies currently resident.
     pub compiled_procs: usize,
@@ -133,9 +138,9 @@ pub struct NativeStats {
     /// Instructions retired via the interpreter fallback (`step_one`)
     /// inside bursts.
     pub interp_ops: u64,
-    /// Transient deopts: whole-tier flushes on a [`TableKey`] mismatch.
+    /// Transient deopts: whole-tier flushes on a code-version change.
     pub flushes: u64,
-    /// Permanent deopts: certificate-lapse disarms.
+    /// Permanent deopts of an armed tier: certificate-lapse disarms.
     pub disarms: u64,
 }
 
@@ -143,8 +148,8 @@ pub struct NativeStats {
 ///
 /// Each single-op variant names one straight-line instruction, and its
 /// handler calls the interpreter's definition of that instruction
-/// rather than replicating it; the fused variants from `Ld2` on are the
-/// only bodies written by hand. Everything else lowers to
+/// rather than replicating it; the superinstructions from `Ld2` on are
+/// the only bodies written by hand. Everything else lowers to
 /// [`NOp::Interp`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum NOp {
@@ -158,8 +163,7 @@ pub(crate) enum NOp {
     LocalAddr(u8),
     /// `LoadGlobal`.
     GlobalRd(u8),
-    /// `StoreGlobal`; like `Write` and `StoreIndex`, it may bump the
-    /// table generation.
+    /// `StoreGlobal`.
     GlobalWr(u8),
     /// `LoadGlobalAddr`.
     GlobalAddr(u8),
@@ -284,7 +288,7 @@ pub(crate) struct Site {
     pub len: u8,
     /// Its absolute byte address.
     pub at: u32,
-    /// The call target, when it is fixed under the tier's key. For a
+    /// The call target, when the code bytes fix it. For a
     /// direct call it is the whole target. For a local call, `cb` is
     /// the code base whose entry vector was read: the target holds only
     /// while the caller runs under that code base, and the destination
@@ -308,6 +312,9 @@ pub(crate) struct NativeProc {
     /// Absolute byte address of each op (the [`NOp::Exit`] entry holds
     /// the fall-off address), used to materialize `pc` on burst exit.
     pub offs: Vec<u32>,
+    /// The stack effect of each op, which an unarmed burst checks
+    /// before running it.
+    pub effects: Vec<Effect>,
     /// Call and return sites, indexed by [`NOp::Xfer`] and the fused
     /// call ops.
     pub sites: Vec<Site>,
@@ -413,17 +420,18 @@ impl ReturnPredictor {
     }
 }
 
-/// The per-machine native tier: the compiled-body table and the
-/// coherence key that deoptimizes it.
+/// The per-machine native tier: the compiled-body table and the code
+/// version that deoptimizes it.
 #[derive(Debug)]
 pub(crate) struct NativeTier {
+    /// Bursts run unchecked under a license.
     armed: bool,
     /// Certificate premises still hold (no handler installs, unbinds,
-    /// relocations or patches since load). Once false, arming is
-    /// permanently refused.
-    cert_ok: bool,
-    /// Coherence snapshot guarding every compiled body.
-    key: TableKey,
+    /// relocations or patches since load). While they do, bursts run;
+    /// once false, the tier is stopped for good.
+    live: bool,
+    /// The code version every compiled body was built from.
+    version: u64,
     compiled: Compiled,
     pub compiles: u64,
     pub entries: u64,
@@ -437,9 +445,9 @@ impl NativeTier {
     pub fn new() -> Self {
         NativeTier {
             armed: false,
-            cert_ok: true,
-            // Sentinel key: the first burst entry always compiles.
-            key: TableKey::new(u64::MAX, u64::MAX),
+            live: true,
+            // Sentinel version: the first burst entry always compiles.
+            version: u64::MAX,
             compiled: Compiled::default(),
             compiles: 0,
             entries: 0,
@@ -450,8 +458,8 @@ impl NativeTier {
         }
     }
 
-    pub fn cert_ok(&self) -> bool {
-        self.cert_ok
+    pub fn live(&self) -> bool {
+        self.live
     }
 
     pub fn armed(&self) -> bool {
@@ -468,7 +476,7 @@ impl NativeTier {
             self.disarms += 1;
         }
         self.armed = false;
-        self.cert_ok = false;
+        self.live = false;
         self.compiled = Compiled::default();
     }
 
@@ -483,23 +491,22 @@ impl NativeTier {
         self.compiled = compiled;
     }
 
-    /// Whether the compiled table was built under this code version and
-    /// table generation. When it was not, the next burst entry
-    /// recompiles the image.
+    /// Whether the compiled table was built from this code version.
+    /// When it was not, the next burst entry recompiles the image.
     #[inline]
-    pub fn current(&self, code_version: u64, table_gen: u64) -> bool {
-        self.key.matches(code_version, table_gen)
+    pub fn current(&self, code_version: u64) -> bool {
+        self.version == code_version
     }
 
-    /// Flushes the table and compiles every body in `bodies` under
-    /// `key`, then points each known call site at its target's compiled
-    /// entry. `resolve` names the target of a call at a given address
-    /// when it is fixed under `key` (see [`Site::target`]). A body
-    /// that lowers to nothing (its first byte does not decode) stays
-    /// interpreted.
+    /// Flushes the table and compiles every body in `bodies` from code
+    /// version `version`, then points each known call site at its
+    /// target's compiled entry. `resolve` names the target of a call at
+    /// a given address when the code fixes it (see [`Site::target`]). A
+    /// body that lowers to nothing (its first byte does not decode)
+    /// stays interpreted.
     pub fn compile_image(
         &mut self,
-        key: TableKey,
+        version: u64,
         code: &[u8],
         bodies: &[Range<u32>],
         banks: bool,
@@ -509,7 +516,7 @@ impl NativeTier {
         if !c.pc_map.is_empty() {
             self.flushes += 1;
         }
-        self.key = key;
+        self.version = version;
         c.procs.clear();
         c.pc_map.clear();
         c.pc_map.resize(code.len(), 0);
@@ -581,6 +588,7 @@ fn compile_body(
     }
     let mut ops = Vec::with_capacity(decoded.len() + 1);
     let mut offs = Vec::with_capacity(decoded.len() + 1);
+    let mut effects = Vec::with_capacity(decoded.len() + 1);
     let mut sites = Vec::new();
     for &(at, instr, len) in &decoded {
         offs.push(at);
@@ -600,24 +608,85 @@ fn compile_body(
             }
             op => op,
         };
+        // Transfers and fallbacks check their own stack.
+        effects.push(match op {
+            NOp::Interp(..) | NOp::Xfer(_) => Effect::default(),
+            _ => Effect::of(instr),
+        });
         ops.push(op);
     }
     offs.push(decoded.last().map_or(body, |&(at, _, len)| at + len as u32));
     ops.push(NOp::Exit);
+    effects.push(Effect::default());
     fuse(NativeProc {
         start: body,
         off_to_ip,
         ops,
         offs,
+        effects,
         sites,
     })
 }
 
+/// The one stack-effect table: `(pops, pushes)` of each straight-line
+/// instruction as `Machine::straight` performs it, pushes landing after
+/// pops. `None` for every other instruction, which checks its own stack.
+fn stack_effect(i: Instr) -> Option<(u8, u8)> {
+    use Instr::*;
+    Some(match i {
+        LoadImm(_) | LoadLocal(_) | LoadLocalAddr(_) | LoadGlobal(_) | LoadGlobalAddr(_) => (0, 1),
+        StoreLocal(_) | StoreGlobal(_) | Drop | Out | JumpZero(_) | JumpNotZero(_) => (1, 0),
+        Dup => (1, 2),
+        Exch => (2, 2),
+        Neg | AddImm(_) | Read => (1, 1),
+        Add | Sub | Mul | And | Or | Xor | Shl | Shr | LoadIndex => (2, 1),
+        CmpEq | CmpNe | CmpLt | CmpLe | CmpGt | CmpGe => (2, 1),
+        Write => (2, 0),
+        StoreIndex => (3, 0),
+        Noop | Jump(_) => (0, 0),
+        _ => return None,
+    })
+}
+
+/// The stack effect of an op, a single instruction or a run fused into
+/// one: the depth it needs beneath it, its peak growth above its
+/// starting depth, and its net change. An op whose starting depth `d`
+/// has `d >= need` and `d + grow` within the stack limit runs every
+/// instruction in it without an underflow or an overflow.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Effect {
+    pub need: u8,
+    pub grow: u8,
+    net: i8,
+}
+
+impl Effect {
+    /// The effect of one instruction from [`stack_effect`]; none for an
+    /// instruction the table does not hold.
+    fn of(i: Instr) -> Effect {
+        stack_effect(i).map_or(Effect::default(), |(pops, pushes)| Effect {
+            need: pops,
+            grow: pushes.saturating_sub(pops),
+            net: pushes as i8 - pops as i8,
+        })
+    }
+
+    /// `self` followed by `next`, which starts `self.net` words higher.
+    fn then(self, next: Effect) -> Effect {
+        let (net, need, grow) = (self.net as i32, next.need as i32, next.grow as i32);
+        Effect {
+            need: self.need.max((need - net).max(0) as u8),
+            grow: self.grow.max((net + grow).max(0) as u8),
+            net: self.net + next.net,
+        }
+    }
+}
+
 /// Superinstruction pass: greedily fuses the longest known run of
-/// adjacent fast ops at each position into a single dispatch (the
-/// native analogue of the rung-4 pair fusion, extended to the 3- and
-/// 4-instruction idioms that dominate call-dense code: `local − const`
-/// argument setup and `local cmp operand; branch` guards). A run only
+/// adjacent fast ops at each position into a single dispatch (pairs,
+/// and the 3- and 4-instruction idioms that dominate call-dense code:
+/// `local − const` argument setup and `local cmp operand; branch`
+/// guards), whose stack effect is its ops' effects in sequence. A run only
 /// forms when none of its non-first ops is a jump target or an
 /// interpreter re-entry point (the op after an [`NOp::Interp`] or
 /// [`NOp::Xfer`]), so every architecturally reachable boundary stays
@@ -661,10 +730,17 @@ fn fuse(p: NativeProc) -> NativeProc {
     }
     let mut ops = Vec::with_capacity(next as usize);
     let mut offs = Vec::with_capacity(next as usize);
+    let mut effects = Vec::with_capacity(next as usize);
     let mut i = 0;
     while i < n {
+        let run = i..i + span[i] as usize;
         offs.push(p.offs[i]);
-        ops.push(combine(&p.ops[i..i + span[i] as usize], &remap));
+        effects.push(
+            p.effects[run.clone()]
+                .iter()
+                .fold(Effect::default(), |e, &x| e.then(x)),
+        );
+        ops.push(combine(&p.ops[run], &remap));
         i += span[i] as usize;
     }
     NativeProc {
@@ -672,6 +748,7 @@ fn fuse(p: NativeProc) -> NativeProc {
         off_to_ip,
         ops,
         offs,
+        effects,
         sites: p.sites,
     }
 }
@@ -928,16 +1005,9 @@ mod tests {
         let bytes = body_bytes(&[Instr::LoadImm(0x1234), Instr::Out, Instr::Jump(-1)]);
         let end = bytes.len() as u32;
         let mut t = NativeTier::new();
-        assert!(!t.current(1, 0), "a fresh tier has compiled nothing");
-        t.arm();
-        t.compile_image(
-            TableKey::new(1, 0),
-            &bytes,
-            std::slice::from_ref(&(0..end)),
-            false,
-            &unknown,
-        );
-        assert!(t.current(1, 0) && !t.current(1, 1) && !t.current(2, 0));
+        assert!(!t.current(1), "a fresh tier has compiled nothing");
+        t.compile_image(1, &bytes, std::slice::from_ref(&(0..end)), false, &unknown);
+        assert!(t.current(1) && !t.current(2));
         let stats = t.stats();
         assert_eq!((stats.compiled_procs, stats.compiles), (1, 1));
         assert_eq!(stats.flushes, 0, "the first pass flushes nothing");
@@ -957,22 +1027,17 @@ mod tests {
         assert_eq!(t.stats().compiled_procs, 0);
         t.restore_compiled(c);
         assert_eq!(t.stats().compiled_procs, 1);
-        // A pass under a new key flushes the table and compiles each
-        // body once more.
-        t.compile_image(
-            TableKey::new(2, 0),
-            &bytes,
-            std::slice::from_ref(&(0..end)),
-            false,
-            &unknown,
-        );
+        // A pass over a new code version flushes the table and
+        // compiles each body once more.
+        t.compile_image(2, &bytes, std::slice::from_ref(&(0..end)), false, &unknown);
         let stats = t.stats();
         assert_eq!((stats.compiled_procs, stats.compiles), (1, 2));
         assert_eq!(stats.flushes, 1);
         assert_eq!(t.compiled().locate(3), Some((0, 1)));
-        // Disarm is permanent.
+        // Disarm is permanent; it counts only when the tier was armed.
+        t.arm();
         t.disarm();
-        assert!(!t.armed() && !t.cert_ok());
+        assert!(!t.armed() && !t.live());
         assert_eq!(t.stats().disarms, 1);
         assert_eq!(t.stats().compiled_procs, 0);
     }
@@ -989,9 +1054,8 @@ mod tests {
         bytes.extend_from_slice(&[bad, 0, 0]);
         let end = bytes.len() as u32;
         let mut t = NativeTier::new();
-        t.arm();
         let bodies = [0..good_end, good_end..end, end + 4..end + 8];
-        t.compile_image(TableKey::new(1, 0), &bytes, &bodies, false, &unknown);
+        t.compile_image(1, &bytes, &bodies, false, &unknown);
         let stats = t.stats();
         assert_eq!((stats.compiled_procs, stats.compiles), (1, 1));
         assert_eq!(t.compiled().locate(0), Some((0, 0)));
@@ -1034,6 +1098,62 @@ mod tests {
         );
         assert!(matches!(p.ops[1], NOp::Imm(7)));
         assert!(matches!(p.ops[2], NOp::Jmp(1)));
+    }
+
+    #[test]
+    fn superinstruction_guards_encode_stack_extremes() {
+        let effect = |instrs: &[Instr]| {
+            let bytes = body_bytes(instrs);
+            compile_body(&bytes, 0, bytes.len() as u32, false, &unknown).effects[0]
+        };
+        let guard = |e: Effect| (e.need, e.grow);
+        // (LoadImm, Add): transiently one deeper, needs one beneath.
+        assert_eq!(guard(effect(&[Instr::LoadImm(5), Instr::Add])), (1, 1));
+        // (CmpLt, JumpZero): consumes two, never grows.
+        let cmp = [Instr::CmpLt, Instr::JumpZero(2), Instr::Noop, Instr::Ret];
+        assert_eq!(guard(effect(&cmp)), (2, 0));
+        // The fib guard: two pushes, then the compare and branch eat
+        // them, so it needs nothing and peaks two above its start.
+        let fib = [
+            Instr::LoadLocal(0),
+            Instr::LoadImm(2),
+            Instr::CmpLt,
+            Instr::JumpZero(2),
+            Instr::Out,
+            Instr::Ret,
+        ];
+        assert_eq!(guard(effect(&fib)), (0, 2));
+        // `LoadLocal; Exch; Add`: the exchange reaches one below.
+        let acc = [Instr::LoadLocal(0), Instr::Exch, Instr::Add];
+        assert_eq!(guard(effect(&acc)), (1, 1));
+        // A call's prefix is checked; the call checks itself.
+        let call = [
+            Instr::LoadLocal(1),
+            Instr::LoadImm(1),
+            Instr::Sub,
+            Instr::Ret,
+        ];
+        assert_eq!(guard(effect(&call)), (0, 2));
+        // Single ops: `Dup` needs one and grows one, `StoreIndex` needs
+        // three.
+        assert_eq!(guard(effect(&[Instr::Dup, Instr::Ret])), (1, 1));
+        assert_eq!(guard(effect(&[Instr::StoreIndex, Instr::Ret])), (3, 0));
+    }
+
+    #[test]
+    fn stack_effects_cover_only_straight_line_ops() {
+        // Transfers, traps and heap ops check their own stack, so the
+        // table leaves them out and their ops carry no effect.
+        for i in [Instr::Ret, Instr::LocalCall(0), Instr::Div, Instr::Xfer] {
+            assert_eq!(stack_effect(i), None, "{i:?}");
+        }
+        assert_eq!(stack_effect(Instr::LoadLocalAddr(0)), Some((0, 1)));
+        let bytes = body_bytes(&[Instr::Div, Instr::LoadLocalAddr(0), Instr::Ret]);
+        let p = compile_body(&bytes, 0, bytes.len() as u32, true, &unknown);
+        assert!(matches!(p.ops[0], NOp::Interp(Instr::Div, _)));
+        assert!(matches!(p.ops[1], NOp::Interp(Instr::LoadLocalAddr(0), _)));
+        assert!(p.effects.iter().all(|&e| e == Effect::default()));
+        assert_eq!(p.effects.len(), p.ops.len());
     }
 
     #[test]
@@ -1104,10 +1224,9 @@ mod tests {
             |instr: Instr, _at: u32| matches!(instr, Instr::DirectCall(_)).then_some(target);
         let end = bytes.len() as u32;
         let mut t = NativeTier::new();
-        t.arm();
         // Without B in the image, A's call has nowhere compiled to go.
         t.compile_image(
-            TableKey::new(1, 0),
+            1,
             &bytes,
             std::slice::from_ref(&(0..a_end)),
             false,
@@ -1118,13 +1237,7 @@ mod tests {
             None,
             "B is not compiled"
         );
-        t.compile_image(
-            TableKey::new(2, 0),
-            &bytes,
-            &[0..a_end, b_start..end],
-            false,
-            &resolve,
-        );
+        t.compile_image(2, &bytes, &[0..a_end, b_start..end], false, &resolve);
         let entry = t.compiled().proc(0).sites[0].entry;
         assert_eq!(entry, Some((1, 0, b_start)), "A's call enters B's op 0");
         assert_eq!(t.compiled().chase(b_start, entry), Some((1, 0)));

@@ -429,9 +429,8 @@ fn code_relocation_mid_run_is_invisible_to_the_program() {
     reference.run(1_000_000).unwrap();
     let want = reference.output().to_vec();
 
-    // Relocating run: move the module every ~500 instructions. (A
-    // fused step retires two, so pace by the instruction counter, not
-    // by step() calls.)
+    // Relocating run: move the module every ~500 instructions, paced
+    // by the instruction counter.
     let mut machine = Machine::load(&image, MachineConfig::i3()).unwrap();
     let mut last_move = 0u64;
     let mut moves = 0;

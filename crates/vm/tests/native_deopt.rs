@@ -1,4 +1,4 @@
-//! Deoptimization tests for the tier-5 native compiler.
+//! Deoptimization tests for the native tier.
 //!
 //! Every event that lapses a verify certificate's premises —
 //! trap-handler install, fault-handler install, module unbind, module
@@ -9,12 +9,13 @@
 //! and holds the final machine state bit-identical to an
 //! all-accelerators-off reference given the same hook at the same
 //! simulated point. The license gate is tested from both directions:
-//! no license → the tier never runs; lapsed premises → arming refuses.
-//! Compilation itself is held to the same oracle: the armed tier
-//! compiles every body on its first step, once, and again once per
-//! coherence flush, and a loop in a procedure entered once runs native
-//! from its first instruction with the same counters however fuel is
-//! sliced.
+//! no license → bursts run checked, and a stack fault mid-burst ends
+//! exactly as on the byte rung; lapsed premises → arming refuses and
+//! the tier stays stopped. Compilation itself is held to the same
+//! oracle: the tier compiles every body on its first step, once, and
+//! again once per code change, and a loop in a procedure entered once
+//! runs native from its first instruction with the same counters
+//! however fuel is sliced, armed or checked.
 
 use fpc_isa::Instr;
 use fpc_vm::{
@@ -23,7 +24,7 @@ use fpc_vm::{
 };
 
 /// Every simulated-side observable, flattened through Debug (the same
-/// fingerprint the 4-rung parity suite uses).
+/// fingerprint the parity suite uses).
 fn fingerprint(m: &Machine) -> String {
     format!(
         "output={:?} stack={:?} stats={:?} mem={:?} rs={:?} banks={:?} cache={:?} heap={:?}",
@@ -45,7 +46,7 @@ fn native_config() -> MachineConfig {
 
 /// `base` (one of I1–I4) on the native rung.
 fn native_on(base: MachineConfig) -> MachineConfig {
-    base.dispatch_ladder()[3].1
+    base.dispatch_ladder()[2].1
 }
 
 /// The reference rung: every host accelerator off.
@@ -246,33 +247,123 @@ fn replacement_demotes_mid_run() {
     finish_and_compare(native, reference, "replace");
 }
 
+/// `main` counts a local down from 3, outputting it, then runs `tail`
+/// — which must end the run with a stack fault — and halts.
+fn stack_fault_image(tail: fn(&mut fpc_isa::Assembler)) -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("main", 0, 1), move |a| {
+        a.instr(Instr::LoadImm(3));
+        a.instr(Instr::StoreLocal(0));
+        let top = a.label();
+        let done = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(done);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Out);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::StoreLocal(0));
+        a.jump(top);
+        a.bind(done);
+        tail(a);
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 0,
+    })
+    .unwrap()
+}
+
+/// A [`stack_fault_image`] whose tail loop leaves a word behind on
+/// every iteration, so it outgrows the 16-word stack mid-burst, inside
+/// a superinstruction.
+fn overflow_image() -> Image {
+    stack_fault_image(|a| {
+        a.instr(Instr::LoadImm(40));
+        a.instr(Instr::StoreLocal(0));
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::StoreLocal(0));
+        a.jump(top);
+    })
+}
+
+/// Holds `image`'s checked native run — the tier on, never armed —
+/// to the byte rung's error, stack and counters, whole and in 1-, 3-
+/// and 7-unit fuel slices, and returns the error.
+fn checked_fault_matches_byte_rung(image: &Image, label: &str) -> VmError {
+    let (reference, want) = run_sliced_to_end(image, reference_config(), false, u64::MAX);
+    let err = want.expect_err("the image must end in a fault");
+    for slice in [u64::MAX, 1, 3, 7] {
+        let (m, got) = run_sliced_to_end(image, native_config(), false, slice);
+        let label = format!("{label}, slice {slice}");
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{:?}", Err::<(), _>(&err)),
+            "{label}"
+        );
+        assert_eq!(fingerprint(&m), fingerprint(&reference), "{label}");
+        let stats = m.native_stats().unwrap();
+        assert!(
+            !stats.armed && stats.native_instrs > 0,
+            "{label}: {stats:?}"
+        );
+    }
+    err
+}
+
 #[test]
-fn tier_is_dormant_without_a_license() {
+fn unarmed_bursts_run_checked() {
+    // The config enables the tier but nobody arms it: every body still
+    // compiles and runs in bursts, and the machine behaves — and
+    // counts — exactly like the reference.
     let image = tri_image();
-    // Config enables the tier but nobody arms it: the machine must
-    // behave — and count — exactly like the reference, and the burst
-    // engine must never run.
     let mut m = Machine::load(&image, native_config()).unwrap();
     m.run(200_000).unwrap();
     let stats = m.native_stats().expect("tier is configured");
     assert!(!stats.armed);
-    assert_eq!(stats.native_instrs, 0, "no license, no native execution");
-    assert_eq!(stats.compiles, 0, "no license, no compilation");
-    assert_eq!(stats.entries, 0, "no license, no burst entries");
+    assert_eq!(stats.compiles, 3, "every body compiles: {stats:?}");
+    assert!(stats.entries > 0 && stats.native_instrs > 0, "{stats:?}");
     let mut reference = Machine::load(&image, reference_config()).unwrap();
     reference.run(200_000).unwrap();
     assert_eq!(m.output(), TRI_EXPECTED);
     assert_eq!(fingerprint(&m), fingerprint(&reference));
+    // Underflow mid-burst: `Exch` on a one-word stack pops the word,
+    // then faults on the second pop.
+    let under = stack_fault_image(|a| {
+        a.instr(Instr::LoadImm(9));
+        a.instr(Instr::Exch);
+        a.instr(Instr::Out);
+    });
+    let err = checked_fault_matches_byte_rung(&under, "underflow");
+    assert!(matches!(err, VmError::StackUnderflow), "{err:?}");
+    let err = checked_fault_matches_byte_rung(&overflow_image(), "overflow");
+    assert!(
+        matches!(err, VmError::UnhandledTrap(fpc_vm::TrapCode::StackOverflow)),
+        "{err:?}"
+    );
 }
 
 #[test]
 fn arming_refuses_lapsed_premises_and_overdeep_licenses() {
     let image = tri_image();
-    // Premise lapse before arming: handler already installed.
+    // Premise lapse before arming: handler already installed. The tier
+    // has stopped: it neither arms nor runs.
     let mut m = Machine::load(&image, native_config()).unwrap();
     m.set_trap_handler(&image, handler_ref()).unwrap();
     assert!(!m.arm_native(license()), "lapsed premises must refuse");
     assert!(!m.native_armed());
+    m.run(200_000).unwrap();
+    let stats = m.native_stats().unwrap();
+    assert_eq!((stats.compiles, stats.entries), (0, 0), "{stats:?}");
     // A proven stack bound deeper than the configured stack must
     // refuse: the whole point of the license is that bursts can skip
     // depth checks.
@@ -282,8 +373,28 @@ fn arming_refuses_lapsed_premises_and_overdeep_licenses() {
         !m.arm_native(NativeLicense::new(depth, 4)),
         "a bound beyond the machine's stack must refuse"
     );
-    // And the tier must stay armable after a refused license.
+    // The tier keeps running, checked…
+    let mut reference = warm_reference(&image, 2);
+    while m.output().len() < 2 {
+        pace(&mut m);
+    }
+    let stats = m.native_stats().unwrap();
+    assert!(!stats.armed && stats.native_instrs > 0, "{stats:?}");
+    // …and stays armable after a refused license.
     assert!(m.arm_native(license()), "valid license still arms");
+    pace(&mut m);
+    pace(&mut reference);
+    finish_and_compare(m, reference, "refused license");
+    // Refused, a license leaves the checks in: a program that outgrows
+    // the stack still faults exactly as on the byte rung.
+    let image = overflow_image();
+    let (reference, want) = run_sliced_to_end(&image, reference_config(), false, u64::MAX);
+    let mut m = Machine::load(&image, native_config()).unwrap();
+    assert!(!m.arm_native(NativeLicense::new(depth, 1)));
+    let got = m.run(FUEL_CAP);
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    assert_eq!(fingerprint(&m), fingerprint(&reference));
+    assert!(m.native_stats().unwrap().native_instrs > 0);
 }
 
 #[test]
@@ -400,7 +511,8 @@ fn a_loop_in_a_once_entered_procedure_runs_native_from_its_first_instruction() {
 #[test]
 fn every_body_compiles_once_per_key() {
     // tri, main and the never-called handler: all three compile on the
-    // first step, and a long run compiles nothing more.
+    // first step, and a long run compiles nothing more. The key is the
+    // code version.
     let image = tri_image();
     let mut m = Machine::load(&image, native_config()).unwrap();
     assert!(m.arm_native(license()));
@@ -413,10 +525,11 @@ fn every_body_compiles_once_per_key() {
     }
     let warm = m.native_stats().unwrap();
     assert_eq!((warm.compiles, warm.flushes), (3, 0), "{warm:?}");
-    // A generation storm between two steps is one flush: the next
-    // step recompiles each body once, and the run stays bit-identical.
-    m.shake_tables(5);
-    reference.shake_tables(5);
+    // Binding an already-bound module moves the code version without
+    // lapsing a premise: one flush, after which the next step
+    // recompiles each body once, and the run stays bit-identical.
+    m.bind_module(0).unwrap();
+    reference.bind_module(0).unwrap();
     pace(&mut m);
     pace(&mut reference);
     let flushed = m.native_stats().unwrap();
@@ -540,39 +653,46 @@ fn bank_machine_bursts_overflow_underflow_and_divert_like_the_byte_rung() {
     }
 }
 
-/// Runs `image` on `cfg` (arming the tier when it has one) to halt in
+/// Runs `image` on `cfg` (arming the tier when `armed`) to halt in
 /// `slice`-unit fuel slices.
-fn run_sliced(image: &Image, cfg: MachineConfig, slice: u64) -> Machine {
-    let (m, end) = run_sliced_to_end(image, cfg, slice);
+fn run_sliced(image: &Image, cfg: MachineConfig, armed: bool, slice: u64) -> Machine {
+    let (m, end) = run_sliced_to_end(image, cfg, armed, slice);
     end.unwrap_or_else(|e| panic!("slice {slice}: {e:?}"));
     m
 }
 
-/// Runs `image` on `cfg` in `slice`-unit fuel slices until it halts or
-/// fails with anything but running out of fuel.
+/// The fuel every run here must end within. A bound, not a slice: a
+/// program whose stack fault went unnoticed would otherwise grow the
+/// host stack without end.
+const FUEL_CAP: u64 = 5_000_000;
+
+/// Runs `image` on `cfg` (arming the tier when `armed`) in
+/// `slice`-unit fuel slices until it halts, fails with anything but
+/// running out of fuel, or has spent [`FUEL_CAP`].
 fn run_sliced_to_end(
     image: &Image,
     cfg: MachineConfig,
+    armed: bool,
     slice: u64,
 ) -> (Machine, Result<(), VmError>) {
     let mut m = Machine::load(image, cfg).unwrap();
-    if cfg.native {
+    if armed {
         assert!(m.arm_native(license()), "fresh machine must arm");
     }
-    let mut slices = 0u64;
+    let mut left = FUEL_CAP;
     loop {
-        match m.run(slice) {
-            Err(VmError::OutOfFuel) => {}
+        let fuel = slice.min(left);
+        left -= fuel;
+        match m.run(fuel) {
+            Err(VmError::OutOfFuel) if left > 0 => {}
             end => return (m, end),
         }
-        slices += 1;
-        assert!(slices < 10_000_000, "slice {slice}: runaway");
     }
 }
 
-/// Holds `image`'s native run bit-identical to the byte rung, run
-/// whole and in 1-, 3- and 7-unit fuel slices, and returns the whole
-/// native run.
+/// Holds `image`'s native run, armed and checked, bit-identical to the
+/// byte rung, run whole and in 1-, 3- and 7-unit fuel slices, and
+/// returns the whole armed run.
 fn native_matches_byte_rung(image: &Image, expected: &[u16], label: &str) -> Machine {
     native_matches_byte_rung_on(MachineConfig::i2(), image, expected, label)
 }
@@ -584,18 +704,24 @@ fn native_matches_byte_rung_on(
     expected: &[u16],
     label: &str,
 ) -> Machine {
-    let reference = run_sliced(image, byte_on(base), u64::MAX);
+    let reference = run_sliced(image, byte_on(base), false, u64::MAX);
     assert_eq!(reference.output(), expected, "{label}: reference output");
     let want = fingerprint(&reference);
-    let whole = run_sliced(image, native_on(base), u64::MAX);
-    for slice in [1u64, 3, 7] {
-        let m = run_sliced(image, native_on(base), slice);
-        assert_eq!(fingerprint(&m), want, "{label}: {slice}-unit slices");
+    for armed in [false, true] {
+        let label = format!("{label} (armed: {armed})");
+        for slice in [1u64, 3, 7] {
+            let m = run_sliced(image, native_on(base), armed, slice);
+            assert_eq!(fingerprint(&m), want, "{label}: {slice}-unit slices");
+        }
+        let whole = run_sliced(image, native_on(base), armed, u64::MAX);
+        let stats = whole.native_stats().unwrap();
+        assert!(stats.native_instrs > 0, "{label}: {stats:?}");
+        assert_eq!(fingerprint(&whole), want, "{label}: whole run");
+        if armed {
+            return whole;
+        }
     }
-    let stats = whole.native_stats().unwrap();
-    assert!(stats.native_instrs > 0, "{label}: {stats:?}");
-    assert_eq!(fingerprint(&whole), want, "{label}: whole run");
-    whole
+    unreachable!("the armed pass returns")
 }
 
 /// `tri` recursing `depth` deep, called three times from a
@@ -726,16 +852,16 @@ fn frame_heap_exhaustion_matches_the_byte_rung_in_every_slicing() {
                 ev_index: 1,
             })
             .unwrap();
-        let (reference, want) = run_sliced_to_end(&image, byte_on(base), u64::MAX);
+        let (reference, want) = run_sliced_to_end(&image, byte_on(base), false, u64::MAX);
         let want = format!("{want:?}");
         assert!(want.contains("OutOfMemory"), "{want}");
         for slice in [u64::MAX, 1, 3, 7] {
-            let (m, got) = run_sliced_to_end(&image, native_on(base), slice);
+            let (m, got) = run_sliced_to_end(&image, native_on(base), true, slice);
             let label = format!("{base:?} slice {slice}");
             assert_eq!(format!("{got:?}"), want, "{label}");
             assert_eq!(fingerprint(&m), fingerprint(&reference), "{label}");
-            // In 1-unit slices the fused `LdCall` never has the fuel to
-            // run; the whole run must go native.
+            // In 1-unit slices the `LdCall` superinstruction never has
+            // the fuel to run; the whole run must go native.
             if slice == u64::MAX {
                 assert!(m.native_stats().unwrap().native_instrs > 0, "{label}");
             }
@@ -745,8 +871,9 @@ fn frame_heap_exhaustion_matches_the_byte_rung_in_every_slicing() {
 
 /// `main` calls `scrib(rel)`, which rewrites main's saved PC to `rel`
 /// (relative to the code base), skipping `LoadImm 1; Out; LoadLocal 0`
-/// so the return lands on `LoadImm 5`. That op is the second half of a
-/// fused `LoadLocal; LoadImm` pair, so no compiled op starts there.
+/// so the return lands on `LoadImm 5`. That op is the second of the
+/// `LoadLocal; LoadImm` superinstruction, so no compiled op starts
+/// there.
 fn swallowed_return_image(rel: u16) -> Image {
     let mut b = ImageBuilder::new();
     let m = b.module("m");
@@ -914,7 +1041,9 @@ fn coroutine_and_process_switches_inside_bursts_match_the_byte_rung() {
 
 /// `probe()` rewrites GFT entry 0 with its own value (a relink to the
 /// same target) and returns 1; `main` calls it from a loop, so the
-/// store lands between a compiled call and its return.
+/// store lands between a compiled call and its return. No compiled op
+/// binds a table word, so the store neither ends the burst nor
+/// recompiles anything.
 fn relink_image() -> Image {
     let mut b = ImageBuilder::new();
     let m = b.module("m");
@@ -960,13 +1089,9 @@ fn relink_under_a_compiled_call_site_exits_and_flushes() {
     let m = native_matches_byte_rung(&relink_image(), &[40], "relink");
     let stats = m.native_stats().unwrap();
     assert_eq!(
-        stats.flushes, 40,
-        "every relink bumps the table generation: {stats:?}"
-    );
-    assert_eq!(
-        stats.compiles,
-        2 * (stats.flushes + 1),
-        "each pass compiles both bodies once: {stats:?}"
+        (stats.flushes, stats.compiles),
+        (0, 2),
+        "a relink leaves the compiled bodies coherent: {stats:?}"
     );
 }
 

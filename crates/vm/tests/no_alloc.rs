@@ -1,7 +1,8 @@
 //! The hot interpretation paths must not allocate.
 //!
-//! The predecode lookup, the fused dispatch and the call/return path
-//! are all hit once per simulated instruction or call; a host allocation
+//! The predecode lookup, the native bursts (armed and checked) and the
+//! call/return path are all hit once per simulated instruction or call;
+//! a host allocation
 //! anywhere on those paths would dwarf the work they save. These tests
 //! wrap the global allocator in a counter and assert that a *warm*
 //! machine — caches filled, capacities established — runs steady-state
@@ -61,14 +62,13 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// The flat-map lookup in isolation. The fused lookup is crate-private;
+/// The flat-map lookup in isolation;
 /// [`warm_machine_steps_do_not_allocate`] covers it through the
-/// machine's own fused dispatch.
+/// machine's own dispatch.
 #[test]
 fn warm_predecode_lookup_does_not_allocate() {
     // A representative little run: locals, immediates, a compare, a
-    // branch — enough shapes to populate both the flat map and the
-    // fusion overlay.
+    // branch.
     let instrs = [
         Instr::LoadLocal(0),
         Instr::LoadImm(2),
@@ -87,7 +87,7 @@ fn warm_predecode_lookup_does_not_allocate() {
     let mut code = CodeStore::new();
     code.append(&bytes);
 
-    let mut cache = PredecodeCache::with_fusion(true);
+    let mut cache = PredecodeCache::new();
     cache.translate_range(&code, 0, code.len());
     // Warm every offset once (the flat map is populated eagerly, but
     // be paranoid about lazy stragglers).
@@ -109,8 +109,8 @@ fn warm_predecode_lookup_does_not_allocate() {
 }
 
 /// A call-dense image: main calls a tiny leaf forever. Exercises the
-/// full transfer path — fused dispatch, table-walk call resolution,
-/// frame allocation and return — in steady state.
+/// full transfer path — dispatch, table-walk call resolution, frame
+/// allocation and return — in steady state.
 fn call_loop_image() -> Image {
     let mut b = ImageBuilder::new();
     let m = b.module("m");
@@ -135,15 +135,16 @@ fn call_loop_image() -> Image {
 #[test]
 fn warm_machine_steps_do_not_allocate() {
     let image = call_loop_image();
-    let mut m = Machine::load(&image, MachineConfig::i2()).unwrap();
-    // Warm-up: fills the predecode map, the fusion overlay and the
-    // frame table, and settles every Vec at its steady-state capacity.
+    let interpreted = MachineConfig::i2().with_native_tier(false);
+    let mut m = Machine::load(&image, interpreted).unwrap();
+    // Warm-up: fills the predecode map and the frame table, and settles
+    // every Vec at its steady-state capacity.
     assert!(
         matches!(m.run(20_000), Err(VmError::OutOfFuel)),
         "the loop must still be running"
     );
 
-    let fused0 = m.fusion_stats().expect("fusion on under i2").fused_execs;
+    let hits0 = m.predecode_stats().expect("predecode on under i2").hits;
     let instr0 = m.stats().instructions;
     let before = allocs();
     assert!(matches!(m.run(100_000), Err(VmError::OutOfFuel)));
@@ -153,23 +154,35 @@ fn warm_machine_steps_do_not_allocate() {
         "a warm call/return loop must be allocation-free"
     );
 
-    // Prove the window actually exercised the accelerated paths.
+    // Prove the window actually exercised the predecoded dispatch.
     assert!(m.stats().instructions > instr0);
     assert!(
-        m.fusion_stats().unwrap().fused_execs > fused0,
-        "fused pairs must be executing"
+        m.predecode_stats().unwrap().hits > hits0,
+        "predecoded lookups must be serving"
     );
 }
 
 #[test]
 fn warm_native_bursts_do_not_allocate() {
+    warm_bursts_do_not_allocate(true);
+}
+
+/// The unarmed tier: every op's stack check runs in the window.
+#[test]
+fn warm_checked_bursts_do_not_allocate() {
+    warm_bursts_do_not_allocate(false);
+}
+
+fn warm_bursts_do_not_allocate(armed: bool) {
     let image = call_loop_image();
-    let cfg = MachineConfig::i2().with_native_tier(true);
+    let cfg = MachineConfig::i2();
     let mut m = Machine::load(&image, cfg).unwrap();
-    assert!(
-        m.arm_native(NativeLicense::new(8, 2)),
-        "fresh machine must arm"
-    );
+    if armed {
+        assert!(
+            m.arm_native(NativeLicense::new(8, 2)),
+            "fresh machine must arm"
+        );
+    }
     // Warm-up: both procedures compile on the first step, and every
     // Vec (compiled bodies, pc map, the machine's own steady-state
     // buffers) settles at final capacity. Only a coherence flush
@@ -192,8 +205,10 @@ fn warm_native_bursts_do_not_allocate() {
         "warm native bursts must be allocation-free"
     );
 
-    // Prove the window ran native, and that nothing recompiled.
+    // Prove the window ran native, armed as asked, and that nothing
+    // recompiled.
     let n = m.native_stats().unwrap();
+    assert_eq!(n.armed, armed, "{n:?}");
     assert!(
         n.native_instrs > n0.native_instrs,
         "the window must retire native instructions: {n:?}"
@@ -487,7 +502,8 @@ fn return_stack_flushes_do_not_allocate() {
         );
         let flushes0 = m.return_stack_stats().flushes;
         let before = allocs();
-        assert!(matches!(m.run(200_000), Err(VmError::OutOfFuel)));
+        // One fuel unit retires one instruction on every rung.
+        assert!(matches!(m.run(300_000), Err(VmError::OutOfFuel)));
         assert_eq!(
             allocs() - before,
             0,

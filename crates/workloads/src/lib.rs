@@ -97,9 +97,9 @@ pub fn run_workload(
     let compiled = compile_workload(w, options).map_err(|e| VmError::BadImage(e.to_string()))?;
     let mut m = Machine::load(&compiled.image, config)?;
     if config.native {
-        // The native tier runs only under a verifier license; the
-        // whole corpus verifies clean, so this arms everywhere. A
-        // dirty image simply stays on the interpreted rungs.
+        // A verifier license lets the native tier skip its stack
+        // checks; the whole corpus verifies clean, so this arms
+        // everywhere. A dirty image runs checked bursts.
         let report = fpc_verify::verify_image(
             &compiled.image,
             &fpc_verify::VerifyOptions::for_config(&config),

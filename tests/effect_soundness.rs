@@ -8,7 +8,8 @@
 //! charge-free observation journal ([`ObservedEffects`]), recorded at
 //! the same granularity — global footprints per code segment, effect
 //! flags per category. The inclusion `observed ⊆ static` must hold for
-//! the whole corpus, on every one of the four dispatch rungs, across
+//! the whole corpus, on every dispatch rung and on the checked native
+//! tier, across
 //! machine presets and seeded preemption schedules: acceleration and
 //! slicing may change *when* an effect happens, never whether the
 //! summary predicted it.
@@ -22,9 +23,23 @@ use fpc_vm::{
 };
 use fpc_workloads::{compile_workload, corpus};
 
-/// The four host dispatch rungs, native last.
+/// The three host dispatch rungs, native last, then the native tier
+/// left unarmed (`checked`).
 fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
-    base.dispatch_ladder()
+    let [byte, predecode, native] = base.dispatch_ladder();
+    [byte, predecode, native, ("checked", native.1)]
+}
+
+/// Arms the native tier when `rung` is the `native` rung.
+fn arm(m: &mut Machine, image: &Image, rung: &str, cfg: MachineConfig) {
+    if rung == "native" {
+        let report = verify_image(image, &VerifyOptions::for_config(&cfg));
+        let license = report
+            .certificate()
+            .expect("corpus verifies clean")
+            .native_license();
+        assert!(m.arm_native(license), "license must arm");
+    }
 }
 
 /// Checks `obs ⊆ sum`: every observed effect is predicted by the
@@ -72,19 +87,12 @@ fn check_included(obs: &ObservedEffects, sum: &EffectSummary) -> Result<(), Stri
     Ok(())
 }
 
-/// Loads, arms native when the rung has one, and runs under
+/// Loads, arms native on the `native` rung, and runs under
 /// observation; returns the halted machine.
-fn run_observed(image: &Image, cfg: MachineConfig, fuel: u64) -> Machine {
+fn run_observed(image: &Image, rung: &str, cfg: MachineConfig, fuel: u64) -> Machine {
     let cfg = cfg.with_observe_effects(true);
     let mut m = Machine::load(image, cfg).expect("loads");
-    if cfg.native {
-        let report = verify_image(image, &VerifyOptions::for_config(&cfg));
-        let license = report
-            .certificate()
-            .expect("corpus verifies clean")
-            .native_license();
-        assert!(m.arm_native(license), "license must arm");
-    }
+    arm(&mut m, image, rung, cfg);
     m.run(fuel).expect("runs to completion");
     m
 }
@@ -112,7 +120,7 @@ fn observed_effects_covered_by_static_summary_on_every_rung() {
                 .effects_of(entry.module, entry.ev_index)
                 .expect("entry is a known procedure");
             for (rname, cfg) in ladder(preset) {
-                let m = run_observed(&compiled.image, cfg, w.fuel);
+                let m = run_observed(&compiled.image, rname, cfg, w.fuel);
                 let obs = m.observed_effects().expect("journal was armed");
                 if let Err(leak) = check_included(obs, summary) {
                     panic!(
@@ -132,12 +140,9 @@ fn observation_is_charge_free() {
     for w in corpus() {
         let compiled = compile_workload(&w, Options::default()).expect("compiles");
         for (rname, cfg) in ladder(MachineConfig::i2()) {
-            let observed = run_observed(&compiled.image, cfg, w.fuel);
+            let observed = run_observed(&compiled.image, rname, cfg, w.fuel);
             let mut plain = Machine::load(&compiled.image, cfg).expect("loads");
-            if cfg.native {
-                let report = verify_image(&compiled.image, &VerifyOptions::for_config(&cfg));
-                plain.arm_native(report.certificate().expect("clean").native_license());
-            }
+            arm(&mut plain, &compiled.image, rname, cfg);
             plain.run(w.fuel).expect("runs");
             assert_eq!(
                 observed.stats().cycles,
@@ -170,16 +175,13 @@ fn observed_effects_stable_under_seeded_slicing() {
         .effects_of(entry.module, entry.ev_index)
         .expect("entry known");
     for (rname, cfg) in ladder(MachineConfig::i2()) {
-        let whole = run_observed(&compiled.image, cfg, w.fuel);
+        let whole = run_observed(&compiled.image, rname, cfg, w.fuel);
         let want = whole.observed_effects().expect("armed").clone();
         for seed in [41u64, 42, 43] {
             let mut rng = Rng::seed_from_u64(seed);
             let ocfg = cfg.with_observe_effects(true);
             let mut m = Machine::load(&compiled.image, ocfg).expect("loads");
-            if ocfg.native {
-                let r = verify_image(&compiled.image, &VerifyOptions::for_config(&ocfg));
-                assert!(m.arm_native(r.certificate().expect("clean").native_license()));
-            }
+            arm(&mut m, &compiled.image, rname, ocfg);
             loop {
                 match m.run(1 + rng.next_u64() % 97) {
                     Ok(()) => break,

@@ -16,8 +16,8 @@ use fpc_compiler::{compile, Options};
 use fpc_isa::Instr;
 use fpc_rng::Rng;
 use fpc_vm::{
-    run_with_plan, FaultEvent, FaultKind, FaultPlan, Image, ImageBuilder, Machine, MachineConfig,
-    ProcRef, ProcSpec, StepOutcome, TrapCode, VmError,
+    run_with_plan, FaultKind, FaultPlan, Image, ImageBuilder, Machine, MachineConfig, ProcRef,
+    ProcSpec, StepOutcome, TrapCode, VmError,
 };
 use fpc_workloads::{compile_workload, corpus};
 
@@ -31,13 +31,13 @@ fn run_src(src: &str, config: MachineConfig) -> Result<Machine, VmError> {
     Ok(m)
 }
 
-/// The three interpreted host dispatch rungs. Simulated counters are
-/// bit-identical across them by construction; these tests additionally
-/// pin down that *fault behaviour* — codes, recovery, accounting — is
-/// too.
+/// The three host dispatch rungs, the native tier unarmed: its bursts
+/// run checked until a test installs a fault handler, which stops the
+/// tier. Simulated counters are bit-identical across them by
+/// construction; these tests additionally pin down that *fault
+/// behaviour* — codes, recovery, accounting — is too.
 fn rungs(base: MachineConfig) -> [(&'static str, MachineConfig); 3] {
-    let [byte, predecode, fuse, _native] = base.dispatch_ladder();
-    [byte, predecode, fuse]
+    base.dispatch_ladder()
 }
 
 fn implementations() -> [(&'static str, MachineConfig); 4] {
@@ -619,30 +619,6 @@ fn recovered_runs_are_differentially_identical_on_i1_and_i3() {
     }
 }
 
-/// Generation storms (same-value rewrites of watched table words) bump
-/// cache generations without changing architecture: every counter —
-/// not just the adjusted ones — must match the undisturbed run, on
-/// every rung. This is the charge-not-perform contract of the inline
-/// caches under revalidation pressure.
-#[test]
-fn generation_storms_perturb_no_counter() {
-    let (image, _) = fault_image(24, false, Handler::Trivial);
-    let plan = FaultPlan::from_events(vec![
-        FaultEvent::GenStorm { at: 10, writes: 5 },
-        FaultEvent::GenStorm { at: 60, writes: 9 },
-        FaultEvent::GenStorm { at: 200, writes: 3 },
-    ]);
-    for (rname, cfg) in rungs(MachineConfig::i3()) {
-        let mut clean = Machine::load(&image, cfg).unwrap();
-        clean.run(FUEL).unwrap();
-        let mut m = Machine::load(&image, cfg).unwrap();
-        let report = run_with_plan(&mut m, &plan, FUEL).unwrap_or_else(|e| panic!("{rname}: {e}"));
-        assert_eq!(report.storm_writes, 17, "{rname}");
-        assert_eq!(m.fault_stats(), Default::default(), "{rname}: no faults");
-        assert_eq!(adjusted(&m), adjusted(&clean), "{rname}");
-    }
-}
-
 // ---------------------------------------------------------------------
 // Resumability: running out of fuel is a pause, not a death.
 // ---------------------------------------------------------------------
@@ -682,11 +658,6 @@ fn paused_and_resumed_runs_are_bit_identical() {
             "{rname}"
         );
         assert_eq!(sliced.total_refs(), whole.total_refs(), "{rname}");
-        assert_eq!(
-            format!("{:?}", sliced.fusion_stats()),
-            format!("{:?}", whole.fusion_stats()),
-            "{rname}"
-        );
     }
 }
 
@@ -839,17 +810,31 @@ fn table_scribbling_guests_fail_with_typed_errors() {
 /// verification, or — if it still certifies — load and run to
 /// completion or a typed [`VmError`] with the native tier armed by the
 /// mutant's own certificate (every body then runs as unchecked
-/// threaded code). Rejected mutants run on the plain
-/// interpreter to confirm the dynamic checks degrade to typed errors
-/// too. A host panic anywhere fails this test.
+/// threaded code). Every mutant, certified or not, also runs on the
+/// unarmed native tier, whose checked bursts must end with the byte
+/// rung's output, stack, counters and error. A host panic anywhere
+/// fails this test.
 #[test]
 fn single_byte_mutants_are_rejected_or_fail_typed() {
     use fpc_verify::{verify_image, VerifyOptions};
     const MUTANTS_PER_IMAGE: usize = 32;
     const MUTANT_FUEL: u64 = 100_000;
+    // Everything the byte rung and the checked tier must agree on.
+    let outcome = |m: &mut Machine| {
+        let r = m.run(MUTANT_FUEL);
+        let s = m.stats();
+        let counters = (s.instructions, s.cycles, s.jumps_taken, m.total_refs());
+        format!(
+            "{r:?} out={:?} stack={:?} {counters:?}",
+            m.output(),
+            m.stack()
+        )
+    };
     for preset in [MachineConfig::i3(), MachineConfig::i4()] {
-        // Certified mutants whose run reached native code.
-        let mut native_runs = 0usize;
+        let [(_, byte), _, (_, native)] = preset.dispatch_ladder();
+        // Certified mutants whose armed run, and mutants whose checked
+        // run, reached native code.
+        let (mut native_runs, mut checked_runs) = (0usize, 0usize);
         let opts = VerifyOptions::for_config(&preset);
         let options = Options {
             bank_args: preset.renaming(),
@@ -869,30 +854,31 @@ fn single_byte_mutants_are_rejected_or_fail_typed() {
                 // XOR with a nonzero mask so the byte always changes.
                 img.code[at] ^= (rng.next_u64() as u8) | 1;
                 let cert = verify_image(&img, &opts).certificate();
-                let config = match cert {
-                    Some(_) => preset.with_native_tier(true),
-                    None => preset,
-                };
-                match Machine::load(&img, config) {
-                    Ok(mut m) => {
-                        if let Some(cert) = &cert {
-                            // Still certified: the certificate must be
-                            // safe to act on.
-                            assert!(m.arm_native(cert.native_license()), "{}", w.name);
-                        }
-                        if let Err(e) = m.run(MUTANT_FUEL) {
-                            let _ = e.to_string(); // typed, displayable
-                        }
-                        native_runs +=
-                            m.native_stats().is_some_and(|n| n.native_instrs > 0) as usize;
-                    }
+                let mut reference = match Machine::load(&img, byte) {
+                    Ok(m) => m,
                     Err(e) => {
+                        let _ = e.to_string(); // typed, displayable
+                        continue;
+                    }
+                };
+                let want = outcome(&mut reference);
+                let mut checked = Machine::load(&img, native).expect("loads as on the byte rung");
+                assert_eq!(outcome(&mut checked), want, "{} mutant at {at}", w.name);
+                checked_runs += checked.native_stats().unwrap().native_instrs.min(1) as usize;
+                if let Some(cert) = &cert {
+                    // Still certified: the certificate must be safe to
+                    // act on.
+                    let mut m = Machine::load(&img, native).expect("loads");
+                    assert!(m.arm_native(cert.native_license()), "{}", w.name);
+                    if let Err(e) = m.run(MUTANT_FUEL) {
                         let _ = e.to_string();
                     }
+                    native_runs += m.native_stats().unwrap().native_instrs.min(1) as usize;
                 }
             }
         }
         assert!(native_runs > 0, "no certified mutant ran native code");
+        assert!(checked_runs > 0, "no mutant ran checked native code");
     }
 }
 

@@ -5,10 +5,11 @@
 //! resumes them on arbitrary workers. That is sound only if a run
 //! split into slices `a + b + …` is *bit-identical* to the unsliced
 //! run — stats, output, references, cache and bank statistics — on
-//! every rung of the four-level dispatch ladder, including a
-//! zero-length first slice and splits that land inside a fused pair or
-//! a native burst. The split tests run on I3 and on the renaming bank
-//! machine I4, where splits also land inside fused bank-local ops.
+//! every rung of the dispatch ladder and on the checked native tier,
+//! including a zero-length first slice and splits that land inside a
+//! native burst or one of its superinstructions. The split tests run
+//! on I3 and on the renaming bank machine I4, where splits also land
+//! inside bank-local superinstructions.
 //!
 //! The second half pins the same property for fault-injection plans:
 //! a [`PlanCursor`] advanced across preemptions must fire every event
@@ -25,18 +26,19 @@ use fpc_workloads::{compile_workload, programs};
 
 const FUEL: u64 = 50_000_000;
 
-/// The four host dispatch rungs, native last. The armed native rung
-/// compiles every body before the first instruction, so random splits
-/// land inside its bursts.
+/// The three host dispatch rungs, native last, then the native tier
+/// left unarmed (`checked`). The native tier compiles every body before
+/// the first instruction, so random splits land inside its bursts.
 fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
-    base.dispatch_ladder()
+    let [byte, predecode, native] = base.dispatch_ladder();
+    [byte, predecode, native, ("checked", native.1)]
 }
 
-/// Loads a machine on `cfg`, arming the native tier when the rung has
-/// one (the image must verify clean — fib does).
-fn load(image: &Image, cfg: MachineConfig) -> Machine {
+/// Loads a machine on `cfg`, arming the native tier on the `native`
+/// rung (the image must verify clean — fib does).
+fn load(image: &Image, rung: &str, cfg: MachineConfig) -> Machine {
     let mut m = Machine::load(image, cfg).expect("loads");
-    if cfg.native {
+    if rung == "native" {
         let report = verify_image(image, &VerifyOptions::for_config(&cfg));
         let license = report
             .certificate()
@@ -47,28 +49,21 @@ fn load(image: &Image, cfg: MachineConfig) -> Machine {
     m
 }
 
-/// Everything slicing must preserve: architectural state, plus, on
-/// interpreted rungs, the fusion counters. The native rung's *tier
-/// occupancy* counters are deliberately excluded: a pause exits a
-/// burst, so where preemption lands changes which tier retires an
+/// Everything slicing must preserve: architectural state. The native
+/// tier's *occupancy* counters are deliberately excluded: a pause exits
+/// a burst, so where preemption lands changes which tier retires an
 /// instruction — but never what it computes or charges, which is
 /// exactly the charge-not-perform contract. Those counters are the
 /// burst entries and the native vs interpreted instruction shares.
-fn fingerprint(m: &Machine, include_tier: bool) -> String {
-    let tier = if include_tier {
-        format!(" fusion={:?}", m.fusion_stats())
-    } else {
-        String::new()
-    };
+fn fingerprint(m: &Machine) -> String {
     format!(
-        "instr={} cycles={} jumps={} refs={} out={:?} banks={:?}{}",
+        "instr={} cycles={} jumps={} refs={} out={:?} banks={:?}",
         m.stats().instructions,
         m.stats().cycles,
         m.stats().jumps_taken,
         m.total_refs(),
         m.output(),
         m.bank_stats(),
-        tier,
     )
 }
 
@@ -101,8 +96,8 @@ fn split_targets() -> [(&'static str, MachineConfig, Image); 2] {
 
 /// Any two-slice split `a + b` of an exact-fuel run, including `a = 0`
 /// (an empty first slice must be a true no-op) and odd offsets that
-/// land mid-fused-pair and mid-native-burst, matches the one-shot run
-/// on every rung.
+/// land mid-superinstruction and mid-native-burst, matches the
+/// one-shot run on every rung.
 #[test]
 fn any_two_slice_split_is_bit_identical_on_every_rung() {
     for (name, base, image) in split_targets() {
@@ -113,36 +108,34 @@ fn any_two_slice_split_is_bit_identical_on_every_rung() {
 fn two_slice_splits_match(name: &str, base: MachineConfig, image: &Image) {
     for (rung, cfg) in ladder(base) {
         let rname = format!("{name}/{rung}");
-        let mut whole = load(image, cfg);
+        let mut whole = load(image, rung, cfg);
         whole.run(FUEL).unwrap();
         let total = whole.stats().instructions;
-        let tier = !cfg.native;
-        let want = fingerprint(&whole, tier);
+        let want = fingerprint(&whole);
 
         // An exact-fuel one-shot run must also halt cleanly: fuel
         // accounting has no off-by-one to hide behind.
-        let mut exact = load(image, cfg);
+        let mut exact = load(image, rung, cfg);
         exact.run(total).unwrap_or_else(|e| panic!("{rname}: {e}"));
-        assert_eq!(fingerprint(&exact, tier), want, "{rname}: exact fuel");
+        assert_eq!(fingerprint(&exact), want, "{rname}: exact fuel");
 
         let mut rng = Rng::seed_from_u64(0xF0E1);
         let mut splits = vec![0, 1, 2, 3, total - 1, total / 2];
         splits.extend((0..8).map(|_| rng.next_u64() % total));
         for a in splits {
             let b = total - a;
-            let mut m = load(image, cfg);
+            let mut m = load(image, rung, cfg);
             if a == 0 {
                 // A zero-fuel slice is OutOfFuel by definition…
                 assert!(matches!(m.run(0), Err(VmError::OutOfFuel)), "{rname}");
             } else {
                 match m.run(a) {
-                    // One fuel unit retires *at least* one instruction
-                    // (a fused pair two, a native burst op one), so a
-                    // split near `total` can finish inside slice `a`
-                    // on the accelerated rungs — then the fingerprint
-                    // must already match and there is no second leg.
+                    // One fuel unit retires *at least* one instruction,
+                    // so a split near `total` can finish inside slice
+                    // `a` — then the fingerprint must already match and
+                    // there is no second leg.
                     Ok(()) => {
-                        assert_eq!(fingerprint(&m, tier), want, "{rname}: a={a} completed");
+                        assert_eq!(fingerprint(&m), want, "{rname}: a={a} completed");
                         continue;
                     }
                     Err(VmError::OutOfFuel) => {
@@ -154,7 +147,7 @@ fn two_slice_splits_match(name: &str, base: MachineConfig, image: &Image) {
             // …and the remainder finishes on exactly `b`.
             m.run(b).unwrap_or_else(|e| panic!("{rname}: a={a}: {e}"));
             assert!(m.halted(), "{rname}: a={a}");
-            assert_eq!(fingerprint(&m, tier), want, "{rname}: split {a}+{b}");
+            assert_eq!(fingerprint(&m), want, "{rname}: split {a}+{b}");
         }
     }
 }
@@ -171,13 +164,12 @@ fn random_slice_schedules_are_bit_identical_on_every_rung() {
 fn random_schedules_match(name: &str, base: MachineConfig, image: &Image) {
     for (rung, cfg) in ladder(base) {
         let rname = format!("{name}/{rung}");
-        let mut whole = load(image, cfg);
+        let mut whole = load(image, rung, cfg);
         whole.run(FUEL).unwrap();
-        let tier = !cfg.native;
-        let want = fingerprint(&whole, tier);
+        let want = fingerprint(&whole);
         for seed in [1u64, 2, 3] {
             let mut rng = Rng::seed_from_u64(seed);
-            let mut m = load(image, cfg);
+            let mut m = load(image, rung, cfg);
             let mut slices = 0u32;
             loop {
                 // 1-instruction slices through multi-thousand quanta.
@@ -190,40 +182,43 @@ fn random_schedules_match(name: &str, base: MachineConfig, image: &Image) {
                 assert!(slices < 1_000_000, "{rname}: runaway");
             }
             assert!(slices > 0, "{rname}: fib must outlast one slice");
-            assert_eq!(fingerprint(&m, tier), want, "{rname}: seed {seed}");
+            assert_eq!(fingerprint(&m), want, "{rname}: seed {seed}");
         }
     }
 }
 
-/// A generation-storm plan applied through a [`PlanCursor`] in fuel
-/// slices fires each event exactly once and matches the one-shot
-/// [`run_with_plan`] bit-for-bit — preempting mid-plan neither drops
-/// nor re-fires events.
+/// A plan that fib survives without a handler: frame-pressure windows
+/// of zero length (every free frame seized, then released, before the
+/// same instruction), each after fib's deepest descent has filled its
+/// frame list, and an unbind of a module the image does not have,
+/// which fires but changes nothing.
+fn harmless_plan(windows: &[u64]) -> FaultPlan {
+    let mut plan = Vec::new();
+    for &at in windows {
+        plan.push(FaultEvent::FramePressure { at });
+        plan.push(FaultEvent::ReleasePressure { at });
+    }
+    plan.push(FaultEvent::UnbindModule { at: 20, module: 99 });
+    FaultPlan::from_events(plan)
+}
+
+/// A fault plan applied through a [`PlanCursor`] in fuel slices fires
+/// each event exactly once and matches the one-shot [`run_with_plan`]
+/// bit-for-bit — preempting mid-plan neither drops nor re-fires events.
 #[test]
 fn sliced_plan_runs_match_one_shot_plan_runs() {
     let image = fib_image();
-    let plan = FaultPlan::from_events(vec![
-        FaultEvent::GenStorm { at: 10, writes: 3 },
-        FaultEvent::GenStorm { at: 997, writes: 7 },
-        FaultEvent::GenStorm {
-            at: 5_000,
-            writes: 1,
-        },
-        FaultEvent::GenStorm {
-            at: 5_001,
-            writes: 9,
-        },
-    ]);
+    let plan = harmless_plan(&[600, 997, 5_000, 5_001]);
     for (rname, cfg) in ladder(MachineConfig::i3()) {
-        let mut oneshot = load(&image, cfg);
+        let mut oneshot = load(&image, rname, cfg);
         let report = run_with_plan(&mut oneshot, &plan, FUEL).unwrap();
-        assert_eq!(report.applied, 4, "{rname}");
-        assert_eq!(report.storm_writes, 20, "{rname}");
-        let tier = !cfg.native;
-        let want = fingerprint(&oneshot, tier);
+        assert_eq!(report.applied, 9, "{rname}");
+        assert!(report.frames_seized > 0, "{rname}");
+        assert_eq!(report.unbinds, 0, "{rname}");
+        let want = fingerprint(&oneshot);
 
         for quantum in [1u64, 97, 4096] {
-            let mut m = load(&image, cfg);
+            let mut m = load(&image, rname, cfg);
             let mut cursor = PlanCursor::new(plan.clone());
             loop {
                 match cursor.run(&mut m, quantum) {
@@ -234,7 +229,7 @@ fn sliced_plan_runs_match_one_shot_plan_runs() {
             }
             assert!(cursor.exhausted(), "{rname}/q={quantum}: all events fired");
             assert_eq!(cursor.report(), report, "{rname}/q={quantum}");
-            assert_eq!(fingerprint(&m, tier), want, "{rname}/q={quantum}");
+            assert_eq!(fingerprint(&m), want, "{rname}/q={quantum}");
         }
     }
 }
@@ -246,17 +241,17 @@ fn sliced_plan_runs_match_one_shot_plan_runs() {
 #[test]
 fn plan_cursor_does_not_refire_applied_events_across_pauses() {
     let image = fib_image();
-    let plan = FaultPlan::from_events(vec![FaultEvent::GenStorm { at: 5, writes: 2 }]);
+    let plan = harmless_plan(&[500]);
     let cfg = MachineConfig::i3();
-    let mut m = load(&image, cfg);
+    let mut m = load(&image, "checked", cfg);
     let mut cursor = PlanCursor::new(plan);
-    // Pause long after the event fired…
+    // Pause long after the events fired…
     assert!(matches!(cursor.run(&mut m, 1_000), Err(VmError::OutOfFuel)));
-    assert_eq!(cursor.report().applied, 1);
-    assert_eq!(cursor.report().storm_writes, 2);
+    let fired = cursor.report();
+    assert_eq!(fired.applied, 3);
+    assert!(fired.frames_seized > 0);
     assert!(cursor.exhausted());
-    // …and resume: the event must not fire again.
+    // …and resume: no event may fire again.
     cursor.run(&mut m, FUEL).unwrap();
-    assert_eq!(cursor.report().applied, 1);
-    assert_eq!(cursor.report().storm_writes, 2);
+    assert_eq!(cursor.report(), fired);
 }

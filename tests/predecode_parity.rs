@@ -1,7 +1,7 @@
 //! Differential tests for the host-side acceleration layers.
 //!
-//! The predecode cache, superinstruction fusion and the native tier
-//! are host-side optimisations only: a run using any combination
+//! The predecode cache and the native tier, checked or armed, are
+//! host-side optimisations only: a run using any combination
 //! of them must be **bit-identical** in every simulated respect —
 //! outputs, instruction/cycle/jump counters, memory-reference counters,
 //! per-transfer-kind statistics, return stack, bank, frame-cache and
@@ -11,9 +11,10 @@
 //! mutation (module relocation and procedure replacement), where a
 //! stale cache would be most tempting and most wrong.
 
+use fpc_compiler::Options;
 use fpc_isa::Instr;
 use fpc_vm::{Image, ImageBuilder, Machine, MachineConfig, ProcRef, ProcSpec, StepOutcome};
-use fpc_workloads::{corpus, run_workload};
+use fpc_workloads::{compile_workload, corpus, run_workload, Workload};
 
 /// Every simulated-side observable, flattened through Debug. Any
 /// divergence — one cycle, one table read, one histogram bucket —
@@ -41,22 +42,33 @@ fn all_configs() -> [(&'static str, MachineConfig); 4] {
     ]
 }
 
-/// The dispatch ladder, byte first. The armed native rung compiles
-/// every body before the first instruction, so even short corpus runs
-/// spend time in compiled bodies.
-fn ladder(c: MachineConfig) -> [(&'static str, MachineConfig); 4] {
+/// The dispatch ladder, byte first. The native rung compiles every
+/// body before the first instruction, so even short corpus runs spend
+/// time in compiled bodies.
+fn ladder(c: MachineConfig) -> [(&'static str, MachineConfig); 3] {
     c.dispatch_ladder()
+}
+
+/// Runs `w` on the native tier without a license: checked bursts.
+fn run_checked(w: &Workload, config: MachineConfig) -> Machine {
+    let options = Options {
+        bank_args: config.renaming(),
+        ..Default::default()
+    };
+    let image = compile_workload(w, options).expect("compiles").image;
+    let mut m = Machine::load(&image, config).expect("loads");
+    m.run(w.fuel).expect("runs");
+    m
 }
 
 #[test]
 fn corpus_counters_identical_across_decode_paths() {
     let corpus = corpus();
     assert_eq!(corpus.len(), 17, "parity must cover the whole corpus");
-    let mut fused = 0u64;
-    let mut native_instrs = 0u64;
+    let mut native_instrs = [0u64; 2];
     for w in &corpus {
         for (name, config) in all_configs() {
-            let runs: Vec<(&str, Machine)> = ladder(config)
+            let mut runs: Vec<(&str, Machine)> = ladder(config)
                 .into_iter()
                 .map(|(rung, cfg)| {
                     let m = run_workload(w, cfg, Default::default())
@@ -64,6 +76,7 @@ fn corpus_counters_identical_across_decode_paths() {
                     (rung, m)
                 })
                 .collect();
+            runs.push(("checked", run_checked(w, ladder(config)[2].1)));
             let reference = fingerprint(&runs[0].1);
             assert_eq!(
                 runs[0].1.output(),
@@ -87,26 +100,24 @@ fn corpus_counters_identical_across_decode_paths() {
                 w.name
             );
             assert!(runs[0].1.predecode_stats().is_none(), "cache is off");
-            assert!(runs[1].1.fusion_stats().is_none(), "fusion is off");
-            let top = &runs[2].1;
-            fused += top.fusion_stats().expect("fusion is on").fused_execs;
-            assert!(top.native_stats().is_none(), "native tier is off");
-            let nstats = runs[3].1.native_stats().expect("native tier is on");
-            assert!(
-                nstats.armed,
-                "{} on {name}: the corpus verifies clean, so the license arms",
-                w.name
-            );
-            native_instrs += nstats.native_instrs;
+            assert!(runs[0].1.native_stats().is_none(), "native tier is off");
+            assert!(runs[1].1.native_stats().is_none(), "native tier is off");
+            for (i, (_, m)) in runs[2..].iter().enumerate() {
+                let nstats = m.native_stats().expect("native tier is on");
+                assert_eq!(
+                    nstats.armed,
+                    i == 0,
+                    "{} on {name}: the corpus verifies clean, so the license arms",
+                    w.name
+                );
+                native_instrs[i] += nstats.native_instrs;
+            }
         }
     }
     assert!(
-        fused > 0,
-        "the corpus must actually execute fused superinstructions"
-    );
-    assert!(
-        native_instrs > 0,
-        "the corpus must actually retire native-compiled instructions"
+        native_instrs.iter().all(|&n| n > 0),
+        "the corpus must actually retire native-compiled instructions, \
+         armed and checked: {native_instrs:?}"
     );
 }
 
@@ -148,9 +159,8 @@ fn tri_image() -> Image {
 }
 
 /// Steps to completion, relocating module 0 every ~500 *instructions*.
-/// Pacing by the instruction counter (a fused step retires two) keeps
-/// the mutation points aligned in simulated time across every rung of
-/// the acceleration ladder.
+/// Pacing by the instruction counter keeps the mutation points aligned
+/// in simulated time across every rung of the acceleration ladder.
 fn run_with_relocations(image: &Image, config: MachineConfig) -> Machine {
     let mut machine = Machine::load(image, config).unwrap();
     let mut last_move = 0u64;

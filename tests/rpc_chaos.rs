@@ -355,14 +355,17 @@ fn quantum_boundary_park_restarts_the_marshal_exactly_once() {
     assert_eq!(control.output(), &[42]);
 
     // Sliced: the quantum runs dry after `LoadImm`, so the boundary
-    // lands exactly on the call with zero fuel left for it. The park
-    // runs before any counted reference or fuel charge, so the
-    // context surfaces `RemoteBlocked` — parked, not out of fuel —
-    // having committed nothing.
+    // lands exactly on the call with zero fuel left for it. The next
+    // quantum's first step parks; the park runs before any counted
+    // reference or fuel charge, so it commits nothing.
     let mut m = Machine::load(&image, cfg).unwrap();
-    assert!(matches!(m.run(1), Err(VmError::RemoteBlocked)));
+    assert!(matches!(m.run(1), Err(VmError::OutOfFuel)));
     assert_eq!(m.stats().instructions, 1, "only LoadImm retired");
-    let refs_at_boundary = m.total_refs();
+    let (refs_at_boundary, cycles_at_boundary) = (m.total_refs(), m.stats().cycles);
+    assert!(matches!(m.run(10_000), Err(VmError::RemoteBlocked)));
+    assert_eq!(m.stats().instructions, 1, "the park retires nothing");
+    assert_eq!(m.total_refs(), refs_at_boundary);
+    assert_eq!(m.stats().cycles, cycles_at_boundary);
     // Re-stepping without a completion stays parked, still free.
     assert!(matches!(m.run(10_000), Err(VmError::RemoteBlocked)));
     assert_eq!(m.total_refs(), refs_at_boundary);

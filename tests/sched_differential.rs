@@ -21,8 +21,12 @@ use fpc_workloads::{compile_workload, programs};
 /// A call-dense mixed population: context `id` runs `fib(6 + id % 7)`
 /// with a per-context quantum drawn from a seeded RNG — quanta belong
 /// to contexts, not workers, so they are worker-count invariant. Every
-/// third context also carries a generation-storm fault plan, proving
-/// plans compose with preemption under real scheduling.
+/// third context also carries a fault plan that fib survives without a
+/// handler — an unbind of a module the image lacks, and zero-length
+/// frame-pressure windows (every free frame seized and released before
+/// the same instruction) after fib's deepest descent has filled its
+/// frame list — proving plans compose with preemption under real
+/// scheduling.
 fn population(count: u64, seed: u64) -> Population {
     let cfg = MachineConfig::i3().with_memory_words(2048);
     let images: Arc<Vec<Image>> = Arc::new(
@@ -47,15 +51,17 @@ fn population(count: u64, seed: u64) -> Population {
         let quantum = 64 + rng.next_u64() % 512;
         let mut ctx = Context::new(id, m, FuelPolicy::Quantum(quantum));
         if id % 3 == 0 {
+            let unbind = 5 + rng.next_u64() % 200;
+            let (a, b) = (200 + rng.next_u64() % 200, 400 + rng.next_u64() % 500);
             let plan = FaultPlan::from_events(vec![
-                FaultEvent::GenStorm {
-                    at: 5 + rng.next_u64() % 200,
-                    writes: 1 + (id % 7) as u32,
+                FaultEvent::UnbindModule {
+                    at: unbind,
+                    module: 99,
                 },
-                FaultEvent::GenStorm {
-                    at: 300 + rng.next_u64() % 500,
-                    writes: 2,
-                },
+                FaultEvent::FramePressure { at: a },
+                FaultEvent::ReleasePressure { at: a },
+                FaultEvent::FramePressure { at: b },
+                FaultEvent::ReleasePressure { at: b },
             ]);
             ctx = ctx.with_plan(PlanCursor::new(plan));
         }

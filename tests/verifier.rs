@@ -192,11 +192,12 @@ fn rejects_bad_descriptor_word() {
 
 #[test]
 fn rejects_jump_into_fused_pair_interior() {
-    // The wide LOADIMM at body offset 2 is 3 bytes and the VM fuses it
-    // with the following ADD (span [2, 6)); the hand-encoded byte jump
-    // at offset 0 targets offset 3 — the middle of the LOADIMM's
-    // immediate, strictly inside the fused span. Fusion changes
-    // nothing here: the target is not an instruction boundary.
+    // The wide LOADIMM at body offset 2 is 3 bytes and the native tier
+    // fuses it with the following ADD into one superinstruction (span
+    // [2, 6)); the hand-encoded byte jump at offset 0 targets offset 3 —
+    // the middle of the LOADIMM's immediate, strictly inside the fused
+    // span. Fusion changes nothing here: the target is not an
+    // instruction boundary.
     use fpc_isa::opcode;
     let mut b = ImageBuilder::new();
     let m = b.module("m");

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Same-binary A/B of the simulator on a set of long-running programs.
+"""Same-binary A/B of the simulator on a set of programs.
 
 Links a committed revision ("base") and the working tree ("head") into
-one binary and times every program of a set on I1-I4 on both,
-alternating per item (see main.rs). Prints the paired base/head run-time
+one binary and times every program of a set on both, alternating per
+item (see main.rs). Prints the paired base/head run-time
 ratio per item and in total, with quartiles over the rounds, and stops
 if the two sides' simulated counters ever differ.
 
     python3 tools/ab/ab.py                       # base = HEAD
     python3 tools/ab/ab.py --base main --rounds 50 --only fib/
     python3 tools/ab/ab.py --base-tree ../other-checkout
-    python3 tools/ab/ab.py --set loops --rung fused
+    python3 tools/ab/ab.py --set contexts --rung unarmed
 
 Options that choose what is timed:
 
@@ -19,11 +19,15 @@ Options that choose what is timed:
     --set loops   the `loops_hot` programs: `loop_programs` from
                   perfbench/src/programs.rs, copied into the harness
                   (perfbench itself is not built)
-    --rung native predecode, fusion and the native tier, armed under the
+    --set contexts  `cluster_storm`'s fib guests: fib(6..=13) on I3 and
+                  I4, Direct linkage, a 2 048-word memory; each item
+                  times 200 loads and runs, compiles included
+    --rung native predecode and the native tier, armed under the
                   verifier's license: the fastest licensed setting; the
                   default
-    --rung fused  predecode and fusion, unarmed: the path the scheduler
-                  and cluster guests take
+    --rung unarmed  the native tier without a license: the path the
+                  scheduler and cluster guests take (checked bursts; on
+                  a base from before them, the fused rung)
     --profile P   the cargo profile both sides are built with, `release`
                   by default; CI builds with `ci` to check only that the
                   harness still builds and runs
@@ -173,8 +177,10 @@ def main():
     ap.add_argument("--base-tree", help="a checkout to use as the base side instead")
     ap.add_argument("--rounds", type=int, default=30, help="timed rounds")
     ap.add_argument("--only", default="", help="time only items whose name contains this, e.g. /i4")
-    ap.add_argument("--set", choices=["calls", "loops"], default="calls", help="programs to time")
-    ap.add_argument("--rung", choices=["native", "fused"], default="native", help="dispatch setting")
+    ap.add_argument(
+        "--set", choices=["calls", "loops", "contexts"], default="calls", help="programs to time"
+    )
+    ap.add_argument("--rung", choices=["native", "unarmed"], default="native", help="dispatch setting")
     ap.add_argument("--profile", default="release", help="cargo profile to build with")
     ap.add_argument(
         "--out",

@@ -1,19 +1,25 @@
-//! Same-binary A/B timing of the `calls_hot` or `loops_hot` programs.
+//! Same-binary A/B timing of the `calls_hot` or `loops_hot` programs,
+//! or of the scheduler's `fib` contexts.
 //!
 //! Two copies of the simulator are linked into this one binary: `base`
 //! (a committed revision) and `head` (the working tree). Every round
 //! runs every item once on each side, alternating which side goes
-//! first, so both see the same host state. Only `Machine::run` is
-//! timed. After every run the two sides' instructions, cycles, total
-//! counted references and output must be equal, or the harness stops.
+//! first, so both see the same host state. For `calls` and `loops` only
+//! `Machine::run` is timed; a `contexts` item times `CONTEXT_REPS`
+//! loads and runs, so the per-machine compile is inside the timing.
+//! After every run the two sides' instructions, cycles, total counted
+//! references and output must be equal, or the harness stops.
 //!
 //! Built and run by `ab.py`, which generates the manifest naming the
 //! two copies and copies the loop programs in as `loops.rs`; see there
-//! for usage. Arguments: the number of timed rounds, the set (`calls`
-//! or `loops`), the rung (`native` or `fused`), then optionally a
-//! substring that item names must contain.
+//! for usage. Arguments: the number of timed rounds, the set (`calls`,
+//! `loops` or `contexts`), the rung (`native` or `unarmed`), then
+//! optionally a substring that item names must contain.
 
 use std::time::Instant;
+
+/// Loads and runs per timed `contexts` item.
+const CONTEXT_REPS: usize = 200;
 
 /// The counters both sides must agree on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,12 +52,25 @@ macro_rules! side {
                 /// The license to arm, on the native rung.
                 license: Option<NativeLicense>,
                 config: MachineConfig,
+                /// Whether loads are timed too (`contexts`).
+                cold: bool,
             }
 
-            /// The programs of `set` on I1–I4 (Mesa linkage on I1/I2,
-            /// Direct on I3/I4) at `rung`: `native` is the fastest
-            /// licensed setting, `fused` predecode and fusion unarmed.
+            /// The programs of `set` at `rung`: `native` is the fastest
+            /// licensed setting, `unarmed` the native tier without a
+            /// license — the path the scheduler and cluster guests take
+            /// (on a base from before the checked tier, the fused
+            /// rung). `calls` and `loops` run on I1–I4 (Mesa linkage
+            /// on I1/I2, Direct on I3/I4), `contexts` as `cluster_storm`
+            /// admits its `fib` guests: `fib(6..=13)` on I3 and I4,
+            /// Direct linkage, a 2 048-word memory.
             pub fn items(set: &str, rung: &str) -> Vec<Item> {
+                let mut imps = vec![
+                    ("i1", MachineConfig::i1(), Linkage::Mesa),
+                    ("i2", MachineConfig::i2(), Linkage::Mesa),
+                    ("i3", MachineConfig::i3(), Linkage::Direct),
+                    ("i4", MachineConfig::i4(), Linkage::Direct),
+                ];
                 let programs = match set {
                     "calls" => vec![
                         programs::fib(23),
@@ -61,26 +80,30 @@ macro_rules! side {
                         programs::leafcalls(32_000),
                     ],
                     "loops" => loops::loop_programs(&mut ::rng::Rng::seed_from_u64(1)),
-                    _ => panic!("set: calls or loops, not {set}"),
+                    "contexts" => {
+                        imps.drain(..2);
+                        for imp in &mut imps {
+                            imp.1 = imp.1.with_memory_words(2048);
+                        }
+                        (6..=13).map(programs::fib).collect()
+                    }
+                    _ => panic!("set: calls, loops or contexts, not {set}"),
                 };
+                // Every `contexts` program is named `fib`: name each
+                // after its argument.
+                let named = programs.iter().enumerate().map(|(i, p)| match set {
+                    "contexts" => (format!("fib{}", 6 + i), p),
+                    _ => (p.name.to_string(), p),
+                });
                 let native = match rung {
                     "native" => true,
-                    "fused" => false,
-                    _ => panic!("rung: native or fused, not {rung}"),
+                    "unarmed" => false,
+                    _ => panic!("rung: native or unarmed, not {rung}"),
                 };
-                let imps = [
-                    ("i1", MachineConfig::i1(), Linkage::Mesa),
-                    ("i2", MachineConfig::i2(), Linkage::Mesa),
-                    ("i3", MachineConfig::i3(), Linkage::Direct),
-                    ("i4", MachineConfig::i4(), Linkage::Direct),
-                ];
                 let mut items = Vec::new();
-                for p in &programs {
-                    for (imp, base, linkage) in imps {
-                        let config = base
-                            .with_predecode(true)
-                            .with_fusion(true)
-                            .with_native_tier(native);
+                for (name, p) in named {
+                    for &(imp, base, linkage) in &imps {
+                        let config = base.with_predecode(true).with_native_tier(true);
                         let options = Options {
                             linkage,
                             bank_args: config.renaming(),
@@ -96,24 +119,39 @@ macro_rules! side {
                             .native_license();
                         let license = native.then_some(license);
                         items.push(Item {
-                            name: format!("{}/{imp}", p.name),
+                            name: format!("{name}/{imp}"),
                             image,
                             license,
                             config,
+                            cold: set == "contexts",
                         });
                     }
                 }
                 items
             }
 
-            /// Loads `item` and arms it on the native rung, then times
-            /// one whole run.
-            pub fn run(item: &Item) -> (u64, super::Counters) {
+            /// Loads `item`, arming it on the native rung.
+            fn load(item: &Item) -> Machine {
                 let mut m = Machine::load(&item.image, item.config).expect("load");
                 if let Some(license) = item.license {
                     assert!(m.arm_native(license), "{}: license did not arm", item.name);
                 }
-                let t = super::Instant::now();
+                m
+            }
+
+            /// Times one whole run of `item`, or `CONTEXT_REPS` loads
+            /// and runs of a cold item.
+            pub fn run(item: &Item) -> (u64, super::Counters) {
+                let (mut m, t) = if item.cold {
+                    let t = super::Instant::now();
+                    for _ in 1..super::CONTEXT_REPS {
+                        load(item).run(100_000_000).expect("run");
+                    }
+                    (load(item), t)
+                } else {
+                    let m = load(item);
+                    (m, super::Instant::now())
+                };
                 m.run(100_000_000).expect("run");
                 let ns = t.elapsed().as_nanos() as u64;
                 let c = super::Counters {
