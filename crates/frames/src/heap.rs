@@ -384,10 +384,10 @@ impl FrameHeap {
     /// allocates it. `record.fsi` may name a smaller class than `fsi`
     /// (a frame cache serving small requests with standard frames).
     ///
-    /// A non-empty list is the inline fast path, the three references
-    /// of [`FrameHeap::alloc_fsi`]. An empty list (the software
-    /// allocator's trap), an fsi beyond the ladder and a corrupt head
-    /// take the cold path, with the same errors.
+    /// A non-empty list is the inline fast path, [`FrameHeap::try_pop`].
+    /// An empty list (the software allocator's trap), an fsi beyond the
+    /// ladder and a corrupt head take the cold path, with the same
+    /// errors.
     ///
     /// # Errors
     ///
@@ -399,51 +399,58 @@ impl FrameHeap {
         fsi: u8,
         record: FrameRecord,
     ) -> Result<WordAddr, FrameError> {
-        let Some(words) = self.classes.words(fsi) else {
-            return Err(self.oversize());
-        };
+        match self.try_pop(mem, fsi, record) {
+            Some(frame) => {
+                mem.charge(2, 1);
+                Ok(frame)
+            }
+            None => self.alloc_miss(mem, fsi, record),
+        }
+    }
+
+    /// The fast path of [`FrameHeap::alloc_record`], the three
+    /// references of [`FrameHeap::alloc_fsi`]: reads the head of class
+    /// `fsi`'s list, reads its link, writes the head and records the
+    /// frame. The caller counts the references into `mem` (two reads,
+    /// one write), so a run of them can be counted at once. Returns
+    /// `None`, having changed nothing, when the list is empty, the head
+    /// is not a free frame the table covers, or `fsi` is beyond the
+    /// ladder.
+    #[inline(always)]
+    pub fn try_pop(&mut self, mem: &mut Memory, fsi: u8, record: FrameRecord) -> Option<WordAddr> {
+        let words = self.classes.words(fsi)?;
         let head_slot = self.av_base.offset(fsi as u32);
-        // The three references are counted as one group once the list
-        // turns out non-empty.
         let head = mem.peek(head_slot); // ref 1
-        let frame = WordAddr(head as u32);
         match self.frames.0.get_mut(head as usize) {
             // A free frame the table covers; 0 (an empty list) is
-            // never recorded, so it lands in the slow path below.
+            // never recorded.
             Some(slot @ None) if head != 0 => *slot = Some(record),
-            _ => {
-                mem.charge(1, 0);
-                return self.alloc_slow(mem, fsi, record, head_slot, head);
-            }
+            _ => return None,
         }
+        let frame = WordAddr(head as u32);
         let next = mem.peek(frame); // ref 2
         mem.poke(head_slot, next); // ref 3
-        mem.charge(2, 1);
         self.stats.fast_refs += 3;
         self.count_alloc(words);
-        Ok(frame)
+        Some(frame)
     }
 
+    /// [`FrameHeap::alloc_record`] when [`FrameHeap::try_pop`] declined:
+    /// report an fsi beyond the ladder, replenish an empty list, report
+    /// a corrupt head, or cover a free frame the table does not reach
+    /// yet.
     #[cold]
-    fn oversize(&self) -> FrameError {
-        FrameError::OversizeRequest {
-            words: self.classes.max_words() + 1,
-        }
-    }
-
-    /// The rest of [`FrameHeap::alloc_record`] when the list head read
-    /// as `head` is not a covered free frame: replenish an empty list,
-    /// report a corrupt head, or cover a free frame the table does not
-    /// reach yet.
-    #[cold]
-    fn alloc_slow(
+    fn alloc_miss(
         &mut self,
         mem: &mut Memory,
         fsi: u8,
         record: FrameRecord,
-        head_slot: WordAddr,
-        mut head: u16,
     ) -> Result<WordAddr, FrameError> {
+        if self.classes.words(fsi).is_none() {
+            return Err(self.oversize());
+        }
+        let head_slot = self.av_base.offset(fsi as u32);
+        let mut head = mem.read(head_slot); // ref 1
         self.stats.fast_refs += 1; // the head read
         if head == 0 {
             self.replenish(mem, fsi)?;
@@ -460,6 +467,13 @@ impl FrameHeap {
         self.count_alloc(self.classes.size_of(fsi));
         self.frames.insert(frame, record);
         Ok(frame)
+    }
+
+    #[cold]
+    fn oversize(&self) -> FrameError {
+        FrameError::OversizeRequest {
+            words: self.classes.max_words() + 1,
+        }
     }
 
     #[inline(always)]
@@ -487,8 +501,9 @@ impl FrameHeap {
         self.free_live(mem, frame)
     }
 
-    /// [`FrameHeap::free`] of a frame its owner has just found live
-    /// (see [`FrameTable::release`]), without looking it up again.
+    /// [`FrameHeap::free`] of a frame its owner has just found live,
+    /// without checking it again. The record is dropped once the hidden
+    /// size word has been read back valid.
     ///
     /// # Errors
     ///
@@ -502,15 +517,44 @@ impl FrameHeap {
             return Err(FrameError::CorruptHeap(size_word));
         }
         self.frames.remove(frame);
+        self.link(mem, frame, fsi);
+        mem.charge(2, 2);
+        Ok(())
+    }
+
+    /// Frees a frame its owner holds (its record is in use): drops the
+    /// record and links the frame, the four references of
+    /// [`FrameHeap::free`], which the caller counts into `mem` (two
+    /// reads, two writes). Returns false, having changed nothing, when
+    /// the frame is not in use or its hidden size word is corrupt:
+    /// [`FrameHeap::free_live`] reports those.
+    #[inline(always)]
+    pub fn try_free_claimed(&mut self, mem: &mut Memory, frame: WordAddr) -> bool {
+        let slot = match self.frames.0.get_mut(frame.0 as usize) {
+            Some(slot @ Some(FrameRecord { in_use: true, .. })) => slot,
+            _ => return false,
+        };
+        let fsi = mem.peek(WordAddr(frame.0 - 1)); // ref 1
+        if fsi as usize >= self.classes.len() {
+            return false;
+        }
+        *slot = None;
+        self.link(mem, frame, fsi);
+        true
+    }
+
+    /// Pushes `frame` on class `fsi`'s list: references 2–4 of a free
+    /// (the hidden size word has been read as `fsi`), counted by the
+    /// caller.
+    #[inline(always)]
+    fn link(&mut self, mem: &mut Memory, frame: WordAddr, fsi: u16) {
         let head_slot = self.av_base.offset(fsi as u32);
         let head = mem.peek(head_slot); // ref 2
         mem.poke(frame, head); // ref 3
         mem.poke(head_slot, frame.0 as u16); // ref 4
-        mem.charge(2, 2);
         self.stats.fast_refs += 4;
         self.stats.frees += 1;
         self.stats.live -= 1;
-        Ok(())
     }
 
     /// Whether `frame` is currently live.

@@ -75,8 +75,6 @@ struct Bank {
     data: [u16; MAX_BANK_WORDS as usize],
     /// Bit `i` set = word `i` written since assignment/activation.
     dirty: u64,
-    /// LRU stamp of the bank's last use (see `BankMachine::stamp`).
-    last_use: u64,
     /// The caller's bank at assignment, or [`NO_FRAME`]: where a
     /// return from this bank's frame most likely lands.
     caller: u32,
@@ -90,12 +88,17 @@ pub struct BankMachine {
     /// Apart from the data, so a scan for a frame or a free bank reads
     /// one line.
     frames: Vec<u32>,
+    /// LRU stamp of each bank's last use (see `BankMachine::stamp`),
+    /// beside `frames` so the overflow victim's scan reads one line.
+    last_use: Vec<u64>,
     /// Bit `b` set = bank `b` is free, so the first free bank is one
     /// `trailing_zeros`.
     free: u64,
     words: u32,
     /// LRU clock: the last stamp handed out.
     clock: u64,
+    /// The bank holding the last stamp, or `usize::MAX`.
+    newest: usize,
     /// Memo of the last `(frame, bank)` resolution. Local reads and
     /// writes resolve the same (current) frame almost every time, so
     /// this turns the per-access scan into one comparison. Every change
@@ -131,14 +134,15 @@ impl BankMachine {
                     shadow_words: 0,
                     data: [0; MAX_BANK_WORDS as usize],
                     dirty: 0,
-                    last_use: 0,
                     caller: NO_FRAME,
                 })
                 .collect(),
             frames: vec![NO_FRAME; banks],
+            last_use: vec![0; banks],
             free: u64::MAX >> (MAX_BANKS - banks),
             words,
             clock: 0,
+            newest: usize::MAX,
             memo: Cell::new((NO_FRAME, 0)),
             floor: u32::MAX,
             stats: BankStats::default(),
@@ -230,11 +234,23 @@ impl BankMachine {
         let bank = &mut self.banks[b];
         bank.caller = caller.map_or(NO_FRAME, |c| c as u32);
         bank.shadow_words = shadow;
-        bank.data[..shadow as usize].fill(0);
+        // The first 16 words, a fixed-width store rather than a call,
+        // cover the paper's bank size; a larger bank zeroes the rest.
+        bank.data[..16].fill(0);
+        if shadow > 16 {
+            bank.data[16..shadow as usize].fill(0);
+        }
         bank.dirty = 0;
         if let Some(args) = rename_args {
             debug_assert!(args.len() as u32 <= shadow, "arguments exceed bank shadow");
-            bank.data[..args.len()].copy_from_slice(args);
+            // The usual few arguments move without a call.
+            match *args {
+                [] => {}
+                [a] => bank.data[0] = a,
+                [a, b] => bank.data[..2].copy_from_slice(&[a, b]),
+                [a, b, c] => bank.data[..3].copy_from_slice(&[a, b, c]),
+                _ => bank.data[..args.len()].copy_from_slice(args),
+            }
             bank.dirty = ((1u128 << args.len()) - 1) as u64;
             self.stats.renames += 1;
             self.stats.renamed_words += args.len() as u64;
@@ -242,6 +258,38 @@ impl BankMachine {
         self.stamp(b);
         self.stats.assigns += 1;
         refs
+    }
+
+    /// A return from `from`'s frame to `to`'s when `to` has a bank other
+    /// than `from`'s: `from`'s bank index (if it has one) and `to`'s.
+    /// `None` is an underflow, which the caller's general path loads.
+    /// Nothing changes.
+    #[inline(always)]
+    pub(crate) fn return_banks(
+        &self,
+        from: WordAddr,
+        to: WordAddr,
+    ) -> Option<(Option<usize>, usize)> {
+        let b = self.bank_of(from);
+        // The returning bank's caller is almost always where it lands.
+        let c = match b.map(|b| self.banks[b].caller) {
+            Some(c) if c != NO_FRAME && self.frames[c as usize] == to.0 => c as usize,
+            _ => self.frames.iter().position(|&f| f == to.0)?,
+        };
+        (b != Some(c)).then_some((b, c))
+    }
+
+    /// [`BankMachine::release`] of `from`'s bank `b` and
+    /// [`BankMachine::touch`] of `to`'s bank `c`, as
+    /// [`BankMachine::return_banks`] found them.
+    #[inline(always)]
+    pub(crate) fn take_return(&mut self, (b, c): (Option<usize>, usize), to: WordAddr) {
+        if let Some(b) = b {
+            self.frames[b] = NO_FRAME;
+            self.free |= 1 << b;
+        }
+        self.memo.set((to.0, c as u32));
+        self.stamp(c);
     }
 
     /// Marks `frame`'s bank used; false if it has none.
@@ -258,8 +306,13 @@ impl BankMachine {
     /// the stamps pick the overflow victim.
     #[inline(always)]
     fn stamp(&mut self, b: usize) {
-        self.clock += 1;
-        self.banks[b].last_use = self.clock;
+        // Restamping the newest bank leaves the order as it is, and
+        // only the order picks a victim: most uses skip the stores.
+        if self.newest != b {
+            self.newest = b;
+            self.clock += 1;
+            self.last_use[b] = self.clock;
+        }
     }
 
     /// Ensures `frame` (an existing context being re-entered) has a
@@ -317,7 +370,6 @@ impl BankMachine {
         if let Some(b) = self.bank_of(frame) {
             self.frames[b] = NO_FRAME;
             self.free |= 1 << b;
-            self.banks[b].shadow_words = 0;
             // The return that freed this frame lands in its caller's bank.
             let c = self.banks[b].caller;
             let f = self.frames.get(c as usize).copied().unwrap_or(NO_FRAME);
@@ -410,7 +462,7 @@ impl BankMachine {
     /// Picks the first free bank, or steals the least recently used one
     /// that is not `protect` (overflow: "the contents of the oldest bank
     /// is written out into the frame").
-    #[inline]
+    #[inline(always)]
     fn take_bank(&mut self, mem: &mut Memory, protect: Option<WordAddr>) -> (usize, u64) {
         match self.free {
             0 => self.spill(mem, protect),
@@ -424,12 +476,11 @@ impl BankMachine {
     fn spill(&mut self, mem: &mut Memory, protect: Option<WordAddr>) -> (usize, u64) {
         self.stats.overflows += 1;
         let protect = protect.map_or(NO_FRAME, |p| p.0);
-        let victim = (0..self.banks.len())
+        let victim = (0..self.frames.len())
             .filter(|&i| self.frames[i] != protect)
-            .min_by_key(|&i| self.banks[i].last_use)
+            .min_by_key(|&i| self.last_use[i])
             .expect("at least two banks, so a victim exists");
-        let refs = self.flush_bank(mem, victim);
-        (victim, refs)
+        (victim, self.flush_bank(mem, victim))
     }
 
     fn flush_bank(&mut self, mem: &mut Memory, b: usize) -> u64 {
@@ -454,7 +505,6 @@ impl BankMachine {
         if self.memo.get().1 == b as u32 {
             self.memo.set((NO_FRAME, 0));
         }
-        bank.shadow_words = 0;
         bank.dirty = 0;
         refs
     }

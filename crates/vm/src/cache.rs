@@ -133,15 +133,72 @@ impl FrameCache {
         mem: &mut Memory,
         record: FrameRecord,
     ) -> Result<WordAddr, FrameError> {
-        if record.fsi <= self.standard_fsi {
-            if let Some(f) = self.frames.pop() {
-                self.stats.hits += 1;
-                heap.frames_mut().insert(f, record);
-                return Ok(f);
-            }
+        if let Some(f) = self.try_hit(heap, record) {
+            return Ok(f);
         }
         self.stats.misses += 1;
         heap.alloc_record(mem, self.class_for(record.fsi), record)
+    }
+
+    /// A register pop for a request of class `record.fsi`, or `None`
+    /// with nothing changed when the request is larger than standard or
+    /// the cache is empty.
+    #[inline(always)]
+    fn try_hit(&mut self, heap: &mut FrameHeap, record: FrameRecord) -> Option<WordAddr> {
+        if record.fsi > self.standard_fsi {
+            return None;
+        }
+        let f = self.frames.pop()?;
+        self.stats.hits += 1;
+        heap.frames_mut().insert(f, record);
+        Some(f)
+    }
+
+    /// [`FrameCache::alloc_record`] without its rare cases: a hit, or a
+    /// miss that the heap serves from a non-empty list
+    /// ([`FrameHeap::try_pop`]). Returns the frame and whether the heap
+    /// served it, in which case the caller counts the heap's three
+    /// references; `None`, having changed nothing, when the heap would
+    /// trap or report an error.
+    #[inline(always)]
+    pub(crate) fn try_alloc(
+        &mut self,
+        heap: &mut FrameHeap,
+        mem: &mut Memory,
+        record: FrameRecord,
+    ) -> Option<(WordAddr, bool)> {
+        if let Some(f) = self.try_hit(heap, record) {
+            return Some((f, false));
+        }
+        let f = heap.try_pop(mem, self.class_for(record.fsi), record)?;
+        self.stats.misses += 1;
+        Some((f, true))
+    }
+
+    /// Frees a frame its owner holds, as the machine's free does (its
+    /// claim dropped, then [`FrameCache::free`] at its class). Returns
+    /// whether the heap took it, in which case the caller counts the
+    /// heap's four references; `None`, having changed nothing, when the
+    /// frame is not in use or the heap would report an error.
+    #[inline(always)]
+    pub(crate) fn try_free(
+        &mut self,
+        heap: &mut FrameHeap,
+        mem: &mut Memory,
+        frame: WordAddr,
+    ) -> Option<bool> {
+        let r = heap.frames_mut().get_mut(frame).filter(|r| r.in_use)?;
+        if r.fsi <= self.standard_fsi && self.frames.len() < self.capacity {
+            r.in_use = false;
+            self.stats.fast_frees += 1;
+            self.frames.push(frame);
+            return Some(false);
+        }
+        if !heap.try_free_claimed(mem, frame) {
+            return None;
+        }
+        self.stats.slow_frees += 1;
+        Some(true)
     }
 
     /// The class a request of class `fsi` occupies.

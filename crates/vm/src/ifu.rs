@@ -57,14 +57,25 @@ impl ReturnStackStats {
     }
 }
 
+/// A host resume point kept beside a [`ReturnEntry`]: the native
+/// tier's compiled continuation of the entry's `pc`, or [`NO_RESUME`].
+/// It is host state like the compiled code it names, never simulated.
+pub(crate) type Resume = u64;
+
+/// The resume point of an entry pushed outside compiled code, or
+/// invalidated by a recompile.
+pub(crate) const NO_RESUME: Resume = u64::MAX;
+
 /// The bounded return-prediction stack.
 ///
 /// A capacity of zero disables it (every pop is a miss), which is how
 /// the I1/I2 configurations run. The entries live in a fixed ring: a
-/// push onto a full stack overwrites the oldest entry in place.
+/// push onto a full stack overwrites the oldest entry in place. Each
+/// entry carries a host [`Resume`] point, so a native return that hits
+/// the stack continues in compiled code without a second predictor.
 #[derive(Debug, Clone, Default)]
 pub struct ReturnStack {
-    ring: Vec<ReturnEntry>,
+    ring: Vec<(ReturnEntry, Resume)>,
     /// Ring index of the oldest entry.
     bottom: usize,
     len: usize,
@@ -75,7 +86,7 @@ impl ReturnStack {
     /// Creates a stack holding up to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         ReturnStack {
-            ring: vec![ReturnEntry::default(); capacity],
+            ring: vec![(ReturnEntry::default(), NO_RESUME); capacity],
             bottom: 0,
             len: 0,
             stats: ReturnStackStats::default(),
@@ -118,26 +129,55 @@ impl ReturnStack {
     /// Returns `None` (and records nothing) when disabled.
     #[inline]
     pub fn push(&mut self, entry: ReturnEntry) -> Option<ReturnEntry> {
+        self.push_with(entry, NO_RESUME)
+    }
+
+    /// [`ReturnStack::push`] of an entry with its resume point.
+    #[inline(always)]
+    pub(crate) fn push_with(&mut self, entry: ReturnEntry, resume: Resume) -> Option<ReturnEntry> {
         if !self.enabled() {
             return None;
         }
         self.stats.pushes += 1;
-        if self.len == self.ring.len() {
-            self.stats.evictions += 1;
-            let evicted = std::mem::replace(&mut self.ring[self.bottom], entry);
-            self.bottom = self.slot(1);
-            return Some(evicted);
-        }
+        let evicted = (self.len == self.ring.len()).then(|| self.evict());
         let top = self.slot(self.len);
-        self.ring[top] = entry;
+        self.ring[top] = (entry, resume);
         self.len += 1;
-        None
+        evicted
+    }
+
+    /// Makes room on a full stack: drops and returns the oldest entry,
+    /// whose slot the push then fills.
+    #[cold]
+    fn evict(&mut self) -> ReturnEntry {
+        self.stats.evictions += 1;
+        let evicted = self.ring[self.bottom].0;
+        self.bottom = self.slot(1);
+        self.len -= 1;
+        evicted
+    }
+
+    /// Sets the resume point of the top entry (one just pushed).
+    #[inline]
+    pub(crate) fn set_top_resume(&mut self, resume: Resume) {
+        if self.len > 0 {
+            let top = self.slot(self.len - 1);
+            self.ring[top].1 = resume;
+        }
+    }
+
+    /// Forgets every entry's resume point: the compiled code they name
+    /// is gone.
+    pub(crate) fn clear_resumes(&mut self) {
+        for slot in &mut self.ring {
+            slot.1 = NO_RESUME;
+        }
     }
 
     /// The frame of the current bottom entry — the callee of a
     /// just-evicted entry.
     pub fn bottom_frame(&self) -> Option<WordAddr> {
-        (self.len > 0).then(|| self.ring[self.bottom].frame)
+        (self.len > 0).then(|| self.ring[self.bottom].0.frame)
     }
 
     /// Pops the top entry for a return; `None` means the general path
@@ -153,7 +193,27 @@ impl ReturnStack {
         }
         self.stats.hits += 1;
         self.len -= 1;
-        Some(self.ring[self.slot(self.len)])
+        Some(self.ring[self.slot(self.len)].0)
+    }
+
+    /// The entry a [`ReturnStack::pop`] would return now, with its
+    /// resume point, without popping or counting it; `None` when a pop
+    /// would miss.
+    #[inline(always)]
+    pub(crate) fn top(&self) -> Option<(ReturnEntry, Resume)> {
+        if self.len == 0 {
+            return None;
+        }
+        Some(self.ring[self.slot(self.len - 1)])
+    }
+
+    /// [`ReturnStack::pop`] of the entry [`ReturnStack::top`] just
+    /// returned.
+    #[inline(always)]
+    pub(crate) fn pop_top(&mut self) {
+        debug_assert!(self.len > 0);
+        self.stats.hits += 1;
+        self.len -= 1;
     }
 
     /// Flushes all entries, newest first — the order in which the
@@ -166,7 +226,7 @@ impl ReturnStack {
         }
         let len = std::mem::take(&mut self.len);
         let this = &*self;
-        (0..len).rev().map(move |i| this.ring[this.slot(i)])
+        (0..len).rev().map(move |i| this.ring[this.slot(i)].0)
     }
 }
 

@@ -32,9 +32,11 @@ use crate::cost::{
     TransferBatch, TransferKind, TransferStats, CYCLE_BASE, CYCLE_MEMREF, CYCLE_REFILL,
 };
 use crate::error::{FaultKind, RemoteFaultClass, TrapCode, VmError};
-use crate::ifu::{ReturnEntry, ReturnStack, ReturnStackStats};
+use crate::ifu::{Resume, ReturnEntry, ReturnStack, ReturnStackStats, NO_RESUME};
 use crate::image::{self, Image, ProcRef, AV_BASE, GFT_BASE};
-use crate::native::{Compiled, Effect, NOp, NativeLicense, NativeTier, ReturnPredictor, Site};
+use crate::native::{
+    Compiled, Effect, Entry, NOp, NativeLicense, NativeTier, ReturnPredictor, Site,
+};
 use crate::observe::ObservedEffects;
 use crate::predecode::{PredecodeCache, PredecodeStats};
 
@@ -245,6 +247,9 @@ pub struct Machine {
     /// the static analysis did not model) or loaded code is mutated
     /// (`replace_proc` / `relocate_module` / `unbind_module`).
     native: Option<NativeTier>,
+    /// The call discipline the native tier's transfer handlers are
+    /// specialised for.
+    disc: Disc,
 
     // Registers.
     lf: WordAddr,
@@ -412,6 +417,153 @@ impl Mark {
         self.divert += after.divert - before.divert;
         self.jumps += after.jumps - before.jumps;
     }
+}
+
+/// The frame allocator a [`Discipline`]'s handlers inline.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum AllocKind {
+    General,
+    Av,
+    Cached,
+}
+
+/// A call discipline: what a native burst's call and return handlers
+/// are specialised for. A known-site call and a return are written once
+/// per discipline, doing only the work the discipline's machine
+/// simulates; every rare case (an AV trap, an unbound module, a
+/// strict-stack violation, a frame not in use, a process exit) is a
+/// cold call into [`Machine::enter_call`] or [`Machine::perform_return`],
+/// which stay the one definition of a transfer. Whether the machine has
+/// banks is the burst's own `BANKS` parameter.
+trait Discipline {
+    /// The allocator, or `None` for the generic instance, whose every
+    /// transfer takes the general path.
+    const ALLOC: Option<AllocKind>;
+    /// Whether the IFU return stack is on. Its entries then carry the
+    /// compiled resume points; without it a burst-local
+    /// [`ReturnPredictor`] does.
+    const RS: bool;
+}
+
+/// I1: general heap, no return stack, no banks.
+struct I1;
+/// I2: AV heap, no return stack, no banks.
+struct I2;
+/// I3: AV heap and the return stack, no banks.
+struct I3;
+/// I4: AV heap behind the frame cache, the return stack, and renaming
+/// banks whose pointer policy is not flush-on-exit.
+struct I4;
+/// Every other combination.
+struct AnyCalls;
+
+impl Discipline for I1 {
+    const ALLOC: Option<AllocKind> = Some(AllocKind::General);
+    const RS: bool = false;
+}
+impl Discipline for I2 {
+    const ALLOC: Option<AllocKind> = Some(AllocKind::Av);
+    const RS: bool = false;
+}
+impl Discipline for I3 {
+    const ALLOC: Option<AllocKind> = Some(AllocKind::Av);
+    const RS: bool = true;
+}
+impl Discipline for I4 {
+    const ALLOC: Option<AllocKind> = Some(AllocKind::Cached);
+    const RS: bool = true;
+}
+impl Discipline for AnyCalls {
+    const ALLOC: Option<AllocKind> = None;
+    const RS: bool = false;
+}
+
+/// The discipline of a machine, chosen once at load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Disc {
+    I1,
+    I2,
+    I3,
+    I4,
+    Any,
+}
+
+impl Disc {
+    fn of(config: &MachineConfig) -> Disc {
+        let rs = config.return_stack > 0;
+        match (config.alloc, rs, config.banks) {
+            (AllocStrategy::General, false, None) => Disc::I1,
+            (AllocStrategy::Av, false, None) => Disc::I2,
+            (AllocStrategy::Av, true, None) => Disc::I3,
+            (AllocStrategy::AvCached { .. }, true, Some(b))
+                if b.renaming && b.ptr_policy != PtrLocalPolicy::FlushOnExit =>
+            {
+                Disc::I4
+            }
+            _ => Disc::Any,
+        }
+    }
+}
+
+/// A burst's transfer accounting: the calls and returns it batches,
+/// the mark its fast ops charge from, the transfers' cycles beyond
+/// `CYCLE_BASE`, and the predictor of a machine without a return stack.
+struct Xfers {
+    batch: TransferBatch,
+    mark: Mark,
+    cycles: u64,
+    predictor: ReturnPredictor,
+}
+
+impl Xfers {
+    /// Records a fast call or return that made `refs` counted
+    /// references and no diversion, as [`Machine::native_xfer`] would.
+    /// The references are not in the mark: the fast transfer counted
+    /// them into [`Owed`], or skipped the mark past them itself.
+    #[inline(always)]
+    fn record(&mut self, stats: &mut TransferStats, kind: TransferKind, refs: u64) {
+        let c = refs * CYCLE_MEMREF + CYCLE_REFILL;
+        self.cycles += c;
+        self.batch.record(stats, kind, CYCLE_BASE + c, refs);
+    }
+}
+
+/// References the fast transfers of a burst have made but not yet
+/// counted into memory: data reads and writes, and references charged
+/// outside data memory (table reads, the general heap's walks). The
+/// burst counts them at exit, so its fast transfers update no memory
+/// counter on the way. Never leaves the burst, so it lives in
+/// registers.
+#[derive(Default)]
+struct Owed {
+    reads: u64,
+    writes: u64,
+    charged: u64,
+}
+
+impl Owed {
+    /// An AV list's pop: two reads and a write.
+    #[inline(always)]
+    fn pop(&mut self) {
+        self.reads += 2;
+        self.writes += 1;
+    }
+
+    /// An AV list's push: two reads and two writes.
+    #[inline(always)]
+    fn push(&mut self) {
+        self.reads += 2;
+        self.writes += 2;
+    }
+}
+
+/// Where a burst continues after a call or return.
+enum Next {
+    /// At this compiled op, known to start at `pc`.
+    At(u32, u32),
+    /// Wherever `pc` is, trying the predicted entry first, unless the
+    /// transfer halted the machine or changed the code.
+    Chase(Option<Entry>),
 }
 
 /// How a native burst ended.
@@ -627,12 +779,13 @@ impl Machine {
             classes: image.classes.clone(),
             predecode: config.predecode.then(PredecodeCache::new),
             native: config.native.then(NativeTier::new),
+            disc: Disc::of(&config),
             lf: WordAddr::NIL,
             gf: WordAddr::NIL,
             code_base: ByteAddr(0),
             pc: ByteAddr(0),
             return_ctx: ContextWord::NIL,
-            stack: Vec::new(),
+            stack: Vec::with_capacity(config.stack_depth + config.stack_reserve),
             wrap_mask,
             modules,
             processes: vec![Process {
@@ -972,14 +1125,38 @@ impl Machine {
             }
             if let Some((proc, ip)) = self.native_begin() {
                 let before = left;
-                // One check decision and one bank decision per burst:
-                // armed bursts carry no stack check, and I1–I3 bursts
-                // no per-access bank check at all.
-                let exit = match (self.native_armed(), self.banks.is_some()) {
-                    (false, false) => self.native_run::<true, false>(proc, ip, &mut left)?,
-                    (false, true) => self.native_run::<true, true>(proc, ip, &mut left)?,
-                    (true, false) => self.native_run::<false, false>(proc, ip, &mut left)?,
-                    (true, true) => self.native_run::<false, true>(proc, ip, &mut left)?,
+                // One check decision and one discipline per burst:
+                // armed bursts carry no stack check, I1–I3 bursts no
+                // per-access bank check at all, and each preset's calls
+                // and returns their own handlers.
+                macro_rules! run {
+                    ($checked:literal) => {
+                        match (self.disc, self.banks.is_some()) {
+                            (Disc::I1, _) => {
+                                self.native_run::<$checked, false, I1>(proc, ip, &mut left)
+                            }
+                            (Disc::I2, _) => {
+                                self.native_run::<$checked, false, I2>(proc, ip, &mut left)
+                            }
+                            (Disc::I3, _) => {
+                                self.native_run::<$checked, false, I3>(proc, ip, &mut left)
+                            }
+                            (Disc::I4, _) => {
+                                self.native_run::<$checked, true, I4>(proc, ip, &mut left)
+                            }
+                            (Disc::Any, false) => {
+                                self.native_run::<$checked, false, AnyCalls>(proc, ip, &mut left)
+                            }
+                            (Disc::Any, true) => {
+                                self.native_run::<$checked, true, AnyCalls>(proc, ip, &mut left)
+                            }
+                        }
+                    };
+                }
+                let exit = if self.native_armed() {
+                    run!(false)?
+                } else {
+                    run!(true)?
                 };
                 match exit {
                     NativeExit::Halted => return Ok(()),
@@ -1066,6 +1243,8 @@ impl Machine {
             return;
         };
         let bodies = self.proc_bodies();
+        // The return stack's resume points name the old bodies.
+        self.rs.clear_resumes();
         let resolve = |instr: Instr, at: u32| self.known_target(instr, ByteAddr(at));
         nt.compile_image(
             self.code.version(),
@@ -1120,14 +1299,14 @@ impl Machine {
     /// Executes a native burst starting at op `ip` of compiled body
     /// `proc`. The burst holds the compiled-body table by value for its
     /// whole length and hands it back to the tier on every exit path.
-    fn native_run<const CHECKED: bool, const BANKS: bool>(
+    fn native_run<const CHECKED: bool, const BANKS: bool, D: Discipline>(
         &mut self,
         proc: usize,
         ip: u32,
         budget: &mut u64,
     ) -> Result<NativeExit, VmError> {
         let compiled = self.native.as_mut().expect("live tier").take_compiled();
-        let result = self.native_burst::<CHECKED, BANKS>(&compiled, proc, ip, budget);
+        let result = self.native_burst::<CHECKED, BANKS, D>(&compiled, proc, ip, budget);
         self.native
             .as_mut()
             .expect("live tier")
@@ -1142,16 +1321,21 @@ impl Machine {
     /// retired op plus the changes of `Memory::refs` (`CYCLE_MEMREF`
     /// each), `divert_cycles` and `jumps_taken` (`CYCLE_REFILL` each),
     /// less the changes that something else charged itself — a call or
-    /// return, which [`Machine::native_xfer`] charges and records
-    /// exactly, and an interpreter fallback, which `step_one` charges.
+    /// return, which its handler records exactly, and an interpreter
+    /// fallback, which `step_one` charges. The references a fast call
+    /// or return makes are counted into memory at exit too ([`Owed`]).
     /// `CHECKED` is whether the tier is unarmed: each op's stack effect
     /// is then checked before it runs, and an op that would underflow
     /// or overflow ends the burst at its start, untouched, for the
     /// interpreter to raise the error. Armed, the license has proven
     /// the check never fails. `BANKS` is whether the machine has
     /// register banks; when it is false the bank lookups and the
-    /// divert counter drop out entirely.
-    fn native_burst<const CHECKED: bool, const BANKS: bool>(
+    /// divert counter drop out entirely. `D` is the machine's call
+    /// discipline, whose handlers its calls and returns take.
+    ///
+    /// Kept out of line: each instance is one machine's whole hot loop.
+    #[inline(never)]
+    fn native_burst<const CHECKED: bool, const BANKS: bool, D: Discipline>(
         &mut self,
         code: &Compiled,
         mut cur: usize,
@@ -1168,24 +1352,29 @@ impl Machine {
         let ver0 = self.code.version();
         let mut body = code.proc(cur);
         let budget0 = *budget;
+        // The fuel left, in a register for the loop; written back at exit.
+        let mut fuel = budget0;
         // Transfers' cycles beyond `CYCLE_BASE`, and the counters the
         // fast ops' charge starts from.
-        let mut cycles = 0u64;
-        let mut mark = self.mark::<BANKS>();
+        let mut x = Xfers {
+            batch: TransferBatch::default(),
+            mark: self.mark::<BANKS>(),
+            cycles: 0,
+            predictor: ReturnPredictor::new(),
+        };
+        let mut owed = Owed::default();
         let mut interp_ops = 0u64;
-        let mut batch = TransferBatch::default();
-        let mut predictor = ReturnPredictor::new();
         // A superinstruction retiring `1 + extra` instructions takes the extra
         // fuel up front; on shortfall it refunds the loop-top unit —
         // nothing has executed, so `pc` still names the run start.
         macro_rules! need {
             ($extra:expr) => {
-                if *budget < $extra {
-                    *budget += 1;
+                if fuel < $extra {
+                    fuel += 1;
                     self.pc = ByteAddr(body.offs[(ip - 1) as usize]);
                     break Ok(NativeExit::Left);
                 }
-                *budget -= $extra;
+                fuel -= $extra;
             };
         }
         // A single-op handler: the interpreter's own definition of the
@@ -1195,7 +1384,7 @@ impl Machine {
         macro_rules! exec {
             ($instr:expr) => {
                 if let Err(e) = self.straight::<false, BANKS>($instr, ByteAddr(0)) {
-                    *budget += 1;
+                    fuel += 1;
                     break Err(e);
                 }
             };
@@ -1237,11 +1426,11 @@ impl Machine {
         let fits =
             |e: Effect, depth: usize| depth >= e.need as usize && depth + e.grow as usize <= limit;
         let result = loop {
-            if *budget == 0 || (CHECKED && !fits(body.effects[ip as usize], self.stack.len())) {
+            if fuel == 0 || (CHECKED && !fits(body.effects[ip as usize], self.stack.len())) {
                 self.pc = ByteAddr(body.offs[ip as usize]);
                 break Ok(NativeExit::Left);
             }
-            *budget -= 1;
+            fuel -= 1;
             let op = body.ops[ip as usize];
             ip += 1;
             // Every op but a call or return continues the loop; those
@@ -1290,7 +1479,7 @@ impl Machine {
                     let r = self.step_one(instr, len, ByteAddr(start));
                     // `step_one` charged what it changed, or nothing
                     // when it failed.
-                    mark.skip(before, self.mark::<BANKS>());
+                    x.mark.skip(before, self.mark::<BANKS>());
                     if let Err(e) = r {
                         break Err(e);
                     }
@@ -1312,7 +1501,7 @@ impl Machine {
                 NOp::Exit => {
                     // Fell off the compiled body: no instruction
                     // retired, so refund the fuel unit.
-                    *budget += 1;
+                    fuel += 1;
                     self.pc = ByteAddr(body.offs[(ip - 1) as usize]);
                     break Ok(NativeExit::Left);
                 }
@@ -1424,53 +1613,45 @@ impl Machine {
                     s
                 }
             };
-            // A call or return retires through `native_xfer`, then the
-            // burst follows it: a call pushes its return point on the
-            // predictor and follows to its target's compiled entry, a
-            // return pops the predictor. Calls and returns take separate
-            // paths, so neither branches on the transfer kind. Exits the
-            // burst on halt or on a code-version move.
+            // A call or return retires through its discipline's
+            // handler, which says where the burst continues. Calls and
+            // returns take separate paths, so neither branches on the
+            // transfer kind.
             let site = &body.sites[site as usize];
-            let ret = matches!(site.instr, Instr::Ret);
-            let charge = (&mut mark, &mut cycles);
-            let kind = match if ret {
-                self.native_xfer::<BANKS>(site, &mut batch, charge, |m, _, _| m.perform_return())
+            let next = if matches!(site.instr, Instr::Ret) {
+                self.native_return::<BANKS, D>(site, &mut x, &mut owed)
             } else {
-                self.native_xfer::<BANKS>(site, &mut batch, charge, |m, s, b| m.native_call(s, b))
-            } {
-                Ok(kind) => kind,
+                self.native_call::<BANKS, D>(site, &mut x, &mut owed, (cur, ip))
+            };
+            match next {
+                Ok(Next::At(p, i)) => {
+                    cur = p as usize;
+                    body = code.proc(cur);
+                    ip = i;
+                }
+                Ok(Next::Chase(_)) if self.halted => break Ok(NativeExit::Halted),
+                Ok(Next::Chase(_)) if self.code.version() != ver0 => break Ok(NativeExit::Left),
+                Ok(Next::Chase(predicted)) => follow!(predicted),
                 Err(e) => {
                     // The faulting transfer retired nothing.
-                    *budget += 1;
+                    fuel += 1;
                     break Err(e);
                 }
-            };
-            if self.halted {
-                break Ok(NativeExit::Halted);
             }
-            if self.code.version() != ver0 {
-                break Ok(NativeExit::Left);
-            }
-            let predicted = match kind {
-                Some(TransferKind::Call) if !ret => {
-                    predictor.push(cur, ip, site.at + site.len as u32);
-                    site.entry
-                }
-                Some(TransferKind::Return) if ret => predictor.pop(),
-                _ => None,
-            };
-            follow!(predicted);
         };
+        *budget = fuel;
         let now = self.mark::<BANKS>();
-        let retired = budget0 - *budget;
+        let retired = budget0 - fuel;
         let fast = retired - interp_ops;
         self.stats.instructions += fast;
         self.stats.cycles += fast * CYCLE_BASE
-            + (now.refs - mark.refs) * CYCLE_MEMREF
-            + (now.divert - mark.divert)
-            + (now.jumps - mark.jumps) * CYCLE_REFILL
-            + cycles;
-        batch.flush_into(&mut self.stats, &self.classes);
+            + (now.refs - x.mark.refs) * CYCLE_MEMREF
+            + (now.divert - x.mark.divert)
+            + (now.jumps - x.mark.jumps) * CYCLE_REFILL
+            + x.cycles;
+        x.batch.flush_into(&mut self.stats, &self.classes);
+        self.mem.charge(owed.reads, owed.writes);
+        self.mem.charge_refs(owed.charged);
         if let Some(nt) = self.native.as_mut() {
             nt.entries += 1;
             nt.native_instrs += fast;
@@ -1489,36 +1670,429 @@ impl Machine {
         }
     }
 
-    /// Retires a call or return site inside a burst through
-    /// `retire` and returns its transfer kind. It charges what
-    /// [`Machine::step_one`] would beyond `CYCLE_BASE`, which the burst
-    /// charges per op, into the burst's `cycles`, and advances its
-    /// `mark` past the references and diversions it charged; a
-    /// transfer that fails charges nothing. The tier runs only while no
-    /// trap or fault handler is installed, so the handler-attribution
-    /// block and the `dispatch_fault` recovery path are provably dead:
-    /// a fault here is terminal exactly as `dispatch_fault` would
-    /// conclude with no handler present (it returns the error before
-    /// touching any state).
+    /// A call site inside a burst. A known target under a specialised
+    /// discipline takes [`Machine::fast_call`]; anything else, and every
+    /// rare case the fast call declines, retires through
+    /// [`Machine::cold_call`]. `(cur, ip)` is the compiled op after the
+    /// call, where its return resumes.
     #[inline(always)]
-    fn native_xfer<const BANKS: bool>(
+    fn native_call<const BANKS: bool, D: Discipline>(
         &mut self,
         site: &Site,
-        batch: &mut TransferBatch,
-        (mark, cycles): (&mut Mark, &mut u64),
+        x: &mut Xfers,
+        owed: &mut Owed,
+        (cur, ip): (usize, u32),
+    ) -> Result<Next, VmError> {
+        let back = site.at + site.len as u32;
+        self.pc = ByteAddr(back);
+        if D::ALLOC.is_none() {
+            return self.general_call::<D>(site, x, (cur, ip));
+        }
+        let known = match (site.instr, &site.target) {
+            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => Some((t, true)),
+            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => Some((t, false)),
+            _ => None,
+        };
+        if let Some((t, local)) = known {
+            let resume = (cur as u64) << 32 | ip as u64;
+            if self.fast_call::<BANKS, D>(t, local, resume, x, owed)? {
+                if !D::RS {
+                    x.predictor.push(cur, ip, back);
+                }
+                // `site.entry` is the target's first op, at `pc`.
+                return Ok(match site.entry {
+                    Some((p, i, _)) => Next::At(p, i),
+                    None => Next::Chase(None),
+                });
+            }
+        }
+        self.cold_call::<D>(site, x, (cur, ip))
+    }
+
+    /// A call of the known target `t`: the simulated work of
+    /// [`Machine::enter_call`] and nothing else — claim the frame, push
+    /// the return entry (or, without a return stack, link the frames in
+    /// storage), write the GF word, rename the arguments into a bank,
+    /// switch registers — recorded as [`Machine::native_xfer`] would,
+    /// its references owed. A `local` call also owes its entry-vector
+    /// read, and runs under the caller's global frame. The return entry
+    /// carries `resume`. A return-stack eviction and a bank overflow
+    /// spill through the same helpers `enter_call` uses, which count
+    /// their references at once.
+    ///
+    /// Returns false, having changed nothing, on any rare case: an
+    /// unbound module, a strict-stack violation, or an allocation the
+    /// AV list cannot serve at once. The general heap's walk fails only
+    /// when the heap is exhausted, which is terminal inside a burst; it
+    /// returns the error with the walk owed, as `native_xfer` would
+    /// count it.
+    #[inline(always)]
+    fn fast_call<const BANKS: bool, D: Discipline>(
+        &mut self,
+        t: &CallTarget,
+        local: bool,
+        resume: Resume,
+        x: &mut Xfers,
+        owed: &mut Owed,
+    ) -> Result<bool, VmError> {
+        let nargs = t.nargs as usize;
+        if self.any_unbound || (self.config.strict_stack && self.stack.len() != nargs) {
+            return Ok(false);
+        }
+        let record = FrameRecord {
+            fsi: t.fsi,
+            addr_taken: t.addr_taken,
+            in_use: true,
+        };
+        let (frame, mut refs) = match (D::ALLOC, &mut self.allocator) {
+            (Some(AllocKind::Av), Allocator::Av(h)) => {
+                let Some(frame) = h.try_pop(&mut self.mem, t.fsi, record) else {
+                    return Ok(false);
+                };
+                owed.pop();
+                (frame, 3)
+            }
+            (Some(AllocKind::Cached), Allocator::Cached { heap, cache }) => {
+                match cache.try_alloc(heap, &mut self.mem, record) {
+                    Some((frame, true)) => {
+                        owed.pop();
+                        (frame, 3)
+                    }
+                    Some((frame, false)) => (frame, 0),
+                    None => return Ok(false),
+                }
+            }
+            (Some(AllocKind::General), Allocator::General(g, table)) => {
+                let before = g.charged_refs();
+                let got = g.alloc(self.classes.size_of(t.fsi));
+                let walk = g.charged_refs() - before;
+                owed.charged += walk;
+                match got {
+                    Ok(frame) => {
+                        table.insert(frame, record);
+                        (frame, walk)
+                    }
+                    Err(e) => {
+                        if local {
+                            owed.charged += 1;
+                            self.code.charge_table_reads(1);
+                        }
+                        return Err(e.into());
+                    }
+                }
+            }
+            _ => return Ok(false),
+        };
+        if local {
+            owed.charged += 1;
+            self.code.charge_table_reads(1);
+            refs += 1;
+        }
+        let dest_gf = if local { self.gf } else { t.gf };
+        let caller_ctx = self.lf_ctx();
+        if D::RS {
+            let entry = ReturnEntry {
+                frame: self.lf,
+                gf: self.gf,
+                code_base: self.code_base,
+                pc: self.pc,
+            };
+            if let Some(ev) = self.rs.push_with(entry, resume) {
+                let n = self.spill_evicted(ev);
+                x.mark.refs += n;
+                refs += n;
+            }
+            if !self.defer_headers {
+                self.mem
+                    .poke(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
+                owed.writes += 1;
+                refs += 1;
+            }
+        } else {
+            let rel = self.rel_pc(self.pc);
+            self.mem.poke(self.lf.offset(layout::FRAME_PC), rel);
+            self.mem
+                .poke(frame.offset(layout::FRAME_RETURN_LINK), caller_ctx.raw());
+            self.mem
+                .poke(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
+            owed.writes += 3;
+            refs += 3;
+        }
+        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
+            // A renaming machine: the arguments appear in place (§7.2).
+            let at = self.stack.len().saturating_sub(nargs);
+            let n = b.assign(
+                &mut self.mem,
+                frame,
+                t.locals,
+                Some(&self.stack[at..]),
+                Some(self.lf),
+            );
+            self.stack.truncate(at);
+            x.mark.refs += n;
+            refs += n;
+        }
+        self.return_ctx = caller_ctx;
+        self.lf = frame;
+        self.gf = dest_gf;
+        self.code_base = t.cb;
+        self.pc = t.header.offset(layout::PROC_HEADER_BYTES);
+        x.record(&mut self.stats.transfers, TransferKind::Call, refs);
+        if !x.batch.record_frame(t.fsi) {
+            self.stats.frame_bytes.record(t.frame_bytes as u64);
+        }
+        Ok(true)
+    }
+
+    /// A return site inside a burst: [`Machine::fast_return`] under a
+    /// specialised discipline, else, and on every rare case it declines,
+    /// [`Machine::cold_return`].
+    #[inline(always)]
+    fn native_return<const BANKS: bool, D: Discipline>(
+        &mut self,
+        site: &Site,
+        x: &mut Xfers,
+        owed: &mut Owed,
+    ) -> Result<Next, VmError> {
+        self.pc = ByteAddr(site.at + site.len as u32);
+        if D::ALLOC.is_none() {
+            return self.general_return::<D>(site, x);
+        }
+        if let Some(next) = self.fast_return::<BANKS, D>(x, owed)? {
+            return Ok(next);
+        }
+        self.cold_return::<D>(site, x)
+    }
+
+    /// A return, the mirror of [`Machine::fast_call`]: the simulated
+    /// work of [`Machine::perform_return`] and nothing else. A
+    /// return-stack hit pops the entry, frees the frame, makes the
+    /// entry's bank current (loading it if it was spilled) and switches
+    /// to the entry, resuming at its resume point; without a return
+    /// stack, or on a miss, [`Machine::fast_return_via_link`] returns.
+    ///
+    /// Returns `None`, having changed nothing, on any rare case: a
+    /// frame not in use or with a corrupt size word, or one of
+    /// `fast_return_via_link`'s.
+    #[inline(always)]
+    fn fast_return<const BANKS: bool, D: Discipline>(
+        &mut self,
+        x: &mut Xfers,
+        owed: &mut Owed,
+    ) -> Result<Option<Next>, VmError> {
+        let top = if D::RS { self.rs.top() } else { None };
+        let Some((entry, resume)) = top else {
+            return self.fast_return_via_link::<BANKS, D>(x, owed);
+        };
+        let returning = self.lf;
+        let Some(mut refs) = self.free_claimed::<D>(returning, owed) else {
+            return Ok(None);
+        };
+        self.rs.pop_top();
+        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
+            match b.return_banks(returning, entry.frame) {
+                Some(pair) => b.take_return(pair, entry.frame),
+                None => {
+                    b.release(returning);
+                    let n = self.fill_bank(entry.frame);
+                    x.mark.refs += n;
+                    refs += n;
+                }
+            }
+        }
+        self.lf = entry.frame;
+        self.gf = entry.gf;
+        self.code_base = entry.code_base;
+        self.pc = entry.pc;
+        self.return_ctx = ContextWord::NIL;
+        x.record(&mut self.stats.transfers, TransferKind::Return, refs);
+        Ok(Some(if resume == NO_RESUME {
+            Next::Chase(None)
+        } else {
+            Next::At((resume >> 32) as u32, resume as u32)
+        }))
+    }
+
+    /// The general scheme's return inside a burst, as
+    /// [`Machine::return_via_link`] performs it: the link in the
+    /// returning frame names the caller, the frame is freed and the
+    /// caller is entered as [`Machine::enter_frame`] enters it, its
+    /// references owed. A return-stack machine counts the miss. The
+    /// burst's predictor names the resume point.
+    ///
+    /// Returns `None`, having changed nothing, on a process exit or a
+    /// bad link, an unbound module, or a frame the allocator's fast free
+    /// declines. The general heap's free fails only on a frame it does
+    /// not hold, which is terminal; as in [`Machine::fast_call`], the
+    /// error leaves the walk owed.
+    #[inline(always)]
+    fn fast_return_via_link<const BANKS: bool, D: Discipline>(
+        &mut self,
+        x: &mut Xfers,
+        owed: &mut Owed,
+    ) -> Result<Option<Next>, VmError> {
+        let returning = self.lf;
+        let link_at = self.wrap(returning.offset(layout::FRAME_RETURN_LINK));
+        let link = ContextWord::from_raw(self.mem.peek(link_at));
+        let Context::Frame(to) = Context::from(link) else {
+            return Ok(None);
+        };
+        if self.any_unbound {
+            return Ok(None);
+        }
+        let mut refs = if let (Some(AllocKind::General), Allocator::General(g, table)) =
+            (D::ALLOC, &mut self.allocator)
+        {
+            let Some(record) = table.remove(returning) else {
+                return Ok(None);
+            };
+            let before = g.charged_refs();
+            let freed = g.free(returning, self.classes.size_of(record.fsi));
+            let walk = g.charged_refs() - before;
+            owed.charged += walk;
+            owed.reads += 1;
+            if let Err(e) = freed {
+                return Err(e.into());
+            }
+            walk
+        } else {
+            let Some(refs) = self.free_claimed::<D>(returning, owed) else {
+                return Ok(None);
+            };
+            owed.reads += 1;
+            refs
+        };
+        if D::RS {
+            // Counts the miss.
+            self.rs.pop();
+        }
+        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
+            b.release(returning);
+        }
+        self.return_ctx = ContextWord::NIL;
+        owed.reads += 3;
+        let n = self.switch_frame(to.addr());
+        x.mark.refs += n;
+        refs += 1 + 3 + n;
+        x.record(&mut self.stats.transfers, TransferKind::Return, refs);
+        Ok(Some(Next::Chase(if D::RS {
+            None
+        } else {
+            x.predictor.pop()
+        })))
+    }
+
+    /// Frees `frame`, held by its owner, on the AV heap or through the
+    /// frame cache, returning the references spent, which it owes;
+    /// `None`, having changed nothing, when the frame is not in use or
+    /// the heap would report an error.
+    #[inline(always)]
+    fn free_claimed<D: Discipline>(&mut self, frame: WordAddr, owed: &mut Owed) -> Option<u64> {
+        let to_heap = match (D::ALLOC, &mut self.allocator) {
+            (Some(AllocKind::Av), Allocator::Av(h)) => {
+                h.try_free_claimed(&mut self.mem, frame).then_some(true)
+            }
+            (Some(AllocKind::Cached), Allocator::Cached { heap, cache }) => {
+                cache.try_free(heap, &mut self.mem, frame)
+            }
+            _ => None,
+        }?;
+        if to_heap {
+            owed.push();
+            return Some(4);
+        }
+        Some(0)
+    }
+
+    /// A call the fast path declined, retired through
+    /// [`Machine::general_call`] out of line.
+    #[cold]
+    #[inline(never)]
+    fn cold_call<D: Discipline>(
+        &mut self,
+        site: &Site,
+        x: &mut Xfers,
+        at: (usize, u32),
+    ) -> Result<Next, VmError> {
+        self.general_call::<D>(site, x, at)
+    }
+
+    /// A call retired through the general machinery
+    /// ([`Machine::call_site`]): the generic instance's every call. Its
+    /// return entry, or the predictor, learns its resume point.
+    #[inline(always)]
+    fn general_call<D: Discipline>(
+        &mut self,
+        site: &Site,
+        x: &mut Xfers,
+        (cur, ip): (usize, u32),
+    ) -> Result<Next, VmError> {
+        let kind = self.native_xfer(site, x, |m, s, b| m.call_site(s, b))?;
+        if kind != Some(TransferKind::Call) {
+            return Ok(Next::Chase(None));
+        }
+        if D::RS {
+            self.rs.set_top_resume((cur as u64) << 32 | ip as u64);
+        } else {
+            x.predictor.push(cur, ip, site.at + site.len as u32);
+        }
+        Ok(Next::Chase(site.entry))
+    }
+
+    /// A return the fast path declined, retired through
+    /// [`Machine::general_return`] out of line.
+    #[cold]
+    #[inline(never)]
+    fn cold_return<D: Discipline>(&mut self, site: &Site, x: &mut Xfers) -> Result<Next, VmError> {
+        self.general_return::<D>(site, x)
+    }
+
+    /// A return retired through [`Machine::perform_return`]: the
+    /// generic instance's every return. A return-stack hit resumes at
+    /// its entry's resume point, read before the pop.
+    #[inline(always)]
+    fn general_return<D: Discipline>(
+        &mut self,
+        site: &Site,
+        x: &mut Xfers,
+    ) -> Result<Next, VmError> {
+        let top = if D::RS { self.rs.top() } else { None };
+        let kind = self.native_xfer(site, x, |m, _, _| m.perform_return())?;
+        let predicted = match kind {
+            Some(TransferKind::Return) if D::RS => top
+                .filter(|&(_, r)| r != NO_RESUME)
+                .map(|(e, r)| ((r >> 32) as u32, r as u32, e.pc.0)),
+            Some(TransferKind::Return) => x.predictor.pop(),
+            _ => None,
+        };
+        Ok(Next::Chase(predicted))
+    }
+
+    /// Retires a call or return site inside a burst through `retire`
+    /// and returns its transfer kind. It charges what
+    /// [`Machine::step_one`] would beyond `CYCLE_BASE`, which the burst
+    /// charges per op, into the burst's cycles, and advances its mark
+    /// past the references it charged; a transfer that fails charges
+    /// nothing. A transfer makes no indirect reference, so it diverts
+    /// nothing. The tier runs only while no trap or fault handler is
+    /// installed, so the handler-attribution block and the
+    /// `dispatch_fault` recovery path are provably dead: a fault here
+    /// is terminal exactly as `dispatch_fault` would conclude with no
+    /// handler present (it returns the error before touching any
+    /// state).
+    #[inline(always)]
+    fn native_xfer(
+        &mut self,
+        site: &Site,
+        x: &mut Xfers,
         retire: impl FnOnce(&mut Self, &Site, &mut TransferBatch) -> Result<Flow, VmError>,
     ) -> Result<Option<TransferKind>, VmError> {
-        let before = self.mark::<BANKS>();
+        let r0 = self.refs_total();
         self.pc = ByteAddr(site.at + site.len as u32);
-        let flow = retire(self, site, batch);
-        let after = self.mark::<BANKS>();
-        // A transfer counts no jump, so its references and diversions
-        // are all the mark skips.
-        let refs = after.refs - before.refs;
-        let divert = after.divert - before.divert;
-        mark.refs += refs;
-        mark.divert += divert;
-        let mut c = refs * CYCLE_MEMREF + divert;
+        let flow = retire(self, site, &mut x.batch);
+        let refs = self.refs_total() - r0;
+        x.mark.refs += refs;
+        let mut c = refs * CYCLE_MEMREF;
         let mut kind = None;
         match flow? {
             Flow::Next => {}
@@ -1527,21 +2101,21 @@ impl Machine {
             Flow::Taken(Some(k)) => {
                 c += CYCLE_REFILL;
                 kind = Some(k);
-                batch.record(&mut self.stats.transfers, k, CYCLE_BASE + c, refs);
+                x.batch
+                    .record(&mut self.stats.transfers, k, CYCLE_BASE + c, refs);
             }
             Flow::Halt => self.halted = true,
         }
-        *cycles += c;
+        x.cycles += c;
         Ok(kind)
     }
 
-    /// A call site inside a burst. A known target goes straight to the
-    /// frame allocation and link, charging what the table walk would:
-    /// one entry-vector read for a local call, nothing for a direct
-    /// one; its frame size goes into the batch. Anything else walks the
-    /// tables as the interpreter does.
-    #[inline(always)]
-    fn native_call(&mut self, site: &Site, batch: &mut TransferBatch) -> Result<Flow, VmError> {
+    /// A call site through the general machinery. A known target goes
+    /// straight to the frame allocation and link, charging what the
+    /// table walk would: one entry-vector read for a local call,
+    /// nothing for a direct one; its frame size goes into the batch.
+    /// Anything else walks the tables as the interpreter does.
+    fn call_site(&mut self, site: &Site, batch: &mut TransferBatch) -> Result<Flow, VmError> {
         let (t, local) = match (site.instr, &site.target) {
             (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => (t, true),
             (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => (t, false),
@@ -2027,8 +2601,12 @@ impl Machine {
     /// A reference through a pointer: diverted to a bank register (one
     /// divert cycle, no counted reference) when a bank shadows `addr`,
     /// else one counted reference.
+    ///
+    /// The guest pointer is first masked into the address space
+    /// ([`Machine::wrap`]), as every other guest-derived address is.
     #[inline(always)]
     fn read_indirect<const BANKS: bool>(&mut self, addr: WordAddr) -> u16 {
+        let addr = self.wrap(addr);
         if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
             if let Some((frame, idx)) = b.shadow_hit(addr) {
                 self.stats.divert_cycles += 1;
@@ -2040,6 +2618,7 @@ impl Machine {
 
     #[inline(always)]
     fn write_indirect<const BANKS: bool>(&mut self, addr: WordAddr, v: u16) {
+        let addr = self.wrap(addr);
         if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
             if let Some((frame, idx)) = b.shadow_hit(addr) {
                 self.stats.divert_cycles += 1;
@@ -2403,9 +2982,16 @@ impl Machine {
     /// without checking it again.
     #[inline(always)]
     fn free_frame(&mut self, frame: WordAddr) -> Result<(), VmError> {
+        // The AV heap drops the record itself, once the frame's size
+        // word has been read back.
         let fsi = match &mut self.allocator {
             Allocator::General(_, t) => t.remove(frame).map(|r| r.fsi),
-            Allocator::Av(h) | Allocator::Cached { heap: h, .. } => h.frames_mut().release(frame),
+            Allocator::Av(h) => h
+                .frames_mut()
+                .get(frame)
+                .filter(|r| r.in_use)
+                .map(|r| r.fsi),
+            Allocator::Cached { heap, .. } => heap.frames_mut().release(frame),
         };
         let Some(fsi) = fsi else {
             return Err(VmError::Frame(FrameError::InvalidFrame(frame)));
@@ -2538,8 +3124,8 @@ impl Machine {
 
     /// Writes a return-stack entry back to storage: the caller's PC
     /// (and, when deferred, global frame) into its frame, and the
-    /// caller as its callee's return link.
-    fn spill_entry(mem: &mut Memory, defer_headers: bool, callee: WordAddr, e: ReturnEntry) {
+    /// caller as its callee's return link. Returns the words written.
+    fn spill_entry(mem: &mut Memory, defer_headers: bool, callee: WordAddr, e: ReturnEntry) -> u64 {
         let link = ContextWord::from(Context::Frame(
             FrameHandle::from_addr(e.frame).expect("stacked frames are valid"),
         ));
@@ -2551,14 +3137,15 @@ impl Machine {
         if defer_headers {
             mem.write(e.frame.offset(layout::FRAME_GLOBAL), e.gf.0 as u16);
         }
+        2 + defer_headers as u64
     }
 
     /// A call evicted the return stack's oldest entry: its callee is the
     /// new bottom entry's frame.
     #[cold]
-    fn spill_evicted(&mut self, ev: ReturnEntry) {
+    fn spill_evicted(&mut self, ev: ReturnEntry) -> u64 {
         let callee = self.rs.bottom_frame().expect("stack non-empty after push");
-        Self::spill_entry(&mut self.mem, self.defer_headers, callee, ev);
+        Self::spill_entry(&mut self.mem, self.defer_headers, callee, ev)
     }
 
     /// Enters an existing suspended frame: the general scheme's three
@@ -2569,36 +3156,45 @@ impl Machine {
         // so this only fires on paths that have committed nothing yet.
         self.check_frame_bound(frame)?;
         // Three reads, counted as one group.
+        self.mem.charge(3, 0);
+        self.switch_frame(frame);
+        Ok(())
+    }
+
+    /// The registers of [`Machine::enter_frame`], read from `frame`'s
+    /// words without counting them, and its bank activation. Returns
+    /// the references a bank fill made.
+    #[inline(always)]
+    fn switch_frame(&mut self, frame: WordAddr) -> u64 {
         let pc_rel = self.mem.peek(self.wrap(frame.offset(layout::FRAME_PC)));
         let gf = WordAddr(self.mem.peek(self.wrap(frame.offset(layout::FRAME_GLOBAL))) as u32);
         let cb_word = self.mem.peek(self.wrap(gf.offset(layout::GF_CODE_BASE)));
-        self.mem.charge(3, 0);
         let base = layout::code_base_bytes(cb_word);
         self.lf = frame;
         self.gf = gf;
         self.code_base = base;
         self.pc = base.offset(pc_rel as u32);
-        self.activate_bank(frame);
-        Ok(())
+        self.activate_bank(frame)
     }
 
     /// Makes `frame`'s bank current, filling one from storage when the
-    /// frame has none.
+    /// frame has none. Returns the references the fill made.
     #[inline(always)]
-    fn activate_bank(&mut self, frame: WordAddr) {
+    fn activate_bank(&mut self, frame: WordAddr) -> u64 {
         if self.banks.as_mut().is_some_and(|b| !b.touch(frame)) {
-            self.fill_bank(frame);
+            return self.fill_bank(frame);
         }
+        0
     }
 
     /// Underflow: loads a bank for `frame`, which `touch` just found
     /// without one.
     #[cold]
-    fn fill_bank(&mut self, frame: WordAddr) {
+    fn fill_bank(&mut self, frame: WordAddr) -> u64 {
         let locals = self.locals_of(frame);
-        if let Some(b) = self.banks.as_mut() {
-            b.load(&mut self.mem, frame, locals, None);
-        }
+        self.banks
+            .as_mut()
+            .map_or(0, |b| b.load(&mut self.mem, frame, locals, None))
     }
 
     /// The common call path, shared by all four call linkages, traps

@@ -61,11 +61,23 @@
 //!   goes straight to the frame allocation and link. External calls,
 //!   and any site whose target did not resolve, walk the tables as the
 //!   interpreter does.
-//! * **Predicted returns.** A burst-local [`ReturnPredictor`] holds the
-//!   `(body, op)` each native call will return to. A return checks the
-//!   prediction against the architectural `pc`, as the IFU checks its
-//!   stack against the link; a mismatch, an empty predictor, or any
-//!   other transfer looks `pc` up in the compiled-body map instead.
+//! * **One handler per call discipline.** A burst's calls and returns
+//!   are specialised to the machine's allocator (general, AV, AV behind
+//!   the frame cache), return stack (on or off) and banks (on or off),
+//!   chosen once at burst entry: the four presets have their own, every
+//!   other combination takes the generic instance. A known-site call
+//!   does only the simulated work (pop the AV list, claim the frame
+//!   record, push the return entry, write the GF word, switch
+//!   registers) and a return its mirror; the rare cases (an AV trap,
+//!   an unbound module, a strict-stack violation, a process exit) are
+//!   cold calls into the interpreter's own transfer.
+//! * **Resume points.** With the IFU return stack on, each entry carries
+//!   the compiled `(body, op)` its return resumes at, so a hit continues
+//!   in compiled code at once. Without it, a burst-local
+//!   [`ReturnPredictor`] holds them and a return checks the prediction
+//!   against the architectural `pc`, as the IFU checks its stack against
+//!   the link; a mismatch, an empty predictor, or any other transfer
+//!   looks `pc` up in the compiled-body map instead.
 //!
 //! # Deoptimization
 //!

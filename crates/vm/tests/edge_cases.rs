@@ -666,3 +666,72 @@ fn direct_calls_bind_the_owning_instance_only() {
     // reach counter2 through a direct call.
     assert_eq!(machine.output(), &[1, 2, 3]);
 }
+
+/// `Read`, `Write`, `LoadIndex` and `StoreIndex` through pointers past
+/// the end of a 2 048-word memory: each reference wraps into the
+/// address space as every other guest-derived address does, on I3 and
+/// I4, on every rung of the dispatch ladder and on the unarmed tier,
+/// with the same counters everywhere.
+#[test]
+fn indirect_references_past_a_small_memory_wrap_on_every_rung() {
+    for (base, bank_args) in [(MachineConfig::i3(), false), (MachineConfig::i4(), true)] {
+        let mut b = ImageBuilder::new();
+        if bank_args {
+            b.bank_args();
+        }
+        let m = b.module("m");
+        b.proc_with(m, ProcSpec::new("main", 0, 0), |a| {
+            // mem[5000] := 7; out mem[5000]
+            a.instr(Instr::LoadImm(7));
+            a.instr(Instr::LoadImm(5000));
+            a.instr(Instr::Write);
+            a.instr(Instr::LoadImm(5000));
+            a.instr(Instr::Read);
+            a.instr(Instr::Out);
+            // mem[4000 + 1001] := 9; out mem[4000 + 1001]
+            a.instr(Instr::LoadImm(9));
+            a.instr(Instr::LoadImm(4000));
+            a.instr(Instr::LoadImm(1001));
+            a.instr(Instr::StoreIndex);
+            a.instr(Instr::LoadImm(4000));
+            a.instr(Instr::LoadImm(1001));
+            a.instr(Instr::LoadIndex);
+            a.instr(Instr::Out);
+            // The top of the 16-bit address space.
+            a.instr(Instr::LoadImm(0xffff));
+            a.instr(Instr::Read);
+            a.instr(Instr::Out);
+            a.instr(Instr::Halt);
+        });
+        let image = b
+            .build(ProcRef {
+                module: 0,
+                ev_index: 0,
+            })
+            .unwrap();
+        let base = base.with_memory_words(2048);
+        let fingerprint = |armed: bool, config: MachineConfig| {
+            let mut m = Machine::load(&image, config).unwrap();
+            if armed {
+                assert!(m.arm_native(fpc_vm::NativeLicense::new(8, 1)));
+            }
+            m.run(1000).unwrap();
+            assert!(m.halted());
+            assert_eq!(&m.output()[..2], &[7, 9], "{config:?}");
+            format!(
+                "{:?} {:?} {:?} {:?} {:?}",
+                m.output(),
+                m.stats(),
+                m.mem_stats(),
+                m.bank_stats(),
+                m.total_refs()
+            )
+        };
+        let ladder = base.dispatch_ladder();
+        let want = fingerprint(false, ladder[0].1);
+        for (rung, config) in ladder {
+            assert_eq!(fingerprint(rung == "native", config), want, "{rung}");
+        }
+        assert_eq!(fingerprint(false, ladder[2].1), want, "unarmed");
+    }
+}

@@ -19,8 +19,8 @@
 
 use fpc_isa::Instr;
 use fpc_vm::{
-    FaultKind, Image, ImageBuilder, Machine, MachineConfig, NativeLicense, ProcRef, ProcSpec,
-    VmError,
+    BankConfig, FaultKind, Image, ImageBuilder, Machine, MachineConfig, NativeLicense, ProcRef,
+    ProcSpec, VmError,
 };
 
 /// Every simulated-side observable, flattened through Debug (the same
@@ -819,15 +819,55 @@ fn i4_recursion_deeper_than_the_banks_spills_and_fills() {
     assert!(banks.overflows > 0 && banks.underflows > 0, "{banks:?}");
 }
 
+/// Every call discipline a burst has its own transfer handlers for
+/// (I1–I4), and one it has not (I2 with renaming banks, which takes the
+/// generic instance), each with whether its images pass arguments by
+/// renaming.
+fn disciplines() -> [(&'static str, MachineConfig, bool); 5] {
+    [
+        ("i1", MachineConfig::i1(), false),
+        ("i2", MachineConfig::i2(), false),
+        ("i3", MachineConfig::i3(), false),
+        ("i4", MachineConfig::i4(), true),
+        (
+            "i2+banks",
+            MachineConfig::i2().with_banks(Some(BankConfig::paper_default())),
+            true,
+        ),
+    ]
+}
+
+#[test]
+fn rare_transfer_cases_mid_burst_match_the_byte_rung_on_every_discipline() {
+    // 40 frames deep, three times over: the first descent empties every
+    // AV list inside a burst (each trap carves four frames), overflows
+    // the 8-entry return stack (evictions) and the 8 banks (spills);
+    // the ascents miss the return stack and reload spilled banks.
+    let tri = 40 * 41 / 2;
+    for (label, base, bank_args) in disciplines() {
+        let image = deep_tri_image_with(40, bank_args);
+        let m = native_matches_byte_rung_on(base, &image, &[tri, tri, tri], label);
+        if let Some(heap) = m.heap_stats() {
+            assert!(heap.traps > 0, "{label}: the descent must trap: {heap:?}");
+        }
+        if base.return_stack > 0 {
+            let rs = m.return_stack_stats();
+            assert!(rs.evictions > 0 && rs.misses > 0, "{label}: {rs:?}");
+        }
+        if let Some(banks) = m.bank_stats() {
+            assert!(
+                banks.overflows > 0 && banks.underflows > 0,
+                "{label}: {banks:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn frame_heap_exhaustion_matches_the_byte_rung_in_every_slicing() {
     // Unbounded recursion: the same terminal error at the same
     // instruction, with the same counters, however fuel is sliced.
-    for (base, bank_args) in [
-        (MachineConfig::i2(), false),
-        (MachineConfig::i3(), false),
-        (MachineConfig::i4(), true),
-    ] {
+    for (_, base, bank_args) in disciplines() {
         let mut b = ImageBuilder::new();
         if bank_args {
             b.bank_args();

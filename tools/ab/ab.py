@@ -4,7 +4,8 @@
 Links a committed revision ("base") and the working tree ("head") into
 one binary and times every program of a set on both, alternating per
 item (see main.rs). Prints the paired base/head run-time
-ratio per item and in total, with quartiles over the rounds, and stops
+ratio per item and in total, with quartiles over the rounds and a 95%
+bootstrap interval for the median (resampled over rounds), and stops
 if the two sides' simulated counters ever differ.
 
     python3 tools/ab/ab.py                       # base = HEAD

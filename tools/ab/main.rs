@@ -10,6 +10,10 @@
 //! After every run the two sides' instructions, cycles, total counted
 //! references and output must be equal, or the harness stops.
 //!
+//! Each ratio is reported as the median over rounds of the paired
+//! base/head ratio, with its quartiles and a 95% percentile-bootstrap
+//! interval for the median, resampled over rounds.
+//!
 //! Built and run by `ab.py`, which generates the manifest naming the
 //! two copies and copies the loop programs in as `loops.rs`; see there
 //! for usage. Arguments: the number of timed rounds, the set (`calls`,
@@ -183,6 +187,25 @@ fn summary(v: &[f64]) -> (f64, f64, f64) {
     (quantile(&v, 0.5), quantile(&v, 0.25), quantile(&v, 0.75))
 }
 
+/// Bootstrap resamples behind each interval.
+const RESAMPLES: usize = 2000;
+
+/// A 95% percentile-bootstrap interval for the median of `v`: the
+/// rounds are resampled with replacement, from a fixed seed.
+fn bootstrap(v: &[f64]) -> (f64, f64) {
+    let mut rng = ::rng::Rng::seed_from_u64(0x0ab);
+    let mut medians = Vec::with_capacity(RESAMPLES);
+    let mut sample = vec![0.0; v.len()];
+    for _ in 0..RESAMPLES {
+        for s in &mut sample {
+            *s = v[rng.gen_index(v.len())];
+        }
+        medians.push(summary(&sample).0);
+    }
+    medians.sort_by(f64::total_cmp);
+    (quantile(&medians, 0.025), quantile(&medians, 0.975))
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let rounds: usize = args
@@ -236,32 +259,32 @@ fn main() {
          (>1: head faster)"
     );
     println!(
-        "{:<20} {:>10} {:>10} {:>8} {:>8} {:>8}",
-        "item", "base ms", "head ms", "median", "q1", "q3"
+        "{:<20} {:>10} {:>10} {:>8} {:>8} {:>8} {:>17}",
+        "item", "base ms", "head ms", "median", "q1", "q3", "95% bootstrap"
     );
     let ms = |ns: u64| ns as f64 / rounds as f64 / 1e6;
-    for (i, item) in head.iter().enumerate() {
-        let (med, q1, q3) = summary(&ratios[i]);
+    let row = |name: &str, base: u64, head: u64, ratios: &[f64]| {
+        let (med, q1, q3) = summary(ratios);
+        let (lo, hi) = bootstrap(ratios);
         println!(
-            "{:<20} {:>10.3} {:>10.3} {:>8.3} {:>8.3} {:>8.3}",
-            item.name,
-            ms(base_ns[i]),
-            ms(head_ns[i]),
+            "{:<20} {:>10.3} {:>10.3} {:>8.3} {:>8.3} {:>8.3}   [{lo:.3}, {hi:.3}]",
+            name,
+            ms(base),
+            ms(head),
             med,
             q1,
             q3
         );
+    };
+    for (i, item) in head.iter().enumerate() {
+        row(&item.name, base_ns[i], head_ns[i], &ratios[i]);
     }
-    let (med, q1, q3) = summary(&totals);
     let better = totals.iter().filter(|&&r| r > 1.0).count();
-    println!(
-        "{:<20} {:>10.3} {:>10.3} {:>8.3} {:>8.3} {:>8.3}",
+    row(
         "total",
-        ms(base_ns.iter().sum()),
-        ms(head_ns.iter().sum()),
-        med,
-        q1,
-        q3
+        base_ns.iter().sum(),
+        head_ns.iter().sum(),
+        &totals,
     );
     println!("head faster in {better} of {rounds} rounds; counters equal on every run");
 }
