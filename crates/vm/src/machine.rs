@@ -247,8 +247,7 @@ pub struct Machine {
     /// the static analysis did not model) or loaded code is mutated
     /// (`replace_proc` / `relocate_module` / `unbind_module`).
     native: Option<NativeTier>,
-    /// The call discipline the native tier's transfer handlers are
-    /// specialised for.
+    /// The call discipline of the native tier's transfers.
     disc: Disc,
 
     // Registers.
@@ -398,10 +397,9 @@ impl CallTarget {
     }
 }
 
-/// The counters whose changes a native burst charges its fast ops by:
-/// counted references, bank diversions and taken jumps. A burst keeps
-/// their values at entry, advanced past every change that a transfer
-/// or an interpreter fallback charged itself.
+/// The counters a native burst charges its fast ops by (counted
+/// references, bank diversions, taken jumps), kept from entry and
+/// advanced past every change an interpreter fallback charged itself.
 #[derive(Clone, Copy)]
 struct Mark {
     refs: u64,
@@ -419,64 +417,53 @@ impl Mark {
     }
 }
 
-/// The frame allocator a [`Discipline`]'s handlers inline.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AllocKind {
-    General,
-    Av,
-    Cached,
+/// A call discipline: the machine one instance of the transfer protocol
+/// is specialised for. The protocol is [`Machine::alloc_frame`],
+/// [`Machine::enter_call`], [`Machine::perform_return`],
+/// [`Machine::return_via_link`] and [`Machine::free_frame`], each
+/// written once. The generic instance, [`AnyCalls`], asks the machine
+/// at run time which allocator, return stack and banks it has; the
+/// interpreter runs it, and so do bursts on any machine that is not a
+/// preset. A preset's instance inlines only the work its machine
+/// simulates, and declines every rare case for the generic instance to
+/// redo out of line ([`Machine::rare`]).
+trait Discipline {
+    /// The allocator: [`GENERAL`], [`AV`] or [`CACHED`], or [`ANY`].
+    const ALLOC: u8;
+    /// Whether the IFU return stack may be on.
+    const RS: bool;
+    /// Whether the machine may have banks; a preset's rename.
+    const BANKS: bool;
+    /// The generic instance.
+    const ANY: bool = Self::ALLOC == ANY;
 }
 
-/// A call discipline: what a native burst's call and return handlers
-/// are specialised for. A known-site call and a return are written once
-/// per discipline, doing only the work the discipline's machine
-/// simulates; every rare case (an AV trap, an unbound module, a
-/// strict-stack violation, a frame not in use, a process exit) is a
-/// cold call into [`Machine::enter_call`] or [`Machine::perform_return`],
-/// which stay the one definition of a transfer. Whether the machine has
-/// banks is the burst's own `BANKS` parameter.
-trait Discipline {
-    /// The allocator, or `None` for the generic instance, whose every
-    /// transfer takes the general path.
-    const ALLOC: Option<AllocKind>;
-    /// Whether the IFU return stack is on. Its entries then carry the
-    /// compiled resume points; without it a burst-local
-    /// [`ReturnPredictor`] does.
-    const RS: bool;
+const GENERAL: u8 = 0;
+const AV: u8 = 1;
+const CACHED: u8 = 2;
+const ANY: u8 = 3;
+
+/// The discipline of an allocator, a return stack on or off and banks
+/// or none.
+struct Calls<const ALLOC: u8, const RS: bool, const BANKS: bool>;
+
+impl<const A: u8, const R: bool, const B: bool> Discipline for Calls<A, R, B> {
+    const ALLOC: u8 = A;
+    const RS: bool = R;
+    const BANKS: bool = B;
 }
 
 /// I1: general heap, no return stack, no banks.
-struct I1;
+type I1 = Calls<GENERAL, false, false>;
 /// I2: AV heap, no return stack, no banks.
-struct I2;
+type I2 = Calls<AV, false, false>;
 /// I3: AV heap and the return stack, no banks.
-struct I3;
+type I3 = Calls<AV, true, false>;
 /// I4: AV heap behind the frame cache, the return stack, and renaming
 /// banks whose pointer policy is not flush-on-exit.
-struct I4;
-/// Every other combination.
-struct AnyCalls;
-
-impl Discipline for I1 {
-    const ALLOC: Option<AllocKind> = Some(AllocKind::General);
-    const RS: bool = false;
-}
-impl Discipline for I2 {
-    const ALLOC: Option<AllocKind> = Some(AllocKind::Av);
-    const RS: bool = false;
-}
-impl Discipline for I3 {
-    const ALLOC: Option<AllocKind> = Some(AllocKind::Av);
-    const RS: bool = true;
-}
-impl Discipline for I4 {
-    const ALLOC: Option<AllocKind> = Some(AllocKind::Cached);
-    const RS: bool = true;
-}
-impl Discipline for AnyCalls {
-    const ALLOC: Option<AllocKind> = None;
-    const RS: bool = false;
-}
+type I4 = Calls<CACHED, true, true>;
+/// Every combination, asked at run time.
+type AnyCalls = Calls<ANY, true, true>;
 
 /// The discipline of a machine, chosen once at load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -505,9 +492,9 @@ impl Disc {
     }
 }
 
-/// A burst's transfer accounting: the calls and returns it batches,
-/// the mark its fast ops charge from, the transfers' cycles beyond
-/// `CYCLE_BASE`, and the predictor of a machine without a return stack.
+/// A burst's transfer accounting: the transfers it batches, the mark
+/// its fast ops charge from, the transfers' cycles beyond `CYCLE_BASE`,
+/// and the predictor of a machine without a return stack.
 struct Xfers {
     batch: TransferBatch,
     mark: Mark,
@@ -515,45 +502,42 @@ struct Xfers {
     predictor: ReturnPredictor,
 }
 
-impl Xfers {
-    /// Records a fast call or return that made `refs` counted
-    /// references and no diversion, as [`Machine::native_xfer`] would.
-    /// The references are not in the mark: the fast transfer counted
-    /// them into [`Owed`], or skipped the mark past them itself.
-    #[inline(always)]
-    fn record(&mut self, stats: &mut TransferStats, kind: TransferKind, refs: u64) {
-        let c = refs * CYCLE_MEMREF + CYCLE_REFILL;
-        self.cycles += c;
-        self.batch.record(stats, kind, CYCLE_BASE + c, refs);
-    }
-}
-
-/// References the fast transfers of a burst have made but not yet
-/// counted into memory: data reads and writes, and references charged
-/// outside data memory (table reads, the general heap's walks). The
-/// burst counts them at exit, so its fast transfers update no memory
-/// counter on the way. Never leaves the burst, so it lives in
-/// registers.
+/// The references transfers have made. Data reads and writes made with
+/// uncounted peeks and pokes, and references charged outside data
+/// memory (table reads, the general heap's walks), are owed: a burst
+/// pays them at exit and the interpreter after the transfer
+/// ([`Machine::owing`]), so a burst's transfers update no memory
+/// counter. `counted` are those a helper counted itself (a spill, a
+/// bank fill, a rare case). `refs` are all of them since a burst
+/// cleared it at the start of its transfer.
 #[derive(Default)]
 struct Owed {
     reads: u64,
     writes: u64,
     charged: u64,
+    counted: u64,
+    refs: u64,
 }
 
 impl Owed {
-    /// An AV list's pop: two reads and a write.
+    /// Owes `reads` reads and `writes` writes.
     #[inline(always)]
-    fn pop(&mut self) {
-        self.reads += 2;
-        self.writes += 1;
+    fn owe(&mut self, reads: u64, writes: u64) {
+        self.reads += reads;
+        self.writes += writes;
+        self.refs += reads + writes;
     }
 
-    /// An AV list's push: two reads and two writes.
     #[inline(always)]
-    fn push(&mut self) {
-        self.reads += 2;
-        self.writes += 2;
+    fn charge(&mut self, n: u64) {
+        self.charged += n;
+        self.refs += n;
+    }
+
+    #[inline(always)]
+    fn count(&mut self, n: u64) {
+        self.counted += n;
+        self.refs += n;
     }
 }
 
@@ -600,6 +584,36 @@ fn renaming_fits(
         )));
     }
     Ok(())
+}
+
+/// Runs `op`, a rare case of a frame operation whose references count
+/// themselves, out of line, and tallies them in `o`.
+#[inline(always)]
+fn trap<R>(
+    o: &mut Owed,
+    mem: &mut Memory,
+    op: impl FnOnce(&mut Memory) -> Result<R, FrameError>,
+) -> Result<R, VmError> {
+    #[cold]
+    #[inline(never)]
+    fn out<R>(mem: &mut Memory, op: impl FnOnce(&mut Memory) -> R) -> (R, u64) {
+        let before = mem.refs();
+        let r = op(mem);
+        (r, mem.refs() - before)
+    }
+    let (r, n) = out(mem, op);
+    o.count(n);
+    Ok(r?)
+}
+
+/// One step of the transfer protocol. `Ok(None)` is a rare case that a
+/// preset's instance declines, having changed nothing, for the generic
+/// instance to redo out of line; the generic instance never declines.
+type Step<T> = Result<Option<T>, VmError>;
+
+/// The outcome of the generic instance's step.
+fn served<T>(step: Step<T>) -> Result<T, VmError> {
+    step.map(|v| v.expect("the generic instance serves every case"))
 }
 
 /// Runs one general-heap operation, charging the references it models
@@ -928,8 +942,7 @@ impl Machine {
                 args.len()
             )));
         }
-        let frame = self.alloc_frame(fsi, addr_taken)?;
-        self.record_frame_bytes(fsi);
+        let frame = self.new_frame(fsi, addr_taken)?;
         if !self.defer_headers {
             self.mem
                 .write(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
@@ -1125,38 +1138,10 @@ impl Machine {
             }
             if let Some((proc, ip)) = self.native_begin() {
                 let before = left;
-                // One check decision and one discipline per burst:
-                // armed bursts carry no stack check, I1–I3 bursts no
-                // per-access bank check at all, and each preset's calls
-                // and returns their own handlers.
-                macro_rules! run {
-                    ($checked:literal) => {
-                        match (self.disc, self.banks.is_some()) {
-                            (Disc::I1, _) => {
-                                self.native_run::<$checked, false, I1>(proc, ip, &mut left)
-                            }
-                            (Disc::I2, _) => {
-                                self.native_run::<$checked, false, I2>(proc, ip, &mut left)
-                            }
-                            (Disc::I3, _) => {
-                                self.native_run::<$checked, false, I3>(proc, ip, &mut left)
-                            }
-                            (Disc::I4, _) => {
-                                self.native_run::<$checked, true, I4>(proc, ip, &mut left)
-                            }
-                            (Disc::Any, false) => {
-                                self.native_run::<$checked, false, AnyCalls>(proc, ip, &mut left)
-                            }
-                            (Disc::Any, true) => {
-                                self.native_run::<$checked, true, AnyCalls>(proc, ip, &mut left)
-                            }
-                        }
-                    };
-                }
                 let exit = if self.native_armed() {
-                    run!(false)?
+                    self.native_run::<false>(proc, ip, &mut left)?
                 } else {
-                    run!(true)?
+                    self.native_run::<true>(proc, ip, &mut left)?
                 };
                 match exit {
                     NativeExit::Halted => return Ok(()),
@@ -1299,14 +1284,25 @@ impl Machine {
     /// Executes a native burst starting at op `ip` of compiled body
     /// `proc`. The burst holds the compiled-body table by value for its
     /// whole length and hands it back to the tier on every exit path.
-    fn native_run<const CHECKED: bool, const BANKS: bool, D: Discipline>(
+    /// One check decision and one discipline per burst: armed bursts
+    /// carry no stack check, I1–I3 bursts no per-access bank check at
+    /// all, and each preset its own instance of the transfer protocol.
+    fn native_run<const CHECKED: bool>(
         &mut self,
-        proc: usize,
+        p: usize,
         ip: u32,
         budget: &mut u64,
     ) -> Result<NativeExit, VmError> {
         let compiled = self.native.as_mut().expect("live tier").take_compiled();
-        let result = self.native_burst::<CHECKED, BANKS, D>(&compiled, proc, ip, budget);
+        let c = &compiled;
+        let result = match (self.disc, self.banks.is_some()) {
+            (Disc::I1, _) => self.native_burst::<CHECKED, false, I1>(c, p, ip, budget),
+            (Disc::I2, _) => self.native_burst::<CHECKED, false, I2>(c, p, ip, budget),
+            (Disc::I3, _) => self.native_burst::<CHECKED, false, I3>(c, p, ip, budget),
+            (Disc::I4, _) => self.native_burst::<CHECKED, true, I4>(c, p, ip, budget),
+            (Disc::Any, false) => self.native_burst::<CHECKED, false, AnyCalls>(c, p, ip, budget),
+            (Disc::Any, true) => self.native_burst::<CHECKED, true, AnyCalls>(c, p, ip, budget),
+        };
         self.native
             .as_mut()
             .expect("live tier")
@@ -1321,9 +1317,9 @@ impl Machine {
     /// retired op plus the changes of `Memory::refs` (`CYCLE_MEMREF`
     /// each), `divert_cycles` and `jumps_taken` (`CYCLE_REFILL` each),
     /// less the changes that something else charged itself — a call or
-    /// return, which its handler records exactly, and an interpreter
-    /// fallback, which `step_one` charges. The references a fast call
-    /// or return makes are counted into memory at exit too ([`Owed`]).
+    /// return, which the burst records exactly, and an interpreter
+    /// fallback, which `step_one` charges. The references its calls and
+    /// returns owe are counted into memory at exit too ([`Owed`]).
     /// `CHECKED` is whether the tier is unarmed: each op's stack effect
     /// is then checked before it runs, and an op that would underflow
     /// or overflow ends the burst at its start, untouched, for the
@@ -1331,7 +1327,8 @@ impl Machine {
     /// the check never fails. `BANKS` is whether the machine has
     /// register banks; when it is false the bank lookups and the
     /// divert counter drop out entirely. `D` is the machine's call
-    /// discipline, whose handlers its calls and returns take.
+    /// discipline, whose instance of the transfer protocol its calls and
+    /// returns run.
     ///
     /// Kept out of line: each instance is one machine's whole hot loop.
     #[inline(never)]
@@ -1362,6 +1359,7 @@ impl Machine {
             cycles: 0,
             predictor: ReturnPredictor::new(),
         };
+        // What the burst's calls and returns owe and counted.
         let mut owed = Owed::default();
         let mut interp_ops = 0u64;
         // A superinstruction retiring `1 + extra` instructions takes the extra
@@ -1614,14 +1612,14 @@ impl Machine {
                 }
             };
             // A call or return retires through its discipline's
-            // handler, which says where the burst continues. Calls and
-            // returns take separate paths, so neither branches on the
-            // transfer kind.
+            // instance of the protocol, and says where the burst
+            // continues. Calls and returns take separate paths, so
+            // neither branches on the transfer kind.
             let site = &body.sites[site as usize];
             let next = if matches!(site.instr, Instr::Ret) {
-                self.native_return::<BANKS, D>(site, &mut x, &mut owed)
+                self.native_return::<D>(site, &mut x, &mut owed)
             } else {
-                self.native_call::<BANKS, D>(site, &mut x, &mut owed, (cur, ip))
+                self.native_call::<D>(site, &mut x, &mut owed, (cur, ip))
             };
             match next {
                 Ok(Next::At(p, i)) => {
@@ -1645,13 +1643,12 @@ impl Machine {
         let fast = retired - interp_ops;
         self.stats.instructions += fast;
         self.stats.cycles += fast * CYCLE_BASE
-            + (now.refs - x.mark.refs) * CYCLE_MEMREF
+            + (now.refs - x.mark.refs - owed.counted) * CYCLE_MEMREF
             + (now.divert - x.mark.divert)
             + (now.jumps - x.mark.jumps) * CYCLE_REFILL
             + x.cycles;
         x.batch.flush_into(&mut self.stats, &self.classes);
-        self.mem.charge(owed.reads, owed.writes);
-        self.mem.charge_refs(owed.charged);
+        self.pay(&owed);
         if let Some(nt) = self.native.as_mut() {
             nt.entries += 1;
             nt.native_instrs += fast;
@@ -1670,467 +1667,146 @@ impl Machine {
         }
     }
 
-    /// A call site inside a burst. A known target under a specialised
-    /// discipline takes [`Machine::fast_call`]; anything else, and every
-    /// rare case the fast call declines, retires through
-    /// [`Machine::cold_call`]. `(cur, ip)` is the compiled op after the
-    /// call, where its return resumes.
+    /// A call site inside a burst, through the discipline's
+    /// [`Machine::enter_call`]. A target the code fixes is entered at
+    /// once, charging what the table walk it skips would; the generic
+    /// instance walks the tables for any other site, and redoes a call
+    /// the discipline declines, out of line. `(cur, ip)` is the compiled
+    /// op after the call, where its return resumes.
     #[inline(always)]
-    fn native_call<const BANKS: bool, D: Discipline>(
+    fn native_call<D: Discipline>(
         &mut self,
         site: &Site,
         x: &mut Xfers,
-        owed: &mut Owed,
+        o: &mut Owed,
         (cur, ip): (usize, u32),
     ) -> Result<Next, VmError> {
         let back = site.at + site.len as u32;
         self.pc = ByteAddr(back);
-        if D::ALLOC.is_none() {
-            return self.general_call::<D>(site, x, (cur, ip));
-        }
-        let known = match (site.instr, &site.target) {
-            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => Some((t, true)),
-            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => Some((t, false)),
+        o.refs = 0;
+        let resume = (cur as u64) << 32 | ip as u64;
+        // A local call's target holds only under the code base it was resolved
+        // against, runs under the caller's global frame and reads the entry vector.
+        let target = match (site.instr, &site.target) {
+            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => Some((t, self.gf, 1)),
+            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => Some((t, t.gf, 0)),
             _ => None,
         };
-        if let Some((t, local)) = known {
-            let resume = (cur as u64) << 32 | ip as u64;
-            if self.fast_call::<BANKS, D>(t, local, resume, x, owed)? {
-                if !D::RS {
-                    x.predictor.push(cur, ip, back);
+        let flow = match target {
+            Some((t, gf, table)) => {
+                let r = self.enter_call::<D>(t, gf, true, resume, o);
+                if let Ok(None) = r {
+                    let at = (cur, ip);
+                    return self.rare(o, move |m, o| m.native_call::<AnyCalls>(site, x, o, at));
                 }
-                // `site.entry` is the target's first op, at `pc`.
-                return Ok(match site.entry {
-                    Some((p, i, _)) => Next::At(p, i),
-                    None => Next::Chase(None),
-                });
+                if table > 0 {
+                    o.charge(table);
+                    self.code.charge_table_reads(table);
+                }
+                r?;
+                Flow::Taken(Some(TransferKind::Call))
             }
-        }
-        self.cold_call::<D>(site, x, (cur, ip))
-    }
-
-    /// A call of the known target `t`: the simulated work of
-    /// [`Machine::enter_call`] and nothing else — claim the frame, push
-    /// the return entry (or, without a return stack, link the frames in
-    /// storage), write the GF word, rename the arguments into a bank,
-    /// switch registers — recorded as [`Machine::native_xfer`] would,
-    /// its references owed. A `local` call also owes its entry-vector
-    /// read, and runs under the caller's global frame. The return entry
-    /// carries `resume`. A return-stack eviction and a bank overflow
-    /// spill through the same helpers `enter_call` uses, which count
-    /// their references at once.
-    ///
-    /// Returns false, having changed nothing, on any rare case: an
-    /// unbound module, a strict-stack violation, or an allocation the
-    /// AV list cannot serve at once. The general heap's walk fails only
-    /// when the heap is exhausted, which is terminal inside a burst; it
-    /// returns the error with the walk owed, as `native_xfer` would
-    /// count it.
-    #[inline(always)]
-    fn fast_call<const BANKS: bool, D: Discipline>(
-        &mut self,
-        t: &CallTarget,
-        local: bool,
-        resume: Resume,
-        x: &mut Xfers,
-        owed: &mut Owed,
-    ) -> Result<bool, VmError> {
-        let nargs = t.nargs as usize;
-        if self.any_unbound || (self.config.strict_stack && self.stack.len() != nargs) {
-            return Ok(false);
-        }
-        let record = FrameRecord {
-            fsi: t.fsi,
-            addr_taken: t.addr_taken,
-            in_use: true,
+            None if D::ANY => {
+                let r0 = self.refs_total();
+                let r = self.call_via_tables(site.instr, ByteAddr(site.at));
+                o.count(self.refs_total() - r0);
+                r?
+            }
+            None => {
+                let at = (cur, ip);
+                return self.rare(o, move |m, o| m.native_call::<AnyCalls>(site, x, o, at));
+            }
         };
-        let (frame, mut refs) = match (D::ALLOC, &mut self.allocator) {
-            (Some(AllocKind::Av), Allocator::Av(h)) => {
-                let Some(frame) = h.try_pop(&mut self.mem, t.fsi, record) else {
-                    return Ok(false);
-                };
-                owed.pop();
-                (frame, 3)
-            }
-            (Some(AllocKind::Cached), Allocator::Cached { heap, cache }) => {
-                match cache.try_alloc(heap, &mut self.mem, record) {
-                    Some((frame, true)) => {
-                        owed.pop();
-                        (frame, 3)
-                    }
-                    Some((frame, false)) => (frame, 0),
-                    None => return Ok(false),
-                }
-            }
-            (Some(AllocKind::General), Allocator::General(g, table)) => {
-                let before = g.charged_refs();
-                let got = g.alloc(self.classes.size_of(t.fsi));
-                let walk = g.charged_refs() - before;
-                owed.charged += walk;
-                match got {
-                    Ok(frame) => {
-                        table.insert(frame, record);
-                        (frame, walk)
-                    }
-                    Err(e) => {
-                        if local {
-                            owed.charged += 1;
-                            self.code.charge_table_reads(1);
-                        }
-                        return Err(e.into());
-                    }
-                }
-            }
-            _ => return Ok(false),
+        if self.retired(x, flow, o.refs) != Some(TransferKind::Call) {
+            return Ok(Next::Chase(None));
+        }
+        if !self.rs_on::<D>() {
+            x.predictor.push(cur, ip, back);
+        }
+        let Some((t, ..)) = target else {
+            // The tables pushed the return entry without its resume
+            // point.
+            self.rs.set_top_resume(resume);
+            return Ok(Next::Chase(None));
         };
-        if local {
-            owed.charged += 1;
-            self.code.charge_table_reads(1);
-            refs += 1;
-        }
-        let dest_gf = if local { self.gf } else { t.gf };
-        let caller_ctx = self.lf_ctx();
-        if D::RS {
-            let entry = ReturnEntry {
-                frame: self.lf,
-                gf: self.gf,
-                code_base: self.code_base,
-                pc: self.pc,
-            };
-            if let Some(ev) = self.rs.push_with(entry, resume) {
-                let n = self.spill_evicted(ev);
-                x.mark.refs += n;
-                refs += n;
-            }
-            if !self.defer_headers {
-                self.mem
-                    .poke(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
-                owed.writes += 1;
-                refs += 1;
-            }
-        } else {
-            let rel = self.rel_pc(self.pc);
-            self.mem.poke(self.lf.offset(layout::FRAME_PC), rel);
-            self.mem
-                .poke(frame.offset(layout::FRAME_RETURN_LINK), caller_ctx.raw());
-            self.mem
-                .poke(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
-            owed.writes += 3;
-            refs += 3;
-        }
-        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
-            // A renaming machine: the arguments appear in place (§7.2).
-            let at = self.stack.len().saturating_sub(nargs);
-            let n = b.assign(
-                &mut self.mem,
-                frame,
-                t.locals,
-                Some(&self.stack[at..]),
-                Some(self.lf),
-            );
-            self.stack.truncate(at);
-            x.mark.refs += n;
-            refs += n;
-        }
-        self.return_ctx = caller_ctx;
-        self.lf = frame;
-        self.gf = dest_gf;
-        self.code_base = t.cb;
-        self.pc = t.header.offset(layout::PROC_HEADER_BYTES);
-        x.record(&mut self.stats.transfers, TransferKind::Call, refs);
         if !x.batch.record_frame(t.fsi) {
             self.stats.frame_bytes.record(t.frame_bytes as u64);
         }
-        Ok(true)
+        // `site.entry` is the target's first op, at `pc`.
+        Ok(match site.entry {
+            Some((p, i, _)) => Next::At(p, i),
+            None => Next::Chase(None),
+        })
     }
 
-    /// A return site inside a burst: [`Machine::fast_return`] under a
-    /// specialised discipline, else, and on every rare case it declines,
-    /// [`Machine::cold_return`].
+    /// A return site inside a burst, through the discipline's
+    /// [`Machine::perform_return`], or the generic instance's out of
+    /// line when the discipline declines. It resumes at the op its
+    /// return entry names; without a return stack, the predictor's.
     #[inline(always)]
-    fn native_return<const BANKS: bool, D: Discipline>(
+    fn native_return<D: Discipline>(
         &mut self,
         site: &Site,
         x: &mut Xfers,
-        owed: &mut Owed,
+        o: &mut Owed,
     ) -> Result<Next, VmError> {
         self.pc = ByteAddr(site.at + site.len as u32);
-        if D::ALLOC.is_none() {
-            return self.general_return::<D>(site, x);
-        }
-        if let Some(next) = self.fast_return::<BANKS, D>(x, owed)? {
-            return Ok(next);
-        }
-        self.cold_return::<D>(site, x)
-    }
-
-    /// A return, the mirror of [`Machine::fast_call`]: the simulated
-    /// work of [`Machine::perform_return`] and nothing else. A
-    /// return-stack hit pops the entry, frees the frame, makes the
-    /// entry's bank current (loading it if it was spilled) and switches
-    /// to the entry, resuming at its resume point; without a return
-    /// stack, or on a miss, [`Machine::fast_return_via_link`] returns.
-    ///
-    /// Returns `None`, having changed nothing, on any rare case: a
-    /// frame not in use or with a corrupt size word, or one of
-    /// `fast_return_via_link`'s.
-    #[inline(always)]
-    fn fast_return<const BANKS: bool, D: Discipline>(
-        &mut self,
-        x: &mut Xfers,
-        owed: &mut Owed,
-    ) -> Result<Option<Next>, VmError> {
-        let top = if D::RS { self.rs.top() } else { None };
-        let Some((entry, resume)) = top else {
-            return self.fast_return_via_link::<BANKS, D>(x, owed);
+        o.refs = 0;
+        let Some((flow, resume)) = self.perform_return::<D>(o)? else {
+            return self.rare(o, move |m, o| m.native_return::<AnyCalls>(site, x, o));
         };
-        let returning = self.lf;
-        let Some(mut refs) = self.free_claimed::<D>(returning, owed) else {
-            return Ok(None);
-        };
-        self.rs.pop_top();
-        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
-            match b.return_banks(returning, entry.frame) {
-                Some(pair) => b.take_return(pair, entry.frame),
-                None => {
-                    b.release(returning);
-                    let n = self.fill_bank(entry.frame);
-                    x.mark.refs += n;
-                    refs += n;
-                }
-            }
-        }
-        self.lf = entry.frame;
-        self.gf = entry.gf;
-        self.code_base = entry.code_base;
-        self.pc = entry.pc;
-        self.return_ctx = ContextWord::NIL;
-        x.record(&mut self.stats.transfers, TransferKind::Return, refs);
-        Ok(Some(if resume == NO_RESUME {
-            Next::Chase(None)
-        } else {
-            Next::At((resume >> 32) as u32, resume as u32)
-        }))
-    }
-
-    /// The general scheme's return inside a burst, as
-    /// [`Machine::return_via_link`] performs it: the link in the
-    /// returning frame names the caller, the frame is freed and the
-    /// caller is entered as [`Machine::enter_frame`] enters it, its
-    /// references owed. A return-stack machine counts the miss. The
-    /// burst's predictor names the resume point.
-    ///
-    /// Returns `None`, having changed nothing, on a process exit or a
-    /// bad link, an unbound module, or a frame the allocator's fast free
-    /// declines. The general heap's free fails only on a frame it does
-    /// not hold, which is terminal; as in [`Machine::fast_call`], the
-    /// error leaves the walk owed.
-    #[inline(always)]
-    fn fast_return_via_link<const BANKS: bool, D: Discipline>(
-        &mut self,
-        x: &mut Xfers,
-        owed: &mut Owed,
-    ) -> Result<Option<Next>, VmError> {
-        let returning = self.lf;
-        let link_at = self.wrap(returning.offset(layout::FRAME_RETURN_LINK));
-        let link = ContextWord::from_raw(self.mem.peek(link_at));
-        let Context::Frame(to) = Context::from(link) else {
-            return Ok(None);
-        };
-        if self.any_unbound {
-            return Ok(None);
-        }
-        let mut refs = if let (Some(AllocKind::General), Allocator::General(g, table)) =
-            (D::ALLOC, &mut self.allocator)
-        {
-            let Some(record) = table.remove(returning) else {
-                return Ok(None);
-            };
-            let before = g.charged_refs();
-            let freed = g.free(returning, self.classes.size_of(record.fsi));
-            let walk = g.charged_refs() - before;
-            owed.charged += walk;
-            owed.reads += 1;
-            if let Err(e) = freed {
-                return Err(e.into());
-            }
-            walk
-        } else {
-            let Some(refs) = self.free_claimed::<D>(returning, owed) else {
-                return Ok(None);
-            };
-            owed.reads += 1;
-            refs
-        };
-        if D::RS {
-            // Counts the miss.
-            self.rs.pop();
-        }
-        if let (true, Some(b)) = (BANKS, self.banks.as_mut()) {
-            b.release(returning);
-        }
-        self.return_ctx = ContextWord::NIL;
-        owed.reads += 3;
-        let n = self.switch_frame(to.addr());
-        x.mark.refs += n;
-        refs += 1 + 3 + n;
-        x.record(&mut self.stats.transfers, TransferKind::Return, refs);
-        Ok(Some(Next::Chase(if D::RS {
-            None
-        } else {
-            x.predictor.pop()
-        })))
-    }
-
-    /// Frees `frame`, held by its owner, on the AV heap or through the
-    /// frame cache, returning the references spent, which it owes;
-    /// `None`, having changed nothing, when the frame is not in use or
-    /// the heap would report an error.
-    #[inline(always)]
-    fn free_claimed<D: Discipline>(&mut self, frame: WordAddr, owed: &mut Owed) -> Option<u64> {
-        let to_heap = match (D::ALLOC, &mut self.allocator) {
-            (Some(AllocKind::Av), Allocator::Av(h)) => {
-                h.try_free_claimed(&mut self.mem, frame).then_some(true)
-            }
-            (Some(AllocKind::Cached), Allocator::Cached { heap, cache }) => {
-                cache.try_free(heap, &mut self.mem, frame)
-            }
-            _ => None,
-        }?;
-        if to_heap {
-            owed.push();
-            return Some(4);
-        }
-        Some(0)
-    }
-
-    /// A call the fast path declined, retired through
-    /// [`Machine::general_call`] out of line.
-    #[cold]
-    #[inline(never)]
-    fn cold_call<D: Discipline>(
-        &mut self,
-        site: &Site,
-        x: &mut Xfers,
-        at: (usize, u32),
-    ) -> Result<Next, VmError> {
-        self.general_call::<D>(site, x, at)
-    }
-
-    /// A call retired through the general machinery
-    /// ([`Machine::call_site`]): the generic instance's every call. Its
-    /// return entry, or the predictor, learns its resume point.
-    #[inline(always)]
-    fn general_call<D: Discipline>(
-        &mut self,
-        site: &Site,
-        x: &mut Xfers,
-        (cur, ip): (usize, u32),
-    ) -> Result<Next, VmError> {
-        let kind = self.native_xfer(site, x, |m, s, b| m.call_site(s, b))?;
-        if kind != Some(TransferKind::Call) {
+        if self.retired(x, flow, o.refs) != Some(TransferKind::Return) {
             return Ok(Next::Chase(None));
         }
-        if D::RS {
-            self.rs.set_top_resume((cur as u64) << 32 | ip as u64);
+        Ok(if resume != NO_RESUME {
+            Next::At((resume >> 32) as u32, resume as u32)
+        } else if self.rs_on::<D>() {
+            Next::Chase(None)
         } else {
-            x.predictor.push(cur, ip, site.at + site.len as u32);
-        }
-        Ok(Next::Chase(site.entry))
+            Next::Chase(x.predictor.pop())
+        })
     }
 
-    /// A return the fast path declined, retired through
-    /// [`Machine::general_return`] out of line.
-    #[cold]
-    #[inline(never)]
-    fn cold_return<D: Discipline>(&mut self, site: &Site, x: &mut Xfers) -> Result<Next, VmError> {
-        self.general_return::<D>(site, x)
-    }
-
-    /// A return retired through [`Machine::perform_return`]: the
-    /// generic instance's every return. A return-stack hit resumes at
-    /// its entry's resume point, read before the pop.
+    /// Charges a burst's call or return that made `refs` references as
+    /// [`Machine::step_one`] would beyond the `CYCLE_BASE` charged per
+    /// op, and returns its kind; a return may instead halt the machine.
     #[inline(always)]
-    fn general_return<D: Discipline>(
-        &mut self,
-        site: &Site,
-        x: &mut Xfers,
-    ) -> Result<Next, VmError> {
-        let top = if D::RS { self.rs.top() } else { None };
-        let kind = self.native_xfer(site, x, |m, _, _| m.perform_return())?;
-        let predicted = match kind {
-            Some(TransferKind::Return) if D::RS => top
-                .filter(|&(_, r)| r != NO_RESUME)
-                .map(|(e, r)| ((r >> 32) as u32, r as u32, e.pc.0)),
-            Some(TransferKind::Return) => x.predictor.pop(),
-            _ => None,
-        };
-        Ok(Next::Chase(predicted))
-    }
-
-    /// Retires a call or return site inside a burst through `retire`
-    /// and returns its transfer kind. It charges what
-    /// [`Machine::step_one`] would beyond `CYCLE_BASE`, which the burst
-    /// charges per op, into the burst's cycles, and advances its mark
-    /// past the references it charged; a transfer that fails charges
-    /// nothing. A transfer makes no indirect reference, so it diverts
-    /// nothing. The tier runs only while no trap or fault handler is
-    /// installed, so the handler-attribution block and the
-    /// `dispatch_fault` recovery path are provably dead: a fault here
-    /// is terminal exactly as `dispatch_fault` would conclude with no
-    /// handler present (it returns the error before touching any
-    /// state).
-    #[inline(always)]
-    fn native_xfer(
-        &mut self,
-        site: &Site,
-        x: &mut Xfers,
-        retire: impl FnOnce(&mut Self, &Site, &mut TransferBatch) -> Result<Flow, VmError>,
-    ) -> Result<Option<TransferKind>, VmError> {
-        let r0 = self.refs_total();
-        self.pc = ByteAddr(site.at + site.len as u32);
-        let flow = retire(self, site, &mut x.batch);
-        let refs = self.refs_total() - r0;
-        x.mark.refs += refs;
+    fn retired(&mut self, x: &mut Xfers, flow: Flow, refs: u64) -> Option<TransferKind> {
         let mut c = refs * CYCLE_MEMREF;
-        let mut kind = None;
-        match flow? {
-            Flow::Next => {}
-            // Charged at exit, like the burst's own jumps.
-            Flow::Taken(None) => self.stats.jumps_taken += 1,
-            Flow::Taken(Some(k)) => {
+        let kind = match flow {
+            Flow::Taken(Some(kind)) => {
                 c += CYCLE_REFILL;
-                kind = Some(k);
                 x.batch
-                    .record(&mut self.stats.transfers, k, CYCLE_BASE + c, refs);
+                    .record(&mut self.stats.transfers, kind, CYCLE_BASE + c, refs);
+                Some(kind)
             }
-            Flow::Halt => self.halted = true,
-        }
+            _ => {
+                self.halted = true;
+                None
+            }
+        };
         x.cycles += c;
-        Ok(kind)
+        kind
     }
 
-    /// A call site through the general machinery. A known target goes
-    /// straight to the frame allocation and link, charging what the
-    /// table walk would: one entry-vector read for a local call,
-    /// nothing for a direct one; its frame size goes into the batch.
-    /// Anything else walks the tables as the interpreter does.
-    fn call_site(&mut self, site: &Site, batch: &mut TransferBatch) -> Result<Flow, VmError> {
-        let (t, local) = match (site.instr, &site.target) {
-            (Instr::LocalCall(_), Some(t)) if t.cb == self.code_base => (t, true),
-            (Instr::DirectCall(_) | Instr::ShortDirectCall(_), Some(t)) => (t, false),
-            (instr, _) => return self.call_via_tables(instr, ByteAddr(site.at)),
-        };
-        let flow = if local {
-            self.charge_table_read();
-            self.enter_call(&CallTarget { gf: self.gf, ..*t }, TransferKind::Call, true)?
-        } else {
-            self.enter_call(t, TransferKind::Call, true)?
-        };
-        if !batch.record_frame(t.fsi) {
-            self.stats.frame_bytes.record(t.frame_bytes as u64);
+    /// Runs `f`, a rare case, out of line on an [`Owed`] of its own,
+    /// which `o` then takes over: `o` never leaves the caller, so a
+    /// burst keeps it in registers.
+    #[inline(always)]
+    fn rare<R>(&mut self, o: &mut Owed, f: impl FnOnce(&mut Self, &mut Owed) -> R) -> R {
+        #[cold]
+        #[inline(never)]
+        fn out<R>(m: &mut Machine, f: impl FnOnce(&mut Machine, &mut Owed) -> R) -> (R, Owed) {
+            let mut o = Owed::default();
+            (f(m, &mut o), o)
         }
-        Ok(flow)
+        let (r, t) = out(self, f);
+        o.reads += t.reads;
+        o.writes += t.writes;
+        o.charged += t.charged;
+        o.counted += t.counted;
+        o.refs += t.refs;
+        r
     }
 
     /// Retires the machine and returns its simulated memory's backing
@@ -2233,13 +1909,6 @@ impl Machine {
     fn read_table(&mut self, slot: ByteAddr) -> u16 {
         self.mem.charge_refs(1);
         self.code.read_table(slot)
-    }
-
-    /// Charges the table read of a walk whose result is already known.
-    #[inline]
-    fn charge_table_read(&mut self) {
-        self.mem.charge_refs(1);
-        self.code.charge_table_reads(1);
     }
 
     /// Moves a module's code segment to freshly allocated space in the
@@ -2694,9 +2363,6 @@ impl Machine {
         (WordAddr(gf as u32), layout::code_base_bytes(cb))
     }
 
-    /// Resolves a packed procedure descriptor through the tables:
-    /// GFT → global frame (code base) → entry vector. (The LV read, if
-    /// any, happened at the call site.) Returns header, GF, code base.
     /// Registers a link-vector entry as a remote procedure descriptor:
     /// `EFC k` from the owning module becomes a cross-machine `XFER`.
     /// Called automatically at load for `image.remote_imports`.
@@ -2710,10 +2376,10 @@ impl Machine {
             nret: import.nret,
             idempotence: import.idempotence,
         });
-        // The native tier compiles EFC sites into direct threaded
-        // calls that would bypass the remote intercept: disarm it. The
-        // verify certificate itself is unaffected — remote descriptors
-        // are modelled by their arity-matched stubs.
+        // Bursts reach EFC sites through `call_via_tables`, which has no
+        // remote intercept (the interpreter's `execute` runs it first):
+        // stop the tier. The verify certificate itself is unaffected —
+        // remote descriptors are modelled by their arity-matched stubs.
         self.native_deopt();
     }
 
@@ -2862,6 +2528,9 @@ impl Machine {
         }
     }
 
+    /// Resolves a packed procedure descriptor through the tables:
+    /// GFT → global frame (code base) → entry vector. (The LV read, if
+    /// any, happened at the call site.) Returns header, GF, code base.
     fn resolve_proc_desc(
         &mut self,
         p: ProcDesc,
@@ -2884,7 +2553,7 @@ impl Machine {
 
     /// The four call linkages resolved through the tables: every
     /// interpreted call, and every native call whose target was not
-    /// fixed at compile time (remote link-vector entries disarm the
+    /// fixed at compile time (a remote link-vector entry stops the
     /// native tier, so bursts need no remote intercept).
     fn call_via_tables(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
         let (header, local) = match instr {
@@ -2949,64 +2618,131 @@ impl Machine {
     /// `frame_bytes` once the whole transfer has succeeded, so a
     /// frame-faulted attempt leaves every observable untouched and the
     /// handler-driven retry is indistinguishable from a first try.
+    /// The pop is owed; an AV trap (an empty list), a corrupt list head
+    /// and an fsi beyond the ladder (guest data: a call into a body
+    /// reads any byte as a header) are the rare case, which the generic
+    /// instance counts through the heap's own allocation.
     #[inline(always)]
-    fn alloc_frame(&mut self, fsi: u8, addr_taken: bool) -> Result<WordAddr, VmError> {
+    fn alloc_frame<D: Discipline>(
+        &mut self,
+        fsi: u8,
+        addr_taken: bool,
+        o: &mut Owed,
+    ) -> Step<WordAddr> {
         let record = FrameRecord {
             fsi,
             addr_taken,
             in_use: true,
         };
-        Ok(match &mut self.allocator {
-            Allocator::General(g, t) => {
-                let words = self.classes.size_of(fsi);
-                let frame = general(g, &mut self.mem, |g| g.alloc(words))?;
+        Ok(Some(match (D::ALLOC, &mut self.allocator) {
+            (GENERAL | ANY, Allocator::General(g, t)) => {
+                let Some(words) = self.classes.words(fsi) else {
+                    let words = self.classes.max_words() + 1;
+                    return Err(VmError::Frame(FrameError::OversizeRequest { words }));
+                };
+                let before = g.charged_refs();
+                let got = g.alloc(words);
+                o.charge(g.charged_refs() - before);
+                let frame = got?;
                 t.insert(frame, record);
                 frame
             }
-            Allocator::Av(h) => h.alloc_record(&mut self.mem, fsi, record)?,
-            Allocator::Cached { heap, cache } => cache.alloc_record(heap, &mut self.mem, record)?,
-        })
+            (AV | ANY, Allocator::Av(h)) => match h.try_pop(&mut self.mem, fsi, record) {
+                Some(frame) => {
+                    o.owe(2, 1);
+                    frame
+                }
+                None if !D::ANY => return Ok(None),
+                None => trap(o, &mut self.mem, move |mem| {
+                    h.alloc_record(mem, fsi, record)
+                })?,
+            },
+            (CACHED | ANY, Allocator::Cached { heap, cache }) => {
+                match cache.try_alloc(heap, &mut self.mem, record) {
+                    Some((frame, true)) => {
+                        o.owe(2, 1);
+                        frame
+                    }
+                    Some((frame, false)) => frame,
+                    None if !D::ANY => return Ok(None),
+                    None => trap(o, &mut self.mem, move |mem| {
+                        cache.alloc_record(heap, mem, record)
+                    })?,
+                }
+            }
+            // A preset's instance on another machine: never.
+            _ => return Ok(None),
+        }))
     }
 
-    /// Records one allocation of class `fsi` in the `frame_bytes`
-    /// histogram.
-    #[inline]
-    fn record_frame_bytes(&mut self, fsi: u8) {
+    /// A frame for the interpreter, recorded in `frame_bytes`.
+    fn new_frame(&mut self, fsi: u8, addr_taken: bool) -> Result<WordAddr, VmError> {
+        let frame = self.owing(|m, o| served(m.alloc_frame::<AnyCalls>(fsi, addr_taken, o)))?;
         let bytes = self.classes.size_of(fsi) as u64 * 2;
         self.stats.frame_bytes.record(bytes);
+        Ok(frame)
     }
 
-    /// Frees a frame in use. A frame that is not (never allocated,
-    /// already freed, or held in the frame cache) is an invalid free.
-    /// The record is looked up once: the AV heap frees the frame
-    /// without checking it again.
+    /// Frees a frame in use; the caller releases its bank. A frame that
+    /// is not (never allocated, already freed, or cached) or whose size
+    /// word is corrupt is an error the heap's own free reports out of
+    /// line. The generic instance also winds down a fault handler whose
+    /// frame this is; a burst never runs under one.
     #[inline(always)]
-    fn free_frame(&mut self, frame: WordAddr) -> Result<(), VmError> {
-        // The AV heap drops the record itself, once the frame's size
-        // word has been read back.
-        let fsi = match &mut self.allocator {
-            Allocator::General(_, t) => t.remove(frame).map(|r| r.fsi),
-            Allocator::Av(h) => h
-                .frames_mut()
-                .get(frame)
-                .filter(|r| r.in_use)
-                .map(|r| r.fsi),
-            Allocator::Cached { heap, .. } => heap.frames_mut().release(frame),
-        };
-        let Some(fsi) = fsi else {
-            return Err(VmError::Frame(FrameError::InvalidFrame(frame)));
-        };
+    fn free_frame<D: Discipline>(&mut self, frame: WordAddr, o: &mut Owed) -> Result<(), VmError> {
+        let invalid = FrameError::InvalidFrame(frame);
+        match (D::ALLOC, &mut self.allocator) {
+            (GENERAL | ANY, Allocator::General(g, t)) => {
+                let record = t.remove(frame).ok_or(invalid)?;
+                let before = g.charged_refs();
+                let freed = g.free(frame, self.classes.size_of(record.fsi));
+                o.charge(g.charged_refs() - before);
+                freed?;
+            }
+            (AV | ANY, Allocator::Av(h)) => {
+                if h.try_free_claimed(&mut self.mem, frame) {
+                    o.owe(2, 2);
+                } else {
+                    trap(o, &mut self.mem, move |mem| {
+                        match h.frames_mut().get(frame) {
+                            Some(r) if r.in_use => h.free_live(mem, frame),
+                            _ => Err(invalid),
+                        }
+                    })?;
+                }
+            }
+            (CACHED | ANY, Allocator::Cached { heap, cache }) => {
+                match cache.try_free(heap, &mut self.mem, frame) {
+                    Some(true) => o.owe(2, 2),
+                    Some(false) => {}
+                    None => trap(o, &mut self.mem, move |mem| {
+                        let fsi = heap.frames_mut().release(frame).ok_or(invalid)?;
+                        cache.free(heap, mem, frame, fsi)
+                    })?,
+                }
+            }
+            // A preset's instance on another machine: never.
+            _ => return self.rare(o, move |m, o| m.free_frame::<AnyCalls>(frame, o)),
+        }
+        if D::ANY && (self.stack_relaxed || !self.handler_frames.is_empty()) {
+            self.handler_freed(frame);
+        }
+        Ok(())
+    }
+
+    /// Frees a context or record frame for the interpreter, and its bank.
+    fn free_context(&mut self, frame: WordAddr) -> Result<(), VmError> {
+        self.owing(|m, o| m.free_frame::<AnyCalls>(frame, o))?;
         if let Some(b) = self.banks.as_mut() {
             b.release(frame);
         }
-        match &mut self.allocator {
-            Allocator::General(g, _) => {
-                let words = self.classes.size_of(fsi);
-                general(g, &mut self.mem, |g| g.free(frame, words))?
-            }
-            Allocator::Av(h) => h.free_live(&mut self.mem, frame)?,
-            Allocator::Cached { heap, cache } => cache.free(heap, &mut self.mem, frame, fsi)?,
-        }
+        Ok(())
+    }
+
+    /// A frame went away while a fault handler ran or the stack reserve
+    /// was unlocked.
+    #[cold]
+    fn handler_freed(&mut self, frame: WordAddr) {
         // A fault handler's frame going away is its completion: the
         // nesting depth drops and the recovery is counted.
         if let Some(pos) = self.handler_frames.iter().rposition(|&f| f == frame) {
@@ -3023,7 +2759,6 @@ impl Machine {
         {
             self.stack_relaxed = false;
         }
-        Ok(())
     }
 
     /// Whether `base` is the code base of an unbound module. Returns at
@@ -3211,152 +2946,220 @@ impl Machine {
     ) -> Result<Flow, VmError> {
         let header_bytes = self.read_header(header);
         let t = CallTarget::new(header, dest_gf, dest_cb, header_bytes, &self.classes);
-        let flow = self.enter_call(&t, kind, strict)?;
+        self.owing(|m, o| served(m.enter_call::<AnyCalls>(&t, dest_gf, strict, NO_RESUME, o)))?;
         self.stats.frame_bytes.record(t.frame_bytes as u64);
-        Ok(flow)
+        Ok(Flow::Taken(Some(kind)))
+    }
+
+    /// Runs `f`, a transfer step of the generic instance, for the
+    /// interpreter, and counts what it owes into memory at once.
+    #[inline(always)]
+    fn owing<R>(&mut self, f: impl FnOnce(&mut Self, &mut Owed) -> R) -> R {
+        let mut o = Owed::default();
+        let r = f(self, &mut o);
+        self.pay(&o);
+        r
+    }
+
+    /// Counts owed references into memory.
+    #[inline(always)]
+    fn pay(&mut self, o: &Owed) {
+        self.mem.charge(o.reads, o.writes);
+        self.mem.charge_refs(o.charged);
+    }
+
+    /// Whether `D`'s machine has the IFU return stack on.
+    #[inline(always)]
+    fn rs_on<D: Discipline>(&self) -> bool {
+        D::RS && (!D::ANY || self.rs.enabled())
     }
 
     /// The call itself: allocate and link the callee's frame, suspend
-    /// the caller and jump to the callee's first instruction. Every
-    /// rare case (an empty AV list, a return-stack eviction, a bank
-    /// spill, an unbound module, a fault) is a cold helper. The caller
-    /// records the frame in `frame_bytes`.
+    /// the caller and jump to the callee's first instruction, under the
+    /// global frame `dest_gf`. The return entry carries `resume`, the
+    /// compiled op a burst's return continues at. A preset's instance
+    /// declines an unbound module, a strict-stack violation and an
+    /// allocation it cannot pop. The caller records the frame in
+    /// `frame_bytes`.
     #[inline(always)]
-    fn enter_call(
+    fn enter_call<D: Discipline>(
         &mut self,
         t: &CallTarget,
-        kind: TransferKind,
+        dest_gf: WordAddr,
         strict: bool,
-    ) -> Result<Flow, VmError> {
-        let &CallTarget {
-            header,
-            gf: dest_gf,
-            cb: dest_cb,
-            fsi,
-            nargs,
-            addr_taken,
-            locals,
-            ..
-        } = t;
+        resume: Resume,
+        o: &mut Owed,
+    ) -> Step<()> {
+        let nargs = t.nargs as usize;
         // Faultable work first, commits second: an unbound destination
         // or an empty AV list must surface while the caller's state is
         // still exactly as the restarted instruction will find it.
-        self.check_bound(dest_cb)?;
-        if strict && self.config.strict_stack && self.stack.len() != nargs as usize {
-            return Err(VmError::StrictStackViolation {
-                depth: self.stack.len(),
-                nargs: nargs as usize,
-            });
+        let violation = strict && self.config.strict_stack && self.stack.len() != nargs;
+        if self.any_unbound || violation {
+            if !D::ANY {
+                return Ok(None);
+            }
+            self.check_unbound(t.cb)?;
+            if violation {
+                return Err(VmError::StrictStackViolation {
+                    depth: self.stack.len(),
+                    nargs,
+                });
+            }
         }
-        let frame = self.alloc_frame(fsi, addr_taken)?;
-        // §7.4 flush-on-exit: leaving a flagged context writes its bank
-        // back so storage references from elsewhere see current data.
-        let (policy, lf) = (self.config.banks.map(|c| c.ptr_policy), self.lf);
-        if matches!(policy, Some(PtrLocalPolicy::FlushOnExit))
+        let Some(frame) = self.alloc_frame::<D>(t.fsi, t.addr_taken, o)? else {
+            return Ok(None);
+        };
+        // §7.4 flush-on-exit, which no preset's banks use: leaving a
+        // flagged context writes its bank back so storage references
+        // from elsewhere see current data.
+        let lf = self.lf;
+        if D::ANY
+            && matches!(self.config.banks, Some(b) if b.ptr_policy == PtrLocalPolicy::FlushOnExit)
             && self.frames().get(lf).is_some_and(|r| r.addr_taken)
         {
             if let Some(b) = self.banks.as_mut() {
-                b.flush_frame(&mut self.mem, self.lf);
+                o.count(b.flush_frame(&mut self.mem, lf));
             }
         }
 
         let caller_ctx = self.lf_ctx();
-        if self.rs.enabled() {
+        if self.rs_on::<D>() {
             let entry = ReturnEntry {
                 frame: self.lf,
                 gf: self.gf,
                 code_base: self.code_base,
                 pc: self.pc,
             };
-            if let Some(ev) = self.rs.push(entry) {
+            if let Some(ev) = self.rs.push_with(entry, resume) {
                 // Evicted caller: its PC goes to its frame; its callee's
                 // return link now lives in storage.
-                self.spill_evicted(ev);
+                let n = self.spill_evicted(ev);
+                o.count(n);
             }
             if !self.defer_headers {
                 self.mem
-                    .write(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
+                    .poke(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
+                o.owe(0, 1);
             }
         } else {
             // General scheme: suspend the caller and link the callee,
-            // three writes counted as one group.
+            // three writes.
             let rel = self.rel_pc(self.pc);
             self.mem.poke(self.lf.offset(layout::FRAME_PC), rel);
             self.mem
                 .poke(frame.offset(layout::FRAME_RETURN_LINK), caller_ctx.raw());
             self.mem
                 .poke(frame.offset(layout::FRAME_GLOBAL), dest_gf.0 as u16);
-            self.mem.charge(0, 3);
+            o.owe(0, 3);
         }
 
-        if let Some(b) = self.banks.as_mut() {
-            if self.config.renaming() {
-                // §7.2: the stack bank becomes the callee's local bank;
-                // arguments appear in place.
-                let at = self.stack.len().saturating_sub(nargs as usize);
-                b.assign(
-                    &mut self.mem,
-                    frame,
-                    locals,
-                    Some(&self.stack[at..]),
-                    Some(self.lf),
-                );
+        if let (true, Some(b)) = (D::BANKS, self.banks.as_mut()) {
+            // §7.2 renaming: the stack bank becomes the callee's local
+            // bank; arguments appear in place.
+            let lf = Some(self.lf);
+            if !D::ANY || self.config.renaming() {
+                let at = self.stack.len().saturating_sub(nargs);
+                o.count(b.assign(&mut self.mem, frame, t.locals, Some(&self.stack[at..]), lf));
                 self.stack.truncate(at);
             } else {
-                b.assign(&mut self.mem, frame, locals, None, Some(self.lf));
+                o.count(b.assign(&mut self.mem, frame, t.locals, None, lf));
             }
         }
 
         self.return_ctx = caller_ctx;
         self.lf = frame;
         self.gf = dest_gf;
-        self.code_base = dest_cb;
-        self.pc = header.offset(layout::PROC_HEADER_BYTES);
-        Ok(Flow::Taken(Some(kind)))
+        self.code_base = t.cb;
+        self.pc = t.header.offset(layout::PROC_HEADER_BYTES);
+        Ok(Some(()))
     }
 
     /// RETURN (§4/§5.1): free the frame, set `returnContext` to NIL,
-    /// `XFER` to the return link — served by the IFU stack when it can.
+    /// `XFER` to the return link — served by the IFU stack when it can,
+    /// resuming at the entry's resume point.
     #[inline(always)]
-    fn perform_return(&mut self) -> Result<Flow, VmError> {
+    fn perform_return<D: Discipline>(&mut self, o: &mut Owed) -> Step<(Flow, Resume)> {
         let returning = self.lf;
-        let Some(entry) = self.rs.pop() else {
-            return self.return_via_link(returning);
+        let top = if D::RS { self.rs.top() } else { None };
+        let Some((entry, resume)) = top else {
+            let flow = self.return_via_link::<D>(returning, o)?;
+            return Ok(flow.map(|flow| (flow, NO_RESUME)));
         };
-        self.free_frame(returning)?;
+        self.rs.pop_top();
+        self.free_frame::<D>(returning, o)?;
+        if let (true, Some(b)) = (D::BANKS, self.banks.as_mut()) {
+            // The returning frame's bank goes free and the caller's
+            // becomes current, loaded from storage if it was spilled.
+            match b.return_banks(returning, entry.frame) {
+                Some(pair) => b.take_return(pair, entry.frame),
+                None => {
+                    b.release(returning);
+                    let n = self.fill_bank(entry.frame);
+                    o.count(n);
+                }
+            }
+        }
         self.lf = entry.frame;
         self.gf = entry.gf;
         self.code_base = entry.code_base;
         self.pc = entry.pc;
         self.return_ctx = ContextWord::NIL;
-        self.activate_bank(entry.frame);
-        Ok(Flow::Taken(Some(TransferKind::Return)))
+        Ok(Some((Flow::Taken(Some(TransferKind::Return)), resume)))
     }
 
     /// The general scheme's return, through the link in the returning
     /// frame: every return without a return stack, and a return-stack
-    /// miss.
+    /// miss, which it counts. A link that names no frame is the rare
+    /// case.
     #[inline(always)]
-    fn return_via_link(&mut self, returning: WordAddr) -> Result<Flow, VmError> {
+    fn return_via_link<D: Discipline>(&mut self, returning: WordAddr, o: &mut Owed) -> Step<Flow> {
+        let link_at = self.wrap(returning.offset(layout::FRAME_RETURN_LINK));
+        let link = ContextWord::from_raw(self.mem.peek(link_at));
+        let Context::Frame(to) = Context::from(link) else {
+            if !D::ANY {
+                return Ok(None);
+            }
+            o.owe(1, 0);
+            let r0 = self.refs_total();
+            let flow = self.leave_process(returning, link);
+            o.count(self.refs_total() - r0);
+            return flow.map(Some);
+        };
+        o.owe(1, 0);
+        if D::RS {
+            self.rs.pop();
+        }
         // The destination's boundness is checked before the returning
         // frame is freed: a fault after the free could not restart (the
         // frame — and the link in it — would be gone).
-        let link = ContextWord::from_raw(
-            self.mem
-                .read(self.wrap(returning.offset(layout::FRAME_RETURN_LINK))),
-        );
-        match Context::from(link) {
-            Context::Frame(h) => self.check_frame_bound(h.addr())?,
-            Context::Nil => self.precheck_next_process()?,
-            Context::Proc(_) => return Err(VmError::InvalidContext(link.raw())),
+        self.check_frame_bound(to.addr())?;
+        self.free_frame::<D>(returning, o)?;
+        if let (true, Some(b)) = (D::BANKS, self.banks.as_mut()) {
+            b.release(returning);
         }
-        self.free_frame(returning)?;
         self.return_ctx = ContextWord::NIL;
-        let Context::Frame(h) = Context::from(link) else {
-            return self.process_exit();
+        // Entering the caller reads its PC, GF and code base.
+        o.owe(3, 0);
+        let n = self.switch_frame(to.addr());
+        o.count(n);
+        Ok(Some(Flow::Taken(Some(TransferKind::Return))))
+    }
+
+    /// [`Machine::return_via_link`] through a link that names no frame:
+    /// NIL, a process's root returning, which resumes the next live
+    /// process or halts; anything else is an invalid context. Its
+    /// references count themselves.
+    #[cold]
+    fn leave_process(&mut self, returning: WordAddr, link: ContextWord) -> Result<Flow, VmError> {
+        self.rs.pop();
+        let Context::Nil = Context::from(link) else {
+            return Err(VmError::InvalidContext(link.raw()));
         };
-        self.enter_frame(h.addr())?;
-        Ok(Flow::Taken(Some(TransferKind::Return)))
+        self.precheck_next_process()?;
+        self.free_context(returning)?;
+        self.return_ctx = ContextWord::NIL;
+        self.process_exit()
     }
 
     /// Restartability precheck for a process exit: the process that
@@ -3461,8 +3264,7 @@ impl Machine {
         self.check_bound(dest_cb)?;
         let (fsi, flags) = self.read_header(header);
         let (_, addr_taken) = layout::unpack_flags(flags);
-        let frame = self.alloc_frame(fsi, addr_taken)?;
-        self.record_frame_bytes(fsi);
+        let frame = self.new_frame(fsi, addr_taken)?;
         let entry_rel = (header.0 + layout::PROC_HEADER_BYTES - dest_cb.0) as u16;
         self.mem.write(frame.offset(layout::FRAME_PC), entry_rel);
         self.mem
@@ -3738,7 +3540,11 @@ impl Machine {
             Instr::LocalCall(_) | Instr::DirectCall(_) | Instr::ShortDirectCall(_) => {
                 return self.call_via_tables(instr, instr_start);
             }
-            Instr::Ret => return self.perform_return(),
+            Instr::Ret => {
+                return self
+                    .owing(|m, o| served(m.perform_return::<AnyCalls>(o)))
+                    .map(|(flow, _)| flow)
+            }
             Instr::Xfer => {
                 self.obs(|o| o.context_ops = true);
                 let w = ContextWord::from_raw(self.pop()?);
@@ -3770,7 +3576,7 @@ impl Machine {
                 if h.addr() == self.lf {
                     return Err(VmError::InvalidContext(w.raw()));
                 }
-                self.free_frame(h.addr())?;
+                self.free_context(h.addr())?;
             }
             Instr::ReturnContext => {
                 let w = self.return_ctx.raw();
@@ -3790,13 +3596,12 @@ impl Machine {
                 if self.stack.len() >= self.stack_limit() {
                     return Err(VmError::UnhandledTrap(TrapCode::StackOverflow));
                 }
-                let rec = self.alloc_frame(fsi, false)?;
-                self.record_frame_bytes(fsi);
+                let rec = self.new_frame(fsi, false)?;
                 self.push(rec.0 as u16)?;
             }
             Instr::FreeRecord => {
                 let addr = WordAddr(self.pop()? as u32);
-                self.free_frame(addr)?;
+                self.free_context(addr)?;
             }
             Instr::Trap(n) => return self.do_trap(TrapCode::User(n)),
             Instr::ProcessSwitch => {

@@ -61,16 +61,10 @@
 //!   goes straight to the frame allocation and link. External calls,
 //!   and any site whose target did not resolve, walk the tables as the
 //!   interpreter does.
-//! * **One handler per call discipline.** A burst's calls and returns
-//!   are specialised to the machine's allocator (general, AV, AV behind
-//!   the frame cache), return stack (on or off) and banks (on or off),
-//!   chosen once at burst entry: the four presets have their own, every
-//!   other combination takes the generic instance. A known-site call
-//!   does only the simulated work (pop the AV list, claim the frame
-//!   record, push the return entry, write the GF word, switch
-//!   registers) and a return its mirror; the rare cases (an AV trap,
-//!   an unbound module, a strict-stack violation, a process exit) are
-//!   cold calls into the interpreter's own transfer.
+//! * **One transfer protocol.** Calls and returns run the machine's
+//!   own transfer, one instance of it per call discipline: the four
+//!   presets each inline only their simulated work, and decline every
+//!   rare case to the generic instance, which the interpreter runs.
 //! * **Resume points.** With the IFU return stack on, each entry carries
 //!   the compiled `(body, op)` its return resumes at, so a hit continues
 //!   in compiled code at once. Without it, a burst-local
@@ -215,8 +209,8 @@ pub(crate) enum NOp {
     /// A call or return: index of its [`Site`] in the body's side
     /// table. Retired natively with the interpreter's accounting, minus
     /// the handler-attribution bookkeeping that is provably dead while
-    /// the tier is armed (arming requires no installed trap or fault
-    /// handlers).
+    /// the tier is live, armed or checked (installing a trap or fault
+    /// handler stops it).
     Xfer(u16),
     /// Fell off the end of the compiled body; resume interpretation.
     Exit,

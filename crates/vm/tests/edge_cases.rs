@@ -735,3 +735,79 @@ fn indirect_references_past_a_small_memory_wrap_on_every_rung() {
         assert_eq!(fingerprint(false, ladder[2].1), want, "unarmed");
     }
 }
+
+/// A direct call to an address that is not a procedure header reads
+/// its frame-size index from whatever byte lies there, here one beyond
+/// the size-class ladder. Every allocator reports an oversize request,
+/// on the byte rung and in compiled code, armed and checked, whole and
+/// one instruction at a time, with the same counters everywhere.
+#[test]
+fn a_direct_call_into_a_body_is_an_oversize_request_on_every_rung() {
+    let configs = [
+        (MachineConfig::i1(), false),
+        (MachineConfig::i2(), false),
+        (MachineConfig::i3(), false),
+        (MachineConfig::i4(), true),
+    ];
+    for (base, bank_args) in configs {
+        let mut b = ImageBuilder::new();
+        if bank_args {
+            b.bank_args();
+        }
+        let m = b.module("m");
+        b.proc_with(m, ProcSpec::new("pad", 0, 2), |a| {
+            a.instr(Instr::LoadImm(0xFFFF));
+            a.instr(Instr::LoadImm(0xF0F0));
+            a.instr(Instr::LoadImm(0x7FFF));
+            a.instr(Instr::LocalCall(0));
+            a.instr(Instr::Ret);
+        });
+        b.proc_with(m, ProcSpec::new("main", 0, 0), |a| {
+            a.instr(Instr::DirectCall(18));
+            a.instr(Instr::Halt);
+        });
+        let image = b
+            .build(ProcRef {
+                module: 0,
+                ev_index: 1,
+            })
+            .unwrap();
+        assert_eq!(image.code.len(), 30);
+        let run = |config: MachineConfig, armed: bool, slice: Option<u64>| {
+            let mut m = Machine::load(&image, config).unwrap();
+            if armed {
+                assert!(m.arm_native(fpc_vm::NativeLicense::new(8, 2)));
+            }
+            let err = match slice {
+                None => m.run(1000).unwrap_err(),
+                Some(fuel) => loop {
+                    match m.run(fuel) {
+                        Err(VmError::OutOfFuel) => continue,
+                        r => break r.unwrap_err(),
+                    }
+                },
+            };
+            format!(
+                "{err:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                m.stats(),
+                m.mem_stats(),
+                m.total_refs(),
+                m.return_stack_stats(),
+                m.cache_stats(),
+                m.heap_stats()
+            )
+        };
+        let [(_, byte), _, (_, native)] = base.dispatch_ladder();
+        let want = run(byte, false, None);
+        assert!(want.starts_with("Frame(OversizeRequest"), "{want}");
+        for slice in [None, Some(1)] {
+            assert_eq!(run(byte, false, slice), want, "{base:?} byte {slice:?}");
+            assert_eq!(run(native, true, slice), want, "{base:?} armed {slice:?}");
+            assert_eq!(
+                run(native, false, slice),
+                want,
+                "{base:?} checked {slice:?}"
+            );
+        }
+    }
+}

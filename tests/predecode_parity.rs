@@ -13,7 +13,10 @@
 
 use fpc_compiler::Options;
 use fpc_isa::Instr;
-use fpc_vm::{Image, ImageBuilder, Machine, MachineConfig, ProcRef, ProcSpec, StepOutcome};
+use fpc_vm::{
+    BankConfig, Image, ImageBuilder, Machine, MachineConfig, ProcRef, ProcSpec, PtrLocalPolicy,
+    StepOutcome,
+};
 use fpc_workloads::{compile_workload, corpus, run_workload, Workload};
 
 /// Every simulated-side observable, flattened through Debug. Any
@@ -33,12 +36,36 @@ fn fingerprint(m: &Machine) -> String {
     )
 }
 
-fn all_configs() -> [(&'static str, MachineConfig); 4] {
+/// The four presets, and five machines whose transfers take the
+/// generic call discipline: the general heap with a return stack, AV
+/// frames with renaming banks, banks that do not rename, the
+/// flush-on-exit pointer policy, and I4 without its return stack.
+fn all_configs() -> [(&'static str, MachineConfig); 9] {
     [
         ("i1", MachineConfig::i1()),
         ("i2", MachineConfig::i2()),
         ("i3", MachineConfig::i3()),
         ("i4", MachineConfig::i4()),
+        ("i1+rs", MachineConfig::i1().with_return_stack(8)),
+        (
+            "i2+banks",
+            MachineConfig::i2().with_banks(Some(BankConfig::paper_default())),
+        ),
+        (
+            "i3+plain-banks",
+            MachineConfig::i3().with_banks(Some(BankConfig {
+                renaming: false,
+                ..BankConfig::paper_default()
+            })),
+        ),
+        (
+            "i4+flush",
+            MachineConfig::i4().with_banks(Some(BankConfig {
+                ptr_policy: PtrLocalPolicy::FlushOnExit,
+                ..BankConfig::paper_default()
+            })),
+        ),
+        ("i4-rs", MachineConfig::i4().with_return_stack(0)),
     ]
 }
 

@@ -40,7 +40,7 @@ macro_rules! side {
     ($side:ident, $vm:ident, $compiler:ident, $verify:ident, $workloads:ident) => {
         mod $side {
             use $compiler::{Linkage, Options};
-            use $vm::{Image, Machine, MachineConfig, NativeLicense};
+            use $vm::{BankConfig, Image, Machine, MachineConfig, NativeLicense};
             use $workloads::programs;
 
             /// perfbench's loop programs.
@@ -65,15 +65,22 @@ macro_rules! side {
             /// license — the path the scheduler and cluster guests take
             /// (on a base from before the checked tier, the fused
             /// rung). `calls` and `loops` run on I1–I4 (Mesa linkage
-            /// on I1/I2, Direct on I3/I4), `contexts` as `cluster_storm`
-            /// admits its `fib` guests: `fib(6..=13)` on I3 and I4,
-            /// Direct linkage, a 2 048-word memory.
+            /// on I1/I2, Direct on I3/I4) and on I2 with the paper's
+            /// renaming banks (`i2b`, Mesa linkage), whose transfers
+            /// take the generic call discipline; `contexts` as
+            /// `cluster_storm` admits its `fib` guests: `fib(6..=13)` on
+            /// I3 and I4, Direct linkage, a 2 048-word memory.
             pub fn items(set: &str, rung: &str) -> Vec<Item> {
                 let mut imps = vec![
                     ("i1", MachineConfig::i1(), Linkage::Mesa),
                     ("i2", MachineConfig::i2(), Linkage::Mesa),
                     ("i3", MachineConfig::i3(), Linkage::Direct),
                     ("i4", MachineConfig::i4(), Linkage::Direct),
+                    (
+                        "i2b",
+                        MachineConfig::i2().with_banks(Some(BankConfig::paper_default())),
+                        Linkage::Mesa,
+                    ),
                 ];
                 let programs = match set {
                     "calls" => vec![
@@ -85,6 +92,7 @@ macro_rules! side {
                     ],
                     "loops" => loops::loop_programs(&mut ::rng::Rng::seed_from_u64(1)),
                     "contexts" => {
+                        imps.truncate(4);
                         imps.drain(..2);
                         for imp in &mut imps {
                             imp.1 = imp.1.with_memory_words(2048);
